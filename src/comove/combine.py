@@ -84,7 +84,9 @@ def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
             if gamma.bit_count() < epsilon:
                 continue
             if gamma not in produced:
-                items = tuple(sorted(cex.items + cin.items))
+                # _check_time_split put every existing item before every
+                # incoming one, so the concatenation is already sorted.
+                items = cex.items + cin.items
                 produced[gamma] = FCI(items, Tidset(gamma))
                 stats["new"] += 1
             if gamma == cex.tidset.mask:

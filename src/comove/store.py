@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -167,22 +168,62 @@ class FciStore:
 def write_fci_store(store: FciStore, dest):
     """Header lines carry epsilon, the universe size, the covered time range
     and the full label tables; one row per itemset:
-    support <TAB> member ids <TAB> time:ordinal items."""
+    support <TAB> member ids <TAB> time:ordinal items.
+
+    A path is written through a temporary file in the same directory that
+    then replaces it, so an existing store is never left half-written.
+    Object ids must be non-empty, free of ``,``, tab and newline, which the
+    format uses as separators, and must not end in whitespace, which the
+    reader strips from the end of the objects line."""
+    for label in store.object_labels:
+        if (not label or label != label.rstrip()
+                or any(sep in label for sep in ",\t\n\r")):
+            raise ParseError(
+                f"object id {label!r} cannot be stored: ids must be non-empty, "
+                "contain no ',', tab or newline, and not end in whitespace")
     if isinstance(dest, (str, Path)):
-        with open(dest, "w") as fh:
-            return write_fci_store(store, fh)
+        dest = Path(dest)
+        tmp = dest.with_name(f".{dest.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            with open(tmp, "x") as fh:
+                write_fci_store(store, fh)
+            os.replace(tmp, dest)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        return
+    tl = [_fmt_time(t) for t in store.time_labels]
     dest.write(f"# epsilon\t{store.epsilon}\n")
     dest.write(f"# n_objects\t{len(store.object_labels)}\n")
-    if store.time_labels:
-        dest.write(f"# time_range\t{_fmt_time(store.time_labels[0])}"
-                   f"\t{_fmt_time(store.time_labels[-1])}\n")
+    if tl:
+        dest.write(f"# time_range\t{tl[0]}\t{tl[-1]}\n")
     dest.write(f"# objects\t{','.join(store.object_labels)}\n")
-    dest.write(f"# times\t{','.join(_fmt_time(t) for t in store.time_labels)}\n")
+    dest.write(f"# times\t{','.join(tl)}\n")
+    # An item recurs in every itemset that contains it, so each distinct one
+    # is formatted once.
+    item_strs: dict[ClusterId, str] = {}
     for fci in sorted(store.fcis, key=lambda f: f.items):
-        ids = ",".join(store.object_labels[i] for i in fci.tidset.ids)
-        items = ";".join(
-            f"{_fmt_time(store.time_labels[c.time])}:{c.ordinal}" for c in fci.items)
-        dest.write(f"{fci.support}\t{ids}\t{items}\n")
+        ids = ",".join([store.object_labels[i] for i in fci.tidset.ids])
+        strs = []
+        for c in fci.items:
+            s = item_strs.get(c)
+            if s is None:
+                s = item_strs[c] = f"{tl[c.time]}:{c.ordinal}"
+            strs.append(s)
+        dest.write(f"{fci.support}\t{ids}\t{';'.join(strs)}\n")
+
+
+def _parse_item(item: str, t_idx: dict[str, int], line_no: int) -> ClusterId:
+    t_str, _, ord_str = item.partition(":")
+    if t_str not in t_idx:
+        raise ParseError(f"unknown time label {t_str!r}", line=line_no)
+    try:
+        ordinal = int(ord_str)
+    except ValueError:
+        raise ParseError(f"unparseable item {item!r}", line=line_no) from None
+    if ordinal < 0:
+        raise ParseError(f"ordinal must be >= 0, got {ordinal}", line=line_no)
+    return ClusterId(t_idx[t_str], ordinal)
 
 
 def read_fci_store(source) -> FciStore:
@@ -233,6 +274,10 @@ def read_fci_store(source) -> FciStore:
 
     o_idx = {o: i for i, o in enumerate(labels)}
     t_idx = {_fmt_time(t): i for i, t in enumerate(times)}
+    # Rows repeat the same few thousand item strings, so each distinct one is
+    # parsed once.  Only items that passed validation are cached, so a bad
+    # item still fails on its own line.
+    item_cache: dict[str, ClusterId] = {}
     fcis = []
     for line_no, parts in body:
         if len(parts) != 3:
@@ -253,14 +298,10 @@ def read_fci_store(source) -> FciStore:
                 line=line_no)
         items = []
         for item in parts[2].split(";"):
-            t_str, _, ord_str = item.partition(":")
-            if t_str not in t_idx:
-                raise ParseError(f"unknown time label {t_str!r}", line=line_no)
-            try:
-                ordinal = int(ord_str)
-            except ValueError:
-                raise ParseError(f"unparseable item {item!r}", line=line_no) from None
-            items.append(ClusterId(t_idx[t_str], ordinal))
+            cid = item_cache.get(item)
+            if cid is None:
+                cid = item_cache[item] = _parse_item(item, t_idx, line_no)
+            items.append(cid)
         try:
             fcis.append(FCI(tuple(items), tid))
         except ValueError as e:

@@ -250,6 +250,14 @@ def test_data_errors_exit_2(tmp_path):
     assert main(["mine", str(bad), str(tmp_path / "o"), "--epsilon", "0"]) == 2
 
 
+def test_mine_rejects_object_id_with_separator(tmp_path):
+    traj = tmp_path / "traj.csv"
+    traj.write_text('"a,b",0,0,0\n"a,b",1,0,0\nc,0,0,0\nc,1,0,0\n')
+    out = tmp_path / "o"
+    assert main(["mine", str(traj), str(out)] + MINE_FLAGS) == 2
+    assert not (out / "fcis.tsv").exists()
+
+
 # ---------------------------------------------------------------------------
 # Console script
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comove import (
+    FCI,
+    ClusterId,
     Convoy,
     ClosedSwarm,
     ExtractionContext,
@@ -160,6 +163,38 @@ def test_fci_store_float_times_and_empty():
     assert _round_trip(write_fci_store, read_fci_store, store) == store
 
 
+@st.composite
+def _stores(draw):
+    labels = draw(st.lists(
+        st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
+        .filter(lambda o: o == o.rstrip() and not any(c in o for c in ",\t\n\r")),
+        max_size=6, unique=True))
+    times = tuple(sorted(draw(st.one_of(
+        st.sets(st.integers(-10**6, 10**6), max_size=6),
+        st.sets(st.floats(-1e6, 1e6, allow_nan=False), max_size=6)))))
+    fcis = {}
+    if labels and times:
+        cids = st.builds(ClusterId, st.integers(0, len(times) - 1), st.integers(0, 3))
+        for items in draw(st.lists(st.sets(cids, min_size=1), max_size=8)):
+            ids = draw(st.sets(st.integers(0, len(labels) - 1), min_size=1))
+            fcis[tuple(sorted(items))] = Tidset.from_ids(ids)
+    return FciStore(draw(st.integers(1, 9)), tuple(labels), times,
+                    tuple(FCI(items, tid) for items, tid in sorted(fcis.items())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stores())
+def test_fci_store_round_trip_and_rewrite_property(store):
+    first = io.StringIO()
+    write_fci_store(store, first)
+    first.seek(0)
+    again = read_fci_store(first)
+    assert again == store
+    second = io.StringIO()
+    write_fci_store(again, second)
+    assert second.getvalue() == first.getvalue()
+
+
 def test_fci_store_time_span():
     assert FciStore(2, ("a",), (5, 6, 7), ()).time_span == 3
 
@@ -181,11 +216,43 @@ _HEADER = "# epsilon\t1\n# objects\ta,b\n# times\t0,1\n"
     _HEADER + "1\tz\t0:0\n",             # unknown object
     _HEADER + "1\ta\t7:0\n",             # unknown time label
     _HEADER + "1\ta\t0:x\n",             # bad ordinal
+    _HEADER + "1\ta\t0:-1\n",            # negative ordinal
     _HEADER + "1\ta\t1:0;0:0\n",         # items out of order
 ])
 def test_fci_store_rejects(text):
     with pytest.raises(ParseError):
         read_fci_store(io.StringIO(text))
+
+
+def test_fci_store_cached_item_does_not_hide_a_later_error():
+    # row 2 repeats row 1's valid item before its own bad one
+    text = _HEADER + "1\ta\t0:0\n1\tb\t0:0;0:x\n"
+    with pytest.raises(ParseError) as info:
+        read_fci_store(io.StringIO(text))
+    assert info.value.line == 5
+
+
+@pytest.mark.parametrize("label", ["", "a,b", "a\tb", "a\nb", "a\rb", "b ", " "])
+def test_fci_store_rejects_unstorable_object_ids(label):
+    store = FciStore(1, ("a0", label), (0,),
+                     (FCI((ClusterId(0, 0),), Tidset.from_ids([0, 1])),))
+    buf = io.StringIO()
+    with pytest.raises(ParseError):
+        write_fci_store(store, buf)
+    assert buf.getvalue() == ""
+
+
+def test_fci_store_failed_write_keeps_existing_file(tmp_path):
+    path = tmp_path / "fcis.tsv"
+    good = FciStore(1, ("a",), (0,), (FCI((ClusterId(0, 0),), Tidset.from_ids([0])),))
+    write_fci_store(good, path)
+    before = path.read_bytes()
+    # item time index 5 is outside the single time label
+    bad = FciStore(1, ("a",), (0,), (FCI((ClusterId(5, 0),), Tidset.from_ids([0])),))
+    with pytest.raises(IndexError):
+        write_fci_store(bad, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["fcis.tsv"]
 
 
 def test_fci_store_minimal_header_ok():

@@ -3,8 +3,9 @@
 
 The monolithic miner walks the whole cluster matrix at once.  The
 incremental miner cuts the matrix into vertical blocks, mines each block
-on its own, and then mines the much smaller closed-itemset matrix whose
-columns are the blocks' local results.  The parameter-free variant picks
+on its own, and then merges the blocks' local results pairwise with the
+same exact merge that folds appended timestamps into a stored result.
+The parameter-free variant picks
 its own blocks by looking for nested column runs (each column's member
 set containing the next one's), where closed itemsets are simply prefix
 chains and no search is needed.
@@ -14,8 +15,8 @@ import time
 from comove import (
     DbscanParams,
     SyntheticSpec,
-    build_cim,
     build_cluster_matrix,
+    combine_fcis,
     gen_synthetic,
     mine_fci,
     mine_fci_nested,
@@ -53,13 +54,18 @@ def main():
     got = timed("parameter-free", lambda: mine_parameter_free(matrix, 5))
     assert got == mono
 
-    # What the incremental path builds internally: local itemsets per block
-    # become the columns of a closed-itemset matrix, which is then re-mined.
+    # What the incremental path does internally: mine each block alone,
+    # then merge neighbouring results until one is left.
     blocks = split_blocks(matrix, 100)
     local = [mine_fci(b.as_matrix(matrix), 5) for b in blocks]
-    cim = build_cim(matrix, local)
-    print(f"\nwith block=100: {len(blocks)} blocks -> closed-itemset matrix "
-          f"of {len(cim.matrix.columns)} columns (vs {len(matrix.columns)})")
+    print(f"\nwith block=100: {len(blocks)} blocks, local itemsets per block "
+          f"{[len(r) for r in local]}")
+    while len(local) > 1:
+        merged = [combine_fcis(local[i], local[i + 1], 5)
+                  for i in range(0, len(local) - 1, 2)]
+        local = merged + local[len(merged) * 2:]
+        print(f"  after a round of pairwise merges: {[len(r) for r in local]}")
+    assert local[0] == mono
 
     # Nested chains need no mining at all: every prefix is already closed.
     labels = tuple(f"o{i}" for i in range(4))

@@ -11,8 +11,6 @@ from .clustering import DbscanParams, build_cluster_matrix, dbscan_snapshot
 from .combine import combine_fcis, shift_times, should_update
 from .incremental import (
     Block,
-    ClosedItemsetMatrix,
-    build_cim,
     mine_incremental,
     mine_parameter_free,
     nested_block_partition,
@@ -26,12 +24,7 @@ from .ingest import (
     parse_trajectories,
     periodic_decompose,
 )
-from .miner import (
-    intersection_closed_tidsets,
-    mine_fci,
-    mine_fci_nested,
-    reclose_tidsets,
-)
+from .miner import mine_fci, mine_fci_nested
 from .model import (
     FCI,
     ClosedSwarm,
@@ -50,20 +43,11 @@ from .model import (
     ParseError,
     Pattern,
     PeriodicPattern,
-    SizeGuardError,
     Tidset,
     TimeRangeError,
     UniverseError,
     canonical_sort,
     tidset_intersect,
-)
-from .oracle import (
-    brute_closed_swarms,
-    brute_convoys,
-    brute_fcis,
-    brute_group_patterns,
-    gen_random_matrix,
-    gen_random_nested_matrix,
 )
 from .patterns import (
     ExtractionContext,

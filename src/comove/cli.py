@@ -28,6 +28,7 @@ from .model import CoMoveError, MiningParams, TimeRangeError, UniverseError
 from .patterns import ExtractionContext, extract_patterns
 from .store import (
     FciStore,
+    check_pattern_object_ids,
     read_cluster_columns,
     read_fci_store,
     write_cluster_columns,
@@ -91,7 +92,7 @@ def _extraction_flags() -> argparse.ArgumentParser:
 def _common_flags() -> argparse.ArgumentParser:
     p = _Parser(add_help=False)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for clustering and block mining "
+                   help="worker threads for clustering "
                         "(output is thread-count independent)")
     return p
 
@@ -186,16 +187,16 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _mine_with_mode(matrix, params: MiningParams, threads: int):
+def _mine_with_mode(matrix, params: MiningParams):
     if params.mode == "incremental":
-        return mine_incremental(matrix, params.epsilon, params.block_size,
-                                threads=threads)
+        return mine_incremental(matrix, params.epsilon, params.block_size)
     if params.mode == "nested":
-        return mine_parameter_free(matrix, params.epsilon, threads=threads)
-    return mine_fci(matrix, params.epsilon, threads=threads)
+        return mine_parameter_free(matrix, params.epsilon)
+    return mine_fci(matrix, params.epsilon)
 
 
 def _write_outputs(out_dir: str, store: FciStore, patterns, matrix, db, emit: str):
+    check_pattern_object_ids(matrix.object_labels)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_fci_store(store, out / "fcis.tsv")
@@ -226,7 +227,7 @@ def _cmd_mine(args, parser: _Parser) -> int:
         matrix = build_cluster_matrix(
             db, DbscanParams(eps=args.eps, min_pts=args.min_pts),
             kind=kind, threads=args.threads)
-    fcis = _mine_with_mode(matrix, params, args.threads)
+    fcis = _mine_with_mode(matrix, params)
     patterns = extract_patterns(fcis, ExtractionContext(matrix, params))
     store = FciStore(params.epsilon, matrix.object_labels, matrix.time_labels,
                      tuple(fcis))
@@ -255,7 +256,7 @@ def _cmd_append(args) -> int:
     new_matrix = build_cluster_matrix(
         new_db.align_to(store.object_labels),
         DbscanParams(eps=args.eps, min_pts=args.min_pts), threads=args.threads)
-    new_fcis = mine_fci(new_matrix, store.epsilon, threads=args.threads)
+    new_fcis = mine_fci(new_matrix, store.epsilon)
     shifted = shift_times(new_fcis, len(store.time_labels))
     counters: dict = {}
     combined = combine_fcis(list(store.fcis), shifted, store.epsilon,

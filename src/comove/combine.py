@@ -1,15 +1,16 @@
-"""Combining stored closed itemsets with ones mined from appended data.
+"""Merging the closed itemsets of two column-disjoint sides.
 
-When new timestamps arrive, re-mining everything from scratch is wasteful:
-the closed itemsets of the combined span are fully determined by the two
-sides' own closed itemsets.  Every combined-span itemset touching both sides
-is the union of one existing and one incoming itemset — specifically the most
-specific pair whose tidsets intersect to the combined tidset — and an
-original itemset survives unchanged exactly when no combined itemset ends up
-with its tidset.
+Two matrices that share no column can be mined apart and merged exactly: the
+closed itemsets of the combined matrix are fully determined by the two sides'
+own closed itemsets.  Every combined itemset touching both sides is the union
+of one itemset from each side — specifically the most specific pair whose
+tidsets intersect to the combined tidset — and an original itemset survives
+unchanged exactly when no combined itemset ends up with its tidset.  The same
+merge folds newly appended timestamps into a stored result and joins the
+per-block results of incremental and nested mining.
 
 ``combine_fcis`` implements that: a support-ascending double loop over both
-stores, intersecting tidsets.  Walking supports upward makes the first pair
+sides, intersecting tidsets.  Walking supports upward makes the first pair
 producing a given tidset exactly the most specific one, so a first-hit-wins
 record of produced tidsets suffices for exactness.  Two shortcuts drop work
 without changing the result: an existing itemset whose tidset is fully inside
@@ -20,7 +21,7 @@ later pairing is covered by an earlier, more specific itemset.
 
 from __future__ import annotations
 
-from .model import FCI, ClusterId, TimeRangeError, Tidset
+from .model import FCI, ClusterId, CoMoveError, Tidset
 
 __all__ = ["combine_fcis", "should_update", "shift_times"]
 
@@ -44,27 +45,25 @@ def shift_times(fcis: list[FCI], offset: int) -> list[FCI]:
                 f.tidset) for f in fcis]
 
 
-def _check_time_split(existing: list[FCI], incoming: list[FCI]):
-    ex_times = {c.time for f in existing for c in f.items}
-    in_times = {c.time for f in incoming for c in f.items}
-    if not ex_times or not in_times:
-        return
-    if max(ex_times) >= min(in_times):
-        raise TimeRangeError(
-            f"incoming itemsets start at time index {min(in_times)}, which is "
-            f"not strictly after the existing ones (last index {max(ex_times)})")
+def _check_disjoint_columns(existing: list[FCI], incoming: list[FCI]):
+    shared = (set().union(*(f.items for f in existing))
+              & set().union(*(f.items for f in incoming)))
+    if shared:
+        raise CoMoveError(
+            f"both sides use column {min(shared)}; combined itemsets need "
+            "sides that share no column")
 
 
 def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
                  counters: dict | None = None) -> list[FCI]:
-    """Closed itemsets of the combined time span from the two sides' own.
+    """Closed itemsets of the combined matrix from the two sides' own.
 
-    ``existing`` and ``incoming`` must use disjoint time-index ranges with the
-    incoming ones strictly later.  The result equals mining the combined
-    matrix directly.  ``counters``, when given, receives loop statistics
-    (pairs, new, absorbed_existing, absorbed_incoming, stops).
+    ``existing`` and ``incoming`` must be mined from matrices that share no
+    column; their columns may interleave in time.  The result equals mining
+    the combined matrix directly.  ``counters``, when given, receives loop
+    statistics (pairs, new, absorbed_existing, absorbed_incoming, stops).
     """
-    _check_time_split(existing, incoming)
+    _check_disjoint_columns(existing, incoming)
     stats = {"pairs": 0, "new": 0, "absorbed_existing": 0,
              "absorbed_incoming": 0, "stops": 0}
 
@@ -84,10 +83,8 @@ def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
             if gamma.bit_count() < epsilon:
                 continue
             if gamma not in produced:
-                # _check_time_split put every existing item before every
-                # incoming one, so the concatenation is already sorted.
-                items = cex.items + cin.items
-                produced[gamma] = FCI(items, Tidset(gamma))
+                produced[gamma] = FCI(tuple(sorted(cex.items + cin.items)),
+                                      Tidset(gamma))
                 stats["new"] += 1
             if gamma == cex.tidset.mask:
                 old_dead[oi] = True

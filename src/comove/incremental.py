@@ -1,16 +1,13 @@
 """Block-incremental and parameter-free mining.
 
-Instead of mining a big matrix in one pass, the engine splits it into column
-blocks, mines each block's closed itemsets locally, and assembles the global
-answer from the local ones.  The bridge between the two levels is the
-closed-itemset matrix: one column per local itemset, holding its tidset and
-remembering its expansion into original columns.
-
-The global pass works in tidset space: every global closed itemset's tidset
-is an intersection of local-itemset tidsets (its restriction to a block is a
-local closed itemset), so closing the local tidsets under pairwise
-intersection and re-closing each result against the original matrix
-reproduces the monolithic answer exactly, including itemset contents.
+Instead of mining a big matrix in one pass, the engine splits its columns
+into blocks, mines each block's closed itemsets locally, and merges the local
+results with :func:`~comove.combine.combine_fcis`, the same exact merge that
+folds appended timestamps into a stored result.  Blocks never share a column,
+which is all the merge needs, so merging every block's result gives the
+monolithic answer exactly, including itemset contents.  Merging runs as a
+balanced reduction: each round combines adjacent pairs of results, so no
+side grows to the whole answer while the other stays one block wide.
 
 The parameter-free variant skips choosing a block size: columns are reordered
 so that containment chains sit next to each other, chains become nested
@@ -20,30 +17,16 @@ block.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .model import (
-    FCI,
-    ClusterId,
-    ClusterMatrix,
-    Column,
-    ParameterError,
-    Tidset,
-)
-from .miner import (
-    intersection_closed_tidsets,
-    mine_fci,
-    mine_fci_nested,
-    reclose_tidsets,
-)
+from .combine import combine_fcis
+from .model import FCI, ClusterMatrix, Column, ParameterError
+from .miner import mine_fci, mine_fci_nested
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "Block",
-    "ClosedItemsetMatrix",
     "split_blocks",
-    "build_cim",
     "mine_incremental",
     "nested_reorder",
     "nested_block_partition",
@@ -68,22 +51,6 @@ class Block:
                              self.columns, parent.kind)
 
 
-@dataclass(frozen=True)
-class ClosedItemsetMatrix:
-    """Matrix over blocks: column (b, i) is block b's i-th local closed
-    itemset, with the itemset's tidset as members and its original columns
-    recorded in ``expansions`` (parallel to ``matrix.columns``)."""
-
-    matrix: ClusterMatrix
-    expansions: tuple[tuple[ClusterId, ...], ...]
-
-    def __post_init__(self):
-        if self.matrix.kind != "closed-itemset":
-            raise ParameterError("a ClosedItemsetMatrix wraps a closed-itemset matrix")
-        if len(self.expansions) != len(self.matrix.columns):
-            raise ParameterError("one expansion per column required")
-
-
 def split_blocks(matrix: ClusterMatrix, block_size: int) -> list[Block]:
     """Cut the time axis into consecutive windows of block_size timestamps;
     each window's columns form one block (possibly empty)."""
@@ -96,48 +63,28 @@ def split_blocks(matrix: ClusterMatrix, block_size: int) -> list[Block]:
     return [Block(i, tuple(cols)) for i, cols in enumerate(buckets)]
 
 
-def build_cim(parent: ClusterMatrix, local_fcis: list[list[FCI]]) -> ClosedItemsetMatrix:
-    """Assemble the closed-itemset matrix from per-block local results."""
-    columns = []
-    expansions = []
-    for b, fcis in enumerate(local_fcis):
-        for i, fci in enumerate(fcis):
-            columns.append(Column(ClusterId(b, i), fci.tidset))
-            expansions.append(fci.items)
-    cim = ClusterMatrix(parent.object_labels, tuple(range(len(local_fcis))),
-                        tuple(columns), "closed-itemset")
-    return ClosedItemsetMatrix(cim, tuple(expansions))
-
-
-def _mine_blocks(parent: ClusterMatrix, blocks: list[Block], epsilon: int,
-                 threads: int) -> list[list[FCI]]:
-    def job(block: Block) -> list[FCI]:
-        sub = block.as_matrix(parent)
-        if block.nested:
-            return mine_fci_nested(sub, epsilon)
-        return mine_fci(sub, epsilon)
-
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(job, blocks))
-    return [job(b) for b in blocks]
-
-
-def _finish(parent: ClusterMatrix, cim: ClosedItemsetMatrix, epsilon: int) -> list[FCI]:
-    seeds = [c.members.mask for c in cim.matrix.columns]
-    family = intersection_closed_tidsets(seeds, epsilon)
-    return reclose_tidsets(parent, family, epsilon)
+def _mine_blocks(parent: ClusterMatrix, blocks: list[Block],
+                 epsilon: int) -> list[FCI]:
+    """Mine every block on its own, then merge the local results pairwise
+    until one is left."""
+    results = [mine_fci_nested(b.as_matrix(parent), epsilon) if b.nested
+               else mine_fci(b.as_matrix(parent), epsilon)
+               for b in blocks]
+    while len(results) > 1:
+        merged = [combine_fcis(results[i], results[i + 1], epsilon)
+                  for i in range(0, len(results) - 1, 2)]
+        if len(results) % 2:
+            merged.append(results[-1])
+        results = merged
+    return results[0]
 
 
 def mine_incremental(matrix: ClusterMatrix, epsilon: int,
-                     block_size: int | None = None, *, threads: int = 1) -> list[FCI]:
+                     block_size: int | None = None) -> list[FCI]:
     """Mine the matrix block by block; the result equals mine_fci(matrix,
     epsilon) for every block size."""
     bs = DEFAULT_BLOCK_SIZE if block_size is None else block_size
-    blocks = split_blocks(matrix, bs)
-    local = _mine_blocks(matrix, blocks, epsilon, threads)
-    cim = build_cim(matrix, local)
-    return _finish(matrix, cim, epsilon)
+    return _mine_blocks(matrix, split_blocks(matrix, bs), epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +153,8 @@ def nested_block_partition(matrix: ClusterMatrix) -> list[Block]:
     return blocks
 
 
-def mine_parameter_free(matrix: ClusterMatrix, epsilon: int, *,
-                        threads: int = 1) -> list[FCI]:
+def mine_parameter_free(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:
     """Incremental mining without a block-size parameter: blocks come from
     the data's own containment structure.  Result equals mine_fci."""
     reordered, _ = nested_reorder(matrix)
-    blocks = nested_block_partition(reordered)
-    local = _mine_blocks(matrix, blocks, epsilon, threads)
-    cim = build_cim(matrix, local)
-    return _finish(matrix, cim, epsilon)
+    return _mine_blocks(matrix, nested_block_partition(reordered), epsilon)

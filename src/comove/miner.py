@@ -7,37 +7,19 @@ kept only when the closure leaves the prefix before the extension column
 untouched.  Each closed itemset is therefore generated exactly once, without a
 duplicate table.
 
-Matrices whose same-unit columns overlap (closed-itemset matrices) have
-non-unique closures, so they take a different route: enumerate the closed
-tidsets by intersection, then reconstruct every maximal one-column-per-unit
-itemset realising each tidset.
-
-The "at most one column per time unit" rule never needs explicit handling on
-disjoint-column matrices: two same-unit columns share no object, so their
-intersection is empty and falls under any support threshold >= 1.
+The "at most one column per time unit" rule never needs explicit handling:
+every matrix kind keeps same-unit columns disjoint, so two same-unit columns
+share no object, and their intersection is empty and falls under any support
+threshold >= 1.
 """
 
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Sequence
 
-from .model import (
-    FCI,
-    ClusterId,
-    ClusterMatrix,
-    NotNestedError,
-    ParameterError,
-    Tidset,
-)
+from .model import FCI, ClusterMatrix, NotNestedError, ParameterError, Tidset
 
-__all__ = [
-    "mine_fci",
-    "mine_fci_nested",
-    "intersection_closed_tidsets",
-    "reclose_tidsets",
-]
+__all__ = ["mine_fci", "mine_fci_nested"]
 
 
 def _check_epsilon(epsilon: int):
@@ -45,42 +27,23 @@ def _check_epsilon(epsilon: int):
         raise ParameterError(f"epsilon must be an int >= 1, got {epsilon!r}")
 
 
-def _check_threads(threads: int):
-    if not isinstance(threads, int) or threads < 1:
-        raise ParameterError(f"threads must be an int >= 1, got {threads!r}")
-
-
-def _same_unit_overlap(matrix: ClusterMatrix) -> bool:
-    acc: dict[int, list[int]] = {}
-    for cid, members in matrix.columns:
-        a = acc.setdefault(cid.time, [0, 0])
-        a[0] |= members.mask
-        a[1] += len(members)
-    return any(or_mask.bit_count() != total for or_mask, total in acc.values())
-
-
-def mine_fci(matrix: ClusterMatrix, epsilon: int, *, threads: int = 1) -> list[FCI]:
+def mine_fci(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:
     """All frequent closed itemsets of the matrix, in canonical item order.
 
     Every returned itemset uses at most one column per time unit, has support
     >= epsilon, and admits no strict valid superset with the same tidset.
-    ``threads`` parallelises the independent root subtrees; the result is
-    identical for any thread count.
     """
     _check_epsilon(epsilon)
-    _check_threads(threads)
     if not matrix.columns:
         return []
-    if _same_unit_overlap(matrix):
-        return _mine_overlapping(matrix, epsilon)
-    return _mine_ppc(matrix, epsilon, threads)
+    return _mine_ppc(matrix, epsilon)
 
 
 # ---------------------------------------------------------------------------
-# Disjoint-column path: prefix-preserving closure extension
+# Prefix-preserving closure extension
 # ---------------------------------------------------------------------------
 
-def _mine_ppc(matrix: ClusterMatrix, epsilon: int, threads: int) -> list[FCI]:
+def _mine_ppc(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:
     cids = [c.cid for c in matrix.columns]
     n = matrix.n_objects
     full = (1 << n) - 1
@@ -133,74 +96,13 @@ def _mine_ppc(matrix: ClusterMatrix, epsilon: int, threads: int) -> list[FCI]:
                 expand(j2, x2, new_tid, new_live, out)
 
     root_x = frozenset(root_items)
-    root_cands = [j for j in live0 if j not in root_x]
-    if threads > 1 and len(root_cands) > 1:
-        def job(j: int) -> list:
-            local: list = []
-            expand(j, root_x, full, live0, local)
-            return local
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for part in ex.map(job, root_cands):
-                results.extend(part)
-    else:
-        for j in root_cands:
+    for j in live0:
+        if j not in root_x:
             expand(j, root_x, full, live0, results)
 
     fcis = [FCI(tuple(sorted(cids[j] for k in items for j in groups[k])),
                 Tidset(tid))
             for items, tid in results]
-    fcis.sort(key=lambda f: f.items)
-    return fcis
-
-
-# ---------------------------------------------------------------------------
-# Overlapping-column path: closed tidsets, then per-unit reconstruction
-# ---------------------------------------------------------------------------
-
-def _mine_overlapping(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:
-    masks = [c.members.mask for c in matrix.columns]
-    cids = [c.cid for c in matrix.columns]
-    family = intersection_closed_tidsets(masks, epsilon)
-
-    fcis: list[FCI] = []
-    for tid in family:
-        # candidate columns per unit: those whose tidset contains tid
-        groups: dict[int, list[int]] = {}
-        for j, m in enumerate(masks):
-            if tid & ~m == 0:
-                groups.setdefault(cids[j].time, []).append(j)
-        units = sorted(groups)
-        if not units:
-            continue
-        group_and = [0] * len(units)
-        for i, u in enumerate(units):
-            acc = -1
-            for j in groups[u]:
-                acc &= masks[j]
-            group_and[i] = acc
-        suffix_and = [0] * (len(units) + 1)
-        suffix_and[len(units)] = -1
-        for i in range(len(units) - 1, -1, -1):
-            suffix_and[i] = suffix_and[i + 1] & group_and[i]
-
-        chosen: list[int] = []
-
-        def pick(i: int, running: int):
-            # every reachable completion contains running & suffix_and[i];
-            # once that exceeds tid the branch can never intersect down to it
-            if running & suffix_and[i] != tid:
-                return
-            if i == len(units):
-                if running == tid:
-                    fcis.append(FCI(tuple(sorted(cids[j] for j in chosen)),
-                                    Tidset(tid)))
-                return
-            for j in groups[units[i]]:
-                chosen.append(j)
-                pick(i + 1, running & masks[j])
-                chosen.pop()
-
-        pick(0, -1 & ((1 << matrix.n_objects) - 1))
     fcis.sort(key=lambda f: f.items)
     return fcis
 
@@ -236,63 +138,3 @@ def mine_fci_nested(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:
     fcis.sort(key=lambda f: f.items)
     return fcis
 
-
-# ---------------------------------------------------------------------------
-# Tidset-space helpers shared with the incremental engine
-# ---------------------------------------------------------------------------
-
-def intersection_closed_tidsets(seeds: Iterable[int], epsilon: int) -> list[int]:
-    """Closure of the seed tidset masks under pairwise intersection, keeping
-    only masks with at least epsilon bits.  Sorted ascending for determinism.
-    """
-    family = {m for m in seeds if m.bit_count() >= epsilon}
-    queue = list(family)
-    while queue:
-        a = queue.pop()
-        added = []
-        for b in family:
-            c = a & b
-            if c not in family and c.bit_count() >= epsilon:
-                added.append(c)
-        for c in added:
-            if c not in family:
-                family.add(c)
-                queue.append(c)
-    return sorted(family)
-
-
-def reclose_tidsets(matrix: ClusterMatrix, tidset_masks: Sequence[int],
-                    epsilon: int) -> list[FCI]:
-    """Close each tidset against the full matrix and keep the distinct results.
-
-    For a tidset T the closure itemset is every column containing T; its
-    tidset is their intersection, which may be larger than T.  Each distinct
-    closed tidset yields exactly one FCI on disjoint-column matrices.
-    """
-    masks = [c.members.mask for c in matrix.columns]
-    cids = [c.cid for c in matrix.columns]
-    by_object: dict[int, list[int]] = {}
-    for j, m in enumerate(masks):
-        mm = m
-        while mm:
-            low = mm & -mm
-            by_object.setdefault(low.bit_length() - 1, []).append(j)
-            mm ^= low
-    seen: set[int] = set()
-    fcis: list[FCI] = []
-    for tid in tidset_masks:
-        if tid == 0 or tid.bit_count() < epsilon:
-            continue
-        lowest = (tid & -tid).bit_length() - 1
-        items = [j for j in by_object.get(lowest, ()) if tid & ~masks[j] == 0]
-        if not items:
-            continue
-        closed = -1
-        for j in items:
-            closed &= masks[j]
-        if closed in seen:
-            continue
-        seen.add(closed)
-        fcis.append(FCI(tuple(sorted(cids[j] for j in items)), Tidset(closed)))
-    fcis.sort(key=lambda f: f.items)
-    return fcis

@@ -25,7 +25,6 @@ __all__ = [
     "UniverseError",
     "TimeRangeError",
     "NotNestedError",
-    "SizeGuardError",
     "Tidset",
     "tidset_intersect",
     "ClusterId",
@@ -84,10 +83,6 @@ class TimeRangeError(CoMoveError, ValueError):
 
 class NotNestedError(CoMoveError, ValueError):
     """A block handed to the nested miner is not actually nested."""
-
-
-class SizeGuardError(CoMoveError, ValueError):
-    """A brute-force oracle was asked to enumerate something too large."""
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +181,8 @@ def tidset_intersect(a: Tidset, b: Tidset) -> Tidset:
 class ClusterId(NamedTuple):
     """Identity of a matrix column: (time unit index, ordinal within unit).
 
-    For per-timestamp and periodic matrices the time unit is a timestamp
-    (resp. period offset) index; for closed-itemset matrices it is a block
-    index.
+    The time unit is a timestamp index in per-timestamp matrices and a
+    period offset index in periodic ones.
     """
 
     time: int
@@ -202,10 +196,9 @@ class Column(NamedTuple):
     members: Tidset
 
 
-#: Valid values for :attr:`ClusterMatrix.kind`.  ``per-timestamp`` and
-#: ``periodic`` matrices keep same-unit columns disjoint; ``closed-itemset``
-#: matrices (whose units are block indices) may overlap within a unit.
-MATRIX_KINDS = ("per-timestamp", "periodic", "closed-itemset")
+#: Valid values for :attr:`ClusterMatrix.kind`.  Both kinds keep same-unit
+#: columns disjoint.
+MATRIX_KINDS = ("per-timestamp", "periodic")
 
 
 @dataclass(frozen=True)
@@ -213,9 +206,9 @@ class ClusterMatrix:
     """0-1 membership matrix: rows are objects, columns are clusters.
 
     ``object_labels`` and ``time_labels`` translate dense indices back to the
-    caller's vocabulary (object ids and timestamps / period offsets / block
-    ids).  ``columns`` hold the actual matrix content as tidsets; a cell
-    (object, column) is 1 iff the object index is in the column's tidset.
+    caller's vocabulary (object ids and timestamps / period offsets).
+    ``columns`` hold the actual matrix content as tidsets; a cell (object,
+    column) is 1 iff the object index is in the column's tidset.
     """
 
     object_labels: tuple[str, ...]
@@ -249,12 +242,11 @@ class ClusterMatrix:
                     f"column {cid} contains object indices >= {n}")
             per_time_or[cid.time] = per_time_or.get(cid.time, 0) | members.mask
             per_time_popcount[cid.time] = per_time_popcount.get(cid.time, 0) + len(members)
-        if self.kind != "closed-itemset":
-            for tt, acc in per_time_or.items():
-                if acc.bit_count() != per_time_popcount[tt]:
-                    raise ParseError(
-                        f"columns at time unit {tt} overlap; {self.kind} matrices "
-                        "require disjoint same-unit columns")
+        for tt, acc in per_time_or.items():
+            if acc.bit_count() != per_time_popcount[tt]:
+                raise ParseError(
+                    f"columns at time unit {tt} overlap; {self.kind} matrices "
+                    "require disjoint same-unit columns")
 
     @classmethod
     def build(cls, object_labels: Sequence[str], time_labels: Sequence,

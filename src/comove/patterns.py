@@ -17,7 +17,6 @@ from .model import (
     ClusterMatrix,
     Convoy,
     GroupPattern,
-    MatrixKindError,
     MiningParams,
     MovingCluster,
     Pattern,
@@ -162,14 +161,8 @@ def extract_patterns(fcis: Iterable[FCI], ctx: ExtractionContext) -> list[Patter
 
     Periodic matrices yield periodic patterns only; per-timestamp matrices
     yield closed swarms, convoys, moving clusters and group patterns.
-    Closed-itemset matrices cannot be decoded (their columns are block-level
-    itemsets, not clusters at timestamps).
     """
     kind = ctx.matrix.kind
-    if kind == "closed-itemset":
-        raise MatrixKindError(
-            "patterns cannot be extracted from a closed-itemset matrix; "
-            "decode against the originating per-timestamp matrix instead")
     patterns: list[Pattern] = []
     if kind == "periodic":
         for fci in fcis:

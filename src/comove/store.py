@@ -39,6 +39,7 @@ __all__ = [
     "FciStore",
     "read_fci_store",
     "write_fci_store",
+    "check_pattern_object_ids",
     "write_patterns_csv",
     "write_patterns_geojson",
 ]
@@ -318,6 +319,16 @@ def _span(matrix: ClusterMatrix, a: int, b: int) -> str:
     return _fmt_time(la) if a == b else f"{_fmt_time(la)}..{_fmt_time(lb)}"
 
 
+def check_pattern_object_ids(object_labels):
+    """Raise ParseError for an object id containing ``;``, which the pattern
+    files use to join member ids, so a row's members would read back wrong."""
+    for label in object_labels:
+        if ";" in label:
+            raise ParseError(
+                f"object id {label!r} cannot be written to a pattern file: "
+                "ids must not contain ';'")
+
+
 def _pattern_row(p: Pattern, matrix: ClusterMatrix) -> tuple[str, str, str, float]:
     objects = ";".join(matrix.object_labels[i] for i in p.objects.ids)
     n_times = matrix.n_times
@@ -341,6 +352,7 @@ def _pattern_row(p: Pattern, matrix: ClusterMatrix) -> tuple[str, str, str, floa
 def write_patterns_csv(patterns, matrix: ClusterMatrix, dest):
     """kind,objects,times,weight rows in canonical order.  Times are labels;
     consecutive stretches are written as first..last."""
+    check_pattern_object_ids(matrix.object_labels)
     if isinstance(dest, (str, Path)):
         with open(dest, "w", newline="") as fh:
             return write_patterns_csv(patterns, matrix, fh)
@@ -367,6 +379,7 @@ def write_patterns_geojson(patterns, matrix: ClusterMatrix, db: TrajectoryDB, de
     if db.object_labels != matrix.object_labels or db.time_labels != matrix.time_labels:
         raise UniverseError(
             "trajectory database does not match the matrix (objects/times differ)")
+    check_pattern_object_ids(matrix.object_labels)
     if isinstance(dest, (str, Path)):
         with open(dest, "w") as fh:
             return write_patterns_geojson(patterns, matrix, db, fh)

@@ -11,20 +11,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (
+from comove.model import (
     FCI,
     ClosedSwarm,
     ClusterId,
     ClusterMatrix,
+    CoMoveError,
     Column,
     Convoy,
     GroupPattern,
     MiningParams,
-    SizeGuardError,
     Tidset,
 )
 
 __all__ = [
+    "SizeGuardError",
     "brute_fcis",
     "brute_closed_swarms",
     "brute_convoys",
@@ -35,6 +36,10 @@ __all__ = [
 
 MAX_BRUTE_COLUMNS = 24
 MAX_BRUTE_OBJECTS = 12
+
+
+class SizeGuardError(CoMoveError, ValueError):
+    """A brute-force oracle was asked to enumerate something too large."""
 
 
 def brute_fcis(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:

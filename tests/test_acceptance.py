@@ -20,14 +20,9 @@ from comove import (
     PeriodicPattern,
     SyntheticSpec,
     Tidset,
-    brute_closed_swarms,
-    brute_convoys,
-    brute_group_patterns,
     build_cluster_matrix,
     combine_fcis,
     extract_patterns,
-    gen_random_matrix,
-    gen_random_nested_matrix,
     gen_synthetic,
     mine_fci,
     mine_fci_nested,
@@ -38,6 +33,13 @@ from comove import (
 )
 from comove.cli import main as cli_main
 from comove.model import ClusterMatrix
+from oracle import (
+    brute_closed_swarms,
+    brute_convoys,
+    brute_group_patterns,
+    gen_random_matrix,
+    gen_random_nested_matrix,
+)
 from conftest import (
     expanding_trio_matrix,
     pair_with_gap_matrix,

@@ -4,6 +4,7 @@ import subprocess
 
 import pytest
 
+from comove import FciStore, write_fci_store
 from comove.cli import main
 
 
@@ -256,6 +257,24 @@ def test_mine_rejects_object_id_with_separator(tmp_path):
     out = tmp_path / "o"
     assert main(["mine", str(traj), str(out)] + MINE_FLAGS) == 2
     assert not (out / "fcis.tsv").exists()
+
+
+def test_mine_and_convert_reject_object_id_with_pattern_separator(tmp_path):
+    # pattern files join member ids with ';', so "a;b" would read back as
+    # two members; the store alone could hold it, but no output is written
+    traj = tmp_path / "traj.csv"
+    traj.write_text("a;b,0,0,0\na;b,1,0,0\nc,0,0,0\nc,1,0,0\n")
+    out = tmp_path / "o"
+    for emit in ("csv", "geojson", "both"):
+        assert main(["mine", str(traj), str(out), "--emit", emit]
+                    + MINE_FLAGS) == 2
+        assert not out.exists()
+    store = tmp_path / "fcis.tsv"
+    write_fci_store(FciStore(2, ("a;b", "c"), (0, 1), ()), store)
+    assert main(["convert", "patterns", str(store), str(traj), str(out),
+                 "--emit", "both", "--eps", "2.0"]) == 2
+    assert not (out / "patterns.csv").exists()
+    assert not (out / "patterns.geojson").exists()
 
 
 # ---------------------------------------------------------------------------

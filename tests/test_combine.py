@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comove import (
     FCI,
     ClusterId,
     ClusterMatrix,
     Column,
+    CoMoveError,
     Tidset,
-    TimeRangeError,
     combine_fcis,
-    gen_random_matrix,
     mine_fci,
     shift_times,
     should_update,
 )
+from oracle import MAX_BRUTE_COLUMNS, brute_fcis, gen_random_matrix
 
 
 def _cid(t, o):
@@ -51,16 +52,6 @@ def test_combine_two_store_instance():
                         "absorbed_incoming": 1, "stops": 1}
 
 
-def test_combine_two_store_instance_equals_direct_mine():
-    # the same four clusters as one two-unit matrix (units overlap at t=1,
-    # so it is a closed-itemset matrix); mining it directly must agree
-    existing, incoming = _two_store_instance()
-    columns = [Column(f.items[0], f.tidset) for f in existing + incoming]
-    m = ClusterMatrix.build(tuple(f"o{i}" for i in range(4)), (0, 1), columns,
-                            kind="closed-itemset")
-    assert combine_fcis(existing, incoming, 2) == mine_fci(m, 2)
-
-
 def test_combine_empty_sides():
     existing, incoming = _two_store_instance()
     counters = {}
@@ -77,13 +68,25 @@ def test_combine_high_epsilon_keeps_sides_apart():
     assert got == sorted(existing + incoming, key=lambda f: f.items)
 
 
-def test_combine_rejects_interleaved_times():
+def test_combine_rejects_shared_column():
     a = [_fci([(0, 0), (5, 0)], 0, 1)]
     b = [_fci([(5, 0)], 0, 1)]
-    with pytest.raises(TimeRangeError):
+    with pytest.raises(CoMoveError):
         combine_fcis(a, b, 2)
-    with pytest.raises(TimeRangeError):
+    with pytest.raises(CoMoveError):
         combine_fcis(b, a, 2)
+
+
+def test_combine_time_interleaved_sides():
+    # even and odd timestamps share no column, though their times interleave
+    rng = np.random.default_rng(72)
+    for _ in range(40):
+        m = gen_random_matrix(rng)
+        even = _sub(m, [c for c in m.columns if c.cid.time % 2 == 0])
+        odd = _sub(m, [c for c in m.columns if c.cid.time % 2 == 1])
+        for eps in (1, 2, 3):
+            assert combine_fcis(mine_fci(odd, eps), mine_fci(even, eps),
+                                eps) == mine_fci(m, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +117,13 @@ def test_should_update_threshold():
 # Random time splits: combining halves equals mining the whole
 # ---------------------------------------------------------------------------
 
+def _sub(m: ClusterMatrix, cols) -> ClusterMatrix:
+    return ClusterMatrix.build(m.object_labels, m.time_labels, cols, kind=m.kind)
+
+
 def _halves(m: ClusterMatrix, split: int):
-    left = [c for c in m.columns if c.cid.time < split]
-    right = [c for c in m.columns if c.cid.time >= split]
-    mk = lambda cols: ClusterMatrix.build(
-        m.object_labels, m.time_labels, cols, kind=m.kind)
-    return mk(left), mk(right)
+    return (_sub(m, [c for c in m.columns if c.cid.time < split]),
+            _sub(m, [c for c in m.columns if c.cid.time >= split]))
 
 
 def test_random_splits_match_monolithic():
@@ -163,3 +167,45 @@ def _check_span_structure(result, existing, incoming, split, counters):
         else:
             assert f in incoming
     assert spanning == counters["new"]
+
+
+# ---------------------------------------------------------------------------
+# Any column partition: merging the parts' results equals mining the whole
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _partitioned_matrices(draw):
+    """A random matrix, its columns dealt into k random parts, and an order
+    of adjacent merges that reduces the k mined parts to one."""
+    n_objects = draw(st.integers(1, 8))
+    n_times = draw(st.integers(1, 10))
+    cols = []
+    for t in range(n_times):
+        # each object joins one of three clusters or none (-1)
+        label = draw(st.lists(st.integers(-1, 2), min_size=n_objects,
+                              max_size=n_objects))
+        for ordinal, lab in enumerate(sorted(set(label) - {-1})):
+            members = [i for i, x in enumerate(label) if x == lab]
+            cols.append(Column(ClusterId(t, ordinal), Tidset.from_ids(members)))
+    m = ClusterMatrix.build(tuple(f"o{i}" for i in range(n_objects)),
+                            tuple(range(n_times)), cols)
+    k = draw(st.integers(1, max(1, len(cols))))
+    part_of = draw(st.lists(st.integers(0, k - 1), min_size=len(cols),
+                            max_size=len(cols)))
+    parts = [_sub(m, [c for c, p in zip(cols, part_of) if p == i])
+             for i in range(k)]
+    merges = [draw(st.integers(0, n - 2)) for n in range(k, 1, -1)]
+    return m, parts, merges, draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_partitioned_matrices())
+def test_any_column_partition_reduces_to_monolithic(case):
+    m, parts, merges, eps = case
+    results = [mine_fci(p, eps) for p in parts]
+    for i in merges:
+        results[i:i + 2] = [combine_fcis(results[i], results[i + 1], eps)]
+    want = mine_fci(m, eps)
+    assert results == [want]
+    if m.n_columns <= MAX_BRUTE_COLUMNS:
+        assert want == brute_fcis(m, eps)

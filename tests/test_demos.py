@@ -1,0 +1,25 @@
+"""Every demo script still imports against the package's public names.
+
+Each ``demos/*.py`` is loaded as a module without calling its ``main()``,
+so a demo that imports a removed name fails here instead of at its next
+manual run.  Nothing is computed or written.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_imports(path):
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)

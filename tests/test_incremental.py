@@ -3,15 +3,10 @@ import pytest
 
 from comove import (
     FCI,
-    ClosedItemsetMatrix,
     ClusterId,
     ClusterMatrix,
-    Column,
     ParameterError,
     Tidset,
-    build_cim,
-    gen_random_matrix,
-    gen_random_nested_matrix,
     mine_fci,
     mine_incremental,
     mine_parameter_free,
@@ -20,6 +15,7 @@ from comove import (
     split_blocks,
 )
 from comove.incremental import Block
+from oracle import gen_random_matrix, gen_random_nested_matrix
 from conftest import make_matrix
 
 
@@ -78,7 +74,7 @@ def test_split_blocks_validation():
 
 
 # ---------------------------------------------------------------------------
-# Closed-itemset matrix assembly
+# Incremental == monolithic
 # ---------------------------------------------------------------------------
 
 def _stable_then_split_matrix():
@@ -88,34 +84,6 @@ def _stable_then_split_matrix():
         cells[(t, 0)] = [0, 1]
         cells[(t, 1)] = [2, 3]
     return make_matrix(cells)
-
-
-def test_build_cim_shape():
-    m = _stable_then_split_matrix()
-    blocks = split_blocks(m, 2)
-    local = [mine_fci(b.as_matrix(m), 2) for b in blocks]
-    cim = build_cim(m, local)
-    assert cim.matrix.kind == "closed-itemset"
-    assert cim.matrix.time_labels == (0, 1)  # block indices
-    assert [c for c in cim.matrix.columns] == [
-        Column(_cid(0, 0), _tid(0, 1, 2, 3)),
-        Column(_cid(1, 0), _tid(0, 1)),
-        Column(_cid(1, 1), _tid(2, 3)),
-    ]
-    assert cim.expansions == (
-        (_cid(0, 0), _cid(1, 0)),
-        (_cid(2, 0), _cid(3, 0)),
-        (_cid(2, 1), _cid(3, 1)),
-    )
-
-
-def test_cim_validation():
-    m = make_matrix({(0, 0): [0, 1]})
-    with pytest.raises(ParameterError):
-        ClosedItemsetMatrix(m, ((),))  # wrong kind
-    ci = make_matrix({(0, 0): [0, 1]}, kind="closed-itemset")
-    with pytest.raises(ParameterError):
-        ClosedItemsetMatrix(ci, ())  # expansion count mismatch
 
 
 def test_incremental_exact_on_split_scenario():
@@ -128,10 +96,6 @@ def test_incremental_exact_on_split_scenario():
     ]
     assert got == mine_fci(m, 2)
 
-
-# ---------------------------------------------------------------------------
-# Incremental == monolithic
-# ---------------------------------------------------------------------------
 
 def test_incremental_matches_monolithic_every_block_size():
     rng = np.random.default_rng(31)
@@ -147,13 +111,6 @@ def test_incremental_default_block_size():
     m = make_matrix({(t, 0): [0, 1] for t in range(30)})
     # 30 timestamps with the default window of 25 really uses two blocks
     assert mine_incremental(m, 2) == mine_fci(m, 2)
-
-
-def test_incremental_threads_do_not_change_output():
-    rng = np.random.default_rng(32)
-    for _ in range(15):
-        m = gen_random_matrix(rng)
-        assert mine_incremental(m, 2, 2, threads=4) == mine_incremental(m, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +200,3 @@ def test_parameter_free_on_nested_chains():
         m = gen_random_nested_matrix(rng)
         for eps in (1, 2):
             assert mine_parameter_free(m, eps) == mine_fci(m, eps)
-
-
-def test_parameter_free_threads_do_not_change_output():
-    rng = np.random.default_rng(36)
-    for _ in range(15):
-        m = gen_random_matrix(rng)
-        assert mine_parameter_free(m, 2, threads=4) == mine_parameter_free(m, 2)

@@ -8,15 +8,15 @@ from comove import (
     Column,
     NotNestedError,
     ParameterError,
-    SizeGuardError,
     Tidset,
+    mine_fci,
+    mine_fci_nested,
+)
+from oracle import (
+    SizeGuardError,
     brute_fcis,
     gen_random_matrix,
     gen_random_nested_matrix,
-    intersection_closed_tidsets,
-    mine_fci,
-    mine_fci_nested,
-    reclose_tidsets,
 )
 from conftest import (
     expanding_trio_matrix,
@@ -93,8 +93,6 @@ def test_parameter_validation():
             mine_fci(m, bad)
         with pytest.raises(ParameterError):
             mine_fci_nested(m, bad)
-    with pytest.raises(ParameterError):
-        mine_fci(m, 2, threads=0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,56 +139,10 @@ def test_duplicate_heavy_matrices_match_bruteforce():
             assert mine_fci(m, eps) == brute_fcis(m, eps)
 
 
-def test_thread_count_does_not_change_output():
-    rng = np.random.default_rng(303)
-    for _ in range(30):
-        m = gen_random_matrix(rng)
-        base = mine_fci(m, 2)
-        assert mine_fci(m, 2, threads=4) == base
-        assert mine_fci(m, 2, threads=8) == base
-
-
 def test_bruteforce_refuses_large_matrices():
     m = make_matrix({(t, 0): [0, 1] for t in range(25)})
     with pytest.raises(SizeGuardError):
         brute_fcis(m, 2)
-
-
-# ---------------------------------------------------------------------------
-# Overlapping-column (closed-itemset) matrices
-# ---------------------------------------------------------------------------
-
-def test_overlapping_matrix_exact():
-    m = make_matrix({(0, 0): [0, 1, 2, 3], (0, 1): [2, 3], (1, 0): [0, 1]},
-                    kind="closed-itemset")
-    assert mine_fci(m, 2) == [
-        FCI((_cid(0, 0),), Tidset.from_ids([0, 1, 2, 3])),
-        FCI((_cid(0, 0), _cid(1, 0)), Tidset.from_ids([0, 1])),
-        FCI((_cid(0, 1),), Tidset.from_ids([2, 3])),
-    ]
-
-
-def _random_overlapping_matrix(rng) -> ClusterMatrix:
-    n_obj = int(rng.integers(2, 9))
-    n_units = int(rng.integers(1, 5))
-    columns = []
-    for u in range(n_units):
-        for i in range(int(rng.integers(1, 4))):
-            mask = int(rng.integers(1, 1 << n_obj))
-            columns.append(Column(ClusterId(u, i), Tidset(mask)))
-    return ClusterMatrix.build(tuple(f"o{i + 1}" for i in range(n_obj)),
-                               tuple(range(n_units)), columns,
-                               kind="closed-itemset")
-
-
-def test_random_overlapping_matrices_match_bruteforce():
-    rng = np.random.default_rng(404)
-    for _ in range(100):
-        m = _random_overlapping_matrix(rng)
-        for eps in (1, 2, 3):
-            got = mine_fci(m, eps)
-            assert got == brute_fcis(m, eps)
-            _check_fci_invariants(m, got, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -232,54 +184,3 @@ def test_nested_matches_general_miner():
         m = gen_random_nested_matrix(rng)
         for eps in (1, 2, 3):
             assert mine_fci_nested(m, eps) == mine_fci(m, eps)
-
-
-# ---------------------------------------------------------------------------
-# Tidset-space helpers
-# ---------------------------------------------------------------------------
-
-def test_intersection_closure_small():
-    got = intersection_closed_tidsets([0b111, 0b011, 0b110], 1)
-    assert got == [0b010, 0b011, 0b110, 0b111]
-    assert intersection_closed_tidsets([0b111, 0b011, 0b110], 2) == [
-        0b011, 0b110, 0b111]
-    assert intersection_closed_tidsets([], 1) == []
-
-
-def test_intersection_closure_is_closed():
-    rng = np.random.default_rng(606)
-    for _ in range(40):
-        seeds = [int(rng.integers(1, 1 << 10)) for _ in range(rng.integers(1, 8))]
-        for eps in (1, 2, 3):
-            fam = intersection_closed_tidsets(seeds, eps)
-            assert fam == sorted(set(fam))
-            assert all(m.bit_count() >= eps for m in fam)
-            for s in seeds:
-                assert s.bit_count() < eps or s in fam
-            for a in fam:
-                for b in fam:
-                    c = a & b
-                    assert c.bit_count() < eps or c in fam
-
-
-def test_reclose_against_matrix():
-    m = three_column_matrix()
-    got = reclose_tidsets(m, [0b011], 2)
-    assert got == [FCI((_cid(0, 0), _cid(1, 0), _cid(2, 0)), Tidset.from_ids([0, 1]))]
-    got = reclose_tidsets(m, [0b111], 2)
-    assert got == [FCI((_cid(0, 0), _cid(2, 0)), Tidset.from_ids([0, 1, 2]))]
-    # {0} closes up to {0,1}; deduplicated against the direct seed
-    assert reclose_tidsets(m, [0b001, 0b011], 1) == reclose_tidsets(m, [0b011], 1)
-    # tidsets no column contains, empty, or under-supported are dropped
-    assert reclose_tidsets(m, [0b11000, 0], 1) == []
-    assert reclose_tidsets(m, [0b001], 2) == []
-
-
-def test_reclose_recovers_all_mined_tidsets():
-    rng = np.random.default_rng(707)
-    for _ in range(60):
-        m = gen_random_matrix(rng, max_times=8)
-        for eps in (1, 2):
-            want = mine_fci(m, eps)
-            seeds = [f.tidset.mask for f in want]
-            assert reclose_tidsets(m, seeds, eps) == want

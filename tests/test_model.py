@@ -124,14 +124,14 @@ def test_matrix_validation(labels, times, cols, err):
 
 def test_matrix_kind_gates_overlap():
     cols = [_col(0, 0, [0, 1]), _col(0, 1, [1, 2])]
-    # same-unit overlap is illegal for snapshot kinds but fine for
-    # closed-itemset matrices, whose unit is a block id
-    with pytest.raises(ParseError):
-        ClusterMatrix.build(("a", "b", "c"), (0,), cols)
-    m = ClusterMatrix.build(("a", "b", "c"), (0,), cols, kind="closed-itemset")
-    assert m.kind == "closed-itemset"
-    with pytest.raises(MatrixKindError):
-        ClusterMatrix.build(("a",), (0,), [_col(0, 0, [0])], kind="nope")
+    # same-unit overlap is illegal for every kind, and no kind exists that
+    # would allow it
+    for kind in ("per-timestamp", "periodic"):
+        with pytest.raises(ParseError):
+            ClusterMatrix.build(("a", "b", "c"), (0,), cols, kind=kind)
+    for kind in ("closed-itemset", "nope"):
+        with pytest.raises(MatrixKindError):
+            ClusterMatrix.build(("a",), (0,), [_col(0, 0, [0])], kind=kind)
 
 
 # ---------------------------------------------------------------------------

@@ -8,24 +8,25 @@ from comove import (
     Convoy,
     ExtractionContext,
     GroupPattern,
-    MatrixKindError,
     MiningParams,
     MovingCluster,
     PeriodicPattern,
     Tidset,
     UniverseError,
-    brute_closed_swarms,
-    brute_convoys,
-    brute_group_patterns,
     canonical_sort,
     closed_swarm_of,
     convoys_of,
     extract_patterns,
-    gen_random_matrix,
     group_pattern_of,
     mine_fci,
     moving_clusters_of,
     periodic_pattern_of,
+)
+from oracle import (
+    brute_closed_swarms,
+    brute_convoys,
+    brute_group_patterns,
+    gen_random_matrix,
 )
 from conftest import (
     expanding_trio_matrix,
@@ -185,12 +186,6 @@ def test_extract_patterns_periodic_matrix_yields_periodic_only():
     m = uniform_periodic_matrix()
     got = extract_patterns(mine_fci(m, 2), _ctx(m, min_t=1))
     assert got == [PeriodicPattern(_tid(0, 1, 2), (0, 1, 2))]
-
-
-def test_extract_patterns_rejects_closed_itemset_matrix():
-    m = make_matrix({(0, 0): [0, 1], (0, 1): [0, 1, 2]}, kind="closed-itemset")
-    with pytest.raises(MatrixKindError):
-        extract_patterns([], _ctx(m))
 
 
 # ---------------------------------------------------------------------------

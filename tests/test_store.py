@@ -18,7 +18,6 @@ from comove import (
     TrajectoryDB,
     UniverseError,
     extract_patterns,
-    gen_random_matrix,
     mine_fci,
     parse_trajectories,
     read_cluster_columns,
@@ -29,6 +28,7 @@ from comove import (
     write_patterns_geojson,
     write_trajectories,
 )
+from oracle import gen_random_matrix
 from conftest import expanding_trio_matrix, make_matrix, three_column_matrix
 
 

@@ -2,10 +2,15 @@
 
 The clustering is deliberately written out by hand rather than delegated:
 the rest of the pipeline needs byte-identical output across runs and thread
-counts, which pins down details most libraries leave open — seeds are tried
-in ascending object id, neighborhoods are closed balls, a border point joins
-the first cluster that reaches it, and clusters are numbered by their
-smallest member.
+counts, which pins down details most libraries leave open.  Neighborhoods
+are closed balls.  A cluster is one connected component of core points (two
+cores are connected when each lies in the other's neighborhood) plus the
+border points it reaches, and it is known by its smallest core id.  A border
+point near several components joins the one whose smallest core id is
+lowest.  Clusters are numbered by their smallest member.  This is the rule a
+breadth-first DBSCAN gives when it tries seeds in ascending object id and a
+border point joins the first cluster that reaches it; here it is computed
+with whole-array steps per snapshot instead of a per-point walk.
 """
 
 from __future__ import annotations
@@ -61,36 +66,66 @@ def dbscan_snapshot(ids, points: np.ndarray, params: DbscanParams) -> list[Tidse
     ids = ids[order]
     points = points[order]
 
-    diff = points[:, None, :] - points[None, :, :]
-    within = (diff * diff).sum(axis=2) <= params.eps * params.eps
-    neighbor_lists = [np.nonzero(within[i])[0] for i in range(n)]
-    core = [len(nb) >= params.min_pts for nb in neighbor_lists]
+    # Squared distances as dx*dx + dy*dy: the same float operations, in the
+    # same order, as summing the squared difference vector over its two axes.
+    dx = points[:, 0, None] - points[None, :, 0]
+    dy = points[:, 1, None] - points[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    within = dx <= params.eps * params.eps
+    del dx, dy
+    core = np.count_nonzero(within, axis=1) >= params.min_pts
+    cores = np.nonzero(core)[0]
+    m = len(cores)
+    if m == 0:
+        return []
 
-    UNSEEN = -1
-    label = [UNSEEN] * n
-    clusters: list[list[int]] = []
-    for seed in range(n):
-        if label[seed] != UNSEEN or not core[seed]:
-            continue
-        cluster_id = len(clusters)
-        members = [seed]
-        label[seed] = cluster_id
-        queue = list(neighbor_lists[seed])
-        qi = 0
-        while qi < len(queue):
-            p = queue[qi]
-            qi += 1
-            if label[p] != UNSEEN:
-                continue
-            label[p] = cluster_id
-            members.append(p)
-            if core[p]:
-                queue.extend(neighbor_lists[p])
-        clusters.append(members)
+    # Label every core point with the smallest core index of its component:
+    # take the smallest label among its core neighbours, then follow labels
+    # to their own labels until that settles; stop when a round changes
+    # nothing.  Labels only fall and stay inside their component, so at the
+    # fixed point each component carries its minimum.  A row's first
+    # neighbour in label order holds its smallest neighbouring label, and
+    # every core point neighbours itself, so that first neighbour exists.
+    core_adj = within[cores][:, cores]
+    lab = np.arange(m)
+    while True:
+        by_label = np.argsort(lab, kind="stable")
+        nxt = lab[by_label][core_adj[:, by_label].argmax(axis=1)]
+        while True:
+            jumped = nxt[nxt]
+            if np.array_equal(jumped, nxt):
+                break
+            nxt = jumped
+        if np.array_equal(nxt, lab):
+            break
+        lab = nxt
 
-    tidsets = [Tidset.from_ids(int(ids[m]) for m in members) for members in clusters]
-    tidsets.sort(key=lambda t: t.ids[0])
-    return tidsets
+    # A border point takes the smallest component label among its core
+    # neighbours; a non-core point with none is noise (label m).
+    label = np.full(n, m)
+    label[cores] = lab
+    border = np.nonzero(~core)[0]
+    if len(border):
+        touch = within[border][:, cores[by_label]]
+        label[border] = np.where(touch.any(axis=1),
+                                 lab[by_label][touch.argmax(axis=1)], m)
+    member = np.nonzero(label < m)[0]
+
+    # Set each cluster's bits in one array, one row per cluster.  Points are
+    # in id order, so a cluster's first member is its smallest id, and the
+    # rows are put in that order.
+    _, first, which = np.unique(label[member], return_index=True,
+                                return_inverse=True)
+    member_ids = ids[member]
+    low = int(member_ids[0])
+    if low < 0:
+        raise ValueError(f"object index must be non-negative, got {low}")
+    bits = np.zeros((len(first), int(member_ids[-1]) - low + 1), dtype=bool)
+    bits[which, member_ids - low] = True
+    packed = np.packbits(bits, axis=1, bitorder="little")[np.argsort(first)]
+    return [Tidset(int.from_bytes(row.tobytes(), "little") << low) for row in packed]
 
 
 def build_cluster_matrix(db: TrajectoryDB, params: DbscanParams, *,

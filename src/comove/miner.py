@@ -15,8 +15,6 @@ threshold >= 1.
 
 from __future__ import annotations
 
-import sys
-
 from .model import FCI, ClusterMatrix, NotNestedError, ParameterError, Tidset
 
 __all__ = ["mine_fci", "mine_fci_nested"]
@@ -63,9 +61,6 @@ def _mine_ppc(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:
             groups.append([j])
         else:
             groups[g].append(j)
-    # Deep refinement chains shrink the tidset by >= 1 object per level, so
-    # recursion depth is bounded by n; leave slack for interpreter frames.
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), n + 2000))
 
     live0 = [j for j in range(len(masks)) if masks[j].bit_count() >= epsilon]
     root_items = [j for j in live0 if masks[j] == full]
@@ -73,11 +68,18 @@ def _mine_ppc(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:
     if root_items:
         results.append((tuple(root_items), full))
 
-    def expand(j: int, x_set: frozenset, tid: int, live: list[int], out: list):
-        """Try extension column j; on success emit the closure and recurse."""
+    # Depth-first walk over an explicit stack of extension tasks: column j
+    # extends the closed itemset x_set with tidset tid, whose surviving
+    # columns are live.  A refinement chain drops at least one object per
+    # level and can be as deep as there are objects, past the interpreter's
+    # recursion limit, so the walk does not recurse.
+    root_x = frozenset(root_items)
+    stack = [(j, root_x, full, live0) for j in reversed(live0) if j not in root_x]
+    while stack:
+        j, x_set, tid, live = stack.pop()
         new_tid = tid & masks[j]
         if new_tid.bit_count() < epsilon:
-            return
+            continue
         new_items: list[int] = []
         new_live: list[int] = []
         for k in live:
@@ -86,19 +88,14 @@ def _mine_ppc(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:
                 continue
             if inter == new_tid:  # column k covers the whole new tidset
                 if k < j and k not in x_set:
-                    return  # closure would edit the prefix: not a ppc extension
+                    break  # closure would edit the prefix: not a ppc extension
                 new_items.append(k)
             new_live.append(k)
-        out.append((tuple(new_items), new_tid))
-        x2 = frozenset(new_items)
-        for j2 in new_live:
-            if j2 > j and j2 not in x2:
-                expand(j2, x2, new_tid, new_live, out)
-
-    root_x = frozenset(root_items)
-    for j in live0:
-        if j not in root_x:
-            expand(j, root_x, full, live0, results)
+        else:
+            results.append((tuple(new_items), new_tid))
+            x2 = frozenset(new_items)
+            stack.extend((j2, x2, new_tid, new_live) for j2 in reversed(new_live)
+                         if j2 > j and j2 not in x2)
 
     fcis = [FCI(tuple(sorted(cids[j] for k in items for j in groups[k])),
                 Tidset(tid))

@@ -13,6 +13,7 @@ the types defined here:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -298,7 +299,7 @@ class FCI:
     def __post_init__(self):
         if not self.items:
             raise ValueError("an FCI needs at least one item")
-        if any(self.items[i] >= self.items[i + 1] for i in range(len(self.items) - 1)):
+        if not all(map(operator.lt, self.items, self.items[1:])):
             raise ValueError("FCI items must be strictly ascending")
 
     @property

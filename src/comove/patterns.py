@@ -44,6 +44,7 @@ class ExtractionContext:
         self.matrix = matrix
         self.params = params
         self._columns: dict[ClusterId, Tidset] | None = None
+        self._jaccard: dict[tuple[ClusterId, ClusterId], float] = {}
 
     @property
     def n_times(self) -> int:
@@ -58,9 +59,16 @@ class ExtractionContext:
             raise UniverseError(
                 f"itemset references column {cid} absent from the matrix") from None
 
-
-def _sorted_items(fci: FCI) -> list[ClusterId]:
-    return sorted(fci.items, key=lambda c: c.time)
+    def column_jaccard(self, a: ClusterId, b: ClusterId) -> float:
+        """Jaccard similarity of two columns' full tidsets, memoised per
+        pair: it depends on the matrix alone, not on the itemset asking."""
+        key = (a, b)
+        value = self._jaccard.get(key)
+        if value is None:
+            x = self.column_tidset(a).mask
+            y = self.column_tidset(b).mask
+            value = self._jaccard[key] = (x & y).bit_count() / (x | y).bit_count()
+        return value
 
 
 def _consecutive_runs(items: Sequence[ClusterId]) -> list[list[ClusterId]]:
@@ -82,12 +90,14 @@ def closed_swarm_of(fci: FCI, ctx: ExtractionContext) -> ClosedSwarm | None:
     return ClosedSwarm(fci.tidset, times)
 
 
-def _guarded_segments(fci: FCI, ctx: ExtractionContext) -> list[tuple[int, int]]:
+def _guarded_segments(fci: FCI, runs: list[list[ClusterId]],
+                      ctx: ExtractionContext) -> list[tuple[int, int]]:
     """Maximal consecutive item runs of length >= min_t over which the FCI's
     objects are exactly the objects sharing those clusters (the intersection
-    of the full column tidsets adds nobody)."""
+    of the full column tidsets adds nobody).  ``runs`` are the consecutive
+    runs of the FCI's items, which are already in time order."""
     segments = []
-    for run in _consecutive_runs(_sorted_items(fci)):
+    for run in runs:
         if len(run) < ctx.params.min_t:
             continue
         inter = -1
@@ -100,23 +110,26 @@ def _guarded_segments(fci: FCI, ctx: ExtractionContext) -> list[tuple[int, int]]
 
 def convoys_of(fci: FCI, ctx: ExtractionContext) -> list[Convoy]:
     """Convoys inside a closed itemset: one per guarded consecutive run."""
-    return [Convoy(fci.tidset, a, b) for a, b in _guarded_segments(fci, ctx)]
+    segments = _guarded_segments(fci, _consecutive_runs(fci.items), ctx)
+    return [Convoy(fci.tidset, a, b) for a, b in segments]
 
 
 def moving_clusters_of(fci: FCI, ctx: ExtractionContext) -> list[MovingCluster]:
     """Moving clusters inside a closed itemset: maximal consecutive chains of
     its clusters whose adjacent full tidsets overlap by at least theta
     (Jaccard).  Chains need at least two clusters (and at least min_t)."""
+    return _moving_clusters(_consecutive_runs(fci.items), ctx)
+
+
+def _moving_clusters(runs: list[list[ClusterId]],
+                     ctx: ExtractionContext) -> list[MovingCluster]:
     theta = ctx.params.theta
     min_len = max(2, ctx.params.min_t)
     out = []
-    for run in _consecutive_runs(_sorted_items(fci)):
+    for run in runs:
         chain: list[ClusterId] = [run[0]]
         for prev, cur in zip(run, run[1:]):
-            a = ctx.column_tidset(prev).mask
-            b = ctx.column_tidset(cur).mask
-            jaccard = (a & b).bit_count() / (a | b).bit_count()
-            if jaccard >= theta:
+            if ctx.column_jaccard(prev, cur) >= theta:
                 chain.append(cur)
             else:
                 if len(chain) >= min_len:
@@ -137,7 +150,12 @@ def group_pattern_of(fci: FCI, ctx: ExtractionContext) -> GroupPattern | None:
     """The group pattern of a closed itemset: its guarded runs as segments,
     kept when there are at least min_c of them covering at least min_wei of
     the whole time span."""
-    segments = _guarded_segments(fci, ctx)
+    segments = _guarded_segments(fci, _consecutive_runs(fci.items), ctx)
+    return _group_pattern(fci, segments, ctx)
+
+
+def _group_pattern(fci: FCI, segments: list[tuple[int, int]],
+                   ctx: ExtractionContext) -> GroupPattern | None:
     if len(segments) < ctx.params.min_c:
         return None
     weight = sum(b - a + 1 for a, b in segments) / ctx.n_times
@@ -175,9 +193,11 @@ def extract_patterns(fcis: Iterable[FCI], ctx: ExtractionContext) -> list[Patter
         s = closed_swarm_of(fci, ctx)
         if s is not None:
             patterns.append(s)
-        patterns.extend(convoys_of(fci, ctx))
-        movers.update(moving_clusters_of(fci, ctx))
-        g = group_pattern_of(fci, ctx)
+        runs = _consecutive_runs(fci.items)
+        segments = _guarded_segments(fci, runs, ctx)
+        patterns.extend(Convoy(fci.tidset, a, b) for a, b in segments)
+        movers.update(_moving_clusters(runs, ctx))
+        g = _group_pattern(fci, segments, ctx)
         if g is not None:
             patterns.append(g)
     patterns.extend(movers)

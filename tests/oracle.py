@@ -1,8 +1,9 @@
 """Brute-force reference implementations and random matrix generators.
 
 The functions here are deliberately naive: they enumerate candidate itemsets
-or object subsets exhaustively and apply the definitions directly, without
-sharing any code with the production miner or pattern decoders.  They exist so
+or object subsets exhaustively, or expand clusters point by point, and apply
+the definitions directly, without sharing any code with the production
+clustering, miner or pattern decoders.  They exist so
 the fast paths can be checked against an independent computation on small
 inputs; size guards keep them from being misused on anything big.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from comove.clustering import DbscanParams
 from comove.model import (
     FCI,
     ClosedSwarm,
@@ -26,6 +28,7 @@ from comove.model import (
 
 __all__ = [
     "SizeGuardError",
+    "brute_dbscan_snapshot",
     "brute_fcis",
     "brute_closed_swarms",
     "brute_convoys",
@@ -203,6 +206,56 @@ def brute_group_patterns(matrix: ClusterMatrix, params: MiningParams) -> list[Gr
             out.append(GroupPattern(Tidset(obj_mask), tuple(segs), weight))
     out.sort(key=lambda g: (g.objects.ids, g.segments))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Density clustering of one snapshot
+# ---------------------------------------------------------------------------
+
+def brute_dbscan_snapshot(ids, points: np.ndarray, params: DbscanParams) -> list[Tidset]:
+    """DBSCAN of one snapshot as a textbook breadth-first expansion: seeds are
+    tried in ascending object id, neighborhoods are closed balls, a border
+    point joins the first cluster that reaches it, and clusters are ordered
+    by smallest member id.  The reference for ``comove.dbscan_snapshot``."""
+    ids = np.asarray(ids)
+    points = np.asarray(points, dtype=float)
+    n = len(ids)
+    if n == 0:
+        return []
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    points = points[order]
+
+    diff = points[:, None, :] - points[None, :, :]
+    within = (diff * diff).sum(axis=2) <= params.eps * params.eps
+    neighbor_lists = [np.nonzero(within[i])[0] for i in range(n)]
+    core = [len(nb) >= params.min_pts for nb in neighbor_lists]
+
+    UNSEEN = -1
+    label = [UNSEEN] * n
+    clusters: list[list[int]] = []
+    for seed in range(n):
+        if label[seed] != UNSEEN or not core[seed]:
+            continue
+        cluster_id = len(clusters)
+        members = [seed]
+        label[seed] = cluster_id
+        queue = list(neighbor_lists[seed])
+        qi = 0
+        while qi < len(queue):
+            p = queue[qi]
+            qi += 1
+            if label[p] != UNSEEN:
+                continue
+            label[p] = cluster_id
+            members.append(p)
+            if core[p]:
+                queue.extend(neighbor_lists[p])
+        clusters.append(members)
+
+    tidsets = [Tidset.from_ids(int(ids[m]) for m in members) for members in clusters]
+    tidsets.sort(key=lambda t: t.ids[0])
+    return tidsets
 
 
 # ---------------------------------------------------------------------------

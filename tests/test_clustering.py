@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comove import (
     DbscanParams,
@@ -11,6 +12,7 @@ from comove import (
     dbscan_snapshot,
 )
 from conftest import make_matrix
+from oracle import brute_dbscan_snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +173,46 @@ def test_snapshot_against_reference_properties():
         _reference_check(ids[order], pts[order], params, clusters)
 
 
+@st.composite
+def _snapshots(draw):
+    """One snapshot for the oracle comparison: ids, points and parameters.
+
+    Coordinates lie on a 0.5 lattice, where squared distances are exact, so
+    neighbours often sit exactly at eps; points repeat positions from a pool;
+    ids are sparse and shuffled; min_pts runs up to n + 1 (then everything
+    is noise).  One layout in two has two dense groups with a border point
+    between them, within eps of a core on each side, and one more border
+    point outside each group.
+    """
+    n_extra = draw(st.integers(0, 14))
+    pool = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                         min_size=1, max_size=max(1, n_extra)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=n_extra, max_size=n_extra))
+    points = [(0.5 * pool[i][0], 0.5 * pool[i][1]) for i in picks]
+    if draw(st.booleans()):
+        # two quads at x 0..1.5 and 5.5..7; at eps 2 and min_pts 4 the point
+        # at 3.5 touches a core of each, those at -2 and 9 a core of one
+        points += [(x, 0.0) for x in (-2.0, 0.0, 0.5, 1.0, 1.5, 3.5,
+                                      5.5, 6.0, 6.5, 7.0, 9.0)]
+        eps, min_pts = 2.0, 4
+    else:
+        eps = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5]))
+        min_pts = draw(st.integers(2, max(2, len(points) + 1)))
+    n = len(points)
+    ids = draw(st.permutations(range(3 * n)))[:n]
+    return np.array(ids, dtype=np.int64), np.array(points).reshape(n, 2), \
+        DbscanParams(eps=eps, min_pts=min_pts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_snapshots())
+def test_snapshot_equals_bfs_oracle(snapshot):
+    ids, points, params = snapshot
+    assert dbscan_snapshot(ids, points, params) == \
+        brute_dbscan_snapshot(ids, points, params)
+
+
 # ---------------------------------------------------------------------------
 # Whole-database matrix construction
 # ---------------------------------------------------------------------------
@@ -225,3 +267,24 @@ def test_build_matrix_thread_count_is_invisible():
         assert build_cluster_matrix(db, params, threads=threads) == base
     with pytest.raises(ParameterError):
         build_cluster_matrix(db, params, threads=0)
+
+
+def test_build_matrix_equals_oracle_columns():
+    rng = np.random.default_rng(19)
+    for trial in range(40):
+        n_objects = int(rng.integers(1, 30))
+        n_times = int(rng.integers(1, 8))
+        xy = np.round(rng.uniform(0, 6, size=(n_objects, n_times, 2)) * 2) / 2
+        xy[rng.random((n_objects, n_times)) < 0.3] = np.nan
+        db = TrajectoryDB(tuple(f"o{i}" for i in range(n_objects)),
+                          tuple(range(n_times)), xy)
+        params = DbscanParams(eps=float(rng.choice([0.5, 1.0, 1.5])),
+                              min_pts=int(rng.integers(2, 5)))
+        cells = {}
+        for t in range(n_times):
+            idx = np.nonzero(db.present[:, t])[0]
+            for o, tid in enumerate(brute_dbscan_snapshot(idx, xy[idx, t], params)):
+                cells[(t, o)] = tid.ids
+        want = make_matrix(cells, n_objects=n_objects, n_times=n_times,
+                           labels=db.object_labels)
+        assert build_cluster_matrix(db, params) == want

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,39 @@ def test_nested_matches_general_miner():
         m = gen_random_nested_matrix(rng)
         for eps in (1, 2, 3):
             assert mine_fci_nested(m, eps) == mine_fci(m, eps)
+
+
+# ---------------------------------------------------------------------------
+# Walk depth and interpreter state
+# ---------------------------------------------------------------------------
+
+def _chain_matrix(n):
+    """n columns, one per timestamp, each holding one object fewer than the
+    one before: the closure walk goes one level deeper per column."""
+    return make_matrix({(t, 0): range(n - t) for t in range(n)}, n_objects=n)
+
+
+def test_mining_leaves_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    mine_fci(_chain_matrix(40), 1)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_chain_deeper_than_recursion_limit():
+    # The walk must not spend a stack frame per level.  A chain deeper than
+    # the default limit of 1000 takes about a minute to mine (each level
+    # re-checks all its later siblings), so the chain stays at 300 columns
+    # and the limit is lowered below that depth for the call.
+    matrix = _chain_matrix(300)
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        got = mine_fci(matrix, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == mine_fci_nested(matrix, 1)

@@ -7,8 +7,8 @@ on its own, and then merges the blocks' local results pairwise with the
 same exact merge that folds appended timestamps into a stored result.
 The parameter-free variant picks
 its own blocks by looking for nested column runs (each column's member
-set containing the next one's), where closed itemsets are simply prefix
-chains and no search is needed.
+set containing the next one's), where the closed itemsets are simply the
+run's prefixes; the same miner finds them in one pass down the chain.
 """
 import time
 
@@ -19,7 +19,6 @@ from comove import (
     combine_fcis,
     gen_synthetic,
     mine_fci,
-    mine_fci_nested,
     mine_incremental,
     mine_parameter_free,
     nested_block_partition,
@@ -57,7 +56,8 @@ def main():
     # What the incremental path does internally: mine each block alone,
     # then merge neighbouring results until one is left.
     blocks = split_blocks(matrix, 100)
-    local = [mine_fci(b.as_matrix(matrix), 5) for b in blocks]
+    local = [mine_fci(ClusterMatrix(matrix.object_labels, matrix.time_labels, b), 5)
+             for b in blocks]
     print(f"\nwith block=100: {len(blocks)} blocks, local itemsets per block "
           f"{[len(r) for r in local]}")
     while len(local) > 1:
@@ -67,7 +67,8 @@ def main():
         print(f"  after a round of pairwise merges: {[len(r) for r in local]}")
     assert local[0] == mono
 
-    # Nested chains need no mining at all: every prefix is already closed.
+    # In a nested chain every prefix that ends where the members shrink is
+    # closed, and nothing else is.
     labels = tuple(f"o{i}" for i in range(4))
     chain = ClusterMatrix.build(
         labels, (0, 1, 2),
@@ -75,16 +76,16 @@ def main():
          Column(ClusterId(1, 0), Tidset.from_ids([0, 1, 2])),
          Column(ClusterId(2, 0), Tidset.from_ids([0, 1]))])
     print("\na fully nested column run mines to its prefixes:")
-    for f in mine_fci_nested(chain, 1):
+    for f in mine_fci(chain, 1):
         members = ",".join(labels[i] for i in f.tidset.ids)
         print(f"  times {tuple(c.time for c in f.items)} -> {members}")
 
     reordered, _perm = nested_reorder(matrix)
     parts = nested_block_partition(reordered)
-    nested_cols = sum(len(b.columns) for b in parts[:-1])
+    nested_cols = sum(len(b) for b in parts[:-1])
     print(f"\nparameter-free partition after reordering the big matrix: "
           f"{len(parts) - 1} nested runs covering {nested_cols} columns, "
-          f"{len(parts[-1].columns)} columns left for the generic miner")
+          f"{len(parts[-1])} columns left in the sparse block")
 
 
 if __name__ == "__main__":

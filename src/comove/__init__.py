@@ -10,7 +10,6 @@ stored results can absorb newly appended timestamps without re-mining.
 from .clustering import DbscanParams, build_cluster_matrix, dbscan_snapshot
 from .combine import combine_fcis, shift_times, should_update
 from .incremental import (
-    Block,
     mine_incremental,
     mine_parameter_free,
     nested_block_partition,
@@ -24,7 +23,7 @@ from .ingest import (
     parse_trajectories,
     periodic_decompose,
 )
-from .miner import mine_fci, mine_fci_nested
+from .miner import mine_fci
 from .model import (
     FCI,
     ClosedSwarm,
@@ -38,7 +37,6 @@ from .model import (
     MatrixKindError,
     MiningParams,
     MovingCluster,
-    NotNestedError,
     ParameterError,
     ParseError,
     Pattern,
@@ -47,7 +45,6 @@ from .model import (
     TimeRangeError,
     UniverseError,
     canonical_sort,
-    tidset_intersect,
 )
 from .patterns import (
     ExtractionContext,

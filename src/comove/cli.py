@@ -71,7 +71,7 @@ def _mining_flags() -> argparse.ArgumentParser:
     g.add_argument("--mode", choices=("monolithic", "incremental", "nested"),
                    default="monolithic", help="mining strategy (default monolithic)")
     g.add_argument("--block-size", type=int, default=None,
-                   help="timestamps per block for --mode incremental (default 25)")
+                   help="timestamps per block; needs --mode incremental (default 25)")
     return p
 
 
@@ -211,6 +211,8 @@ def _cmd_mine(args, parser: _Parser) -> int:
         parser.error("--period cannot be combined with --pre-clustered")
     if args.pre_clustered and args.emit in ("geojson", "both"):
         parser.error("--emit geojson needs trajectories, not --pre-clustered input")
+    if args.block_size is not None and args.mode != "incremental":
+        parser.error("--block-size needs --mode incremental")
     t0 = time.perf_counter()
     params = MiningParams(epsilon=args.epsilon, min_t=args.min_t,
                           theta=args.theta, min_c=args.min_c,
@@ -287,9 +289,7 @@ def _cmd_convert_columns(args) -> int:
 
 def _cmd_convert_patterns(args) -> int:
     store = read_fci_store(args.store)
-    db = parse_trajectories(args.input)
-    if not args.no_interpolate:
-        db = interpolate(db)
+    db = _load_db(args)
     if db.object_labels != store.object_labels:
         raise UniverseError(
             "trajectories and store cover different object universes")

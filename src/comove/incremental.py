@@ -11,21 +11,18 @@ side grows to the whole answer while the other stays one block wide.
 
 The parameter-free variant skips choosing a block size: columns are reordered
 so that containment chains sit next to each other, chains become nested
-blocks (mined by a linear scan), and whatever is left goes into one sparse
-block.
+blocks, and whatever is left goes into one sparse block.  Every block, nested
+or not, is mined by :func:`~comove.miner.mine_fci`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .combine import combine_fcis
 from .model import FCI, ClusterMatrix, Column, ParameterError
-from .miner import mine_fci, mine_fci_nested
+from .miner import mine_fci
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
-    "Block",
     "split_blocks",
     "mine_incremental",
     "nested_reorder",
@@ -36,40 +33,27 @@ __all__ = [
 DEFAULT_BLOCK_SIZE = 25
 
 
-@dataclass(frozen=True)
-class Block:
-    """A slice of a cluster matrix: some of its columns, kept in a fixed
-    order.  ``nested`` marks blocks whose column order is a containment
-    chain, unlocking the linear-scan miner."""
-
-    index: int
-    columns: tuple[Column, ...]
-    nested: bool = False
-
-    def as_matrix(self, parent: ClusterMatrix) -> ClusterMatrix:
-        return ClusterMatrix(parent.object_labels, parent.time_labels,
-                             self.columns, parent.kind)
-
-
-def split_blocks(matrix: ClusterMatrix, block_size: int) -> list[Block]:
+def split_blocks(matrix: ClusterMatrix,
+                 block_size: int) -> list[tuple[Column, ...]]:
     """Cut the time axis into consecutive windows of block_size timestamps;
-    each window's columns form one block (possibly empty)."""
+    each window's columns form one block (possibly empty), window i at
+    position i."""
     if not isinstance(block_size, int) or block_size < 1:
         raise ParameterError(f"block_size must be an int >= 1, got {block_size!r}")
     n_blocks = max(1, -(-matrix.n_times // block_size))
     buckets: list[list[Column]] = [[] for _ in range(n_blocks)]
     for col in matrix.columns:
         buckets[col.cid.time // block_size].append(col)
-    return [Block(i, tuple(cols)) for i, cols in enumerate(buckets)]
+    return [tuple(cols) for cols in buckets]
 
 
-def _mine_blocks(parent: ClusterMatrix, blocks: list[Block],
+def _mine_blocks(parent: ClusterMatrix, blocks: list[tuple[Column, ...]],
                  epsilon: int) -> list[FCI]:
     """Mine every block on its own, then merge the local results pairwise
     until one is left."""
-    results = [mine_fci_nested(b.as_matrix(parent), epsilon) if b.nested
-               else mine_fci(b.as_matrix(parent), epsilon)
-               for b in blocks]
+    results = [mine_fci(ClusterMatrix(parent.object_labels, parent.time_labels,
+                                      cols, parent.kind), epsilon)
+               for cols in blocks]
     while len(results) > 1:
         merged = [combine_fcis(results[i], results[i + 1], epsilon)
                   for i in range(0, len(results) - 1, 2)]
@@ -132,12 +116,12 @@ def nested_reorder(matrix: ClusterMatrix) -> tuple[ClusterMatrix, tuple[int, ...
     return reordered, tuple(order)
 
 
-def nested_block_partition(matrix: ClusterMatrix) -> list[Block]:
+def nested_block_partition(matrix: ClusterMatrix) -> list[tuple[Column, ...]]:
     """Split a (reordered) matrix into maximal nested runs of at least two
     columns plus one sparse block holding everything else.  The sparse block
     always comes last, even when empty."""
     cols = matrix.columns
-    blocks: list[Block] = []
+    blocks: list[tuple[Column, ...]] = []
     spare: list[Column] = []
     i = 0
     while i < len(cols):
@@ -145,11 +129,11 @@ def nested_block_partition(matrix: ClusterMatrix) -> list[Block]:
         while j + 1 < len(cols) and _is_nested(cols[j], cols[j + 1]):
             j += 1
         if j > i:
-            blocks.append(Block(len(blocks), tuple(cols[i:j + 1]), nested=True))
+            blocks.append(tuple(cols[i:j + 1]))
         else:
             spare.append(cols[i])
         i = j + 1
-    blocks.append(Block(len(blocks), tuple(spare)))
+    blocks.append(tuple(spare))
     return blocks
 
 

@@ -55,12 +55,6 @@ class TrajectoryDB:
         """Boolean (n_objects, n_times) observation mask."""
         return ~np.isnan(self.xy[:, :, 0])
 
-    def object_index(self, label: str) -> int:
-        try:
-            return self.object_labels.index(label)
-        except ValueError:
-            raise KeyError(label) from None
-
     def align_to(self, labels: tuple[str, ...]) -> "TrajectoryDB":
         """Re-index the rows onto another object universe (which must contain
         every object seen here); labels absent from this database get all-NaN

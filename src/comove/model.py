@@ -25,9 +25,7 @@ __all__ = [
     "MatrixKindError",
     "UniverseError",
     "TimeRangeError",
-    "NotNestedError",
     "Tidset",
-    "tidset_intersect",
     "ClusterId",
     "Column",
     "MATRIX_KINDS",
@@ -80,10 +78,6 @@ class UniverseError(CoMoveError, ValueError):
 
 class TimeRangeError(CoMoveError, ValueError):
     """Incoming timestamps do not lie strictly after the existing ones."""
-
-
-class NotNestedError(CoMoveError, ValueError):
-    """A block handed to the nested miner is not actually nested."""
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +162,6 @@ class Tidset:
     def __repr__(self) -> str:
         inner = ",".join(map(str, self.ids))
         return f"Tidset({{{inner}}})"
-
-
-def tidset_intersect(a: Tidset, b: Tidset) -> Tidset:
-    """Intersection of two tidsets (bitwise AND of the masks)."""
-    return Tidset(a.mask & b.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +256,6 @@ class ClusterMatrix:
     @property
     def n_columns(self) -> int:
         return len(self.columns)
-
-    def columns_at(self, time: int) -> list[Column]:
-        return [c for c in self.columns if c.cid.time == time]
-
-    def tidset_of(self, cid: ClusterId) -> Tidset:
-        for c in self.columns:
-            if c.cid == cid:
-                return c.members
-        raise KeyError(cid)
 
     def column_map(self) -> dict[ClusterId, Tidset]:
         return {c.cid: c.members for c in self.columns}

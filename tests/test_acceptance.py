@@ -25,7 +25,6 @@ from comove import (
     extract_patterns,
     gen_synthetic,
     mine_fci,
-    mine_fci_nested,
     mine_incremental,
     mine_parameter_free,
     parse_trajectories,
@@ -197,10 +196,9 @@ def test_nested_modes_equal_monolithic(capsys):
     for _ in range(120):
         m = gen_random_nested_matrix(rng)
         for eps in (1, 2):
-            assert mine_fci_nested(m, eps) == mine_fci(m, eps)
+            assert mine_parameter_free(m, eps) == mine_fci(m, eps)
     _report(capsys, "PASS  parameter-free mining matches monolithic on 200 "
-                    "random matrices; nested-chain miner matches on 120 "
-                    "nested matrices")
+                    "random matrices and 120 nested matrices")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +244,12 @@ def test_usage_errors_exit_1(tmp_path):
         main(["mine", str(traj), str(tmp_path / "o"),
               "--pre-clustered", "--emit", "geojson"])
     assert ei.value.code == 1
+    for mode in ([], ["--mode", "monolithic"], ["--mode", "nested"]):
+        with pytest.raises(SystemExit) as ei:
+            main(["mine", str(traj), str(tmp_path / "o"), "--block-size", "7"]
+                 + mode)
+        assert ei.value.code == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_data_errors_exit_2(tmp_path):
@@ -281,17 +290,29 @@ def test_mine_and_convert_reject_object_id_with_pattern_separator(tmp_path):
 # Console script
 # ---------------------------------------------------------------------------
 
-@pytest.mark.skipif(shutil.which("comove") is None,
-                    reason="comove console script not on PATH")
-def test_console_script_smoke(tmp_path):
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("cmd", [["comove"], [sys.executable, "-m", "comove.cli"]],
+                         ids=["script", "module"])
+def test_console_script_smoke(tmp_path, cmd):
+    if shutil.which(cmd[0]) is None:
+        pytest.skip(f"{cmd[0]} not on PATH")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = tmp_path / "t.csv"
-    r = subprocess.run(
-        ["comove", "gen", str(out), "--objects", "4", "--times", "3"],
-        capture_output=True, text=True)
+    r = subprocess.run(cmd + ["gen", str(out), "--objects", "4", "--times", "3"],
+                       capture_output=True, text=True, env=env)
     assert r.returncode == 0
     assert out.exists()
     summary = json.loads(r.stderr.strip().splitlines()[-1])
     assert summary["command"] == "gen"
-    r = subprocess.run(["comove", "--help"], capture_output=True, text=True)
+    r = subprocess.run(cmd + ["--help"], capture_output=True, text=True, env=env)
     assert r.returncode == 0
     assert "mine" in r.stdout and "append" in r.stdout
+    r = subprocess.run(cmd + ["mine", str(tmp_path / "missing.csv"),
+                              str(tmp_path / "o")],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 2
+    assert "comove: error:" in r.stderr

@@ -14,7 +14,6 @@ from comove import (
     nested_reorder,
     split_blocks,
 )
-from comove.incremental import Block
 from oracle import gen_random_matrix, gen_random_nested_matrix
 from conftest import make_matrix
 
@@ -34,24 +33,23 @@ def _tid(*ids):
 def test_split_blocks_even():
     m = make_matrix({(t, 0): [0, 1] for t in range(10)})
     blocks = split_blocks(m, 5)
-    assert [b.index for b in blocks] == [0, 1]
-    assert [len(b.columns) for b in blocks] == [5, 5]
-    assert blocks[0].columns[0].cid == (0, 0)
-    assert blocks[1].columns[0].cid == (5, 0)
+    assert [len(b) for b in blocks] == [5, 5]
+    assert blocks[0][0].cid == (0, 0)
+    assert blocks[1][0].cid == (5, 0)
 
 
 def test_split_blocks_remainder_and_oversize():
     m = make_matrix({(t, 0): [0, 1] for t in range(10)})
-    assert [len(b.columns) for b in split_blocks(m, 3)] == [3, 3, 3, 1]
-    assert [len(b.columns) for b in split_blocks(m, 10)] == [10]
-    assert [len(b.columns) for b in split_blocks(m, 99)] == [10]
+    assert [len(b) for b in split_blocks(m, 3)] == [3, 3, 3, 1]
+    assert [len(b) for b in split_blocks(m, 10)] == [10]
+    assert [len(b) for b in split_blocks(m, 99)] == [10]
 
 
 def test_split_blocks_keeps_empty_blocks():
     m = make_matrix({(t, 0): [0, 1] for t in range(5)}, n_times=10)
     blocks = split_blocks(m, 5)
     assert len(blocks) == 2
-    assert blocks[1].columns == ()
+    assert blocks[1] == ()
 
 
 def test_split_blocks_partitions_columns_in_order():
@@ -60,10 +58,10 @@ def test_split_blocks_partitions_columns_in_order():
         m = gen_random_matrix(rng)
         for bs in (1, 2, 3, m.n_times):
             blocks = split_blocks(m, bs)
-            concat = tuple(c for b in blocks for c in b.columns)
+            concat = tuple(c for b in blocks for c in b)
             assert concat == m.columns
-            for b in blocks:
-                assert all(c.cid.time // bs == b.index for c in b.columns)
+            for i, b in enumerate(blocks):
+                assert all(c.cid.time // bs == i for c in b)
 
 
 def test_split_blocks_validation():
@@ -157,29 +155,24 @@ def test_partition_two_chains_and_a_leftover():
     m = make_matrix({(0, 0): [0, 1, 2], (1, 0): [0, 1], (2, 0): [3, 4],
                      (3, 0): [2, 3, 4], (4, 0): [3, 4]})
     blocks = nested_block_partition(m)
-    assert [b.nested for b in blocks] == [True, True, False]
-    assert [[c.cid.time for c in b.columns] for b in blocks] == [[0, 1], [3, 4], [2]]
-    assert [b.index for b in blocks] == [0, 1, 2]
+    assert [[c.cid.time for c in b] for b in blocks] == [[0, 1], [3, 4], [2]]
 
 
 def test_partition_fully_nested():
     m = make_matrix({(0, 0): [0, 1, 2], (1, 0): [0, 1], (2, 0): [0]})
     blocks = nested_block_partition(m)
-    assert len(blocks) == 2
-    assert blocks[0].nested and len(blocks[0].columns) == 3
-    assert blocks[1].columns == () and not blocks[1].nested
+    assert blocks == [m.columns, ()]
 
 
 def test_partition_nothing_nested():
     m = make_matrix({(0, 0): [0, 1], (1, 0): [2, 3], (2, 0): [4, 5]})
     blocks = nested_block_partition(m)
-    assert len(blocks) == 1
-    assert not blocks[0].nested and len(blocks[0].columns) == 3
+    assert blocks == [m.columns]
 
 
 def test_partition_empty_matrix():
     m = ClusterMatrix.build(("a",), (0,), [])
-    assert nested_block_partition(m) == [Block(0, ())]
+    assert nested_block_partition(m) == [()]
 
 
 # ---------------------------------------------------------------------------

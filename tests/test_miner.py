@@ -8,11 +8,9 @@ from comove import (
     ClusterId,
     ClusterMatrix,
     Column,
-    NotNestedError,
     ParameterError,
     Tidset,
     mine_fci,
-    mine_fci_nested,
 )
 from oracle import (
     SizeGuardError,
@@ -93,8 +91,6 @@ def test_parameter_validation():
     for bad in (0, -1, 1.5):
         with pytest.raises(ParameterError):
             mine_fci(m, bad)
-        with pytest.raises(ParameterError):
-            mine_fci_nested(m, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -148,44 +144,41 @@ def test_bruteforce_refuses_large_matrices():
 
 
 # ---------------------------------------------------------------------------
-# Nested-chain miner
+# Nested chains: the closed itemsets are the prefixes ending a run of equal
+# columns
 # ---------------------------------------------------------------------------
 
 def test_nested_chain_prefixes():
     m = make_matrix({(0, 0): [0, 1, 2], (1, 0): [0, 1], (2, 0): [0]})
-    assert mine_fci_nested(m, 1) == [
+    assert mine_fci(m, 1) == [
         FCI((_cid(0, 0),), Tidset.from_ids([0, 1, 2])),
         FCI((_cid(0, 0), _cid(1, 0)), Tidset.from_ids([0, 1])),
         FCI((_cid(0, 0), _cid(1, 0), _cid(2, 0)), Tidset.from_ids([0])),
     ]
-    assert mine_fci_nested(m, 2) == mine_fci_nested(m, 1)[:2]
+    assert mine_fci(m, 2) == mine_fci(m, 1)[:2]
 
 
 def test_nested_equal_run_absorbed():
     m = make_matrix({(0, 0): [0, 1], (1, 0): [0, 1], (2, 0): [0]})
-    assert mine_fci_nested(m, 1) == [
+    assert mine_fci(m, 1) == [
         FCI((_cid(0, 0), _cid(1, 0)), Tidset.from_ids([0, 1])),
         FCI((_cid(0, 0), _cid(1, 0), _cid(2, 0)), Tidset.from_ids([0])),
     ]
 
 
-def test_nested_rejects_non_nested():
-    m = make_matrix({(0, 0): [0, 1], (1, 0): [1, 2]})
-    with pytest.raises(NotNestedError):
-        mine_fci_nested(m, 1)
-
-
 def test_nested_empty():
     m = ClusterMatrix.build(("a",), (0,), [])
-    assert mine_fci_nested(m, 1) == []
+    assert mine_fci(m, 1) == []
 
 
-def test_nested_matches_general_miner():
+def test_nested_matrices_match_bruteforce():
     rng = np.random.default_rng(505)
     for _ in range(120):
-        m = gen_random_nested_matrix(rng)
+        m = gen_random_nested_matrix(rng)  # at most 8 columns: within the guard
         for eps in (1, 2, 3):
-            assert mine_fci_nested(m, eps) == mine_fci(m, eps)
+            got = mine_fci(m, eps)
+            assert got == brute_fcis(m, eps)
+            _check_fci_invariants(m, got, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +198,12 @@ def test_mining_leaves_recursion_limit_alone():
 
 
 def test_chain_deeper_than_recursion_limit():
-    # The walk must not spend a stack frame per level.  A chain deeper than
-    # the default limit of 1000 takes about a minute to mine (each level
-    # re-checks all its later siblings), so the chain stays at 300 columns
-    # and the limit is lowered below that depth for the call.
-    matrix = _chain_matrix(300)
-    depth = 0
-    frame = sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 100)
-    try:
-        got = mine_fci(matrix, 1)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert got == mine_fci_nested(matrix, 1)
+    # The walk must not spend a stack frame per level.  A 1 100-column chain
+    # is deeper than the default limit of 1000 and takes about a second to
+    # mine; its closed itemsets are its prefixes, one per column.
+    n = 1100
+    assert n > sys.getrecursionlimit()
+    got = mine_fci(_chain_matrix(n), 1)
+    assert got == [
+        FCI(tuple(_cid(s, 0) for s in range(t + 1)), Tidset.from_ids(range(n - t)))
+        for t in range(n)]

@@ -18,7 +18,6 @@ from comove import (
     Tidset,
     UniverseError,
     canonical_sort,
-    tidset_intersect,
 )
 
 
@@ -62,9 +61,8 @@ def test_tidset_set_ops():
     assert (a | b).ids == (0, 1, 2)
     assert b.issubset(a) and a.issuperset(b)
     assert not a.issubset(b)
-    assert tidset_intersect(a, b) == b
-    assert tidset_intersect(a, a) == a
-    assert tidset_intersect(Tidset(1), Tidset(2)) == Tidset(0)
+    assert a & a == a
+    assert Tidset(1) & Tidset(2) == Tidset(0)
 
 
 def test_tidset_eq_hash_repr():
@@ -101,11 +99,8 @@ def test_matrix_build_sorts_columns():
 
 def test_matrix_lookup_helpers():
     m = ClusterMatrix.build(("a", "b"), (0, 1), [_col(0, 0, [0, 1]), _col(1, 0, [1])])
-    assert m.tidset_of(ClusterId(1, 0)).ids == (1,)
-    with pytest.raises(KeyError):
-        m.tidset_of(ClusterId(5, 0))
-    assert [c.cid.time for c in m.columns_at(0)] == [0]
     assert set(m.column_map()) == {ClusterId(0, 0), ClusterId(1, 0)}
+    assert m.column_map()[ClusterId(1, 0)].ids == (1,)
 
 
 @pytest.mark.parametrize("labels,times,cols,err", [

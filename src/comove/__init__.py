@@ -10,6 +10,7 @@ stored results can absorb newly appended timestamps without re-mining.
 from .clustering import DbscanParams, build_cluster_matrix, dbscan_snapshot
 from .combine import combine_fcis, shift_times, should_update
 from .incremental import (
+    DEFAULT_BLOCK_SIZE,
     mine_incremental,
     mine_parameter_free,
     nested_block_partition,
@@ -26,6 +27,7 @@ from .ingest import (
 from .miner import mine_fci
 from .model import (
     FCI,
+    MATRIX_KINDS,
     ClosedSwarm,
     CoMoveError,
     ClusterId,
@@ -46,17 +48,10 @@ from .model import (
     UniverseError,
     canonical_sort,
 )
-from .patterns import (
-    ExtractionContext,
-    closed_swarm_of,
-    convoys_of,
-    extract_patterns,
-    group_pattern_of,
-    moving_clusters_of,
-    periodic_pattern_of,
-)
+from .patterns import ExtractionContext, extract_patterns
 from .store import (
     FciStore,
+    check_pattern_object_ids,
     read_cluster_columns,
     read_fci_store,
     write_cluster_columns,

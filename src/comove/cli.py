@@ -24,7 +24,13 @@ from .combine import combine_fcis, shift_times, should_update
 from .incremental import mine_incremental, mine_parameter_free
 from .ingest import interpolate, parse_trajectories, periodic_decompose
 from .miner import mine_fci
-from .model import CoMoveError, MiningParams, TimeRangeError, UniverseError
+from .model import (
+    CoMoveError,
+    MiningParams,
+    ParameterError,
+    TimeRangeError,
+    UniverseError,
+)
 from .patterns import ExtractionContext, extract_patterns
 from .store import (
     FciStore,
@@ -195,11 +201,13 @@ def _mine_with_mode(matrix, params: MiningParams):
     return mine_fci(matrix, params.epsilon)
 
 
-def _write_outputs(out_dir: str, store: FciStore, patterns, matrix, db, emit: str):
+def _write_outputs(out_dir: str, store: FciStore | None, patterns, matrix, db, emit):
+    """fcis.tsv unless ``store`` is None, then the pattern files ``emit`` names."""
     check_pattern_object_ids(matrix.object_labels)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_fci_store(store, out / "fcis.tsv")
+    if store is not None:
+        write_fci_store(store, out / "fcis.tsv")
     if emit in ("csv", "both"):
         write_patterns_csv(patterns, matrix, out / "patterns.csv")
     if emit in ("geojson", "both"):
@@ -300,12 +308,7 @@ def _cmd_convert_patterns(args) -> int:
     params = MiningParams(epsilon=store.epsilon, min_t=args.min_t,
                           theta=args.theta, min_c=args.min_c, min_wei=args.min_wei)
     patterns = extract_patterns(store.fcis, ExtractionContext(matrix, params))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.emit in ("csv", "both"):
-        write_patterns_csv(patterns, matrix, out / "patterns.csv")
-    if args.emit in ("geojson", "both"):
-        write_patterns_geojson(patterns, matrix, db, out / "patterns.geojson")
+    _write_outputs(args.out_dir, None, patterns, matrix, db, args.emit)
     _summary(command="convert", conversion="patterns", store=args.store,
              input=args.input, n_patterns=len(patterns),
              patterns=_kind_counts(patterns))
@@ -316,6 +319,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        threads = getattr(args, "threads", 1)
+        if threads < 1:
+            raise ParameterError(f"threads must be an int >= 1, got {threads!r}")
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "mine":

@@ -52,7 +52,7 @@ class TrajectoryDB:
 
     @property
     def present(self) -> np.ndarray:
-        """Boolean (n_objects, n_times) observation mask."""
+        """Boolean (n_objects, n_times) observation mask, rebuilt per read."""
         return ~np.isnan(self.xy[:, :, 0])
 
     def align_to(self, labels: tuple[str, ...]) -> "TrajectoryDB":
@@ -162,8 +162,8 @@ def interpolate(db: TrajectoryDB) -> TrajectoryDB:
     """
     xy = db.xy.copy()
     t = np.asarray(db.time_labels, dtype=float)
-    for o in range(db.n_objects):
-        obs = np.nonzero(db.present[o])[0]
+    for o, seen in enumerate(db.present):
+        obs = np.nonzero(seen)[0]
         if len(obs) < 2:
             continue
         lo, hi = obs[0], obs[-1]
@@ -194,8 +194,8 @@ def periodic_decompose(db: TrajectoryDB, period: int) -> PeriodicDecomposition:
     labels: list[str] = []
     sources: list[tuple[str, int]] = []
     chunks: list[np.ndarray] = []
-    for o, label in enumerate(db.object_labels):
-        obs = np.nonzero(db.present[o])[0]
+    for o, (label, seen) in enumerate(zip(db.object_labels, db.present)):
+        obs = np.nonzero(seen)[0]
         for k in range(len(obs) // period):
             take = obs[k * period:(k + 1) * period]
             labels.append(f"{label}#{k}")

@@ -390,6 +390,10 @@ class MovingCluster:
     def end(self) -> int:
         return self.clusters[-1].time
 
+    @property
+    def times(self) -> tuple[int, ...]:
+        return tuple(range(self.start, self.end + 1))
+
 
 @dataclass(frozen=True)
 class GroupPattern:

@@ -1,9 +1,10 @@
 """Decoding mined closed itemsets into co-movement patterns.
 
-Every extractor takes an FCI plus an :class:`ExtractionContext` carrying the
-matrix the itemset was mined from (pattern shape depends on the full column
-tidsets, not just the itemset) and the thresholds.  ``extract_patterns`` is
-the all-in-one entry point used by the pipeline.
+``extract_patterns`` is the one decoder: it reads each itemset once and
+yields every pattern kind the matrix supports, which callers filter by
+``kind``.  Its :class:`ExtractionContext` carries the matrix the itemsets
+were mined from (pattern shape depends on the full column tidsets, not just
+the itemset) and the thresholds.
 """
 
 from __future__ import annotations
@@ -26,19 +27,11 @@ from .model import (
     canonical_sort,
 )
 
-__all__ = [
-    "ExtractionContext",
-    "closed_swarm_of",
-    "convoys_of",
-    "moving_clusters_of",
-    "group_pattern_of",
-    "periodic_pattern_of",
-    "extract_patterns",
-]
+__all__ = ["ExtractionContext", "extract_patterns"]
 
 
 class ExtractionContext:
-    """Matrix + parameters shared by the pattern extractors."""
+    """Matrix + parameters that ``extract_patterns`` decodes against."""
 
     def __init__(self, matrix: ClusterMatrix, params: MiningParams):
         self.matrix = matrix
@@ -81,15 +74,6 @@ def _consecutive_runs(items: Sequence[ClusterId]) -> list[list[ClusterId]]:
     return runs
 
 
-def closed_swarm_of(fci: FCI, ctx: ExtractionContext) -> ClosedSwarm | None:
-    """The swarm form of a closed itemset: its objects over its item times.
-    None when fewer than min_t timestamps are involved."""
-    times = tuple(sorted({it.time for it in fci.items}))
-    if len(times) < ctx.params.min_t:
-        return None
-    return ClosedSwarm(fci.tidset, times)
-
-
 def _guarded_segments(fci: FCI, runs: list[list[ClusterId]],
                       ctx: ExtractionContext) -> list[tuple[int, int]]:
     """Maximal consecutive item runs of length >= min_t over which the FCI's
@@ -108,21 +92,11 @@ def _guarded_segments(fci: FCI, runs: list[list[ClusterId]],
     return segments
 
 
-def convoys_of(fci: FCI, ctx: ExtractionContext) -> list[Convoy]:
-    """Convoys inside a closed itemset: one per guarded consecutive run."""
-    segments = _guarded_segments(fci, _consecutive_runs(fci.items), ctx)
-    return [Convoy(fci.tidset, a, b) for a, b in segments]
-
-
-def moving_clusters_of(fci: FCI, ctx: ExtractionContext) -> list[MovingCluster]:
-    """Moving clusters inside a closed itemset: maximal consecutive chains of
-    its clusters whose adjacent full tidsets overlap by at least theta
-    (Jaccard).  Chains need at least two clusters (and at least min_t)."""
-    return _moving_clusters(_consecutive_runs(fci.items), ctx)
-
-
 def _moving_clusters(runs: list[list[ClusterId]],
                      ctx: ExtractionContext) -> list[MovingCluster]:
+    """Maximal chains inside the item runs whose adjacent full tidsets
+    overlap by at least theta (Jaccard), with at least two (and min_t)
+    clusters each."""
     theta = ctx.params.theta
     min_len = max(2, ctx.params.min_t)
     out = []
@@ -146,16 +120,10 @@ def _moving_clusters(runs: list[list[ClusterId]],
     return result
 
 
-def group_pattern_of(fci: FCI, ctx: ExtractionContext) -> GroupPattern | None:
-    """The group pattern of a closed itemset: its guarded runs as segments,
-    kept when there are at least min_c of them covering at least min_wei of
-    the whole time span."""
-    segments = _guarded_segments(fci, _consecutive_runs(fci.items), ctx)
-    return _group_pattern(fci, segments, ctx)
-
-
 def _group_pattern(fci: FCI, segments: list[tuple[int, int]],
                    ctx: ExtractionContext) -> GroupPattern | None:
+    """The guarded segments as one group pattern, kept when there are at
+    least min_c of them covering at least min_wei of the time span."""
     if len(segments) < ctx.params.min_c:
         return None
     weight = sum(b - a + 1 for a, b in segments) / ctx.n_times
@@ -164,35 +132,25 @@ def _group_pattern(fci: FCI, segments: list[tuple[int, int]],
     return GroupPattern(fci.tidset, tuple(segments), weight)
 
 
-def periodic_pattern_of(fci: FCI, ctx: ExtractionContext) -> PeriodicPattern | None:
-    """Swarm over a periodic matrix: sub-trajectories sharing clusters at the
-    listed period offsets."""
-    times = tuple(sorted({it.time for it in fci.items}))
-    if len(times) < ctx.params.min_t:
-        return None
-    return PeriodicPattern(fci.tidset, times)
-
-
 def extract_patterns(fcis: Iterable[FCI], ctx: ExtractionContext) -> list[Pattern]:
     """Decode a set of closed itemsets into every pattern kind the matrix
     supports, deduplicated and canonically ordered.
 
-    Periodic matrices yield periodic patterns only; per-timestamp matrices
-    yield closed swarms, convoys, moving clusters and group patterns.
+    Each itemset spanning at least min_t time units is a swarm: a periodic
+    pattern on a periodic matrix, which yields nothing else, and a closed
+    swarm otherwise.  Per-timestamp matrices add a convoy per guarded run,
+    the moving clusters of the runs and the group pattern of the guarded
+    runs.
     """
-    kind = ctx.matrix.kind
+    swarm = PeriodicPattern if ctx.matrix.kind == "periodic" else ClosedSwarm
     patterns: list[Pattern] = []
-    if kind == "periodic":
-        for fci in fcis:
-            p = periodic_pattern_of(fci, ctx)
-            if p is not None:
-                patterns.append(p)
-        return canonical_sort(patterns)
     movers: set[MovingCluster] = set()
     for fci in fcis:
-        s = closed_swarm_of(fci, ctx)
-        if s is not None:
-            patterns.append(s)
+        times = tuple(sorted({it.time for it in fci.items}))
+        if len(times) >= ctx.params.min_t:
+            patterns.append(swarm(fci.tidset, times))
+        if swarm is PeriodicPattern:
+            continue
         runs = _consecutive_runs(fci.items)
         segments = _guarded_segments(fci, runs, ctx)
         patterns.extend(Convoy(fci.tidset, a, b) for a, b in segments)

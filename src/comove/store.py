@@ -17,7 +17,6 @@ from pathlib import Path
 from .ingest import TrajectoryDB
 from .model import (
     FCI,
-    ClosedSwarm,
     ClusterId,
     ClusterMatrix,
     Column,
@@ -26,7 +25,6 @@ from .model import (
     MovingCluster,
     ParseError,
     Pattern,
-    PeriodicPattern,
     Tidset,
     UniverseError,
     canonical_sort,
@@ -49,6 +47,24 @@ def _fmt_time(label) -> str:
     return repr(label) if isinstance(label, float) else str(label)
 
 
+def _write_to(dest, write) -> None:
+    """Call ``write`` with a text stream for ``dest``.  A stream is used as
+    is; a path is written through a temporary file in the same directory
+    that then replaces it, so an existing file is never left half-written."""
+    if not isinstance(dest, (str, Path)):
+        write(dest)
+        return
+    dest = Path(dest)
+    tmp = dest.with_name(f".{dest.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", newline="") as fh:
+            write(fh)
+        os.replace(tmp, dest)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _parse_time_label(s: str):
     try:
         return int(s)
@@ -65,17 +81,17 @@ def _parse_time_label(s: str):
 
 def write_trajectories(db: TrajectoryDB, dest):
     """object_id,timestamp,x,y rows, object-major, observed cells only."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", newline="") as fh:
-            return write_trajectories(db, fh)
-    w = csv.writer(dest, lineterminator="\n")
-    w.writerow(["object_id", "timestamp", "x", "y"])
-    present = db.present
-    for o, label in enumerate(db.object_labels):
-        for t, tlabel in enumerate(db.time_labels):
-            if present[o, t]:
-                x, y = db.xy[o, t]
-                w.writerow([label, _fmt_time(tlabel), repr(float(x)), repr(float(y))])
+    def write(fh):
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["object_id", "timestamp", "x", "y"])
+        present = db.present
+        for o, label in enumerate(db.object_labels):
+            for t, tlabel in enumerate(db.time_labels):
+                if present[o, t]:
+                    x, y = db.xy[o, t]
+                    w.writerow([label, _fmt_time(tlabel),
+                                repr(float(x)), repr(float(y))])
+    _write_to(dest, write)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +155,12 @@ def read_cluster_columns(source) -> ClusterMatrix:
 
 
 def write_cluster_columns(matrix: ClusterMatrix, dest):
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w") as fh:
-            return write_cluster_columns(matrix, fh)
-    for cid, members in sorted(matrix.columns, key=lambda c: c.cid):
-        ids = ",".join(matrix.object_labels[i] for i in members.ids)
-        dest.write(f"{_fmt_time(matrix.time_labels[cid.time])}\t{cid.ordinal}\t{ids}\n")
+    def write(fh):
+        for cid, members in sorted(matrix.columns, key=lambda c: c.cid):
+            t = _fmt_time(matrix.time_labels[cid.time])
+            ids = ",".join(matrix.object_labels[i] for i in members.ids)
+            fh.write(f"{t}\t{cid.ordinal}\t{ids}\n")
+    _write_to(dest, write)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +187,6 @@ def write_fci_store(store: FciStore, dest):
     and the full label tables; one row per itemset:
     support <TAB> member ids <TAB> time:ordinal items.
 
-    A path is written through a temporary file in the same directory that
-    then replaces it, so an existing store is never left half-written.
     Object ids must be non-empty, free of ``,``, tab and newline, which the
     format uses as separators, and must not end in whitespace, which the
     reader strips from the end of the objects line."""
@@ -182,36 +196,28 @@ def write_fci_store(store: FciStore, dest):
             raise ParseError(
                 f"object id {label!r} cannot be stored: ids must be non-empty, "
                 "contain no ',', tab or newline, and not end in whitespace")
-    if isinstance(dest, (str, Path)):
-        dest = Path(dest)
-        tmp = dest.with_name(f".{dest.name}.{os.urandom(8).hex()}.tmp")
-        try:
-            with open(tmp, "x") as fh:
-                write_fci_store(store, fh)
-            os.replace(tmp, dest)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        return
-    tl = [_fmt_time(t) for t in store.time_labels]
-    dest.write(f"# epsilon\t{store.epsilon}\n")
-    dest.write(f"# n_objects\t{len(store.object_labels)}\n")
-    if tl:
-        dest.write(f"# time_range\t{tl[0]}\t{tl[-1]}\n")
-    dest.write(f"# objects\t{','.join(store.object_labels)}\n")
-    dest.write(f"# times\t{','.join(tl)}\n")
-    # An item recurs in every itemset that contains it, so each distinct one
-    # is formatted once.
-    item_strs: dict[ClusterId, str] = {}
-    for fci in sorted(store.fcis, key=lambda f: f.items):
-        ids = ",".join([store.object_labels[i] for i in fci.tidset.ids])
-        strs = []
-        for c in fci.items:
-            s = item_strs.get(c)
-            if s is None:
-                s = item_strs[c] = f"{tl[c.time]}:{c.ordinal}"
-            strs.append(s)
-        dest.write(f"{fci.support}\t{ids}\t{';'.join(strs)}\n")
+
+    def write(fh):
+        tl = [_fmt_time(t) for t in store.time_labels]
+        fh.write(f"# epsilon\t{store.epsilon}\n")
+        fh.write(f"# n_objects\t{len(store.object_labels)}\n")
+        if tl:
+            fh.write(f"# time_range\t{tl[0]}\t{tl[-1]}\n")
+        fh.write(f"# objects\t{','.join(store.object_labels)}\n")
+        fh.write(f"# times\t{','.join(tl)}\n")
+        # An item recurs in every itemset that contains it, so each distinct
+        # one is formatted once.
+        item_strs: dict[ClusterId, str] = {}
+        for fci in sorted(store.fcis, key=lambda f: f.items):
+            ids = ",".join([store.object_labels[i] for i in fci.tidset.ids])
+            strs = []
+            for c in fci.items:
+                s = item_strs.get(c)
+                if s is None:
+                    s = item_strs[c] = f"{tl[c.time]}:{c.ordinal}"
+                strs.append(s)
+            fh.write(f"{fci.support}\t{ids}\t{';'.join(strs)}\n")
+    _write_to(dest, write)
 
 
 def _parse_item(item: str, t_idx: dict[str, int], line_no: int) -> ClusterId:
@@ -331,45 +337,28 @@ def check_pattern_object_ids(object_labels):
 
 def _pattern_row(p: Pattern, matrix: ClusterMatrix) -> tuple[str, str, str, float]:
     objects = ";".join(matrix.object_labels[i] for i in p.objects.ids)
-    n_times = matrix.n_times
-    if isinstance(p, (ClosedSwarm, PeriodicPattern)):
-        times = ";".join(_fmt_time(matrix.time_labels[t]) for t in p.times)
-        weight = len(p.times) / n_times
-    elif isinstance(p, Convoy):
-        times = _span(matrix, p.start, p.end)
-        weight = (p.end - p.start + 1) / n_times
-    elif isinstance(p, MovingCluster):
-        times = _span(matrix, p.start, p.end)
-        weight = len(p.clusters) / n_times
-    elif isinstance(p, GroupPattern):
+    if isinstance(p, GroupPattern):
         times = ";".join(_span(matrix, a, b) for a, b in p.segments)
-        weight = p.weight
+        return p.kind, objects, times, p.weight
+    if isinstance(p, (Convoy, MovingCluster)):
+        times = _span(matrix, p.start, p.end)
     else:
-        raise TypeError(f"not a pattern: {p!r}")
-    return p.kind, objects, times, weight
+        times = ";".join(_fmt_time(matrix.time_labels[t]) for t in p.times)
+    return p.kind, objects, times, len(p.times) / matrix.n_times
 
 
 def write_patterns_csv(patterns, matrix: ClusterMatrix, dest):
     """kind,objects,times,weight rows in canonical order.  Times are labels;
     consecutive stretches are written as first..last."""
     check_pattern_object_ids(matrix.object_labels)
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", newline="") as fh:
-            return write_patterns_csv(patterns, matrix, fh)
-    w = csv.writer(dest, lineterminator="\n")
-    w.writerow(["kind", "objects", "times", "weight"])
-    for p in canonical_sort(patterns):
-        kind, objects, times, weight = _pattern_row(p, matrix)
-        w.writerow([kind, objects, times, repr(weight)])
 
-
-def _member_track(db: TrajectoryDB, obj: int, time_indices) -> list[list[float]]:
-    track = []
-    for t in time_indices:
-        if db.present[obj, t]:
-            x, y = db.xy[obj, t]
-            track.append([float(x), float(y)])
-    return track
+    def write(fh):
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["kind", "objects", "times", "weight"])
+        for p in canonical_sort(patterns):
+            kind, objects, times, weight = _pattern_row(p, matrix)
+            w.writerow([kind, objects, times, repr(weight)])
+    _write_to(dest, write)
 
 
 def write_patterns_geojson(patterns, matrix: ClusterMatrix, db: TrajectoryDB, dest):
@@ -380,23 +369,15 @@ def write_patterns_geojson(patterns, matrix: ClusterMatrix, db: TrajectoryDB, de
         raise UniverseError(
             "trajectory database does not match the matrix (objects/times differ)")
     check_pattern_object_ids(matrix.object_labels)
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w") as fh:
-            return write_patterns_geojson(patterns, matrix, db, fh)
+    present = db.present
     features = []
     for p in canonical_sort(patterns):
         kind, objects, times, weight = _pattern_row(p, matrix)
-        if isinstance(p, GroupPattern):
-            time_indices = [t for a, b in p.segments for t in range(a, b + 1)]
-        elif isinstance(p, (Convoy, MovingCluster)):
-            time_indices = list(range(p.start, p.end + 1))
-        else:
-            time_indices = list(p.times)
         lines = []
         for obj in p.objects.ids:
-            track = _member_track(db, obj, time_indices)
-            if len(track) >= 2:
-                lines.append(track)
+            seen = [t for t in p.times if present[obj, t]]
+            if len(seen) >= 2:
+                lines.append(db.xy[obj, seen].tolist())
         features.append({
             "type": "Feature",
             "geometry": {"type": "MultiLineString", "coordinates": lines},
@@ -407,5 +388,9 @@ def write_patterns_geojson(patterns, matrix: ClusterMatrix, db: TrajectoryDB, de
                 "weight": weight,
             },
         })
-    json.dump({"type": "FeatureCollection", "features": features}, dest, indent=2)
-    dest.write("\n")
+    doc = {"type": "FeatureCollection", "features": features}
+
+    def write(fh):
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    _write_to(dest, write)

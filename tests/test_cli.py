@@ -260,6 +260,24 @@ def test_data_errors_exit_2(tmp_path):
     assert main(["mine", str(bad), str(tmp_path / "o"), "--epsilon", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["mine", "{missing}", "{out}"],
+    ["mine", "{missing}", "{out}", "--pre-clustered"],
+    ["append", "{missing}", "{out}", "--store", "{missing}"],
+    ["convert", "columns", "{missing}", "{out}/cols.tsv"],
+    ["convert", "patterns", "{missing}", "{missing}", "{out}"],
+], ids=["mine", "mine-pre-clustered", "append", "convert-columns",
+        "convert-patterns"])
+def test_threads_below_one_exit_2_before_any_io(tmp_path, capsys, argv):
+    # the input does not exist, so only a check made before reading it can
+    # report the thread count
+    missing, out = tmp_path / "missing.csv", tmp_path / "out"
+    argv = [a.format(missing=missing, out=out) for a in argv]
+    assert main(argv + ["--threads", "0"]) == 2
+    assert "threads must be an int >= 1, got 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mine_rejects_object_id_with_separator(tmp_path):
     traj = tmp_path / "traj.csv"
     traj.write_text('"a,b",0,0,0\n"a,b",1,0,0\nc,0,0,0\nc,1,0,0\n')

@@ -1,6 +1,11 @@
+import importlib
+import pkgutil
+import types
+
 import pytest
 from hypothesis import given, strategies as st
 
+import comove
 from comove import (
     FCI,
     ClosedSwarm,
@@ -180,6 +185,9 @@ def test_pattern_time_accessors():
     assert g.times == (0, 1, 4, 5, 6)
     mc = MovingCluster((ClusterId(1, 0), ClusterId(2, 0)), Tidset(1))
     assert (mc.start, mc.end) == (1, 2)
+    assert mc.times == (1, 2)
+    mc = MovingCluster((ClusterId(3, 1), ClusterId(4, 0), ClusterId(5, 2)), Tidset(1))
+    assert mc.times == (3, 4, 5)
 
 
 def _some_patterns():
@@ -208,3 +216,18 @@ def test_canonical_sort_order_independent(shuffled):
 def test_canonical_sort_rejects_non_patterns():
     with pytest.raises(TypeError):
         canonical_sort([object()])
+
+
+# ---------------------------------------------------------------------------
+# Package exports
+# ---------------------------------------------------------------------------
+
+def test_package_exports_exactly_the_modules_all():
+    # the command-line module is the one whose names the package leaves out
+    public = {name for name, value in vars(comove).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    declared = set()
+    for module in pkgutil.iter_modules(comove.__path__):
+        if module.name != "cli":
+            declared.update(importlib.import_module(f"comove.{module.name}").__all__)
+    assert public == declared

@@ -14,13 +14,8 @@ from comove import (
     Tidset,
     UniverseError,
     canonical_sort,
-    closed_swarm_of,
-    convoys_of,
     extract_patterns,
-    group_pattern_of,
     mine_fci,
-    moving_clusters_of,
-    periodic_pattern_of,
 )
 from oracle import (
     brute_closed_swarms,
@@ -42,6 +37,11 @@ def _ctx(matrix, **kw):
     return ExtractionContext(matrix, MiningParams(**kw))
 
 
+def _decode(fcis, ctx, kind):
+    """The patterns of one kind that extract_patterns decodes from fcis."""
+    return [p for p in extract_patterns(fcis, ctx) if p.kind == kind]
+
+
 def _tid(*ids):
     return Tidset.from_ids(ids)
 
@@ -51,32 +51,33 @@ def _cid(t, o):
 
 
 # ---------------------------------------------------------------------------
-# Single-pattern extractors on hand-built scenarios
+# One pattern kind at a time on hand-built scenarios
 # ---------------------------------------------------------------------------
 
 def test_swarm_spans_gaps_convoy_does_not():
     m = pair_with_gap_matrix()
     (fci,) = mine_fci(m, 2)
     ctx = _ctx(m, epsilon=2, min_t=2)
-    assert closed_swarm_of(fci, ctx) == ClosedSwarm(_tid(0, 1), (0, 2, 3))
+    assert _decode([fci], ctx, "closed_swarm") == [
+        ClosedSwarm(_tid(0, 1), (0, 2, 3))]
     # the lone t=0 item is too short a run; only t=2..3 makes a convoy
-    assert convoys_of(fci, ctx) == [Convoy(_tid(0, 1), 2, 3)]
+    assert _decode([fci], ctx, "convoy") == [Convoy(_tid(0, 1), 2, 3)]
     ctx1 = _ctx(m, epsilon=2, min_t=1)
-    assert convoys_of(fci, ctx1) == [Convoy(_tid(0, 1), 0, 0), Convoy(_tid(0, 1), 2, 3)]
+    assert _decode([fci], ctx1, "convoy") == [Convoy(_tid(0, 1), 0, 0),
+                                              Convoy(_tid(0, 1), 2, 3)]
 
 
 def test_swarm_too_few_times_is_dropped():
     m = pair_with_gap_matrix()
     (fci,) = mine_fci(m, 2)
-    assert closed_swarm_of(fci, _ctx(m, min_t=4)) is None
+    assert _decode([fci], _ctx(m, min_t=4), "closed_swarm") == []
 
 
 def test_expanding_trio_convoys():
     m = expanding_trio_matrix()
     fcis = mine_fci(m, 2)
     ctx = _ctx(m, epsilon=2, min_t=2)
-    got = [c for f in fcis for c in convoys_of(f, ctx)]
-    assert got == [Convoy(_tid(0, 1), 0, 3), Convoy(_tid(0, 1, 2), 2, 3)]
+    assert _decode(fcis, ctx, "convoy") == [Convoy(_tid(0, 1), 0, 3), Convoy(_tid(0, 1, 2), 2, 3)]
 
 
 def test_guard_suppresses_non_maximal_run():
@@ -87,35 +88,36 @@ def test_guard_suppresses_non_maximal_run():
     fcis = mine_fci(m, 2)
     ctx = _ctx(m, epsilon=2, min_t=1)
     pair = next(f for f in fcis if f.tidset == _tid(0, 1))
-    assert convoys_of(pair, ctx) == [Convoy(_tid(0, 1), 2, 3)]
+    assert _decode([pair], ctx, "convoy") == [Convoy(_tid(0, 1), 2, 3)]
     trio = next(f for f in fcis if f.tidset == _tid(0, 1, 2))
-    assert convoys_of(trio, ctx) == [Convoy(_tid(0, 1, 2), 0, 0),
-                                     Convoy(_tid(0, 1, 2), 2, 2)]
+    assert _decode([trio], ctx, "convoy") == [Convoy(_tid(0, 1, 2), 0, 0),
+                                              Convoy(_tid(0, 1, 2), 2, 2)]
 
 
 def test_two_stint_group_pattern():
     m = two_stint_matrix()
     (fci,) = mine_fci(m, 2)
     ctx = _ctx(m, epsilon=2, min_t=2, min_c=2)
-    assert group_pattern_of(fci, ctx) == GroupPattern(
-        _tid(0, 1), ((0, 1), (3, 4)), 0.8)
-    assert group_pattern_of(fci, _ctx(m, min_t=2, min_c=3)) is None
-    assert group_pattern_of(fci, _ctx(m, min_t=2, min_c=2, min_wei=0.9)) is None
+    assert _decode([fci], ctx, "group_pattern") == [GroupPattern(
+        _tid(0, 1), ((0, 1), (3, 4)), 0.8)]
+    assert _decode([fci], _ctx(m, min_t=2, min_c=3), "group_pattern") == []
+    assert _decode([fci], _ctx(m, min_t=2, min_c=2, min_wei=0.9),
+                   "group_pattern") == []
 
 
 def test_moving_cluster_chain_breaks_on_low_overlap():
     m = make_matrix({(0, 0): [0, 1, 2, 3, 4, 5], (1, 0): [0, 1]})
     pair = next(f for f in mine_fci(m, 2) if f.tidset == _tid(0, 1))
     # Jaccard between the two clusters is 2/6, under the default 0.5
-    assert moving_clusters_of(pair, _ctx(m)) == []
-    got = moving_clusters_of(pair, _ctx(m, theta=0.33))
+    assert _decode([pair], _ctx(m), "moving_cluster") == []
+    got = _decode([pair], _ctx(m, theta=0.33), "moving_cluster")
     assert got == [MovingCluster((_cid(0, 0), _cid(1, 0)), _tid(0, 1))]
 
 
 def test_moving_cluster_needs_two_consecutive_clusters():
     m = pair_with_gap_matrix()
     (fci,) = mine_fci(m, 2)
-    got = moving_clusters_of(fci, _ctx(m, theta=0.0))
+    got = _decode([fci], _ctx(m, theta=0.0), "moving_cluster")
     # the t=0 item stands alone; only the t=2..3 run chains
     assert got == [MovingCluster((_cid(2, 0), _cid(3, 0)), _tid(0, 1))]
 
@@ -127,10 +129,10 @@ def test_moving_cluster_core_can_exceed_itemset_tidset():
     pair = next(f for f in fcis if f.tidset == _tid(0, 1))
     # the pair's items chain across all four timestamps (Jaccard 1, 2/3, 1);
     # the chain's core is the pair itself
-    assert moving_clusters_of(pair, ctx) == [MovingCluster(
+    assert _decode([pair], ctx, "moving_cluster") == [MovingCluster(
         (_cid(0, 0), _cid(1, 0), _cid(2, 0), _cid(3, 0)), _tid(0, 1))]
     trio = next(f for f in fcis if f.tidset == _tid(0, 1, 2))
-    assert moving_clusters_of(trio, ctx) == [MovingCluster(
+    assert _decode([trio], ctx, "moving_cluster") == [MovingCluster(
         (_cid(2, 0), _cid(3, 0)), _tid(0, 1, 2))]
 
 
@@ -138,8 +140,9 @@ def test_periodic_pattern_of_uniform_matrix():
     m = uniform_periodic_matrix()
     (fci,) = mine_fci(m, 2)
     ctx = _ctx(m, min_t=2)
-    assert periodic_pattern_of(fci, ctx) == PeriodicPattern(_tid(0, 1, 2), (0, 1, 2))
-    assert periodic_pattern_of(fci, _ctx(m, min_t=4)) is None
+    assert _decode([fci], ctx, "periodic_pattern") == [
+        PeriodicPattern(_tid(0, 1, 2), (0, 1, 2))]
+    assert _decode([fci], _ctx(m, min_t=4), "periodic_pattern") == []
 
 
 def test_context_rejects_foreign_items():
@@ -149,7 +152,7 @@ def test_context_rejects_foreign_items():
         ctx.column_tidset(_cid(9, 0))
     foreign = FCI((_cid(0, 0), _cid(9, 0)), _tid(0, 1))
     with pytest.raises(UniverseError):
-        convoys_of(foreign, ctx)
+        extract_patterns([foreign], ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +202,11 @@ def test_random_matrices_match_pattern_oracles():
         for eps, min_t in ((1, 1), (1, 2), (2, 1), (2, 2)):
             params = MiningParams(epsilon=eps, min_t=min_t, min_c=1, min_wei=0.0)
             ctx = ExtractionContext(m, params)
-            fcis = mine_fci(m, eps)
+            got = extract_patterns(mine_fci(m, eps), ctx)
 
-            swarms = {closed_swarm_of(f, ctx) for f in fcis} - {None}
-            assert swarms == set(brute_closed_swarms(m, eps, min_t))
+            def of_kind(kind):
+                return {p for p in got if p.kind == kind}
 
-            convoys = {c for f in fcis for c in convoys_of(f, ctx)}
-            assert convoys == set(brute_convoys(m, eps, min_t))
-
-            groups = {group_pattern_of(f, ctx) for f in fcis} - {None}
-            assert groups == set(brute_group_patterns(m, params))
+            assert of_kind("closed_swarm") == set(brute_closed_swarms(m, eps, min_t))
+            assert of_kind("convoy") == set(brute_convoys(m, eps, min_t))
+            assert of_kind("group_pattern") == set(brute_group_patterns(m, params))

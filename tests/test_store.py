@@ -8,12 +8,17 @@ from hypothesis import given, settings, strategies as st
 from comove import (
     FCI,
     ClusterId,
+    ClusterMatrix,
+    Column,
     Convoy,
     ClosedSwarm,
     ExtractionContext,
     FciStore,
+    GroupPattern,
     MiningParams,
+    MovingCluster,
     ParseError,
+    PeriodicPattern,
     Tidset,
     TrajectoryDB,
     UniverseError,
@@ -255,6 +260,36 @@ def test_fci_store_failed_write_keeps_existing_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["fcis.tsv"]
 
 
+def test_failed_pattern_and_column_writes_keep_existing_file(tmp_path):
+    m = expanding_trio_matrix()
+    db = TrajectoryDB(m.object_labels, m.time_labels, np.zeros((3, 4, 2)))
+    patterns = extract_patterns(mine_fci(m, 2),
+                                ExtractionContext(m, MiningParams(epsilon=2)))
+    # time index 9 has no label in the four-timestamp matrix; the convoy
+    # sorts after rows that are already formatted
+    bad = patterns + [Convoy(Tidset.from_ids([0, 1]), 9, 9)]
+    # an object label that is not a string fails on the second column
+    bad_m = ClusterMatrix.build(("a", 5), (0,), [
+        Column(ClusterId(0, 0), Tidset.from_ids([0])),
+        Column(ClusterId(0, 1), Tidset.from_ids([1]))])
+    for name, write, fail, error in [
+        ("patterns.csv", lambda p: write_patterns_csv(patterns, m, p),
+         lambda p: write_patterns_csv(bad, m, p), IndexError),
+        ("patterns.geojson", lambda p: write_patterns_geojson(patterns, m, db, p),
+         lambda p: write_patterns_geojson(bad, m, db, p), IndexError),
+        ("columns.tsv", lambda p: write_cluster_columns(m, p),
+         lambda p: write_cluster_columns(bad_m, p), TypeError),
+    ]:
+        path = tmp_path / name
+        write(path)
+        before = path.read_bytes()
+        with pytest.raises(error):
+            fail(path)
+        assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "columns.tsv", "patterns.csv", "patterns.geojson"]
+
+
 def test_fci_store_minimal_header_ok():
     got = read_fci_store(io.StringIO(_HEADER + "1\tb\t0:0;1:2\n"))
     assert got.epsilon == 1
@@ -345,3 +380,48 @@ def test_geojson_requires_matching_universe():
     m = make_matrix({(0, 0): [0, 1]}, labels=("x", "y"))
     with pytest.raises(UniverseError):
         write_patterns_geojson([], m, db, io.StringIO())
+
+
+def test_geojson_golden_every_kind():
+    # o3 is unobserved at t=3; x moves 1.5 per timestamp, y is the object
+    xy = np.array([[[1.5 * t, float(o)] for t in range(5)] for o in range(3)])
+    xy[2, 3] = np.nan
+    db = TrajectoryDB(("o1", "o2", "o3"), (10, 20, 30, 40, 50), xy)
+    m = ClusterMatrix.build(db.object_labels, db.time_labels,
+                            [Column(ClusterId(t, 0), Tidset.from_ids([0, 1, 2]))
+                             for t in range(5)])
+    patterns = [
+        PeriodicPattern(Tidset.from_ids([0, 2]), (0, 4)),
+        MovingCluster((ClusterId(2, 0), ClusterId(3, 0), ClusterId(4, 0)),
+                      Tidset.from_ids([1, 2])),
+        GroupPattern(Tidset.from_ids([0, 2]), ((0, 1), (3, 4)), 0.8),
+        Convoy(Tidset.from_ids([0, 1, 2]), 1, 3),
+        ClosedSwarm(Tidset.from_ids([0, 1]), (0, 2, 3)),
+    ]
+
+    def feature(kind, objects, times, weight, coordinates):
+        return {"type": "Feature",
+                "geometry": {"type": "MultiLineString", "coordinates": coordinates},
+                "properties": {"kind": kind, "objects": objects, "times": times,
+                               "weight": weight}}
+
+    expected = {"type": "FeatureCollection", "features": [
+        feature("closed_swarm", ["o1", "o2"], "10;30;40", 0.6,
+                [[[0.0, 0.0], [3.0, 0.0], [4.5, 0.0]],
+                 [[0.0, 1.0], [3.0, 1.0], [4.5, 1.0]]]),
+        feature("convoy", ["o1", "o2", "o3"], "20..40", 0.6,
+                [[[1.5, 0.0], [3.0, 0.0], [4.5, 0.0]],
+                 [[1.5, 1.0], [3.0, 1.0], [4.5, 1.0]],
+                 [[1.5, 2.0], [3.0, 2.0]]]),
+        feature("group_pattern", ["o1", "o3"], "10..20;40..50", 0.8,
+                [[[0.0, 0.0], [1.5, 0.0], [4.5, 0.0], [6.0, 0.0]],
+                 [[0.0, 2.0], [1.5, 2.0], [6.0, 2.0]]]),
+        feature("moving_cluster", ["o2", "o3"], "30..50", 0.6,
+                [[[3.0, 1.0], [4.5, 1.0], [6.0, 1.0]],
+                 [[3.0, 2.0], [6.0, 2.0]]]),
+        feature("periodic_pattern", ["o1", "o3"], "10;50", 0.4,
+                [[[0.0, 0.0], [6.0, 0.0]], [[0.0, 2.0], [6.0, 2.0]]]),
+    ]}
+    buf = io.StringIO()
+    write_patterns_geojson(patterns, m, db, buf)
+    assert buf.getvalue() == json.dumps(expected, indent=2) + "\n"

@@ -4,14 +4,23 @@ A trajectory database is a dense (object, timestamp) grid of 2-D positions
 with NaN marking missing observations.  Object labels are kept sorted and
 timestamps strictly increasing, so equal inputs produce identical databases
 regardless of row order.
+
+``parse_trajectories`` pulls ``csv`` records in bounded chunks and checks and
+converts each chunk by column: ids and times become codes through dicts,
+timestamps go through ``int`` (ISO-8601 strings through
+``_parse_timestamp``), coordinates through ``float`` into numpy arrays, and
+field counts, empty ids, finiteness and duplicate (object, time) keys are
+checked over whole columns.  Observations land in a dense grid indexed by
+those codes, reordered to sorted labels once at the end.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import islice, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -97,6 +106,11 @@ def _parse_timestamp(s: str):
     return int(epoch) if epoch == int(epoch) else epoch
 
 
+# Records converted per step: bounds the Python objects a parse holds at once.
+_CHUNK_ROWS = 4096
+_line_num = attrgetter("line_num")
+
+
 def parse_trajectories(source) -> TrajectoryDB:
     """Read object_id,timestamp,x,y rows into a trajectory database.
 
@@ -104,56 +118,188 @@ def parse_trajectories(source) -> TrajectoryDB:
     is recognized by its second field being neither an integer nor an
     ISO-8601 timestamp.  Duplicate (object, timestamp) observations and
     non-finite coordinates are rejected with the offending line number.
+
+    Records are read in chunks and each chunk is converted column by column;
+    the first invalid record of the input is the one reported.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
             return parse_trajectories(fh)
 
     reader = csv.reader(source)  # any iterable of lines works
-    rows: list[tuple[str, object, float, float]] = []
-    seen: dict[tuple[str, object], int] = {}
-    first = True
-    for fields in reader:
-        line = reader.line_num
-        if not fields or all(not f.strip() for f in fields):
-            continue
-        fields = [f.strip() for f in fields]
-        if len(fields) != 4:
-            raise ParseError(f"expected 4 fields, got {len(fields)}", line=line)
-        obj, ts_raw, xs, ys = fields
-        ts = _parse_timestamp(ts_raw)
-        if ts is None:
-            if first:
-                first = False
-                continue  # header row
-            raise ParseError(f"unparseable timestamp {ts_raw!r}", line=line)
-        first = False
-        if not obj:
-            raise ParseError("empty object id", line=line)
+    # Each record paired with the line it ends on.
+    numbered = zip(reader, map(_line_num, repeat(reader)))
+    grid = _Grid()
+    header_pending = True
+    while True:
+        chunk: list = []
+        failure = None
         try:
-            x, y = float(xs), float(ys)
-        except ValueError:
-            raise ParseError(f"unparseable coordinates ({xs!r}, {ys!r})", line=line) from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParseError(f"non-finite coordinates ({xs}, {ys})", line=line)
-        key = (obj, ts)
-        if key in seen:
-            raise ConflictError(
-                f"duplicate observation for object {obj!r} at timestamp {ts_raw!r} "
-                f"(first seen on line {seen[key]})", line=line)
-        seen[key] = line
-        rows.append((obj, ts, x, y))
+            chunk.extend(islice(numbered, _CHUNK_ROWS))
+        except (csv.Error, UnicodeDecodeError) as e:
+            failure = e  # raised once the records read before it are checked
+        if chunk:
+            records, lines = zip(*chunk)
+            rows, error, header_pending = _check_chunk(records, list(lines), header_pending)
+            grid.add(*rows, error)
+        if failure is not None:
+            raise failure
+        if len(chunk) < _CHUNK_ROWS:
+            return grid.build()
 
-    if not rows:
-        raise ParseError("no observations found")
-    labels = tuple(sorted({r[0] for r in rows}))
-    times = tuple(sorted({r[1] for r in rows}))
-    obj_idx = {o: i for i, o in enumerate(labels)}
-    t_idx = {t: i for i, t in enumerate(times)}
-    xy = np.full((len(labels), len(times), 2), np.nan)
-    for obj, ts, x, y in rows:
-        xy[obj_idx[obj], t_idx[ts]] = (x, y)
-    return TrajectoryDB(labels, times, xy)
+
+def _first_bad_coordinates(xs: list[str], ys: list[str]) -> int:
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        try:
+            float(x), float(y)
+        except ValueError:
+            return i
+    raise AssertionError("every coordinate parses")
+
+
+def _floats(strings: list[str]) -> np.ndarray:
+    return np.fromiter(map(float, strings), float, len(strings))
+
+
+_NO_ROWS = ((), (), (), np.empty(0), np.empty(0), ())
+
+
+def _check_chunk(records: tuple[list[str], ...], lines: list[int], header_pending: bool):
+    """Validate one chunk of records, each ending on the line ``lines``
+    gives, column by column.
+
+    Returns ``((ids, stamps, times, x, y, lines), error, header_pending)``
+    for the non-blank data rows before the chunk's first invalid record,
+    whose ParseError is ``error`` (None when every record is valid).  Each check
+    runs on the rows before the earliest failure found so far, in the order
+    the checks apply to one record, so ``error`` is the one a row-by-row
+    reader would raise first.
+    """
+    error = None
+
+    def cut(i: int, err: ParseError) -> None:
+        nonlocal error, columns
+        error = err
+        columns = [c[:i] for c in columns]
+
+    lens = list(map(len, records))
+    if lens.count(4) != len(lens):
+        keep = []
+        for i, k in enumerate(lens):
+            if k == 4:
+                keep.append(i)
+            elif any(f.strip() for f in records[i]):
+                error = ParseError(f"expected 4 fields, got {k}", line=lines[i])
+                break
+        records = [records[i] for i in keep]
+        lines = [lines[i] for i in keep]
+    if not records:
+        return _NO_ROWS, error, header_pending
+    columns = [list(map(str.strip, c)) for c in zip(*records)] + [lines]
+    if "" in columns[0]:  # four-field rows of blanks are skipped like blank lines
+        rows = [i for i, r in enumerate(zip(*columns[:4])) if any(r)]
+        columns = [[c[i] for i in rows] for c in columns]
+        if not rows:
+            return _NO_ROWS, error, header_pending
+
+    stamps = columns[1]
+    try:
+        times = list(map(int, stamps))
+    except ValueError:
+        times = list(map(_parse_timestamp, stamps))
+    if header_pending:
+        header_pending = False
+        if times[0] is None:  # header row
+            columns = [c[1:] for c in columns]
+            times = times[1:]
+    columns.append(times)
+    if None in times:
+        i = times.index(None)
+        cut(i, ParseError(f"unparseable timestamp {columns[1][i]!r}",
+                          line=columns[4][i]))
+    if "" in columns[0]:
+        i = columns[0].index("")
+        cut(i, ParseError("empty object id", line=columns[4][i]))
+    _, _, xs, ys, lines, _ = columns
+    try:
+        x, y = _floats(xs), _floats(ys)
+    except ValueError:
+        i = _first_bad_coordinates(xs, ys)
+        cut(i, ParseError(f"unparseable coordinates ({xs[i]!r}, {ys[i]!r})",
+                          line=lines[i]))
+        x, y = _floats(xs[:i]), _floats(ys[:i])
+    bad = ~(np.isfinite(x) & np.isfinite(y))
+    if bad.any():
+        i = int(bad.argmax())
+        cut(i, ParseError(f"non-finite coordinates ({xs[i]}, {ys[i]})", line=lines[i]))
+        x, y = x[:i], y[:i]
+    ids, stamps, _, _, lines, times = columns
+    return (ids, stamps, times, x, y, lines), error, header_pending
+
+
+class _Grid:
+    """Dense (object, time) grid filled chunk by chunk.  Objects and times
+    get codes in order of first appearance; the grid grows geometrically and
+    is reordered to sorted labels once, in ``build``."""
+
+    def __init__(self):
+        self.objects: dict[str, int] = {}
+        self.times: dict = {}
+        self.xy = np.empty((0, 0, 2))
+        self.first_line = np.zeros((0, 0), dtype=np.int64)  # 0 = unobserved
+
+    @staticmethod
+    def _codes(table: dict, keys: list) -> np.ndarray:
+        for k in dict.fromkeys(keys):
+            table.setdefault(k, len(table))
+        return np.fromiter(map(table.__getitem__, keys), np.intp, len(keys))
+
+    def _reserve(self, n_objects: int, n_times: int) -> None:
+        rows, cols = self.first_line.shape
+        if n_objects <= rows and n_times <= cols:
+            return
+        rows = rows if n_objects <= rows else max(n_objects, 2 * rows)
+        cols = cols if n_times <= cols else max(n_times, 2 * cols)
+        xy = np.full((rows, cols, 2), np.nan)
+        first_line = np.zeros((rows, cols), dtype=np.int64)
+        r, c = self.first_line.shape
+        xy[:r, :c] = self.xy
+        first_line[:r, :c] = self.first_line
+        self.xy, self.first_line = xy, first_line
+
+    def add(self, ids, stamps, times, x, y, lines, error) -> None:
+        """Store the rows ``_check_chunk`` passed, or raise the first error
+        among them: a duplicate observation, then ``error``."""
+        o = self._codes(self.objects, ids)
+        t = self._codes(self.times, times)
+        self._reserve(len(self.objects), len(self.times))
+        line = np.asarray(lines, dtype=np.int64)
+        cell = o * self.first_line.shape[1] + t
+        before = self.first_line.ravel()[cell]
+        order = np.argsort(cell, kind="stable")
+        again = np.zeros(len(cell), dtype=bool)
+        again[order[1:]] = cell[order[1:]] == cell[order[:-1]]
+        dup = (before != 0) | again
+        if dup.any():
+            i = int(dup.argmax())
+            first = before[i] or line[int((cell == cell[i]).argmax())]
+            raise ConflictError(
+                f"duplicate observation for object {ids[i]!r} at timestamp "
+                f"{stamps[i]!r} (first seen on line {first})", line=lines[i])
+        if error is not None:
+            raise error
+        self.first_line[o, t] = line
+        self.xy[o, t, 0] = x
+        self.xy[o, t, 1] = y
+
+    def build(self) -> TrajectoryDB:
+        if not self.objects:
+            raise ParseError("no observations found")
+        labels = tuple(sorted(self.objects))
+        times = tuple(sorted(self.times))
+        rows = np.fromiter(map(self.objects.__getitem__, labels), np.intp, len(labels))
+        cols = np.fromiter(map(self.times.__getitem__, times), np.intp, len(times))
+        return TrajectoryDB(labels, times, self.xy[rows[:, None], cols])
 
 
 def interpolate(db: TrajectoryDB) -> TrajectoryDB:

@@ -5,16 +5,28 @@ yields every pattern kind the matrix supports, which callers filter by
 ``kind``.  Its :class:`ExtractionContext` carries the matrix the itemsets
 were mined from (pattern shape depends on the full column tidsets, not just
 the itemset) and the thresholds.
+
+Itemsets are decoded a chunk at a time as whole arrays.  Every item becomes
+a column index, and column tidsets become rows of ``(n_columns, W)`` uint64
+words.  Consecutive runs are breaks in the item times; a run is guarded when
+the AND of its columns' words (one ``np.bitwise_and.reduceat``) equals the
+itemset's tidset; moving-cluster chains break where the Jaccard similarity of
+two adjacent columns, computed once per distinct pair, falls below theta, and
+their cores are a second ``reduceat``.  Pattern objects are built only for
+what is emitted.
 """
 
 from __future__ import annotations
 
+from itertools import chain, islice
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .model import (
     FCI,
     ClosedSwarm,
-    ClusterId,
     ClusterMatrix,
     Convoy,
     GroupPattern,
@@ -29,6 +41,12 @@ from .model import (
 
 __all__ = ["ExtractionContext", "extract_patterns"]
 
+# Itemsets decoded per step: bounds the arrays a decode holds at once.
+_CHUNK_FCIS = 256
+
+_items = attrgetter("items")
+_time = itemgetter(0)
+
 
 class ExtractionContext:
     """Matrix + parameters that ``extract_patterns`` decodes against."""
@@ -36,100 +54,149 @@ class ExtractionContext:
     def __init__(self, matrix: ClusterMatrix, params: MiningParams):
         self.matrix = matrix
         self.params = params
-        self._columns: dict[ClusterId, Tidset] | None = None
-        self._jaccard: dict[tuple[ClusterId, ClusterId], float] = {}
 
     @property
     def n_times(self) -> int:
         return self.matrix.n_times
 
-    def column_tidset(self, cid: ClusterId) -> Tidset:
-        if self._columns is None:
-            self._columns = self.matrix.column_map()
+
+def _words(masks: Sequence[int], n_words: int) -> np.ndarray:
+    """Bitmasks as rows of ``n_words`` little-endian uint64 words."""
+    n_bytes = 8 * n_words
+    buf = b"".join([m.to_bytes(n_bytes, "little") for m in masks])
+    return np.frombuffer(buf, dtype="<u8").reshape(len(masks), n_words)
+
+
+def _mask(words: np.ndarray) -> int:
+    return int.from_bytes(words.tobytes(), "little")
+
+
+class _Columns:
+    """The matrix's columns as decoding tables, plus the adjacency test of
+    moving-cluster chains memoised per column pair: it depends on the matrix
+    alone, not on the itemset asking."""
+
+    def __init__(self, matrix: ClusterMatrix, theta: float):
+        columns = matrix.columns
+        self.index = {c.cid: j for j, c in enumerate(columns)}
+        self.masks = [c.members.mask for c in columns]
+        self.time = np.array([c.cid.time for c in columns], dtype=np.intp)
+        self.n_words = max(1, -(-matrix.n_objects // 64))
+        self.words = _words(self.masks, self.n_words)
+        self.theta = theta
+        # Pair codes prev * n_columns + cur seen so far, sorted, and whether
+        # each pair's Jaccard similarity reaches theta.
+        self._pairs = np.empty(0, dtype=np.int64)
+        self._linked = np.empty(0, dtype=bool)
+
+    def positions(self, items: list) -> np.ndarray:
         try:
-            return self._columns[cid]
-        except KeyError:
+            return np.fromiter(map(self.index.__getitem__, items), np.intp, len(items))
+        except KeyError as e:
             raise UniverseError(
-                f"itemset references column {cid} absent from the matrix") from None
+                f"itemset references column {e.args[0]} absent from the matrix") from None
 
-    def column_jaccard(self, a: ClusterId, b: ClusterId) -> float:
-        """Jaccard similarity of two columns' full tidsets, memoised per
-        pair: it depends on the matrix alone, not on the itemset asking."""
-        key = (a, b)
-        value = self._jaccard.get(key)
-        if value is None:
-            x = self.column_tidset(a).mask
-            y = self.column_tidset(b).mask
-            value = self._jaccard[key] = (x & y).bit_count() / (x | y).bit_count()
-        return value
-
-
-def _consecutive_runs(items: Sequence[ClusterId]) -> list[list[ClusterId]]:
-    runs: list[list[ClusterId]] = []
-    for it in items:
-        if runs and it.time == runs[-1][-1].time + 1:
-            runs[-1].append(it)
-        else:
-            runs.append([it])
-    return runs
-
-
-def _guarded_segments(fci: FCI, runs: list[list[ClusterId]],
-                      ctx: ExtractionContext) -> list[tuple[int, int]]:
-    """Maximal consecutive item runs of length >= min_t over which the FCI's
-    objects are exactly the objects sharing those clusters (the intersection
-    of the full column tidsets adds nobody).  ``runs`` are the consecutive
-    runs of the FCI's items, which are already in time order."""
-    segments = []
-    for run in runs:
-        if len(run) < ctx.params.min_t:
-            continue
-        inter = -1
-        for it in run:
-            inter &= ctx.column_tidset(it).mask
-        if inter == fci.tidset.mask:
-            segments.append((run[0].time, run[-1].time))
-    return segments
+    def linked(self, prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
+        """Whether Jaccard(prev[i], cur[i]) >= theta, for column index arrays."""
+        n = len(self.masks)
+        pair = prev.astype(np.int64) * n + cur
+        at = np.searchsorted(self._pairs, pair)
+        known = np.zeros(len(pair), dtype=bool)
+        if len(self._pairs):
+            known = self._pairs[np.minimum(at, len(self._pairs) - 1)] == pair
+        if not known.all():
+            new = np.unique(pair[~known])
+            linked = []
+            for p in new.tolist():
+                x, y = (self.masks[j] for j in divmod(p, n))
+                linked.append((x & y).bit_count() / (x | y).bit_count() >= self.theta)
+            pairs = np.concatenate([self._pairs, new])
+            order = np.argsort(pairs, kind="stable")
+            self._pairs = pairs[order]
+            self._linked = np.concatenate([self._linked, linked])[order]
+            at = np.searchsorted(self._pairs, pair)
+        return self._linked[at]
 
 
-def _moving_clusters(runs: list[list[ClusterId]],
-                     ctx: ExtractionContext) -> list[MovingCluster]:
-    """Maximal chains inside the item runs whose adjacent full tidsets
-    overlap by at least theta (Jaccard), with at least two (and min_t)
-    clusters each."""
-    theta = ctx.params.theta
-    min_len = max(2, ctx.params.min_t)
-    out = []
-    for run in runs:
-        chain: list[ClusterId] = [run[0]]
-        for prev, cur in zip(run, run[1:]):
-            if ctx.column_jaccard(prev, cur) >= theta:
-                chain.append(cur)
-            else:
-                if len(chain) >= min_len:
-                    out.append(chain)
-                chain = [cur]
-        if len(chain) >= min_len:
-            out.append(chain)
-    result = []
-    for chain in out:
-        core = -1
-        for it in chain:
-            core &= ctx.column_tidset(it).mask
-        result.append(MovingCluster(tuple(chain), Tidset(core)))
-    return result
+def _decode_chunk(fcis: list[FCI], cols: _Columns, ctx: ExtractionContext,
+                  patterns: list[Pattern], movers: dict[bytes, MovingCluster]) -> None:
+    """Append one chunk's swarms, convoys and group patterns to ``patterns``
+    and its moving clusters to ``movers``, keyed by their column sequence."""
+    params = ctx.params
+    item_lists = list(map(_items, fcis))
+    items = list(chain.from_iterable(item_lists))
+    col = cols.positions(items)
+    t = cols.time[col]
+    sizes = np.fromiter(map(len, item_lists), np.intp, len(fcis))
+    offset = np.zeros(len(fcis) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=offset[1:])
+    owner = np.repeat(np.arange(len(fcis)), sizes)
+    starts_fci = np.zeros(len(items), dtype=bool)
+    starts_fci[offset[:-1]] = True
 
+    # Swarms: the distinct item times.  Only a hand-made itemset can hold two
+    # items at one time.
+    repeated = ~starts_fci
+    repeated[1:] &= t[1:] == t[:-1]
+    repeated[0] = False
+    n_repeated = np.bincount(owner[repeated], minlength=len(fcis))
+    swarm = PeriodicPattern if ctx.matrix.kind == "periodic" else ClosedSwarm
+    for fci, n_times, repeats in zip(fcis, (sizes - n_repeated).tolist(),
+                                     n_repeated.tolist()):
+        if n_times >= params.min_t:
+            times = map(_time, fci.items)
+            patterns.append(swarm(fci.tidset, tuple(
+                dict.fromkeys(times) if repeats else times)))
+    if swarm is PeriodicPattern:
+        return
 
-def _group_pattern(fci: FCI, segments: list[tuple[int, int]],
-                   ctx: ExtractionContext) -> GroupPattern | None:
-    """The guarded segments as one group pattern, kept when there are at
-    least min_c of them covering at least min_wei of the time span."""
-    if len(segments) < ctx.params.min_c:
-        return None
-    weight = sum(b - a + 1 for a, b in segments) / ctx.n_times
-    if weight < ctx.params.min_wei:
-        return None
-    return GroupPattern(fci.tidset, tuple(segments), weight)
+    # Consecutive runs, and the guarded ones among them: convoys.
+    breaks = starts_fci.copy()
+    breaks[1:] |= t[1:] != t[:-1] + 1
+    run_start = np.flatnonzero(breaks)
+    run_len = np.diff(run_start, append=len(items))
+    run_owner = owner[run_start]
+    words = cols.words[col]
+    fci_words = _words([f.tidset.mask for f in fcis], cols.n_words)
+    guarded = (run_len >= params.min_t) & (
+        np.bitwise_and.reduceat(words, run_start, axis=0)
+        == fci_words[run_owner]).all(axis=1)
+    segments: dict[int, list[tuple[int, int]]] = {}
+    first = t[run_start[guarded]].tolist()
+    last = t[run_start[guarded] + run_len[guarded] - 1].tolist()
+    for f, a, b in zip(run_owner[guarded].tolist(), first, last):
+        patterns.append(Convoy(fcis[f].tidset, a, b))
+        segments.setdefault(f, []).append((a, b))
+
+    # Group patterns: at least min_c guarded runs covering min_wei of the span.
+    for f, segs in segments.items():
+        if len(segs) >= params.min_c:
+            weight = sum(b - a + 1 for a, b in segs) / ctx.n_times
+            if weight >= params.min_wei:
+                patterns.append(GroupPattern(fcis[f].tidset, tuple(segs), weight))
+
+    # Moving clusters: runs cut where adjacent columns overlap below theta.
+    inside = np.flatnonzero(~breaks)
+    chain_breaks = breaks.copy()
+    chain_breaks[inside] = ~cols.linked(col[inside - 1], col[inside])
+    chain_start = np.flatnonzero(chain_breaks)
+    chain_len = np.diff(chain_start, append=len(items))
+    kept = chain_len >= max(2, params.min_t)
+    cores = np.bitwise_and.reduceat(words, chain_start, axis=0)[kept]
+    chain_start = chain_start[kept]
+    chain_owner = owner[chain_start]
+    begin = (chain_start - offset[chain_owner]).tolist()
+    # A chain is its column sequence (the core follows from it), so equal
+    # chains of different itemsets are recognised by their bytes in ``col``.
+    col_bytes = col.tobytes()
+    step = col.itemsize
+    for k, (f, a, s, n) in enumerate(zip(chain_owner.tolist(), begin,
+                                         chain_start.tolist(),
+                                         chain_len[kept].tolist())):
+        key = col_bytes[s * step:(s + n) * step]
+        if key not in movers:
+            movers[key] = MovingCluster(fcis[f].items[a:a + n],
+                                        Tidset(_mask(cores[k])))
 
 
 def extract_patterns(fcis: Iterable[FCI], ctx: ExtractionContext) -> list[Pattern]:
@@ -140,23 +207,13 @@ def extract_patterns(fcis: Iterable[FCI], ctx: ExtractionContext) -> list[Patter
     pattern on a periodic matrix, which yields nothing else, and a closed
     swarm otherwise.  Per-timestamp matrices add a convoy per guarded run,
     the moving clusters of the runs and the group pattern of the guarded
-    runs.
+    runs.  An item that is not a column of the matrix raises UniverseError.
     """
-    swarm = PeriodicPattern if ctx.matrix.kind == "periodic" else ClosedSwarm
+    cols = _Columns(ctx.matrix, ctx.params.theta)
     patterns: list[Pattern] = []
-    movers: set[MovingCluster] = set()
-    for fci in fcis:
-        times = tuple(sorted({it.time for it in fci.items}))
-        if len(times) >= ctx.params.min_t:
-            patterns.append(swarm(fci.tidset, times))
-        if swarm is PeriodicPattern:
-            continue
-        runs = _consecutive_runs(fci.items)
-        segments = _guarded_segments(fci, runs, ctx)
-        patterns.extend(Convoy(fci.tidset, a, b) for a, b in segments)
-        movers.update(_moving_clusters(runs, ctx))
-        g = _group_pattern(fci, segments, ctx)
-        if g is not None:
-            patterns.append(g)
-    patterns.extend(movers)
+    movers: dict[bytes, MovingCluster] = {}
+    it = iter(fcis)
+    while chunk := list(islice(it, _CHUNK_FCIS)):
+        _decode_chunk(chunk, cols, ctx, patterns, movers)
+    patterns.extend(movers.values())
     return canonical_sort(patterns)

@@ -24,7 +24,6 @@ from .model import (
     GroupPattern,
     MovingCluster,
     ParseError,
-    Pattern,
     Tidset,
     UniverseError,
     canonical_sort,
@@ -320,11 +319,6 @@ def read_fci_store(source) -> FciStore:
 # Pattern output
 # ---------------------------------------------------------------------------
 
-def _span(matrix: ClusterMatrix, a: int, b: int) -> str:
-    la, lb = matrix.time_labels[a], matrix.time_labels[b]
-    return _fmt_time(la) if a == b else f"{_fmt_time(la)}..{_fmt_time(lb)}"
-
-
 def check_pattern_object_ids(object_labels):
     """Raise ParseError for an object id containing ``;``, which the pattern
     files use to join member ids, so a row's members would read back wrong."""
@@ -335,16 +329,26 @@ def check_pattern_object_ids(object_labels):
                 "ids must not contain ';'")
 
 
-def _pattern_row(p: Pattern, matrix: ClusterMatrix) -> tuple[str, str, str, float]:
-    objects = ";".join(matrix.object_labels[i] for i in p.objects.ids)
-    if isinstance(p, GroupPattern):
-        times = ";".join(_span(matrix, a, b) for a, b in p.segments)
-        return p.kind, objects, times, p.weight
-    if isinstance(p, (Convoy, MovingCluster)):
-        times = _span(matrix, p.start, p.end)
-    else:
-        times = ";".join(_fmt_time(matrix.time_labels[t]) for t in p.times)
-    return p.kind, objects, times, len(p.times) / matrix.n_times
+def _pattern_rows(patterns, matrix: ClusterMatrix):
+    """(pattern, kind, objects, times, weight) in canonical order.  Times are
+    labels, formatted once per call; consecutive stretches are written as
+    first..last."""
+    labels = [_fmt_time(t) for t in matrix.time_labels]
+
+    def span(a: int, b: int) -> str:
+        return labels[a] if a == b else f"{labels[a]}..{labels[b]}"
+
+    for p in canonical_sort(patterns):
+        objects = ";".join([matrix.object_labels[i] for i in p.objects.ids])
+        if isinstance(p, GroupPattern):
+            times, weight = ";".join([span(a, b) for a, b in p.segments]), p.weight
+        else:
+            weight = len(p.times) / matrix.n_times
+            if isinstance(p, (Convoy, MovingCluster)):
+                times = span(p.start, p.end)
+            else:
+                times = ";".join([labels[t] for t in p.times])
+        yield p, p.kind, objects, times, weight
 
 
 def write_patterns_csv(patterns, matrix: ClusterMatrix, dest):
@@ -355,8 +359,7 @@ def write_patterns_csv(patterns, matrix: ClusterMatrix, dest):
     def write(fh):
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["kind", "objects", "times", "weight"])
-        for p in canonical_sort(patterns):
-            kind, objects, times, weight = _pattern_row(p, matrix)
+        for _, kind, objects, times, weight in _pattern_rows(patterns, matrix):
             w.writerow([kind, objects, times, repr(weight)])
     _write_to(dest, write)
 
@@ -364,33 +367,38 @@ def write_patterns_csv(patterns, matrix: ClusterMatrix, dest):
 def write_patterns_geojson(patterns, matrix: ClusterMatrix, db: TrajectoryDB, dest):
     """FeatureCollection with one feature per pattern: MultiLineString of the
     members' tracks over the pattern's time span, properties mirroring the
-    CSV columns.  ``db`` must be the database the matrix was built from."""
+    CSV columns.  ``db`` must be the database the matrix was built from.
+
+    Features are written one at a time, in the bytes ``json.dump(doc,
+    indent=2)`` gives for the whole collection, so no more than one feature
+    is held in memory."""
     if db.object_labels != matrix.object_labels or db.time_labels != matrix.time_labels:
         raise UniverseError(
             "trajectory database does not match the matrix (objects/times differ)")
     check_pattern_object_ids(matrix.object_labels)
     present = db.present
-    features = []
-    for p in canonical_sort(patterns):
-        kind, objects, times, weight = _pattern_row(p, matrix)
-        lines = []
-        for obj in p.objects.ids:
-            seen = [t for t in p.times if present[obj, t]]
-            if len(seen) >= 2:
-                lines.append(db.xy[obj, seen].tolist())
-        features.append({
-            "type": "Feature",
-            "geometry": {"type": "MultiLineString", "coordinates": lines},
-            "properties": {
-                "kind": kind,
-                "objects": objects.split(";"),
-                "times": times,
-                "weight": weight,
-            },
-        })
-    doc = {"type": "FeatureCollection", "features": features}
 
     def write(fh):
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write('{\n  "type": "FeatureCollection",\n  "features": [')
+        n = 0
+        for p, kind, objects, times, weight in _pattern_rows(patterns, matrix):
+            lines = []
+            for obj in p.objects.ids:
+                seen = [t for t in p.times if present[obj, t]]
+                if len(seen) >= 2:
+                    lines.append(db.xy[obj, seen].tolist())
+            feature = {
+                "type": "Feature",
+                "geometry": {"type": "MultiLineString", "coordinates": lines},
+                "properties": {
+                    "kind": kind,
+                    "objects": objects.split(";"),
+                    "times": times,
+                    "weight": weight,
+                },
+            }
+            fh.write((",\n    " if n else "\n    ")
+                     + json.dumps(feature, indent=2).replace("\n", "\n    "))
+            n += 1
+        fh.write("\n  ]\n}\n" if n else "]\n}\n")
     _write_to(dest, write)

@@ -1,18 +1,26 @@
 """Brute-force reference implementations and random matrix generators.
 
 The functions here are deliberately naive: they enumerate candidate itemsets
-or object subsets exhaustively, or expand clusters point by point, and apply
-the definitions directly, without sharing any code with the production
-clustering, miner or pattern decoders.  They exist so
+or object subsets exhaustively, expand clusters point by point, decode
+itemsets item by item or read CSV records one at a time, and apply the
+definitions directly, without sharing any code with the production
+clustering, miner, pattern decoder or CSV parser (the parser oracle reuses
+only ``_parse_timestamp``, the rule for one timestamp field).  They exist so
 the fast paths can be checked against an independent computation on small
-inputs; size guards keep them from being misused on anything big.
+inputs; size guards keep the enumerations from being misused on anything
+big.
 """
 
 from __future__ import annotations
 
+import csv
+import math
+from pathlib import Path
+
 import numpy as np
 
 from comove.clustering import DbscanParams
+from comove.ingest import TrajectoryDB, _parse_timestamp
 from comove.model import (
     FCI,
     ClosedSwarm,
@@ -20,19 +28,28 @@ from comove.model import (
     ClusterMatrix,
     CoMoveError,
     Column,
+    ConflictError,
     Convoy,
     GroupPattern,
     MiningParams,
+    MovingCluster,
+    ParseError,
+    PeriodicPattern,
     Tidset,
+    UniverseError,
+    canonical_sort,
 )
+from comove.patterns import ExtractionContext
 
 __all__ = [
     "SizeGuardError",
     "brute_dbscan_snapshot",
+    "brute_parse_trajectories",
     "brute_fcis",
     "brute_closed_swarms",
     "brute_convoys",
     "brute_group_patterns",
+    "brute_extract_patterns",
     "gen_random_matrix",
     "gen_random_nested_matrix",
 ]
@@ -206,6 +223,171 @@ def brute_group_patterns(matrix: ClusterMatrix, params: MiningParams) -> list[Gr
             out.append(GroupPattern(Tidset(obj_mask), tuple(segs), weight))
     out.sort(key=lambda g: (g.objects.ids, g.segments))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Pattern decoding, one itemset and one item at a time
+# ---------------------------------------------------------------------------
+
+class _ColumnLookup:
+    """Full column tidsets by id, and their Jaccard similarity per pair."""
+
+    def __init__(self, matrix: ClusterMatrix):
+        self.columns = matrix.column_map()
+        self.jaccard: dict[tuple[ClusterId, ClusterId], float] = {}
+
+    def tidset(self, cid: ClusterId) -> Tidset:
+        try:
+            return self.columns[cid]
+        except KeyError:
+            raise UniverseError(
+                f"itemset references column {cid} absent from the matrix") from None
+
+    def similarity(self, a: ClusterId, b: ClusterId) -> float:
+        key = (a, b)
+        value = self.jaccard.get(key)
+        if value is None:
+            x = self.tidset(a).mask
+            y = self.tidset(b).mask
+            value = self.jaccard[key] = (x & y).bit_count() / (x | y).bit_count()
+        return value
+
+
+def _consecutive_runs(items) -> list[list[ClusterId]]:
+    runs: list[list[ClusterId]] = []
+    for it in items:
+        if runs and it.time == runs[-1][-1].time + 1:
+            runs[-1].append(it)
+        else:
+            runs.append([it])
+    return runs
+
+
+def _guarded_segments(fci: FCI, runs, cols: _ColumnLookup,
+                      params: MiningParams) -> list[tuple[int, int]]:
+    segments = []
+    for run in runs:
+        if len(run) < params.min_t:
+            continue
+        inter = -1
+        for it in run:
+            inter &= cols.tidset(it).mask
+        if inter == fci.tidset.mask:
+            segments.append((run[0].time, run[-1].time))
+    return segments
+
+
+def _moving_clusters(runs, cols: _ColumnLookup,
+                     params: MiningParams) -> list[MovingCluster]:
+    min_len = max(2, params.min_t)
+    out = []
+    for run in runs:
+        chain: list[ClusterId] = [run[0]]
+        for prev, cur in zip(run, run[1:]):
+            if cols.similarity(prev, cur) >= params.theta:
+                chain.append(cur)
+            else:
+                if len(chain) >= min_len:
+                    out.append(chain)
+                chain = [cur]
+        if len(chain) >= min_len:
+            out.append(chain)
+    result = []
+    for chain in out:
+        core = -1
+        for it in chain:
+            core &= cols.tidset(it).mask
+        result.append(MovingCluster(tuple(chain), Tidset(core)))
+    return result
+
+
+def brute_extract_patterns(fcis, ctx: ExtractionContext):
+    """Every pattern kind decoded itemset by itemset, item by item, with each
+    column tidset looked up when a guarded run or a Jaccard needs it.  The
+    reference for ``comove.extract_patterns`` on itemsets over the matrix's
+    own columns (an absent column raises UniverseError here only when a
+    lookup reaches it)."""
+    params = ctx.params
+    cols = _ColumnLookup(ctx.matrix)
+    swarm = PeriodicPattern if ctx.matrix.kind == "periodic" else ClosedSwarm
+    patterns = []
+    movers: set[MovingCluster] = set()
+    for fci in fcis:
+        times = tuple(sorted({it.time for it in fci.items}))
+        if len(times) >= params.min_t:
+            patterns.append(swarm(fci.tidset, times))
+        if swarm is PeriodicPattern:
+            continue
+        runs = _consecutive_runs(fci.items)
+        segments = _guarded_segments(fci, runs, cols, params)
+        patterns.extend(Convoy(fci.tidset, a, b) for a, b in segments)
+        movers.update(_moving_clusters(runs, cols, params))
+        if len(segments) >= params.min_c:
+            weight = sum(b - a + 1 for a, b in segments) / ctx.n_times
+            if weight >= params.min_wei:
+                patterns.append(GroupPattern(fci.tidset, tuple(segments), weight))
+    patterns.extend(movers)
+    return canonical_sort(patterns)
+
+
+# ---------------------------------------------------------------------------
+# Trajectory CSV, one record at a time
+# ---------------------------------------------------------------------------
+
+def brute_parse_trajectories(source) -> TrajectoryDB:
+    """object_id,timestamp,x,y rows read and validated one record at a time,
+    each observation stored with its own item assignment.  The reference for
+    ``comove.parse_trajectories``: same result, or the same error for the
+    same first invalid record."""
+    if isinstance(source, (str, Path)):
+        with open(source, newline="") as fh:
+            return brute_parse_trajectories(fh)
+
+    reader = csv.reader(source)
+    rows: list[tuple[str, object, float, float]] = []
+    seen: dict[tuple[str, object], int] = {}
+    first = True
+    for fields in reader:
+        line = reader.line_num
+        if not fields or all(not f.strip() for f in fields):
+            continue
+        fields = [f.strip() for f in fields]
+        if len(fields) != 4:
+            raise ParseError(f"expected 4 fields, got {len(fields)}", line=line)
+        obj, ts_raw, xs, ys = fields
+        ts = _parse_timestamp(ts_raw)
+        if ts is None:
+            if first:
+                first = False
+                continue  # header row
+            raise ParseError(f"unparseable timestamp {ts_raw!r}", line=line)
+        first = False
+        if not obj:
+            raise ParseError("empty object id", line=line)
+        try:
+            x, y = float(xs), float(ys)
+        except ValueError:
+            raise ParseError(f"unparseable coordinates ({xs!r}, {ys!r})", line=line) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"non-finite coordinates ({xs}, {ys})", line=line)
+        key = (obj, ts)
+        if key in seen:
+            raise ConflictError(
+                f"duplicate observation for object {obj!r} at timestamp {ts_raw!r} "
+                f"(first seen on line {seen[key]})", line=line)
+        seen[key] = line
+        rows.append((obj, ts, x, y))
+
+    if not rows:
+        raise ParseError("no observations found")
+    labels = tuple(sorted({r[0] for r in rows}))
+    times = tuple(sorted({r[1] for r in rows}))
+    obj_idx = {o: i for i, o in enumerate(labels)}
+    t_idx = {t: i for i, t in enumerate(times)}
+    xy = np.full((len(labels), len(times), 2), np.nan)
+    for obj, ts, x, y in rows:
+        xy[obj_idx[obj], t_idx[ts]] = (x, y)
+    return TrajectoryDB(labels, times, xy)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,23 @@ def test_convert_patterns_rejects_wrong_trajectories(tmp_path):
                  str(tmp_path / "x")]) == 2
 
 
+def test_convert_patterns_rejects_foreign_item_alone_in_time(tmp_path, capsys):
+    # 5:9 names no column; at --min-t 2 no guarded run or Jaccard reaches it,
+    # so only mapping every item to its column catches it
+    traj = _gen(tmp_path)
+    out = tmp_path / "mined"
+    assert main(["mine", str(traj), str(out)] + MINE_FLAGS) == 0
+    store = out / "fcis.tsv"
+    with open(store, "a") as fh:
+        fh.write("2\to01,o02\t0:0;1:0;5:9\n")
+    dest = tmp_path / "converted"
+    capsys.readouterr()
+    assert main(["convert", "patterns", str(store), str(traj), str(dest),
+                 "--eps", "2.0", "--minpts", "2", "--min-t", "2"]) == 2
+    assert "absent from the matrix" in capsys.readouterr().err
+    assert not dest.exists()
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import comove.ingest
 
 from comove import (
     ConflictError,
@@ -13,6 +17,7 @@ from comove import (
     parse_trajectories,
     periodic_decompose,
 )
+from oracle import brute_parse_trajectories
 
 
 def _db(text: str) -> TrajectoryDB:
@@ -99,6 +104,80 @@ def test_db_align_to_superset():
 def test_db_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         TrajectoryDB(("a",), (0, 1), np.zeros((1, 1, 2)))
+
+
+# Field values: valid ones (ids with separators, line breaks and padding;
+# integer and ISO-8601 timestamps with Z, offsets and fractional seconds),
+# and the values each check rejects.  The first four valid values are drawn
+# most often, so keys repeat and multi-line ids are common.
+_IDS = ["a", "b", "p\nq", "t\ru", "c", "r\r\ns", " a", "b ", "x,y"]
+_STAMPS = ["0", "1", "2024-01-01T00:00:00Z", "2024-01-01T00:00:00.250", "2", " 4 ",
+           "-1", "1_0", "2024-01-01T02:00:00+02:00", "2024-01-01T00:00:00.5-01:30",
+           "2024-01-01"]
+_COORDS = ["0", "1", "2.5", "-3", " 4 ", "1e3"]
+_BAD_IDS = ["", "  "]
+_BAD_STAMPS = ["when", "1.5", ""]
+_BAD_COORDS = ["1,5", "zero", "", "nan", "inf", "-inf", "1e400"]
+
+
+def _csv_field(draw, good, bad, faulty):
+    """A valid value, or in a faulty row a rejected one one time in three."""
+    if faulty and draw(st.integers(0, 2)) == 0:
+        value = draw(st.sampled_from(bad))
+    else:
+        value = draw(st.sampled_from(good[:4] if draw(st.integers(0, 3)) else good))
+    if any(c in value for c in ',"\r\n') or draw(st.booleans()):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text with an optional header, blank and whitespace-only rows,
+    quoted fields holding ',' and line breaks, duplicate keys, rows with one
+    or several rejected fields, rows of the wrong width and rows the csv
+    module raises on (a bare carriage return, a NUL)."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    rows = ["object_id,timestamp,x,y"] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 14))):
+        shape = draw(st.sampled_from(
+            ["row"] * 6 + ["faulty"] * 2 + ["blank", "spaces", "width", "raw"]))
+        if shape == "blank":
+            rows.append("")
+        elif shape == "raw":  # rows csv itself rejects, at least from a stream
+            rows.append(draw(st.sampled_from(["a,1,2\r3,4", "a,1,\x00,0"])))
+        elif shape == "spaces":
+            rows.append(draw(st.sampled_from(["  ", " , , , ", ",,,"])))
+        else:
+            faulty = shape == "faulty"
+            fields = [_csv_field(draw, _IDS, _BAD_IDS, faulty),
+                      _csv_field(draw, _STAMPS, _BAD_STAMPS, faulty),
+                      _csv_field(draw, _COORDS, _BAD_COORDS, faulty),
+                      _csv_field(draw, _COORDS, _BAD_COORDS, faulty)]
+            if shape == "width":
+                fields = fields[:draw(st.integers(1, 3))] + ["9"] * draw(st.integers(0, 2))
+            rows.append(",".join(fields))
+    return newline.join(rows) + (newline if draw(st.booleans()) else "")
+
+
+def _parse_outcome(parse, source):
+    try:
+        db = parse(source)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "line", None)
+    return db, tuple(type(t) for t in db.time_labels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_texts(), st.sampled_from([1, 2, 3, 4096]))
+def test_parse_matches_row_by_row_oracle(tmp_path_factory, text, chunk_rows):
+    path = tmp_path_factory.getbasetemp() / "oracle.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    with mock.patch.object(comove.ingest, "_CHUNK_ROWS", chunk_rows):
+        for source in (lambda: io.StringIO(text), lambda: path):
+            assert _parse_outcome(parse_trajectories, source()) == \
+                _parse_outcome(brute_parse_trajectories, source())
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import comove.patterns
 from comove import (
     FCI,
+    MATRIX_KINDS,
     ClosedSwarm,
     ClusterId,
+    ClusterMatrix,
+    Column,
     Convoy,
     ExtractionContext,
     GroupPattern,
@@ -20,6 +27,7 @@ from comove import (
 from oracle import (
     brute_closed_swarms,
     brute_convoys,
+    brute_extract_patterns,
     brute_group_patterns,
     gen_random_matrix,
 )
@@ -146,13 +154,16 @@ def test_periodic_pattern_of_uniform_matrix():
 
 
 def test_context_rejects_foreign_items():
+    # Whatever the thresholds: at min_t=2 no guarded run or Jaccard reaches
+    # the lone (9, 0), which used to decode into ClosedSwarm(times=(0, 9)).
     m = three_column_matrix()
-    ctx = _ctx(m)
-    with pytest.raises(UniverseError):
-        ctx.column_tidset(_cid(9, 0))
     foreign = FCI((_cid(0, 0), _cid(9, 0)), _tid(0, 1))
+    for min_t in (1, 2, 5):
+        with pytest.raises(UniverseError, match=r"ClusterId\(time=9, ordinal=0\)"):
+            extract_patterns([foreign], _ctx(m, min_t=min_t))
+    periodic = uniform_periodic_matrix()
     with pytest.raises(UniverseError):
-        extract_patterns([foreign], ctx)
+        extract_patterns([foreign], _ctx(periodic, min_t=1))
 
 
 # ---------------------------------------------------------------------------
@@ -210,3 +221,58 @@ def test_random_matrices_match_pattern_oracles():
             assert of_kind("closed_swarm") == set(brute_closed_swarms(m, eps, min_t))
             assert of_kind("convoy") == set(brute_convoys(m, eps, min_t))
             assert of_kind("group_pattern") == set(brute_group_patterns(m, params))
+
+
+# ---------------------------------------------------------------------------
+# The whole-array decoder against the item-by-item oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _decodable(draw):
+    """A matrix of 1, 63, 64, 65 or 130 objects (tidsets of one to three
+    words), of either kind; its closed itemsets plus hand-made ones, some
+    with two items at one timestamp; random thresholds.
+
+    Objects ride in a few herds that take a cluster (or none) per
+    timestamp, and one object in ten strays to a random slot, so runs,
+    guarded runs and chains of every shape occur without the itemset count
+    blowing up."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_times = draw(st.integers(1, 8))
+    herd = rng.integers(0, 3, size=n)
+    columns = []
+    for t in range(n_times):
+        k = int(rng.integers(1, 4))
+        slot = rng.integers(0, k + 1, size=3)[herd]  # 0 = unclustered
+        stray = rng.random(n) < 0.1
+        slot[stray] = rng.integers(0, k + 1, size=int(stray.sum()))
+        masks = sorted({sum(1 << int(o) for o in np.flatnonzero(slot == s))
+                        for s in range(1, k + 1)} - {0})
+        columns += [Column(ClusterId(t, i), Tidset(mk)) for i, mk in enumerate(masks)]
+    m = ClusterMatrix.build(tuple(f"o{i}" for i in range(n)), tuple(range(n_times)),
+                            columns, kind=draw(st.sampled_from(MATRIX_KINDS)))
+    epsilon = draw(st.integers(1, 3))
+    fcis = mine_fci(m, epsilon)
+    if columns:
+        for picks in draw(st.lists(st.sets(st.integers(0, len(columns) - 1),
+                                           min_size=1, max_size=5), max_size=3)):
+            mask = -1
+            for j in picks:
+                mask &= columns[j].members.mask
+            fcis.append(FCI(tuple(sorted(columns[j].cid for j in picks)), Tidset(mask)))
+    params = MiningParams(
+        epsilon=epsilon, min_t=draw(st.integers(1, 4)),
+        theta=draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1))),
+        min_c=draw(st.integers(1, 3)),
+        min_wei=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+    return m, fcis, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(_decodable(), st.sampled_from([1, 2, 256]))
+def test_extract_patterns_matches_itemwise_oracle(case, chunk_fcis):
+    m, fcis, params = case
+    ctx = ExtractionContext(m, params)
+    with mock.patch.object(comove.patterns, "_CHUNK_FCIS", chunk_fcis):
+        assert extract_patterns(fcis, ctx) == brute_extract_patterns(fcis, ctx)

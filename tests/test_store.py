@@ -425,3 +425,15 @@ def test_geojson_golden_every_kind():
     buf = io.StringIO()
     write_patterns_geojson(patterns, m, db, buf)
     assert buf.getvalue() == json.dumps(expected, indent=2) + "\n"
+
+
+def test_geojson_golden_empty(tmp_path):
+    db = _two_object_db()
+    m = make_matrix({(0, 0): [0, 1]}, n_times=2)
+    expected = json.dumps({"type": "FeatureCollection", "features": []},
+                          indent=2) + "\n"
+    buf = io.StringIO()
+    write_patterns_geojson([], m, db, buf)
+    assert buf.getvalue() == expected
+    write_patterns_geojson([], m, db, tmp_path / "p.geojson")
+    assert (tmp_path / "p.geojson").read_text() == expected

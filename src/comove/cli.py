@@ -267,18 +267,22 @@ def _cmd_append(args) -> int:
         new_db.align_to(store.object_labels),
         DbscanParams(eps=args.eps, min_pts=args.min_pts), threads=args.threads)
     new_fcis = mine_fci(new_matrix, store.epsilon)
-    shifted = shift_times(new_fcis, len(store.time_labels))
+    # The stored itemsets stay rows from read to write, never FCIs.  The
+    # batch's rows carry their store text, so every combined row that joins
+    # a stored and a new itemset gets its text by concatenation.
+    times = store.time_labels + new_db.time_labels
+    batch = FciStore(store.epsilon, store.object_labels, times,
+                     shift_times(new_fcis, len(store.time_labels)))
     counters: dict = {}
-    combined = combine_fcis(list(store.fcis), shifted, store.epsilon,
+    combined = combine_fcis(store.rows, batch.rows, store.epsilon,
                             counters=counters)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    combined_store = FciStore(store.epsilon, store.object_labels,
-                              store.time_labels + new_db.time_labels,
-                              tuple(combined))
+    combined_store = FciStore.of_rows(store.epsilon, store.object_labels,
+                                      times, combined)
     write_fci_store(combined_store, out / "fcis.tsv")
     _summary(command="append", store=args.store, input=args.input,
-             n_existing=len(store.fcis), n_incoming=len(new_fcis),
+             n_existing=len(store.rows), n_incoming=len(new_fcis),
              n_combined=len(combined),
              update_was_recommended=should_update(store.time_span, new_db.n_times),
              **counters, elapsed_s=round(time.perf_counter() - t0, 3))

@@ -12,14 +12,15 @@ side grows to the whole answer while the other stays one block wide.
 The parameter-free variant skips choosing a block size: columns are reordered
 so that containment chains sit next to each other, chains become nested
 blocks, and whatever is left goes into one sparse block.  Every block, nested
-or not, is mined by :func:`~comove.miner.mine_fci`.
+or not, is mined by :func:`~comove.miner.mine_columns`, the miner behind
+:func:`~comove.miner.mine_fci`.
 """
 
 from __future__ import annotations
 
 from .combine import combine_fcis
-from .model import FCI, ClusterMatrix, Column, ParameterError
-from .miner import mine_fci
+from .miner import mine_columns
+from .model import FCI, ClusterMatrix, Column, ParameterError, fci_rows, row_fcis
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -50,9 +51,9 @@ def split_blocks(matrix: ClusterMatrix,
 def _mine_blocks(parent: ClusterMatrix, blocks: list[tuple[Column, ...]],
                  epsilon: int) -> list[FCI]:
     """Mine every block on its own, then merge the local results pairwise
-    until one is left."""
-    results = [mine_fci(ClusterMatrix(parent.object_labels, parent.time_labels,
-                                      cols, parent.kind), epsilon)
+    until one is left.  The merges run on rows, converted from FCIs once
+    per block and back once at the end."""
+    results = [fci_rows(mine_columns(cols, parent.n_objects, epsilon))
                for cols in blocks]
     while len(results) > 1:
         merged = [combine_fcis(results[i], results[i + 1], epsilon)
@@ -60,7 +61,7 @@ def _mine_blocks(parent: ClusterMatrix, blocks: list[tuple[Column, ...]],
         if len(results) % 2:
             merged.append(results[-1])
         results = merged
-    return results[0]
+    return row_fcis(results[0])
 
 
 def mine_incremental(matrix: ClusterMatrix, epsilon: int,

@@ -202,16 +202,15 @@ def _check_chunk(records: tuple[list[str], ...], lines: list[int], header_pendin
         if not rows:
             return _NO_ROWS, error, header_pending
 
+    if header_pending:
+        header_pending = False
+        if _parse_timestamp(columns[1][0]) is None:  # header row
+            columns = [c[1:] for c in columns]
     stamps = columns[1]
     try:
         times = list(map(int, stamps))
     except ValueError:
         times = list(map(_parse_timestamp, stamps))
-    if header_pending:
-        header_pending = False
-        if times[0] is None:  # header row
-            columns = [c[1:] for c in columns]
-            times = times[1:]
     columns.append(times)
     if None in times:
         i = times.index(None)

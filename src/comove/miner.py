@@ -17,7 +17,9 @@ threshold >= 1.
 
 from __future__ import annotations
 
-from .model import FCI, ClusterMatrix, ParameterError, Tidset
+from typing import Sequence
+
+from .model import FCI, ClusterMatrix, Column, ParameterError, Tidset
 
 __all__ = ["mine_fci"]
 
@@ -33,20 +35,27 @@ def mine_fci(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:
     Every returned itemset uses at most one column per time unit, has support
     >= epsilon, and admits no strict valid superset with the same tidset.
     """
+    return mine_columns(matrix.columns, matrix.n_objects, epsilon)
+
+
+def mine_columns(columns: Sequence[Column], n_objects: int,
+                 epsilon: int) -> list[FCI]:
+    """``mine_fci`` on the matrix that ``columns`` of a valid matrix over
+    ``n_objects`` objects form, without building and re-checking it."""
     _check_epsilon(epsilon)
-    if not matrix.columns:
+    if not columns:
         return []
-    return _mine_ppc(matrix, epsilon)
+    return _mine_ppc(columns, n_objects, epsilon)
 
 
 # ---------------------------------------------------------------------------
 # Prefix-preserving closure extension
 # ---------------------------------------------------------------------------
 
-def _mine_ppc(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:
-    cids = [c.cid for c in matrix.columns]
-    n = matrix.n_objects
-    full = (1 << n) - 1
+def _mine_ppc(columns: Sequence[Column], n_objects: int,
+              epsilon: int) -> list[FCI]:
+    cids = [c.cid for c in columns]
+    full = (1 << n_objects) - 1
     # Columns with identical tidsets always enter a closure together (the
     # closure is "every column containing the tidset"), so the walk runs over
     # the distinct masks and the item lists fan back out afterwards.  Stable
@@ -55,7 +64,7 @@ def _mine_ppc(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:
     masks: list[int] = []
     groups: list[list[int]] = []
     index: dict[int, int] = {}
-    for j, col in enumerate(matrix.columns):
+    for j, col in enumerate(columns):
         g = index.get(col.members.mask)
         if g is None:
             index[col.members.mask] = len(masks)

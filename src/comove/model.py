@@ -7,7 +7,9 @@ the types defined here:
 * a :class:`Tidset` is an immutable set of object indices backed by a bitmask,
 * a :class:`ClusterMatrix` is the 0-1 object/cluster membership matrix with
   columns grouped by time unit,
-* an :class:`FCI` is a frequent closed itemset over matrix columns,
+* an :class:`FCI` is a frequent closed itemset over matrix columns, and a
+  :class:`Row` the same itemset packed into ints (plus its store text) for
+  the itemset store and the merge,
 * pattern dataclasses carry the decoded co-movement patterns.
 """
 
@@ -292,6 +294,70 @@ class FCI:
 
     def __len__(self) -> int:
         return len(self.items)
+
+
+# ---------------------------------------------------------------------------
+# Packed itemset rows
+# ---------------------------------------------------------------------------
+
+#: An item's code is ``time << _ITEM_BITS | ordinal``, so codes sort like
+#: (time, ordinal) items; ordinals must lie in [0, 2**_ITEM_BITS).
+_ITEM_BITS = 64
+_ORDINAL_MASK = (1 << _ITEM_BITS) - 1
+
+
+class Row(NamedTuple):
+    """An itemset as the itemset store and the merge carry it, without FCI
+    and ClusterId objects: the tidset mask, the items as ascending codes,
+    and the member-id and item text of its store line, each kept only when
+    it is byte for byte what the store writer would write (else None)."""
+
+    mask: int
+    codes: tuple[int, ...]
+    ids_text: str | None = None
+    items_text: str | None = None
+
+
+def item_code(time: int, ordinal: int, line: int | None = None) -> int:
+    """The code of item (time, ordinal).  An ordinal the code cannot hold
+    raises ParseError, reported at ``line`` when given."""
+    if ordinal < 0:
+        raise ParseError(f"ordinal must be >= 0, got {ordinal}", line=line)
+    if ordinal > _ORDINAL_MASK:
+        raise ParseError(f"ordinal must be < 2**{_ITEM_BITS}, got {ordinal}",
+                         line=line)
+    return time << _ITEM_BITS | ordinal
+
+
+def fci_rows(fcis: Iterable[FCI]) -> list[Row]:
+    """FCIs as rows that carry no text."""
+    codes: dict[ClusterId, int] = {}
+    rows = []
+    for f in fcis:
+        try:
+            row_codes = tuple(map(codes.__getitem__, f.items))
+        except KeyError:  # items not seen before: each is coded once
+            codes.update((c, item_code(*c)) for c in f.items if c not in codes)
+            row_codes = tuple(map(codes.__getitem__, f.items))
+        rows.append(Row(f.tidset.mask, row_codes))
+    return rows
+
+
+def code_item(code: int) -> ClusterId:
+    return ClusterId(code >> _ITEM_BITS, code & _ORDINAL_MASK)
+
+
+def row_fcis(rows: Iterable[Row]) -> list[FCI]:
+    items: dict[int, ClusterId] = {}
+    fcis = []
+    for r in rows:
+        try:
+            cids = tuple(map(items.__getitem__, r.codes))
+        except KeyError:
+            items.update((k, code_item(k)) for k in r.codes if k not in items)
+            cids = tuple(map(items.__getitem__, r.codes))
+        fcis.append(FCI(cids, Tidset(r.mask)))
+    return fcis
 
 
 # ---------------------------------------------------------------------------

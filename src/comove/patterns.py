@@ -8,12 +8,13 @@ the itemset) and the thresholds.
 
 Itemsets are decoded a chunk at a time as whole arrays.  Every item becomes
 a column index, and column tidsets become rows of ``(n_columns, W)`` uint64
-words.  Consecutive runs are breaks in the item times; a run is guarded when
-the AND of its columns' words (one ``np.bitwise_and.reduceat``) equals the
-itemset's tidset; moving-cluster chains break where the Jaccard similarity of
-two adjacent columns, computed once per distinct pair, falls below theta, and
-their cores are a second ``reduceat``.  Pattern objects are built only for
-what is emitted.
+words.  An itemset whose tidset is not inside the AND of its columns' words
+(one ``np.bitwise_and.reduceat``) is refused before anything is decoded.
+Consecutive runs are breaks in the item times; a run is guarded when the AND
+of its columns' words equals the itemset's tidset; moving-cluster chains
+break where the Jaccard similarity of two adjacent columns, computed once per
+distinct pair, falls below theta, and their cores are another ``reduceat``.
+Pattern objects are built only for what is emitted.
 """
 
 from __future__ import annotations
@@ -134,6 +135,18 @@ def _decode_chunk(fcis: list[FCI], cols: _Columns, ctx: ExtractionContext,
     starts_fci = np.zeros(len(items), dtype=bool)
     starts_fci[offset[:-1]] = True
 
+    # Every object of an itemset must be in all its columns.  A mined one
+    # always is; a hand-edited store row need not be, and would decode into
+    # patterns the data does not hold.
+    words = cols.words[col]
+    fci_words = _words([f.tidset.mask for f in fcis], cols.n_words)
+    shared = np.bitwise_and.reduceat(words, offset[:-1], axis=0)
+    outside = (fci_words & ~shared).any(axis=1)
+    if outside.any():
+        f = fcis[int(outside.argmax())]
+        raise UniverseError(
+            f"itemset {f.items} holds objects that are not in all its columns")
+
     # Swarms: the distinct item times.  Only a hand-made itemset can hold two
     # items at one time.
     repeated = ~starts_fci
@@ -156,8 +169,6 @@ def _decode_chunk(fcis: list[FCI], cols: _Columns, ctx: ExtractionContext,
     run_start = np.flatnonzero(breaks)
     run_len = np.diff(run_start, append=len(items))
     run_owner = owner[run_start]
-    words = cols.words[col]
-    fci_words = _words([f.tidset.mask for f in fcis], cols.n_words)
     guarded = (run_len >= params.min_t) & (
         np.bitwise_and.reduceat(words, run_start, axis=0)
         == fci_words[run_owner]).all(axis=1)

@@ -12,6 +12,8 @@ import csv
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import itemgetter, lt, or_
 from pathlib import Path
 
 from .ingest import TrajectoryDB
@@ -24,9 +26,13 @@ from .model import (
     GroupPattern,
     MovingCluster,
     ParseError,
+    Row,
     Tidset,
     UniverseError,
     canonical_sort,
+    code_item,
+    item_code,
+    row_fcis,
 )
 
 __all__ = [
@@ -40,6 +46,9 @@ __all__ = [
     "write_patterns_csv",
     "write_patterns_geojson",
 ]
+
+
+_codes = itemgetter(1)
 
 
 def _fmt_time(label) -> str:
@@ -169,12 +178,37 @@ def write_cluster_columns(matrix: ClusterMatrix, dest):
 @dataclass(frozen=True)
 class FciStore:
     """A persisted mining result: the itemsets plus everything needed to
-    interpret and extend them later."""
+    interpret and extend them later.
+
+    ``rows`` holds the itemsets as :class:`~comove.model.Row` objects, in
+    the order of ``fcis``; rows made from FCIs carry the text the writer
+    writes for them.  A store made by :meth:`of_rows`, as the reader makes
+    it, builds its ``fcis`` on first use, so a store that is read, merged
+    and written never builds an FCI."""
 
     epsilon: int
     object_labels: tuple[str, ...]
     time_labels: tuple
     fcis: tuple[FCI, ...]
+
+    @classmethod
+    def of_rows(cls, epsilon: int, object_labels: tuple[str, ...],
+                time_labels: tuple, rows: list[Row]) -> "FciStore":
+        store = object.__new__(cls)
+        store.__dict__.update(epsilon=epsilon, object_labels=object_labels,
+                              time_labels=time_labels, rows=rows)
+        return store
+
+    def __getattr__(self, name):
+        # Called only for attributes not set: ``fcis`` of an of_rows store.
+        if name != "fcis" or "rows" not in self.__dict__:
+            raise AttributeError(name)
+        fcis = self.__dict__["fcis"] = tuple(row_fcis(self.rows))
+        return fcis
+
+    @cached_property
+    def rows(self) -> list[Row]:
+        return _fci_store_rows(self.fcis, self.object_labels, self.time_labels)
 
     @property
     def time_span(self) -> int:
@@ -188,13 +222,18 @@ def write_fci_store(store: FciStore, dest):
 
     Object ids must be non-empty, free of ``,``, tab and newline, which the
     format uses as separators, and must not end in whitespace, which the
-    reader strips from the end of the objects line."""
+    reader strips from the end of the objects line.
+
+    A row's member-id and item text is written as the row carries it, and
+    formatted only where it carries none."""
     for label in store.object_labels:
         if (not label or label != label.rstrip()
                 or any(sep in label for sep in ",\t\n\r")):
             raise ParseError(
                 f"object id {label!r} cannot be stored: ids must be non-empty, "
                 "contain no ',', tab or newline, and not end in whitespace")
+    rows = _with_text(sorted(store.rows, key=_codes), store.object_labels,
+                      store.time_labels)
 
     def write(fh):
         tl = [_fmt_time(t) for t in store.time_labels]
@@ -204,22 +243,58 @@ def write_fci_store(store: FciStore, dest):
             fh.write(f"# time_range\t{tl[0]}\t{tl[-1]}\n")
         fh.write(f"# objects\t{','.join(store.object_labels)}\n")
         fh.write(f"# times\t{','.join(tl)}\n")
-        # An item recurs in every itemset that contains it, so each distinct
-        # one is formatted once.
-        item_strs: dict[ClusterId, str] = {}
-        for fci in sorted(store.fcis, key=lambda f: f.items):
-            ids = ",".join([store.object_labels[i] for i in fci.tidset.ids])
-            strs = []
-            for c in fci.items:
-                s = item_strs.get(c)
-                if s is None:
-                    s = item_strs[c] = f"{tl[c.time]}:{c.ordinal}"
-                strs.append(s)
-            fh.write(f"{fci.support}\t{ids}\t{';'.join(strs)}\n")
+        fh.write("".join([f"{mask.bit_count()}\t{ids}\t{items}\n"
+                          for mask, _, ids, items in rows]))
     _write_to(dest, write)
 
 
-def _parse_item(item: str, t_idx: dict[str, int], line_no: int) -> ClusterId:
+def _with_text(rows: list[Row], object_labels: tuple[str, ...],
+               time_labels: tuple) -> list[Row]:
+    """``rows`` with the member-id and item text each lacks formatted in
+    the given label tables, as the store writes it."""
+    tl = [_fmt_time(t) for t in time_labels]
+    # An item recurs in every itemset that contains it, so each distinct
+    # one is formatted once.
+    item_strs: dict[int, str] = {}
+    out = []
+    for row in rows:
+        mask, codes, ids, items = row
+        if ids is None or items is None:
+            if ids is None:
+                ids = ",".join([object_labels[i] for i in Tidset(mask).ids])
+            if items is None:
+                for c in codes:
+                    if c not in item_strs:
+                        t, ordinal = code_item(c)
+                        item_strs[c] = f"{tl[t]}:{ordinal}"
+                items = ";".join(map(item_strs.__getitem__, codes))
+            row = Row(mask, codes, ids, items)
+        out.append(row)
+    return out
+
+
+def _fci_store_rows(fcis: tuple[FCI, ...], object_labels: tuple[str, ...],
+                    time_labels: tuple) -> list[Row]:
+    """FCIs as rows that carry the text the store writes for them.  Each
+    distinct item is coded and formatted once."""
+    tl = [_fmt_time(t) for t in time_labels]
+    known: dict[ClusterId, tuple[int, str]] = {}
+    rows = []
+    for f in fcis:
+        try:
+            codes, texts = zip(*map(known.__getitem__, f.items))
+        except KeyError:
+            for c in f.items:
+                if c not in known:
+                    known[c] = item_code(*c), f"{tl[c.time]}:{c.ordinal}"
+            codes, texts = zip(*map(known.__getitem__, f.items))
+        ids = ",".join([object_labels[i] for i in f.tidset.ids])
+        rows.append(Row(f.tidset.mask, codes, ids, ";".join(texts)))
+    return rows
+
+
+def _parse_item(item: str, t_idx: dict[str, int], line_no: int) -> tuple[int, bool]:
+    """An item's code, and whether the item is written as the writer would."""
     t_str, _, ord_str = item.partition(":")
     if t_str not in t_idx:
         raise ParseError(f"unknown time label {t_str!r}", line=line_no)
@@ -227,12 +302,14 @@ def _parse_item(item: str, t_idx: dict[str, int], line_no: int) -> ClusterId:
         ordinal = int(ord_str)
     except ValueError:
         raise ParseError(f"unparseable item {item!r}", line=line_no) from None
-    if ordinal < 0:
-        raise ParseError(f"ordinal must be >= 0, got {ordinal}", line=line_no)
-    return ClusterId(t_idx[t_str], ordinal)
+    return item_code(t_idx[t_str], ordinal, line_no), ord_str == str(ordinal)
 
 
 def read_fci_store(source) -> FciStore:
+    """Parse a store into rows.  A row keeps its member-id text when the
+    ids are in universe order and its item text when every item is written
+    as ``time:ordinal`` in canonical form, so writing the store back copies
+    that text instead of formatting it."""
     if isinstance(source, (str, Path)):
         with open(source) as fh:
             return read_fci_store(fh)
@@ -279,40 +356,53 @@ def read_fci_store(source) -> FciStore:
         raise ParseError("store times must be strictly increasing")
 
     o_idx = {o: i for i, o in enumerate(labels)}
+    bit = (1).__lshift__
     t_idx = {_fmt_time(t): i for i, t in enumerate(times)}
     # Rows repeat the same few thousand item strings, so each distinct one is
     # parsed once.  Only items that passed validation are cached, so a bad
     # item still fails on its own line.
-    item_cache: dict[str, ClusterId] = {}
-    fcis = []
+    item_codes: dict[str, int] = {}
+    odd_items: set[str] = set()  # cached items not written in canonical form
+    rows = []
     for line_no, parts in body:
         if len(parts) != 3:
             raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}",
                              line=line_no)
+        support_str, ids, items = parts
         try:
-            support = int(parts[0])
+            support = int(support_str)
         except ValueError:
-            raise ParseError(f"unparseable support {parts[0]!r}", line=line_no) from None
-        members = parts[1].split(",")
-        unknown = [m for m in members if m not in o_idx]
-        if unknown:
-            raise ParseError(f"unknown object id {unknown[0]!r}", line=line_no)
-        tid = Tidset.from_ids(o_idx[m] for m in members)
-        if len(tid) != support or len(members) != support:
+            raise ParseError(f"unparseable support {support_str!r}",
+                             line=line_no) from None
+        members = ids.split(",")
+        try:
+            idx = list(map(o_idx.__getitem__, members))
+        except KeyError as e:
+            raise ParseError(f"unknown object id {e.args[0]!r}", line=line_no) from None
+        mask = reduce(or_, map(bit, idx))
+        if not all(map(lt, idx, idx[1:])):
+            ids = None
+        if mask.bit_count() != support or len(members) != support:
             raise ParseError(
                 f"support {support} does not match {len(members)} member ids",
                 line=line_no)
-        items = []
-        for item in parts[2].split(";"):
-            cid = item_cache.get(item)
-            if cid is None:
-                cid = item_cache[item] = _parse_item(item, t_idx, line_no)
-            items.append(cid)
+        tokens = items.split(";")
         try:
-            fcis.append(FCI(tuple(items), tid))
-        except ValueError as e:
-            raise ParseError(str(e), line=line_no) from None
-    return FciStore(epsilon, labels, times, tuple(fcis))
+            codes = tuple(map(item_codes.__getitem__, tokens))
+        except KeyError:
+            for item in tokens:
+                if item not in item_codes:
+                    code, canonical = _parse_item(item, t_idx, line_no)
+                    item_codes[item] = code
+                    if not canonical:
+                        odd_items.add(item)
+            codes = tuple(map(item_codes.__getitem__, tokens))
+        if not all(map(lt, codes, codes[1:])):
+            raise ParseError("FCI items must be strictly ascending", line=line_no)
+        if odd_items and not odd_items.isdisjoint(tokens):
+            items = None
+        rows.append(Row(mask, codes, ids, items))
+    return FciStore.of_rows(epsilon, labels, times, rows)
 
 
 # ---------------------------------------------------------------------------

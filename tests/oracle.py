@@ -2,13 +2,14 @@
 
 The functions here are deliberately naive: they enumerate candidate itemsets
 or object subsets exhaustively, expand clusters point by point, decode
-itemsets item by item or read CSV records one at a time, and apply the
-definitions directly, without sharing any code with the production
-clustering, miner, pattern decoder or CSV parser (the parser oracle reuses
-only ``_parse_timestamp``, the rule for one timestamp field).  They exist so
-the fast paths can be checked against an independent computation on small
-inputs; size guards keep the enumerations from being misused on anything
-big.
+itemsets item by item, read CSV records or store lines one at a time, and
+apply the definitions directly, without sharing any code with the production
+clustering, miner, pattern decoder, CSV parser or store codec (the parser
+oracle reuses only ``_parse_timestamp``, the rule for one timestamp field,
+and the store oracle only ``_fmt_time`` and ``_parse_time_label``, the rules
+for one time label).  They exist so the fast paths can be checked against an
+independent computation on small inputs; size guards keep the enumerations
+from being misused on anything big.
 """
 
 from __future__ import annotations
@@ -40,11 +41,14 @@ from comove.model import (
     canonical_sort,
 )
 from comove.patterns import ExtractionContext
+from comove.store import FciStore, _fmt_time, _parse_time_label
 
 __all__ = [
     "SizeGuardError",
     "brute_dbscan_snapshot",
     "brute_parse_trajectories",
+    "brute_read_fci_store",
+    "brute_write_fci_store",
     "brute_fcis",
     "brute_closed_swarms",
     "brute_convoys",
@@ -388,6 +392,117 @@ def brute_parse_trajectories(source) -> TrajectoryDB:
     for obj, ts, x, y in rows:
         xy[obj_idx[obj], t_idx[ts]] = (x, y)
     return TrajectoryDB(labels, times, xy)
+
+
+# ---------------------------------------------------------------------------
+# Itemset store, one FCI at a time
+# ---------------------------------------------------------------------------
+
+def brute_write_fci_store(store: FciStore, fh) -> None:
+    """The store text written FCI by FCI, each item formatted where it is
+    used.  The reference for ``comove.write_fci_store`` on a text stream."""
+    for label in store.object_labels:
+        if (not label or label != label.rstrip()
+                or any(sep in label for sep in ",\t\n\r")):
+            raise ParseError(
+                f"object id {label!r} cannot be stored: ids must be non-empty, "
+                "contain no ',', tab or newline, and not end in whitespace")
+    tl = [_fmt_time(t) for t in store.time_labels]
+    fh.write(f"# epsilon\t{store.epsilon}\n")
+    fh.write(f"# n_objects\t{len(store.object_labels)}\n")
+    if tl:
+        fh.write(f"# time_range\t{tl[0]}\t{tl[-1]}\n")
+    fh.write(f"# objects\t{','.join(store.object_labels)}\n")
+    fh.write(f"# times\t{','.join(tl)}\n")
+    for fci in sorted(store.fcis, key=lambda f: f.items):
+        ids = ",".join(store.object_labels[i] for i in fci.tidset.ids)
+        items = ";".join(f"{tl[c.time]}:{c.ordinal}" for c in fci.items)
+        fh.write(f"{fci.support}\t{ids}\t{items}\n")
+
+
+def brute_read_fci_store(source) -> FciStore:
+    """A store text read line by line into FCIs, each item parsed where it
+    is used.  The reference for ``comove.read_fci_store``: the same store,
+    or the same error (class, message and line)."""
+    header: dict[str, list[str]] = {}
+    body: list[tuple[int, list[str]]] = []
+    for line_no, line in enumerate(source, start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            parts = line[1:].strip().split("\t")
+            if parts and parts[0] in ("epsilon", "n_objects", "time_range",
+                                      "objects", "times"):
+                header[parts[0]] = parts[1:]
+            continue
+        body.append((line_no, line.split("\t")))
+
+    for key in ("epsilon", "objects", "times"):
+        if key not in header:
+            raise ParseError(f"store header is missing '{key}'")
+    try:
+        epsilon = int(header["epsilon"][0])
+    except (IndexError, ValueError):
+        raise ParseError("store header has an unparseable epsilon") from None
+    if epsilon < 1:
+        raise ParseError(f"store epsilon must be >= 1, got {epsilon}")
+    labels = tuple(o for o in header["objects"][0].split(",") if o) \
+        if header["objects"] and header["objects"][0] else ()
+    times = tuple(_parse_time_label(t) for t in header["times"][0].split(",") if t) \
+        if header["times"] and header["times"][0] else ()
+    if "n_objects" in header:
+        try:
+            declared = int(header["n_objects"][0])
+        except (IndexError, ValueError):
+            raise ParseError("store header has an unparseable n_objects") from None
+        if declared != len(labels):
+            raise ParseError(
+                f"store header declares {declared} objects but lists {len(labels)}")
+    if "time_range" in header and times:
+        if (header["time_range"][0] != _fmt_time(times[0])
+                or header["time_range"][1] != _fmt_time(times[-1])):
+            raise ParseError("store time_range disagrees with the times list")
+    if any(times[i] >= times[i + 1] for i in range(len(times) - 1)):
+        raise ParseError("store times must be strictly increasing")
+
+    o_idx = {o: i for i, o in enumerate(labels)}
+    t_idx = {_fmt_time(t): i for i, t in enumerate(times)}
+    fcis = []
+    for line_no, parts in body:
+        if len(parts) != 3:
+            raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}",
+                             line=line_no)
+        try:
+            support = int(parts[0])
+        except ValueError:
+            raise ParseError(f"unparseable support {parts[0]!r}", line=line_no) from None
+        members = parts[1].split(",")
+        unknown = [m for m in members if m not in o_idx]
+        if unknown:
+            raise ParseError(f"unknown object id {unknown[0]!r}", line=line_no)
+        tid = Tidset.from_ids(o_idx[m] for m in members)
+        if len(tid) != support or len(members) != support:
+            raise ParseError(
+                f"support {support} does not match {len(members)} member ids",
+                line=line_no)
+        items = []
+        for item in parts[2].split(";"):
+            t_str, _, ord_str = item.partition(":")
+            if t_str not in t_idx:
+                raise ParseError(f"unknown time label {t_str!r}", line=line_no)
+            try:
+                ordinal = int(ord_str)
+            except ValueError:
+                raise ParseError(f"unparseable item {item!r}", line=line_no) from None
+            if ordinal < 0:
+                raise ParseError(f"ordinal must be >= 0, got {ordinal}", line=line_no)
+            items.append(ClusterId(t_idx[t_str], ordinal))
+        try:
+            fcis.append(FCI(tuple(items), tid))
+        except ValueError as e:
+            raise ParseError(str(e), line=line_no) from None
+    return FciStore(epsilon, labels, times, tuple(fcis))
 
 
 # ---------------------------------------------------------------------------

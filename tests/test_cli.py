@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -7,8 +8,21 @@ from pathlib import Path
 
 import pytest
 
-from comove import FciStore, write_fci_store
+from comove import (
+    FCI,
+    DbscanParams,
+    FciStore,
+    build_cluster_matrix,
+    combine_fcis,
+    interpolate,
+    mine_fci,
+    parse_trajectories,
+    read_fci_store,
+    shift_times,
+    write_fci_store,
+)
 from comove.cli import main
+from oracle import brute_write_fci_store
 
 
 def _gen(tmp_path, name="traj.csv", **kw):
@@ -201,6 +215,87 @@ def test_append_rejects_overlapping_times(tmp_path):
                  "--store", str(out / "fcis.tsv")]) == 2
 
 
+def _cut_csv(src, dest, lo, hi):
+    """The rows of ``src`` with timestamps in [lo, hi), header kept."""
+    lines = src.read_text().splitlines(keepends=True)
+    dest.write_text(lines[0] + "".join(
+        l for l in lines[1:] if lo <= int(l.split(",")[1]) < hi))
+    return dest
+
+
+APPEND_FLAGS = ["--eps", "2.0", "--minpts", "2"]
+
+
+def test_append_chain_matches_the_fci_merge(tmp_path, capsys):
+    # Each batch of the CLI chain writes what merging FCIs through the
+    # public functions writes, with the same merge counters.
+    full = _gen(tmp_path, "full.csv", objects=14, times=45, groups=3,
+                switch_prob=0.05)
+    assert main(["mine", str(_cut_csv(full, tmp_path / "base.csv", 0, 20)),
+                 str(tmp_path / "b0")] + MINE_FLAGS) == 0
+    store, new_total = tmp_path / "b0" / "fcis.tsv", 0
+    for k in range(5):
+        batch = _cut_csv(full, tmp_path / f"batch{k}.csv", 20 + 5 * k, 25 + 5 * k)
+        out = tmp_path / f"b{k + 1}"
+        capsys.readouterr()
+        assert main(["append", str(batch), str(out), "--store", str(store)]
+                    + APPEND_FLAGS) == 0
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+        prev = read_fci_store(store)
+        db = interpolate(parse_trajectories(batch))
+        matrix = build_cluster_matrix(db.align_to(prev.object_labels),
+                                      DbscanParams(eps=2.0, min_pts=2))
+        counters: dict = {}
+        fcis = combine_fcis(list(prev.fcis),
+                            shift_times(mine_fci(matrix, prev.epsilon),
+                                        len(prev.time_labels)),
+                            prev.epsilon, counters=counters)
+        want = FciStore(prev.epsilon, prev.object_labels,
+                        prev.time_labels + db.time_labels, tuple(fcis))
+        buf, oracle_buf = io.StringIO(), io.StringIO()
+        write_fci_store(want, buf)
+        brute_write_fci_store(want, oracle_buf)
+        got = (out / "fcis.tsv").read_text()
+        assert got == buf.getvalue() == oracle_buf.getvalue()
+        assert {key: summary[key] for key in counters} == counters
+        assert summary["n_existing"] == len(prev.fcis)
+        assert summary["n_combined"] == len(fcis)
+        new_total += counters["new"]
+        store = out / "fcis.tsv"
+    assert new_total > 0
+
+
+def test_append_builds_fcis_for_the_batch_only(tmp_path, monkeypatch):
+    # The stored itemsets are read, merged and written as rows, so the FCIs
+    # one append builds come from mining its batch, whatever the store holds.
+    full = _gen(tmp_path, "full.csv", objects=14, times=45, groups=3,
+                switch_prob=0.05)
+    batch = _cut_csv(full, tmp_path / "batch.csv", 40, 45)
+    built = []
+    post_init = FCI.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    sizes = []
+    for span in (10, 35):
+        base = _cut_csv(full, tmp_path / f"base{span}.csv", 0, span)
+        assert main(["mine", str(base), str(tmp_path / f"m{span}")] + MINE_FLAGS) == 0
+        store = tmp_path / f"m{span}" / "fcis.tsv"
+        sizes.append(len(read_fci_store(store).fcis))
+        with monkeypatch.context() as m:
+            m.setattr(FCI, "__post_init__", counting)
+            built.clear()
+            assert main(["append", str(batch), str(tmp_path / f"a{span}"),
+                         "--store", str(store)] + APPEND_FLAGS) == 0
+            sizes.append(len(built))
+    small_store, small_built, big_store, big_built = sizes
+    assert big_store > 2 * small_store
+    assert small_built == big_built > 0
+
+
 # ---------------------------------------------------------------------------
 # convert patterns
 # ---------------------------------------------------------------------------
@@ -239,6 +334,23 @@ def test_convert_patterns_rejects_foreign_item_alone_in_time(tmp_path, capsys):
                  "--eps", "2.0", "--minpts", "2", "--min-t", "2"]) == 2
     assert "absent from the matrix" in capsys.readouterr().err
     assert not dest.exists()
+
+
+def test_convert_patterns_rejects_itemset_outside_its_columns(tmp_path, capsys):
+    # o01 and o02 sit in the disjoint clusters 3:0 and 3:1, so no itemset
+    # holding both can use those columns
+    traj = _gen(tmp_path)
+    out = tmp_path / "mined"
+    assert main(["mine", str(traj), str(out)] + MINE_FLAGS) == 0
+    store = out / "fcis.tsv"
+    with open(store, "a") as fh:
+        fh.write("2\to01,o02\t3:0;3:1;4:0\n")
+    dest = tmp_path / "converted"
+    capsys.readouterr()
+    assert main(["convert", "patterns", str(store), str(traj), str(dest),
+                 "--eps", "2.0", "--minpts", "2", "--min-t", "1"]) == 2
+    assert "not in all its columns" in capsys.readouterr().err
+    assert not (dest / "patterns.csv").exists()
 
 
 # ---------------------------------------------------------------------------

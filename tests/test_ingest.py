@@ -44,6 +44,22 @@ def test_parse_header_and_blank_lines():
     assert db.time_labels == (1, 2)
 
 
+def test_header_row_does_not_send_integer_stamps_to_the_iso_parser(monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return parse_timestamp(s)
+
+    parse_timestamp = comove.ingest._parse_timestamp
+    monkeypatch.setattr(comove.ingest, "_parse_timestamp", counting)
+    text = "object_id,timestamp,x,y\n" + "".join(
+        f"o{i % 7},{i // 7},{i},0\n" for i in range(700))
+    db = parse_trajectories(io.StringIO(text))
+    assert db.n_objects == 7 and db.n_times == 100
+    assert calls == ["timestamp"]
+
+
 def test_parse_iso_timestamps():
     db = _db("a,2024-01-01T00:00:00Z,0,0\na,2024-01-01T00:00:05,1,0\n")
     assert db.time_labels == (1704067200, 1704067205)

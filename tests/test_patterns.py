@@ -166,6 +166,21 @@ def test_context_rejects_foreign_items():
         extract_patterns([foreign], _ctx(periodic, min_t=1))
 
 
+def test_itemset_with_objects_outside_its_columns_is_refused():
+    # o1 and o3 are clustered apart at t=0, so no itemset holding both can
+    # use (0, 0); decoding it would report a swarm the data does not hold
+    m = make_matrix({(0, 0): [0, 1], (0, 1): [2, 3], (1, 0): [0, 1, 2, 3]})
+    bad = FCI((_cid(0, 0), _cid(1, 0)), _tid(0, 2))
+    for matrix in (m, make_matrix({(0, 0): [0, 1], (0, 1): [2, 3],
+                                   (1, 0): [0, 1, 2, 3]}, kind="periodic")):
+        with pytest.raises(UniverseError, match="not in all its columns"):
+            extract_patterns(mine_fci(matrix, 1) + [bad], _ctx(matrix, min_t=1))
+    # an itemset whose tidset lies inside its columns' AND still decodes
+    inside = FCI((_cid(0, 0), _cid(1, 0)), _tid(0))
+    assert _decode([inside], _ctx(m, epsilon=1, min_t=2), "closed_swarm") == [
+        ClosedSwarm(_tid(0), (0, 1))]
+
+
 # ---------------------------------------------------------------------------
 # extract_patterns composition
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from comove import (
     write_patterns_geojson,
     write_trajectories,
 )
-from oracle import gen_random_matrix
+from oracle import brute_read_fci_store, brute_write_fci_store, gen_random_matrix
 from conftest import expanding_trio_matrix, make_matrix, three_column_matrix
 
 
@@ -169,18 +169,20 @@ def test_fci_store_float_times_and_empty():
 
 
 @st.composite
-def _stores(draw):
+def _stores(draw, min_size=0):
     labels = draw(st.lists(
         st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4)
         .filter(lambda o: o == o.rstrip() and not any(c in o for c in ",\t\n\r")),
-        max_size=6, unique=True))
+        min_size=min_size, max_size=6, unique=True))
     times = tuple(sorted(draw(st.one_of(
-        st.sets(st.integers(-10**6, 10**6), max_size=6),
-        st.sets(st.floats(-1e6, 1e6, allow_nan=False), max_size=6)))))
+        st.sets(st.integers(-10**6, 10**6), min_size=min_size, max_size=6),
+        st.sets(st.floats(-1e6, 1e6, allow_nan=False), min_size=min_size,
+                max_size=6)))))
     fcis = {}
     if labels and times:
         cids = st.builds(ClusterId, st.integers(0, len(times) - 1), st.integers(0, 3))
-        for items in draw(st.lists(st.sets(cids, min_size=1), max_size=8)):
+        for items in draw(st.lists(st.sets(cids, min_size=1), min_size=min_size,
+                                   max_size=8)):
             ids = draw(st.sets(st.integers(0, len(labels) - 1), min_size=1))
             fcis[tuple(sorted(items))] = Tidset.from_ids(ids)
     return FciStore(draw(st.integers(1, 9)), tuple(labels), times,
@@ -198,6 +200,123 @@ def test_fci_store_round_trip_and_rewrite_property(store):
     second = io.StringIO()
     write_fci_store(again, second)
     assert second.getvalue() == first.getvalue()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as e:
+        return None, (type(e), str(e), getattr(e, "line", None))
+
+
+def _mutate_line(draw, line: str, labels: list[str]) -> str:
+    """One store row made odd: a spelling the reader accepts but the writer
+    never writes, or a fault the reader must refuse."""
+    fields = line.split("\t")
+    if len(fields) != 3:
+        return line
+    support, ids, items = fields
+    members, tokens = ids.split(","), items.split(";")
+    kind = draw(st.sampled_from([
+        "ordinal", "ordinal", "member_added", "member_added", "member_added",
+        "members_reversed", "member_repeated", "same_time", "items_swapped",
+        "unknown_member", "unknown_time", "fields"]))
+    k = draw(st.integers(0, len(tokens) - 1))
+    t, _, o = tokens[k].partition(":")
+    extra = [label for label in labels if label not in members]
+    if kind == "member_added" and extra:
+        members.insert(draw(st.integers(0, len(members) - 1)),
+                       draw(st.sampled_from(extra)))
+        support = str(len(members))
+    elif kind == "ordinal":
+        spelling = draw(st.sampled_from(["0{}", "+{}", " {}", "{} ", "{}_0",
+                                         "{}\r", "-{}", "x{}", "{}.0"]))
+        tokens[k] = f"{t}:{spelling.format(o)}"
+    elif kind == "members_reversed":
+        members.reverse()
+    elif kind == "member_repeated":
+        members.append(members[0])
+        if draw(st.booleans()):
+            support = str(len(members))
+    elif kind == "same_time":
+        tokens.insert(k + draw(st.integers(0, 1)), f"{t}:{o}1")
+    elif kind == "items_swapped" and len(tokens) > 1:
+        tokens[k], tokens[k - 1] = tokens[k - 1], tokens[k]
+    elif kind == "unknown_member":
+        members[draw(st.integers(0, len(members) - 1))] = "\u2603?"
+    elif kind == "unknown_time":
+        tokens[k] = f"{t}9.5:{o}"
+    elif kind == "fields":
+        return draw(st.sampled_from([f"{support}\t{ids}",
+                                     f"{support}\t{ids}\t{items}\t",
+                                     f"\t{ids}\t{items}"]))
+    return f"{support}\t{','.join(members)}\t{';'.join(tokens)}"
+
+
+@st.composite
+def _store_texts(draw):
+    """The text of a random store, then row mutations, inserted blank and
+    comment lines, dropped lines and CRLF line ends."""
+    buf = io.StringIO()
+    brute_write_fci_store(draw(_stores(min_size=1)), buf)
+    lines = buf.getvalue().split("\n")[:-1]
+    labels = next(ln for ln in lines if ln.startswith("# objects\t"))[10:].split(",")
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["insert", "drop"]))
+        rows = [i for i, ln in enumerate(lines) if ln.strip() and ln[0] != "#"]
+        if kind == "insert":
+            lines.insert(draw(st.integers(0, len(lines))),
+                         draw(st.sampled_from(["", "   ", "# note", "#", "\t"])))
+        elif kind == "drop" and lines:
+            del lines[draw(st.integers(0, len(lines) - 1))]
+        elif kind == "row" and rows:
+            i = draw(st.sampled_from(rows))
+            lines[i] = _mutate_line(draw, lines[i], labels)
+    return (draw(st.sampled_from(["\n", "\r\n"]))).join(lines + [""])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_store_texts())
+def test_fci_store_codec_matches_line_by_line_oracle(text):
+    got, error = _outcome(read_fci_store, io.StringIO(text))
+    want, want_error = _outcome(brute_read_fci_store, io.StringIO(text))
+    assert error == want_error
+    assert got == want
+    if got is not None:
+        written, write_error = _outcome(_written, write_fci_store, got)
+        assert (written, write_error) == _outcome(_written, brute_write_fci_store, want)
+
+
+def _written(write, store) -> str:
+    buf = io.StringIO()
+    write(store, buf)
+    return buf.getvalue()
+
+
+def test_fci_store_rows_carry_only_the_text_the_writer_writes():
+    text = (_HEADER + "2\ta,b\t0:0;1:2\n2\tb,a\t0:1\n1\tb\t0:02\n"
+            "1\ta\t0:3;1:+4\n")
+    rows = read_fci_store(io.StringIO(text)).rows
+    assert [(r.ids_text, r.items_text) for r in rows] == [
+        ("a,b", "0:0;1:2"), (None, "0:1"), ("b", None), ("a", None)]
+    buf = io.StringIO()
+    write_fci_store(read_fci_store(io.StringIO(text)), buf)
+    assert buf.getvalue().endswith(
+        "2\ta,b\t0:0;1:2\n2\ta,b\t0:1\n1\tb\t0:2\n1\ta\t0:3;1:4\n")
+
+
+def test_fci_store_ordinals_must_fit_the_item_code():
+    # items are packed as time << 64 | ordinal, so 2**64 and up are refused
+    # by the reader and by every FCI-to-row conversion
+    top = 2**64 - 1
+    got = read_fci_store(io.StringIO(_HEADER + f"1\ta\t0:{top}\n"))
+    assert got.fcis[0].items == (ClusterId(0, top),)
+    with pytest.raises(ParseError, match=r"ordinal must be < 2\*\*64") as info:
+        read_fci_store(io.StringIO(_HEADER + f"1\ta\t0:0\n1\ta\t0:{top + 1}\n"))
+    assert info.value.line == 5
+    big = FciStore(1, ("a",), (0,), (FCI((ClusterId(0, top + 1),), Tidset(1)),))
+    with pytest.raises(ParseError, match=r"ordinal must be < 2\*\*64"):
+        write_fci_store(big, io.StringIO())
 
 
 def test_fci_store_time_span():

@@ -19,9 +19,10 @@ incoming itemset stops once its whole tidset has been matched, since any
 later pairing is covered by an earlier, more specific itemset.
 
 The loop runs on :class:`~comove.model.Row` itemsets, ints and tuples of
-ints, rather than FCI and ClusterId objects.  FCIs given to ``combine_fcis``
-are converted on the way in and out; the rows of an itemset store go
-through as they are, so an append never builds an FCI for a stored itemset.
+ints, rather than FCI and ClusterId objects.  Rows, as the miner and an
+itemset store give them, go through as they are, so the block merges and
+an append build no FCI; FCIs given to ``combine_fcis`` are converted on the
+way in and out.
 """
 
 from __future__ import annotations

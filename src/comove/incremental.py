@@ -14,13 +14,16 @@ so that containment chains sit next to each other, chains become nested
 blocks, and whatever is left goes into one sparse block.  Every block, nested
 or not, is mined by :func:`~comove.miner.mine_columns`, the miner behind
 :func:`~comove.miner.mine_fci`.
+
+Blocks are mined and merged as :class:`~comove.model.Row` itemsets; the
+FCIs are built once, from the merged rows, when the result is returned.
 """
 
 from __future__ import annotations
 
 from .combine import combine_fcis
 from .miner import mine_columns
-from .model import FCI, ClusterMatrix, Column, ParameterError, fci_rows, row_fcis
+from .model import FCI, ClusterMatrix, Column, ParameterError, row_fcis
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -51,10 +54,8 @@ def split_blocks(matrix: ClusterMatrix,
 def _mine_blocks(parent: ClusterMatrix, blocks: list[tuple[Column, ...]],
                  epsilon: int) -> list[FCI]:
     """Mine every block on its own, then merge the local results pairwise
-    until one is left.  The merges run on rows, converted from FCIs once
-    per block and back once at the end."""
-    results = [fci_rows(mine_columns(cols, parent.n_objects, epsilon))
-               for cols in blocks]
+    until one is left."""
+    results = [mine_columns(cols, parent.n_objects, epsilon) for cols in blocks]
     while len(results) > 1:
         merged = [combine_fcis(results[i], results[i + 1], epsilon)
                   for i in range(0, len(results) - 1, 2)]

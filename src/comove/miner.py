@@ -9,6 +9,10 @@ duplicate table.  A node's closure columns contain every deeper tidset, so
 they leave the list of columns its subtree scans: a nested chain of n columns
 costs O(n^2) column tests, and one miner serves every block shape.
 
+:func:`mine_columns` emits :class:`~comove.model.Row` itemsets, which the
+block merges take as they are; :func:`mine_fci` builds the FCIs it returns
+from them.
+
 The "at most one column per time unit" rule never needs explicit handling:
 every matrix kind keeps same-unit columns disjoint, so two same-unit columns
 share no object, and their intersection is empty and falls under any support
@@ -17,9 +21,10 @@ threshold >= 1.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
-from .model import FCI, ClusterMatrix, Column, ParameterError, Tidset
+from .model import FCI, ClusterMatrix, Column, ParameterError, Row, item_code, row_fcis
 
 __all__ = ["mine_fci"]
 
@@ -35,13 +40,13 @@ def mine_fci(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:
     Every returned itemset uses at most one column per time unit, has support
     >= epsilon, and admits no strict valid superset with the same tidset.
     """
-    return mine_columns(matrix.columns, matrix.n_objects, epsilon)
+    return row_fcis(mine_columns(matrix.columns, matrix.n_objects, epsilon))
 
 
 def mine_columns(columns: Sequence[Column], n_objects: int,
-                 epsilon: int) -> list[FCI]:
-    """``mine_fci`` on the matrix that ``columns`` of a valid matrix over
-    ``n_objects`` objects form, without building and re-checking it."""
+                 epsilon: int) -> list[Row]:
+    """``mine_fci`` as rows, on the matrix that ``columns`` of a valid matrix
+    over ``n_objects`` objects form, without building and re-checking it."""
     _check_epsilon(epsilon)
     if not columns:
         return []
@@ -53,8 +58,8 @@ def mine_columns(columns: Sequence[Column], n_objects: int,
 # ---------------------------------------------------------------------------
 
 def _mine_ppc(columns: Sequence[Column], n_objects: int,
-              epsilon: int) -> list[FCI]:
-    cids = [c.cid for c in columns]
+              epsilon: int) -> list[Row]:
+    codes = [item_code(*c.cid) for c in columns]
     full = (1 << n_objects) - 1
     # Columns with identical tidsets always enter a closure together (the
     # closure is "every column containing the tidset"), so the walk runs over
@@ -107,8 +112,7 @@ def _mine_ppc(columns: Sequence[Column], n_objects: int,
             stack.extend((j2, items, new_tid, new_live)
                          for j2 in reversed(new_live) if j2 > j)
 
-    fcis = [FCI(tuple(sorted(cids[j] for k in items for j in groups[k])),
-                Tidset(tid))
+    rows = [Row(tid, tuple(sorted([codes[j] for k in items for j in groups[k]])))
             for items, tid in results]
-    fcis.sort(key=lambda f: f.items)
-    return fcis
+    rows.sort(key=itemgetter(1))
+    return rows

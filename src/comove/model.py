@@ -7,16 +7,19 @@ the types defined here:
 * a :class:`Tidset` is an immutable set of object indices backed by a bitmask,
 * a :class:`ClusterMatrix` is the 0-1 object/cluster membership matrix with
   columns grouped by time unit,
-* an :class:`FCI` is a frequent closed itemset over matrix columns, and a
-  :class:`Row` the same itemset packed into ints (plus its store text) for
-  the itemset store and the merge,
+* a :class:`Row` is a frequent closed itemset over matrix columns packed
+  into ints (plus its store text); rows are what the miner emits, the
+  merge combines and the itemset store reads and writes,
+* an :class:`FCI` is the same itemset as ClusterId and Tidset objects,
+  built by :func:`row_fcis` only where a public function returns it;
+  :func:`fci_rows` is the one conversion back,
 * pattern dataclasses carry the decoded co-movement patterns.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 __all__ = [
@@ -121,12 +124,10 @@ class Tidset:
         if cached is None:
             m = self.mask
             out = []
-            i = 0
             while m:
                 low = m & -m
                 out.append(low.bit_length() - 1)
                 m ^= low
-                i += 1
             cached = tuple(out)
             object.__setattr__(self, "_ids", cached)
         return cached

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -31,6 +32,7 @@ from .model import (
     UniverseError,
     canonical_sort,
     code_item,
+    fci_rows,
     item_code,
     row_fcis,
 )
@@ -73,14 +75,19 @@ def _write_to(dest, write) -> None:
         raise
 
 
-def _parse_time_label(s: str):
+def _parse_time_label(s: str, line: int | None = None):
+    """An int or finite float time label; anything else raises ParseError,
+    reported at ``line`` when given."""
     try:
         return int(s)
     except ValueError:
         try:
-            return float(s)
+            label = float(s)
         except ValueError:
-            raise ParseError(f"unparseable time label {s!r}") from None
+            raise ParseError(f"unparseable time label {s!r}", line=line) from None
+    if not math.isfinite(label):
+        raise ParseError(f"time label {s!r} is not finite", line=line)
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +132,12 @@ def read_cluster_columns(source) -> ClusterMatrix:
         if len(parts) != 3:
             raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}",
                              line=line_no)
-        tlabel = _parse_time_label(parts[0].strip())
+        tlabel = _parse_time_label(parts[0].strip(), line_no)
         try:
             ordinal = int(parts[1])
         except ValueError:
             raise ParseError(f"unparseable ordinal {parts[1]!r}", line=line_no) from None
-        if ordinal < 0:
-            raise ParseError(f"ordinal must be >= 0, got {ordinal}", line=line_no)
+        item_code(0, ordinal, line_no)  # the ordinal must fit an item code
         members = tuple(m.strip() for m in parts[2].split(","))
         if not members or any(not m for m in members):
             raise ParseError("empty member id", line=line_no)
@@ -208,7 +214,8 @@ class FciStore:
 
     @cached_property
     def rows(self) -> list[Row]:
-        return _fci_store_rows(self.fcis, self.object_labels, self.time_labels)
+        return _with_text(fci_rows(self.fcis), self.object_labels,
+                          self.time_labels)
 
     @property
     def time_span(self) -> int:
@@ -263,34 +270,17 @@ def _with_text(rows: list[Row], object_labels: tuple[str, ...],
             if ids is None:
                 ids = ",".join([object_labels[i] for i in Tidset(mask).ids])
             if items is None:
-                for c in codes:
-                    if c not in item_strs:
-                        t, ordinal = code_item(c)
-                        item_strs[c] = f"{tl[t]}:{ordinal}"
-                items = ";".join(map(item_strs.__getitem__, codes))
+                try:
+                    items = ";".join(map(item_strs.__getitem__, codes))
+                except KeyError:
+                    for c in codes:
+                        if c not in item_strs:
+                            t, ordinal = code_item(c)
+                            item_strs[c] = f"{tl[t]}:{ordinal}"
+                    items = ";".join(map(item_strs.__getitem__, codes))
             row = Row(mask, codes, ids, items)
         out.append(row)
     return out
-
-
-def _fci_store_rows(fcis: tuple[FCI, ...], object_labels: tuple[str, ...],
-                    time_labels: tuple) -> list[Row]:
-    """FCIs as rows that carry the text the store writes for them.  Each
-    distinct item is coded and formatted once."""
-    tl = [_fmt_time(t) for t in time_labels]
-    known: dict[ClusterId, tuple[int, str]] = {}
-    rows = []
-    for f in fcis:
-        try:
-            codes, texts = zip(*map(known.__getitem__, f.items))
-        except KeyError:
-            for c in f.items:
-                if c not in known:
-                    known[c] = item_code(*c), f"{tl[c.time]}:{c.ordinal}"
-            codes, texts = zip(*map(known.__getitem__, f.items))
-        ids = ",".join([object_labels[i] for i in f.tidset.ids])
-        rows.append(Row(f.tidset.mask, codes, ids, ";".join(texts)))
-    return rows
 
 
 def _parse_item(item: str, t_idx: dict[str, int], line_no: int) -> tuple[int, bool]:

@@ -389,6 +389,19 @@ def test_data_errors_exit_2(tmp_path):
     assert main(["mine", str(bad), str(tmp_path / "o"), "--epsilon", "0"]) == 2
 
 
+@pytest.mark.parametrize("bad_line, message", [
+    ("nan\t0\ta,b", "time label 'nan' is not finite"),
+    ("1\t18446744073709551616\ta,b", "ordinal must be < 2**64"),
+], ids=["nan-time", "ordinal-too-big"])
+def test_mine_pre_clustered_rejects_a_bad_line(tmp_path, capsys, bad_line, message):
+    cols = tmp_path / "cols.tsv"
+    cols.write_text(f"0\t0\ta,b\n{bad_line}\nnan\t1\tc,d\ninf\t0\ta,b\n")
+    out = tmp_path / "o"
+    assert main(["mine", "--pre-clustered", str(cols), str(out), "--epsilon", "2"]) == 2
+    assert f"line 2: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["mine", "{missing}", "{out}"],
     ["mine", "{missing}", "{out}", "--pre-clustered"],

@@ -187,6 +187,33 @@ def test_parameter_free_matches_monolithic():
             assert mine_parameter_free(m, eps) == mine_fci(m, eps)
 
 
+def test_block_modes_build_each_fci_once(monkeypatch):
+    # blocks are mined and merged as rows, so the only FCIs built are the
+    # ones returned
+    built = []
+    post_init = FCI.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(FCI, "__post_init__", counting)
+    runs = [lambda m, eps: mine_incremental(m, eps, 1),
+            lambda m, eps: mine_incremental(m, eps, 7),
+            mine_incremental, mine_parameter_free]
+    rng = np.random.default_rng(36)
+    total = 0
+    for _ in range(40):
+        m = gen_random_matrix(rng, max_times=40)
+        for eps in (1, 2):
+            for run in runs:
+                built.clear()
+                got = run(m, eps)
+                assert len(built) == len(got)
+                total += len(got)
+    assert total > 0
+
+
 def test_parameter_free_on_nested_chains():
     rng = np.random.default_rng(35)
     for _ in range(40):

@@ -120,6 +120,9 @@ def test_cluster_columns_format_and_comments():
     "# only a comment\n",
     "0\t0\n",                  # missing members field
     "x\t0\ta\n",               # bad time label
+    "nan\t0\ta\n",             # non-finite time labels
+    "inf\t0\ta\n",
+    "-inf\t0\ta\n",
     "0\tx\ta\n",               # bad ordinal
     "0\t-1\ta\n",              # negative ordinal
     "0\t0\ta,,b\n",            # empty member
@@ -334,6 +337,9 @@ _HEADER = "# epsilon\t1\n# objects\ta,b\n# times\t0,1\n"
     "# epsilon\t1\n# n_objects\t9\n# objects\ta\n# times\t0\n",
     "# epsilon\t1\n# time_range\t0\t9\n# objects\ta\n# times\t0,1\n",
     "# epsilon\t1\n# objects\ta\n# times\t1,0\n",
+    "# epsilon\t1\n# objects\ta\n# times\t0,nan\n",   # non-finite times
+    "# epsilon\t1\n# objects\ta\n# times\t0,inf\n",
+    "# epsilon\t1\n# objects\ta\n# times\t-inf,0\n",
     _HEADER + "1\ta\n",                  # wrong field count
     _HEADER + "x\ta\t0:0\n",             # bad support
     _HEADER + "2\ta\t0:0\n",             # support does not match members

@@ -13,6 +13,7 @@ with a single JSON summary line on stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -337,10 +338,8 @@ def main(argv=None) -> int:
                 return _cmd_convert_columns(args)
             return _cmd_convert_patterns(args)
         raise AssertionError(f"unhandled command {args.command}")
-    except CoMoveError as e:
-        print(f"comove: error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (CoMoveError, OSError, UnicodeDecodeError, csv.Error) as e:
+        # An input that cannot be read as text or as CSV is a data error.
         print(f"comove: error: {e}", file=sys.stderr)
         return 2
 

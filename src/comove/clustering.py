@@ -16,6 +16,7 @@ with whole-array steps per snapshot instead of a per-point walk.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -52,11 +53,29 @@ class DbscanParams:
             raise ParameterError(f"min_pts must be an int >= 2, got {self.min_pts!r}")
 
 
+class _Scratch:
+    """Two float buffers that one thread reuses for the n x n differences of
+    every snapshot it clusters, so that a snapshot does not page in fresh
+    arrays; they grow to the largest snapshot seen."""
+
+    def __init__(self):
+        self.dx = self.dy = np.empty(0)
+
+    def pair(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        if self.dx.size < n * n:
+            self.dx, self.dy = np.empty(n * n), np.empty(n * n)
+        return self.dx[:n * n].reshape(n, n), self.dy[:n * n].reshape(n, n)
+
+
 def dbscan_snapshot(ids, points: np.ndarray, params: DbscanParams) -> list[Tidset]:
     """Cluster one timestamp's positions; returns member tidsets ordered by
     smallest member id.  ``ids`` are the object indices (parallel to the rows
     of ``points``); points too sparse to join any cluster yield nothing.
     """
+    return _dbscan(ids, points, params, _Scratch())
+
+
+def _dbscan(ids, points, params: DbscanParams, scratch: _Scratch) -> list[Tidset]:
     ids = np.asarray(ids)
     points = np.asarray(points, dtype=float)
     n = len(ids)
@@ -68,13 +87,13 @@ def dbscan_snapshot(ids, points: np.ndarray, params: DbscanParams) -> list[Tidse
 
     # Squared distances as dx*dx + dy*dy: the same float operations, in the
     # same order, as summing the squared difference vector over its two axes.
-    dx = points[:, 0, None] - points[None, :, 0]
-    dy = points[:, 1, None] - points[None, :, 1]
+    dx, dy = scratch.pair(n)
+    np.subtract(points[:, 0, None], points[None, :, 0], out=dx)
+    np.subtract(points[:, 1, None], points[None, :, 1], out=dy)
     dx *= dx
     dy *= dy
     dx += dy
     within = dx <= params.eps * params.eps
-    del dx, dy
     core = np.count_nonzero(within, axis=1) >= params.min_pts
     cores = np.nonzero(core)[0]
     m = len(cores)
@@ -142,12 +161,15 @@ def build_cluster_matrix(db: TrajectoryDB, params: DbscanParams, *,
     if not isinstance(threads, int) or threads < 1:
         raise ParameterError(f"threads must be an int >= 1, got {threads!r}")
     present = db.present
+    local = threading.local()  # one _Scratch per worker thread
 
     def snapshot(t: int) -> list[Tidset]:
         idx = np.nonzero(present[:, t])[0]
         if len(idx) == 0:
             return []
-        return dbscan_snapshot(idx, db.xy[idx, t], params)
+        if not hasattr(local, "scratch"):
+            local.scratch = _Scratch()
+        return _dbscan(idx, db.xy[idx, t], params, local.scratch)
 
     if threads > 1 and db.n_times > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:

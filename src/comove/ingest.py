@@ -5,13 +5,17 @@ with NaN marking missing observations.  Object labels are kept sorted and
 timestamps strictly increasing, so equal inputs produce identical databases
 regardless of row order.
 
-``parse_trajectories`` pulls ``csv`` records in bounded chunks and checks and
-converts each chunk by column: ids and times become codes through dicts,
-timestamps go through ``int`` (ISO-8601 strings through
-``_parse_timestamp``), coordinates through ``float`` into numpy arrays, and
-field counts, empty ids, finiteness and duplicate (object, time) keys are
-checked over whole columns.  Observations land in a dense grid indexed by
-those codes, reordered to sorted labels once at the end.
+``parse_trajectories`` reads lines in bounded chunks.  A chunk of plain lines
+(no quotes, carriage returns or NULs, three commas per line) is split into
+field columns with a few whole-string operations; any other chunk, and all
+input after a '"', goes through ``csv.reader``, whose records get their
+field counts checked.  Each chunk is then checked and converted by column:
+ids and times become codes through dicts, timestamps go through ``int``
+(ISO-8601 strings through ``_parse_timestamp``), coordinates through
+``float`` into numpy arrays, and empty ids, finiteness and duplicate
+(object, time) keys are checked over whole columns.  Observations land in a
+dense grid indexed by those codes, reordered to sorted labels once at the
+end.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -106,7 +110,7 @@ def _parse_timestamp(s: str):
     return int(epoch) if epoch == int(epoch) else epoch
 
 
-# Records converted per step: bounds the Python objects a parse holds at once.
+# Lines tokenized per step: bounds the Python objects a parse holds at once.
 _CHUNK_ROWS = 4096
 _line_num = attrgetter("line_num")
 
@@ -114,23 +118,98 @@ _line_num = attrgetter("line_num")
 def parse_trajectories(source) -> TrajectoryDB:
     """Read object_id,timestamp,x,y rows into a trajectory database.
 
-    ``source`` may be a path or an open text stream.  An optional header row
-    is recognized by its second field being neither an integer nor an
-    ISO-8601 timestamp.  Duplicate (object, timestamp) observations and
-    non-finite coordinates are rejected with the offending line number.
+    ``source`` may be a path or an open text stream (any iterable of lines
+    works).  An optional header row is recognized by its second field being
+    neither an integer nor an ISO-8601 timestamp.  Duplicate (object,
+    timestamp) observations and non-finite coordinates are rejected with the
+    offending line number.
 
-    Records are read in chunks and each chunk is converted column by column;
+    Lines are read in chunks and each chunk is converted column by column;
     the first invalid record of the input is the one reported.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
             return parse_trajectories(fh)
 
-    reader = csv.reader(source)  # any iterable of lines works
-    # Each record paired with the line it ends on.
-    numbered = zip(reader, map(_line_num, repeat(reader)))
     grid = _Grid()
     header_pending = True
+    for fields, lines, error in _tokenize(iter(source)):
+        rows, error, header_pending = _check_chunk(fields, lines, error,
+                                                   header_pending)
+        grid.add(*rows, error)
+    return grid.build()
+
+
+def _tokenize(lines_in):
+    """Yield the input chunk by chunk as ``(fields, lines, error)``: the four
+    field columns of the records up to the first one of another width that
+    is not blank, the line each of them ends on, and that record's
+    ParseError (None when there is none).  A read error is raised after the
+    chunk of the records read before it.
+
+    A chunk of ``_CHUNK_ROWS`` lines is split as one string when its lines
+    are plain (see ``_split_plain``) and goes through ``csv.reader``
+    otherwise.  Once a chunk holds a '"', the rest of the input goes through
+    one ``csv.reader``, because a quoted field can span lines."""
+    limit = csv.field_size_limit()
+    read = 0  # lines pulled so far
+    while True:
+        lines: list[str] = []
+        failure = None
+        try:
+            lines.extend(islice(lines_in, _CHUNK_ROWS))
+        except UnicodeDecodeError as e:
+            failure = e  # raised once the lines read before it are checked
+        text = "".join(lines)
+        if '"' in text:
+            rest = lines_in if failure is None else _raise(failure)
+            yield from _csv_chunks(chain(lines, rest), read)
+            return
+        last = len(lines) < _CHUNK_ROWS  # a short chunk ends the input
+        if lines:
+            fields = _split_plain(text, lines, last, limit)
+            if fields is None:
+                yield from _csv_chunks(lines, read)
+            else:
+                yield fields, list(range(read + 1, read + len(lines) + 1)), None
+            read += len(lines)
+        if failure is not None:
+            raise failure
+        if last:
+            return
+
+
+def _raise(error: Exception):
+    raise error
+    yield  # a generator: raises when the first line is pulled
+
+
+def _split_plain(text: str, lines: list[str], last: bool, limit: int):
+    """The four field columns of ``lines``, which join to ``text`` (free of
+    '"'), split as ``csv.reader`` splits them; None unless every line is
+    plain: it holds no carriage return or NUL, exactly three commas and one
+    line end, at its end (the final line may lack it when the chunk is the
+    ``last`` of the input), and it is no longer than the csv field limit
+    ``limit``."""
+    if not text.endswith("\n"):
+        if not last:
+            return None
+        text += "\n"
+    if ("\r" in text or "\0" in text or text.count("\n") != len(lines)
+            or not all(map(str.endswith, lines[:-1], repeat("\n")))
+            or set(map(str.count, lines, repeat(","))) != {3}
+            or (len(text) > limit and max(map(len, lines)) > limit)):
+        return None
+    fields = text.replace("\n", ",").split(",")
+    return fields[0:-1:4], fields[1::4], fields[2::4], fields[3::4]
+
+
+def _csv_chunks(lines_in, read: int):
+    """``_tokenize``'s chunks of ``csv.reader`` records of ``lines_in``,
+    which follows the input's first ``read`` lines."""
+    reader = csv.reader(lines_in)
+    # Each record paired with the line it ends on.
+    numbered = zip(reader, map(read.__add__, map(_line_num, repeat(reader))))
     while True:
         chunk: list = []
         failure = None
@@ -140,12 +219,30 @@ def parse_trajectories(source) -> TrajectoryDB:
             failure = e  # raised once the records read before it are checked
         if chunk:
             records, lines = zip(*chunk)
-            rows, error, header_pending = _check_chunk(records, list(lines), header_pending)
-            grid.add(*rows, error)
+            yield _csv_columns(records, list(lines))
         if failure is not None:
             raise failure
         if len(chunk) < _CHUNK_ROWS:
-            return grid.build()
+            return
+
+
+def _csv_columns(records: tuple[list[str], ...], lines: list[int]):
+    """``_tokenize``'s ``(fields, lines, error)`` for csv records, each
+    ending on the line ``lines`` gives.  Blank records of another width than
+    four are skipped."""
+    error = None
+    lens = list(map(len, records))
+    if lens.count(4) != len(lens):
+        keep = []
+        for i, k in enumerate(lens):
+            if k == 4:
+                keep.append(i)
+            elif any(f.strip() for f in records[i]):
+                error = ParseError(f"expected 4 fields, got {k}", line=lines[i])
+                break
+        records = [records[i] for i in keep]
+        lines = [lines[i] for i in keep]
+    return list(zip(*records)), lines, error
 
 
 def _first_bad_coordinates(xs: list[str], ys: list[str]) -> int:
@@ -164,9 +261,11 @@ def _floats(strings: list[str]) -> np.ndarray:
 _NO_ROWS = ((), (), (), np.empty(0), np.empty(0), ())
 
 
-def _check_chunk(records: tuple[list[str], ...], lines: list[int], header_pending: bool):
-    """Validate one chunk of records, each ending on the line ``lines``
-    gives, column by column.
+def _check_chunk(fields, lines: list[int], error: ParseError | None,
+                 header_pending: bool):
+    """Validate one chunk of records given as its four field columns, each
+    record ending on the line ``lines`` gives, column by column.  ``error``
+    is the chunk's ParseError for a record after these.
 
     Returns ``((ids, stamps, times, x, y, lines), error, header_pending)``
     for the non-blank data rows before the chunk's first invalid record,
@@ -175,27 +274,14 @@ def _check_chunk(records: tuple[list[str], ...], lines: list[int], header_pendin
     the checks apply to one record, so ``error`` is the one a row-by-row
     reader would raise first.
     """
-    error = None
-
     def cut(i: int, err: ParseError) -> None:
         nonlocal error, columns
         error = err
         columns = [c[:i] for c in columns]
 
-    lens = list(map(len, records))
-    if lens.count(4) != len(lens):
-        keep = []
-        for i, k in enumerate(lens):
-            if k == 4:
-                keep.append(i)
-            elif any(f.strip() for f in records[i]):
-                error = ParseError(f"expected 4 fields, got {k}", line=lines[i])
-                break
-        records = [records[i] for i in keep]
-        lines = [lines[i] for i in keep]
-    if not records:
+    if not lines:
         return _NO_ROWS, error, header_pending
-    columns = [list(map(str.strip, c)) for c in zip(*records)] + [lines]
+    columns = [list(map(str.strip, c)) for c in fields] + [lines]
     if "" in columns[0]:  # four-field rows of blanks are skipped like blank lines
         rows = [i for i, r in enumerate(zip(*columns[:4])) if any(r)]
         columns = [[c[i] for i in rows] for c in columns]

@@ -214,8 +214,12 @@ class FciStore:
 
     @cached_property
     def rows(self) -> list[Row]:
-        return _with_text(fci_rows(self.fcis), self.object_labels,
-                          self.time_labels)
+        # Member ids come from each FCI's own tidset, whose index tuple is
+        # cached once patterns have been decoded from it.
+        labels = self.object_labels
+        rows = [Row(mask, codes, ",".join([labels[i] for i in f.tidset.ids]))
+                for (mask, codes, _, _), f in zip(fci_rows(self.fcis), self.fcis)]
+        return _with_text(rows, labels, self.time_labels)
 
     @property
     def time_span(self) -> int:

@@ -389,6 +389,34 @@ def test_data_errors_exit_2(tmp_path):
     assert main(["mine", str(bad), str(tmp_path / "o"), "--epsilon", "0"]) == 2
 
 
+@pytest.mark.parametrize("case, message", [
+    ("undecodable-csv", "can't decode byte 0xff"),
+    ("undecodable-store", "can't decode byte 0xff"),
+    ("over-long-field", "field larger than field limit"),
+], ids=["undecodable-csv", "undecodable-store", "over-long-field"])
+def test_unreadable_input_exits_2(tmp_path, capsys, case, message):
+    traj = _gen(tmp_path)
+    out = tmp_path / "o"
+    argv = ["mine", str(traj), str(out), "--eps", "2.0", "--minpts", "2"]
+    if case == "undecodable-csv":
+        lines = traj.read_bytes().split(b"\n")
+        lines[3] = b"\xff\xfe" + lines[3]
+        traj.write_bytes(b"\n".join(lines))
+    elif case == "undecodable-store":
+        store = tmp_path / "s" / "fcis.tsv"
+        assert main(argv[:2] + [str(store.parent)] + argv[3:]) == 0
+        store.write_bytes(store.read_bytes() + b"2\to\xff\t0:0\n")
+        argv = ["append", str(traj), str(out), "--store", str(store)]
+    else:
+        with open(traj, "a") as fh:
+            fh.write("x" * 140_000 + ",99,0,0\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("comove: error: ") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad_line, message", [
     ("nan\t0\ta,b", "time label 'nan' is not finite"),
     ("1\t18446744073709551616\ta,b", "ordinal must be < 2**64"),

@@ -288,3 +288,28 @@ def test_build_matrix_equals_oracle_columns():
         want = make_matrix(cells, n_objects=n_objects, n_times=n_times,
                            labels=db.object_labels)
         assert build_cluster_matrix(db, params) == want
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_build_matrix_equals_oracle_as_snapshot_sizes_shrink_and_grow(threads):
+    # Each worker thread reuses its distance buffers: a snapshot after a
+    # larger one reads them at a smaller shape, and a later larger one grows
+    # them again.
+    rng = np.random.default_rng(29)
+    sizes = [12, 3, 30, 1, 20, 30, 5, 0, 16]
+    n_objects = max(sizes)
+    xy = np.round(rng.uniform(0, 5, size=(n_objects, len(sizes), 2)) * 2) / 2
+    for t, k in enumerate(sizes):
+        xy[rng.permutation(n_objects)[k:], t] = np.nan
+    db = TrajectoryDB(tuple(f"o{i:02d}" for i in range(n_objects)),
+                      tuple(range(len(sizes))), xy)
+    params = DbscanParams(eps=1.0, min_pts=2)
+    cells = {}
+    for t in range(len(sizes)):
+        idx = np.nonzero(db.present[:, t])[0]
+        for o, tid in enumerate(brute_dbscan_snapshot(idx, xy[idx, t], params)):
+            cells[(t, o)] = tid.ids
+    want = make_matrix(cells, n_objects=n_objects, n_times=len(sizes),
+                       labels=db.object_labels)
+    assert want.n_columns > len(sizes)  # clusters to compare, not only noise
+    assert build_cluster_matrix(db, params, threads=threads) == want

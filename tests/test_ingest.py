@@ -190,10 +190,59 @@ def test_parse_matches_row_by_row_oracle(tmp_path_factory, text, chunk_rows):
     path = tmp_path_factory.getbasetemp() / "oracle.csv"
     with open(path, "w", newline="") as fh:
         fh.write(text)
+    # Most drawn texts quote a field, which sends all that follows through
+    # csv; without the quotes, the same rows are mostly plain lines.
+    unquoted = text.replace('"', "")
     with mock.patch.object(comove.ingest, "_CHUNK_ROWS", chunk_rows):
-        for source in (lambda: io.StringIO(text), lambda: path):
+        for source in (lambda: io.StringIO(text), lambda: path,
+                       lambda: text.splitlines(keepends=True),
+                       lambda: text.splitlines(),
+                       lambda: io.StringIO(unquoted)):
             assert _parse_outcome(parse_trajectories, source()) == \
                 _parse_outcome(brute_parse_trajectories, source())
+
+
+_PLAIN = "".join(
+    ["object_id,timestamp,x,y\n"]
+    + [f"o{i % 7}, {i // 7} ,{i}.5,-{i}e-1\n" for i in range(60)]
+    + ["z,2024-01-01T00:00:00Z,1,2\n", ",,,\n", "z,0,3,4"])
+
+
+@pytest.mark.parametrize("text", [
+    _PLAIN,
+    _PLAIN + "\n",
+    _PLAIN.replace("o3, 5 ,38.5", "o3,5,inf"),       # non-finite on line 40
+    _PLAIN.replace("o4, 7 ,53.5", "o4, 0 ,53.5"),    # duplicate on line 55
+    _PLAIN.replace("o5, 2 ,19.5", "o5,2.5,19.5"),    # bad timestamp on line 21
+], ids=["no-final-newline", "final-newline", "non-finite", "duplicate",
+        "bad-timestamp"])
+def test_plain_lines_are_split_without_the_csv_reader(text):
+    want = _parse_outcome(brute_parse_trajectories, io.StringIO(text))
+    with mock.patch.object(comove.ingest, "_CHUNK_ROWS", 10), \
+            mock.patch("comove.ingest.csv.reader",
+                       side_effect=AssertionError("csv.reader was called")):
+        assert _parse_outcome(parse_trajectories, io.StringIO(text)) == want
+
+
+def test_a_line_item_with_an_inner_line_break_matches_the_oracle():
+    lines = ["a,1,0\n,0", "b,1,0,0\n"]
+    assert _parse_outcome(parse_trajectories, lines) == \
+        _parse_outcome(brute_parse_trajectories, lines)
+
+
+@pytest.mark.parametrize("second_row", ["a,0,0,0", '"a",0,0,0', '"open,0,0,0'],
+                         ids=["plain", "closed-quote", "open-quote"])
+def test_undecodable_bytes_match_the_oracle(tmp_path, second_row):
+    # The decoder fails inside the first chunk of lines.  When that chunk
+    # holds a '"', the error must still surface where csv would meet it, not
+    # end the quote.
+    rows = [f"o{i % 9},{i // 9},{i},0" for i in range(3000)]
+    rows[1] = second_row
+    path = tmp_path / "t.csv"
+    path.write_bytes("\n".join(rows).encode().replace(b"o4,111,", b"o4,\xff,"))
+    outcome = _parse_outcome(parse_trajectories, path)
+    assert outcome[0] is UnicodeDecodeError
+    assert outcome == _parse_outcome(brute_parse_trajectories, path)
 
 
 # ---------------------------------------------------------------------------

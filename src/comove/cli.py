@@ -29,6 +29,7 @@ from .model import (
     CoMoveError,
     MiningParams,
     ParameterError,
+    ParseError,
     TimeRangeError,
     UniverseError,
 )
@@ -176,8 +177,17 @@ def _kind_counts(patterns) -> dict:
     return dict(sorted(Counter(p.kind for p in patterns).items()))
 
 
+def _read(read, path):
+    """``read(path)``, with ``path`` named in the message of a data error,
+    so a command that reads two files says which one is bad."""
+    try:
+        return read(path)
+    except (ParseError, UnicodeDecodeError, csv.Error) as e:
+        raise CoMoveError(f"{path}: {e}") from e
+
+
 def _load_db(args):
-    db = parse_trajectories(args.input)
+    db = _read(parse_trajectories, args.input)
     if not args.no_interpolate:
         db = interpolate(db)
     return db
@@ -229,7 +239,7 @@ def _cmd_mine(args, parser: _Parser) -> int:
                           mode=args.mode)
     db = None
     if args.pre_clustered:
-        matrix = read_cluster_columns(args.input)
+        matrix = _read(read_cluster_columns, args.input)
     else:
         db = _load_db(args)
         if args.period is not None:
@@ -254,7 +264,7 @@ def _cmd_mine(args, parser: _Parser) -> int:
 
 def _cmd_append(args) -> int:
     t0 = time.perf_counter()
-    store = read_fci_store(args.store)
+    store = _read(read_fci_store, args.store)
     if args.epsilon is not None and args.epsilon != store.epsilon:
         raise CoMoveError(
             f"--epsilon {args.epsilon} does not match the store's epsilon "
@@ -268,22 +278,19 @@ def _cmd_append(args) -> int:
         new_db.align_to(store.object_labels),
         DbscanParams(eps=args.eps, min_pts=args.min_pts), threads=args.threads)
     new_fcis = mine_fci(new_matrix, store.epsilon)
-    # The stored itemsets stay rows from read to write, never FCIs.  The
-    # batch's rows carry their store text, so every combined row that joins
-    # a stored and a new itemset gets its text by concatenation.
-    times = store.time_labels + new_db.time_labels
-    batch = FciStore(store.epsilon, store.object_labels, times,
-                     shift_times(new_fcis, len(store.time_labels)))
+    # The stored itemsets keep the text of their lines, which the writer
+    # copies for every one that survives the merge.
     counters: dict = {}
-    combined = combine_fcis(store.rows, batch.rows, store.epsilon,
-                            counters=counters)
+    combined = combine_fcis(store.fcis,
+                            shift_times(new_fcis, len(store.time_labels)),
+                            store.epsilon, counters=counters)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    combined_store = FciStore.of_rows(store.epsilon, store.object_labels,
-                                      times, combined)
-    write_fci_store(combined_store, out / "fcis.tsv")
+    write_fci_store(FciStore(store.epsilon, store.object_labels,
+                             store.time_labels + new_db.time_labels,
+                             tuple(combined)), out / "fcis.tsv")
     _summary(command="append", store=args.store, input=args.input,
-             n_existing=len(store.rows), n_incoming=len(new_fcis),
+             n_existing=len(store.fcis), n_incoming=len(new_fcis),
              n_combined=len(combined),
              update_was_recommended=should_update(store.time_span, new_db.n_times),
              **counters, elapsed_s=round(time.perf_counter() - t0, 3))
@@ -301,7 +308,7 @@ def _cmd_convert_columns(args) -> int:
 
 
 def _cmd_convert_patterns(args) -> int:
-    store = read_fci_store(args.store)
+    store = _read(read_fci_store, args.store)
     db = _load_db(args)
     if db.object_labels != store.object_labels:
         raise UniverseError(

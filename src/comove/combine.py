@@ -18,26 +18,16 @@ an incoming one is absorbed and never revisited, and the scan for one
 incoming itemset stops once its whole tidset has been matched, since any
 later pairing is covered by an earlier, more specific itemset.
 
-The loop runs on :class:`~comove.model.Row` itemsets, ints and tuples of
-ints, rather than FCI and ClusterId objects.  Rows, as the miner and an
-itemset store give them, go through as they are, so the block merges and
-an append build no FCI; FCIs given to ``combine_fcis`` are converted on the
-way in and out.
+The loop reads each FCI's packed fields, a tidset mask and a tuple of item
+codes, and builds the combined itemsets packed, so the block merges and an
+append never build ClusterId or Tidset objects.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import attrgetter
 
-from .model import (
-    FCI,
-    ClusterId,
-    CoMoveError,
-    Row,
-    code_item,
-    fci_rows,
-    row_fcis,
-)
+from .model import FCI, CoMoveError, check_epsilon, code_item, item_code, packed_fci
 
 __all__ = ["combine_fcis", "should_update", "shift_times"]
 
@@ -45,7 +35,7 @@ __all__ = ["combine_fcis", "should_update", "shift_times"]
 #: enough to combine in place; anything bigger is worth a fresh full mine.
 UPDATE_FRACTION = 0.15
 
-_codes = itemgetter(1)
+_codes = attrgetter("codes")
 
 
 def should_update(existing_span: int, incoming_span: int) -> bool:
@@ -59,24 +49,25 @@ def should_update(existing_span: int, incoming_span: int) -> bool:
 def shift_times(fcis: list[FCI], offset: int) -> list[FCI]:
     """Move every item's time index by offset (re-basing itemsets mined on a
     local time axis onto a combined one)."""
-    return [FCI(tuple(ClusterId(c.time + offset, c.ordinal) for c in f.items),
-                f.tidset) for f in fcis]
+    shift = item_code(offset, 0)  # adds offset to the time of every code
+    return [packed_fci(f.mask, tuple([c + shift for c in f.codes]))
+            for f in fcis]
 
 
-def _check_disjoint_columns(existing: list[Row], incoming: list[Row]):
+def _check_disjoint_columns(existing: list[FCI], incoming: list[FCI]):
     if not existing or not incoming:
         return
 
-    def span(rows):
-        return min(r.codes[0] for r in rows), max(r.codes[-1] for r in rows)
+    def span(fcis):
+        return min(f.codes[0] for f in fcis), max(f.codes[-1] for f in fcis)
 
     # Sides whose code ranges do not overlap, as in every append, share no
     # column; only interleaved sides need the sets.
     (lo_a, hi_a), (lo_b, hi_b) = span(existing), span(incoming)
     if hi_a < lo_b or hi_b < lo_a:
         return
-    shared = (set().union(*(r.codes for r in existing))
-              & set().union(*(r.codes for r in incoming)))
+    shared = (set().union(*map(_codes, existing))
+              & set().union(*map(_codes, incoming)))
     if shared:
         raise CoMoveError(
             f"both sides use column {code_item(min(shared))}; combined itemsets "
@@ -92,14 +83,9 @@ def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
     the combined matrix directly, sorted by items.  ``counters``, when
     given, receives loop statistics (pairs, new, absorbed_existing,
     absorbed_incoming, stops).
-
-    Both sides may instead be :class:`~comove.model.Row` lists, as
-    :attr:`~comove.store.FciStore.rows` gives them; the result is then rows
-    too.
     """
-    sides = [list(existing), list(incoming)]
-    given_rows = any(isinstance(r, Row) for side in sides for r in side[:1])
-    old, new = (side if given_rows else fci_rows(side) for side in sides)
+    check_epsilon(epsilon)
+    old, new = list(existing), list(incoming)
     _check_disjoint_columns(old, new)
     stats = {"pairs": 0, "new": 0, "absorbed_existing": 0,
              "absorbed_incoming": 0, "stops": 0}
@@ -108,7 +94,7 @@ def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
     new.sort(key=_support_codes)
     old_dead = [False] * len(old)
     new_dead = [False] * len(new)
-    produced: dict[int, Row] = {}
+    produced: dict[int, FCI] = {}
 
     for ni, cin in enumerate(new):
         in_mask = cin.mask
@@ -131,27 +117,25 @@ def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
                 stats["stops"] += 1
                 break
 
-    result = [r for r, dead in zip(old, old_dead) if not dead]
-    result += [r for r, dead in zip(new, new_dead) if not dead]
+    result = [f for f, dead in zip(old, old_dead) if not dead]
+    result += [f for f, dead in zip(new, new_dead) if not dead]
     result += produced.values()
     result.sort(key=_codes)
     if counters is not None:
         counters.update(stats)
-    return result if given_rows else row_fcis(result)
+    return result
 
 
-def _support_codes(r: Row):
-    return r.mask.bit_count(), r.codes
+def _support_codes(f: FCI):
+    return f.mask.bit_count(), f.codes
 
 
-def _union(mask: int, a: Row, b: Row) -> Row:
-    """The row of a's and b's items with tidset ``mask``.  Its item text is
-    the two sides' text joined when one side's items all precede the
-    other's, as they do in every append."""
+def _union(mask: int, a: FCI, b: FCI) -> FCI:
+    """The itemset of a's and b's items with tidset ``mask``.  When one
+    side's items all precede the other's, as in every append, that side's
+    item text is the start of the union's."""
     if b.codes[0] < a.codes[0]:
         a, b = b, a
     if a.codes[-1] < b.codes[0]:
-        text = None if a.items_text is None or b.items_text is None \
-            else f"{a.items_text};{b.items_text}"
-        return Row(mask, a.codes + b.codes, None, text)
-    return Row(mask, tuple(sorted(a.codes + b.codes)))
+        return packed_fci(mask, a.codes + b.codes, None, a.items_text)
+    return packed_fci(mask, tuple(sorted(a.codes + b.codes)))

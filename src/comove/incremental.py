@@ -15,15 +15,15 @@ blocks, and whatever is left goes into one sparse block.  Every block, nested
 or not, is mined by :func:`~comove.miner.mine_columns`, the miner behind
 :func:`~comove.miner.mine_fci`.
 
-Blocks are mined and merged as :class:`~comove.model.Row` itemsets; the
-FCIs are built once, from the merged rows, when the result is returned.
+Blocks are mined and merged as packed FCIs (tidset masks and item codes),
+so no ClusterId or Tidset object is built for any itemset on the way.
 """
 
 from __future__ import annotations
 
 from .combine import combine_fcis
 from .miner import mine_columns
-from .model import FCI, ClusterMatrix, Column, ParameterError, row_fcis
+from .model import FCI, ClusterMatrix, Column, ParameterError
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -62,7 +62,7 @@ def _mine_blocks(parent: ClusterMatrix, blocks: list[tuple[Column, ...]],
         if len(results) % 2:
             merged.append(results[-1])
         results = merged
-    return row_fcis(results[0])
+    return results[0]
 
 
 def mine_incremental(matrix: ClusterMatrix, epsilon: int,

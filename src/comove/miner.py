@@ -9,9 +9,8 @@ duplicate table.  A node's closure columns contain every deeper tidset, so
 they leave the list of columns its subtree scans: a nested chain of n columns
 costs O(n^2) column tests, and one miner serves every block shape.
 
-:func:`mine_columns` emits :class:`~comove.model.Row` itemsets, which the
-block merges take as they are; :func:`mine_fci` builds the FCIs it returns
-from them.
+:func:`mine_columns` emits the itemsets as packed FCIs (a tidset mask and
+item codes), which :func:`mine_fci` returns and the block merges combine.
 
 The "at most one column per time unit" rule never needs explicit handling:
 every matrix kind keeps same-unit columns disjoint, so two same-unit columns
@@ -21,17 +20,12 @@ threshold >= 1.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import attrgetter
 from typing import Sequence
 
-from .model import FCI, ClusterMatrix, Column, ParameterError, Row, item_code, row_fcis
+from .model import FCI, ClusterMatrix, Column, check_epsilon, item_code, packed_fci
 
 __all__ = ["mine_fci"]
-
-
-def _check_epsilon(epsilon: int):
-    if not isinstance(epsilon, int) or epsilon < 1:
-        raise ParameterError(f"epsilon must be an int >= 1, got {epsilon!r}")
 
 
 def mine_fci(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:
@@ -40,25 +34,15 @@ def mine_fci(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:
     Every returned itemset uses at most one column per time unit, has support
     >= epsilon, and admits no strict valid superset with the same tidset.
     """
-    return row_fcis(mine_columns(matrix.columns, matrix.n_objects, epsilon))
+    return mine_columns(matrix.columns, matrix.n_objects, epsilon)
 
 
 def mine_columns(columns: Sequence[Column], n_objects: int,
-                 epsilon: int) -> list[Row]:
-    """``mine_fci`` as rows, on the matrix that ``columns`` of a valid matrix
-    over ``n_objects`` objects form, without building and re-checking it."""
-    _check_epsilon(epsilon)
-    if not columns:
-        return []
-    return _mine_ppc(columns, n_objects, epsilon)
-
-
-# ---------------------------------------------------------------------------
-# Prefix-preserving closure extension
-# ---------------------------------------------------------------------------
-
-def _mine_ppc(columns: Sequence[Column], n_objects: int,
-              epsilon: int) -> list[Row]:
+                 epsilon: int) -> list[FCI]:
+    """``mine_fci`` on the matrix that ``columns`` of a valid matrix over
+    ``n_objects`` objects form, without building and re-checking it: a
+    prefix-preserving closure extension walk."""
+    check_epsilon(epsilon)
     codes = [item_code(*c.cid) for c in columns]
     full = (1 << n_objects) - 1
     # Columns with identical tidsets always enter a closure together (the
@@ -112,7 +96,7 @@ def _mine_ppc(columns: Sequence[Column], n_objects: int,
             stack.extend((j2, items, new_tid, new_live)
                          for j2 in reversed(new_live) if j2 > j)
 
-    rows = [Row(tid, tuple(sorted([codes[j] for k in items for j in groups[k]])))
+    fcis = [packed_fci(tid, tuple(sorted([codes[j] for k in items for j in groups[k]])))
             for items, tid in results]
-    rows.sort(key=itemgetter(1))
-    return rows
+    fcis.sort(key=attrgetter("codes"))
+    return fcis

@@ -7,12 +7,10 @@ the types defined here:
 * a :class:`Tidset` is an immutable set of object indices backed by a bitmask,
 * a :class:`ClusterMatrix` is the 0-1 object/cluster membership matrix with
   columns grouped by time unit,
-* a :class:`Row` is a frequent closed itemset over matrix columns packed
-  into ints (plus its store text); rows are what the miner emits, the
-  merge combines and the itemset store reads and writes,
-* an :class:`FCI` is the same itemset as ClusterId and Tidset objects,
-  built by :func:`row_fcis` only where a public function returns it;
-  :func:`fci_rows` is the one conversion back,
+* an :class:`FCI` is a frequent closed itemset over matrix columns, held
+  packed into ints (plus the text of its store line, when read from one);
+  it is the one itemset type the miner emits, the merge combines, the
+  decoder reads and the itemset store reads and writes,
 * pattern dataclasses carry the decoded co-movement patterns.
 """
 
@@ -147,15 +145,6 @@ class Tidset:
     def __and__(self, other: "Tidset") -> "Tidset":
         return Tidset(self.mask & other.mask)
 
-    def __or__(self, other: "Tidset") -> "Tidset":
-        return Tidset(self.mask | other.mask)
-
-    def issubset(self, other: "Tidset") -> bool:
-        return self.mask & ~other.mask == 0
-
-    def issuperset(self, other: "Tidset") -> bool:
-        return other.mask & ~self.mask == 0
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Tidset) and self.mask == other.mask
 
@@ -260,63 +249,15 @@ class ClusterMatrix:
     def n_columns(self) -> int:
         return len(self.columns)
 
-    def column_map(self) -> dict[ClusterId, Tidset]:
-        return {c.cid: c.members for c in self.columns}
-
 
 # ---------------------------------------------------------------------------
 # Frequent closed itemsets
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FCI:
-    """A frequent closed itemset: matrix columns plus their shared objects.
-
-    ``items`` are sorted by (time, ordinal); ``tidset`` is the set of objects
-    belonging to every item, and the support is its cardinality.
-    """
-
-    items: tuple[ClusterId, ...]
-    tidset: Tidset
-
-    def __post_init__(self):
-        if not self.items:
-            raise ValueError("an FCI needs at least one item")
-        if not all(map(operator.lt, self.items, self.items[1:])):
-            raise ValueError("FCI items must be strictly ascending")
-
-    @property
-    def support(self) -> int:
-        return len(self.tidset)
-
-    @property
-    def times(self) -> tuple[int, ...]:
-        return tuple(i.time for i in self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
-# ---------------------------------------------------------------------------
-# Packed itemset rows
 # ---------------------------------------------------------------------------
 
 #: An item's code is ``time << _ITEM_BITS | ordinal``, so codes sort like
 #: (time, ordinal) items; ordinals must lie in [0, 2**_ITEM_BITS).
 _ITEM_BITS = 64
 _ORDINAL_MASK = (1 << _ITEM_BITS) - 1
-
-
-class Row(NamedTuple):
-    """An itemset as the itemset store and the merge carry it, without FCI
-    and ClusterId objects: the tidset mask, the items as ascending codes,
-    and the member-id and item text of its store line, each kept only when
-    it is byte for byte what the store writer would write (else None)."""
-
-    mask: int
-    codes: tuple[int, ...]
-    ids_text: str | None = None
-    items_text: str | None = None
 
 
 def item_code(time: int, ordinal: int, line: int | None = None) -> int:
@@ -330,35 +271,95 @@ def item_code(time: int, ordinal: int, line: int | None = None) -> int:
     return time << _ITEM_BITS | ordinal
 
 
-def fci_rows(fcis: Iterable[FCI]) -> list[Row]:
-    """FCIs as rows that carry no text."""
-    codes: dict[ClusterId, int] = {}
-    rows = []
-    for f in fcis:
-        try:
-            row_codes = tuple(map(codes.__getitem__, f.items))
-        except KeyError:  # items not seen before: each is coded once
-            codes.update((c, item_code(*c)) for c in f.items if c not in codes)
-            row_codes = tuple(map(codes.__getitem__, f.items))
-        rows.append(Row(f.tidset.mask, row_codes))
-    return rows
-
-
 def code_item(code: int) -> ClusterId:
     return ClusterId(code >> _ITEM_BITS, code & _ORDINAL_MASK)
 
 
-def row_fcis(rows: Iterable[Row]) -> list[FCI]:
-    items: dict[int, ClusterId] = {}
-    fcis = []
-    for r in rows:
-        try:
-            cids = tuple(map(items.__getitem__, r.codes))
-        except KeyError:
-            items.update((k, code_item(k)) for k in r.codes if k not in items)
-            cids = tuple(map(items.__getitem__, r.codes))
-        fcis.append(FCI(cids, Tidset(r.mask)))
-    return fcis
+class FCI:
+    """A frequent closed itemset: matrix columns plus their shared objects.
+
+    ``items`` are sorted by (time, ordinal); ``tidset`` is the set of objects
+    belonging to every item, and the support is its cardinality.
+
+    The itemset is held packed: ``mask`` is the tidset as an int and
+    ``codes`` are the items as ascending :func:`item_code` ints.  ``items``
+    and ``tidset`` are built from them on first read and cached.  An itemset
+    read from a store also keeps its line's member-id and item text
+    (``ids_text``, ``items_text``) where that text is what the store writer
+    would write under the same label tables; equality, hashing and repr
+    ignore it.  ``items_text`` may cover only the leading items, one
+    ``;``-separated field each, as it does for an itemset an append joins
+    from a stored one and a new one.  :func:`packed_fci` makes an FCI from
+    packed fields without checks.
+    """
+
+    __slots__ = ("mask", "codes", "ids_text", "items_text", "_items", "_tidset")
+
+    def __init__(self, items: Sequence[ClusterId], tidset: Tidset):
+        items = tuple(items)
+        if not items:
+            raise ValueError("an FCI needs at least one item")
+        if not all(map(operator.lt, items, items[1:])):
+            raise ValueError("FCI items must be strictly ascending")
+        self.mask = tidset.mask
+        self.codes = tuple([item_code(*c) for c in items])
+        self.ids_text = self.items_text = None
+        self._items = items
+        self._tidset = tidset
+
+    @property
+    def items(self) -> tuple[ClusterId, ...]:
+        if self._items is None:
+            self._items = tuple(map(code_item, self.codes))
+        return self._items
+
+    @property
+    def tidset(self) -> Tidset:
+        if self._tidset is None:
+            self._tidset = Tidset(self.mask)
+        return self._tidset
+
+    @property
+    def support(self) -> int:
+        return self.mask.bit_count()
+
+    @property
+    def times(self) -> tuple[int, ...]:
+        return tuple([c >> _ITEM_BITS for c in self.codes])
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FCI):
+            return NotImplemented
+        return self.mask == other.mask and self.codes == other.codes
+
+    def __hash__(self) -> int:
+        return hash((self.mask, self.codes))
+
+    def __repr__(self) -> str:
+        return f"FCI(items={self.items!r}, tidset={self.tidset!r})"
+
+
+_new = object.__new__
+
+
+def packed_fci(mask: int, codes: tuple[int, ...], ids_text: str | None = None,
+               items_text: str | None = None) -> FCI:
+    """The FCI of a tidset mask and ascending item codes, unchecked."""
+    f = _new(FCI)
+    f.mask = mask
+    f.codes = codes
+    f.ids_text = ids_text
+    f.items_text = items_text
+    f._items = f._tidset = None
+    return f
+
+
+def check_epsilon(epsilon: int):
+    if not isinstance(epsilon, int) or epsilon < 1:
+        raise ParameterError(f"epsilon must be an int >= 1, got {epsilon!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +392,7 @@ class MiningParams:
     mode: str = "monolithic"
 
     def __post_init__(self):
-        if not isinstance(self.epsilon, int) or self.epsilon < 1:
-            raise ParameterError(f"epsilon must be an int >= 1, got {self.epsilon!r}")
+        check_epsilon(self.epsilon)
         if not isinstance(self.min_t, int) or self.min_t < 1:
             raise ParameterError(f"min_t must be an int >= 1, got {self.min_t!r}")
         if not 0.0 <= self.theta <= 1.0:

@@ -6,21 +6,23 @@ yields every pattern kind the matrix supports, which callers filter by
 were mined from (pattern shape depends on the full column tidsets, not just
 the itemset) and the thresholds.
 
-Itemsets are decoded a chunk at a time as whole arrays.  Every item becomes
-a column index, and column tidsets become rows of ``(n_columns, W)`` uint64
+Itemsets are decoded a chunk at a time as whole arrays, from their packed
+fields: every item code becomes a column index, item times are read off the
+columns, and column tidsets become rows of ``(n_columns, W)`` uint64
 words.  An itemset whose tidset is not inside the AND of its columns' words
 (one ``np.bitwise_and.reduceat``) is refused before anything is decoded.
 Consecutive runs are breaks in the item times; a run is guarded when the AND
 of its columns' words equals the itemset's tidset; moving-cluster chains
 break where the Jaccard similarity of two adjacent columns, computed once per
 distinct pair, falls below theta, and their cores are another ``reduceat``.
-Pattern objects are built only for what is emitted.
+Pattern objects are built only for what is emitted, and ClusterIds only
+for the moving-cluster chains, from the matrix's own columns.
 """
 
 from __future__ import annotations
 
 from itertools import chain, islice
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,6 +40,8 @@ from .model import (
     Tidset,
     UniverseError,
     canonical_sort,
+    code_item,
+    item_code,
 )
 
 __all__ = ["ExtractionContext", "extract_patterns"]
@@ -45,8 +49,7 @@ __all__ = ["ExtractionContext", "extract_patterns"]
 # Itemsets decoded per step: bounds the arrays a decode holds at once.
 _CHUNK_FCIS = 256
 
-_items = attrgetter("items")
-_time = itemgetter(0)
+_codes = attrgetter("codes")
 
 
 class ExtractionContext:
@@ -79,7 +82,8 @@ class _Columns:
 
     def __init__(self, matrix: ClusterMatrix, theta: float):
         columns = matrix.columns
-        self.index = {c.cid: j for j, c in enumerate(columns)}
+        self.cids = [c.cid for c in columns]
+        self.index = {item_code(*cid): j for j, cid in enumerate(self.cids)}
         self.masks = [c.members.mask for c in columns]
         self.time = np.array([c.cid.time for c in columns], dtype=np.intp)
         self.n_words = max(1, -(-matrix.n_objects // 64))
@@ -90,12 +94,12 @@ class _Columns:
         self._pairs = np.empty(0, dtype=np.int64)
         self._linked = np.empty(0, dtype=bool)
 
-    def positions(self, items: list) -> np.ndarray:
+    def positions(self, codes: list[int]) -> np.ndarray:
         try:
-            return np.fromiter(map(self.index.__getitem__, items), np.intp, len(items))
+            return np.fromiter(map(self.index.__getitem__, codes), np.intp, len(codes))
         except KeyError as e:
-            raise UniverseError(
-                f"itemset references column {e.args[0]} absent from the matrix") from None
+            raise UniverseError(f"itemset references column {code_item(e.args[0])} "
+                                "absent from the matrix") from None
 
     def linked(self, prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
         """Whether Jaccard(prev[i], cur[i]) >= theta, for column index arrays."""
@@ -124,22 +128,22 @@ def _decode_chunk(fcis: list[FCI], cols: _Columns, ctx: ExtractionContext,
     """Append one chunk's swarms, convoys and group patterns to ``patterns``
     and its moving clusters to ``movers``, keyed by their column sequence."""
     params = ctx.params
-    item_lists = list(map(_items, fcis))
-    items = list(chain.from_iterable(item_lists))
-    col = cols.positions(items)
+    code_lists = list(map(_codes, fcis))
+    codes = list(chain.from_iterable(code_lists))
+    col = cols.positions(codes)
     t = cols.time[col]
-    sizes = np.fromiter(map(len, item_lists), np.intp, len(fcis))
+    sizes = np.fromiter(map(len, code_lists), np.intp, len(fcis))
     offset = np.zeros(len(fcis) + 1, dtype=np.intp)
     np.cumsum(sizes, out=offset[1:])
     owner = np.repeat(np.arange(len(fcis)), sizes)
-    starts_fci = np.zeros(len(items), dtype=bool)
+    starts_fci = np.zeros(len(codes), dtype=bool)
     starts_fci[offset[:-1]] = True
 
     # Every object of an itemset must be in all its columns.  A mined one
     # always is; a hand-edited store row need not be, and would decode into
     # patterns the data does not hold.
     words = cols.words[col]
-    fci_words = _words([f.tidset.mask for f in fcis], cols.n_words)
+    fci_words = _words([f.mask for f in fcis], cols.n_words)
     shared = np.bitwise_and.reduceat(words, offset[:-1], axis=0)
     outside = (fci_words & ~shared).any(axis=1)
     if outside.any():
@@ -154,12 +158,13 @@ def _decode_chunk(fcis: list[FCI], cols: _Columns, ctx: ExtractionContext,
     repeated[0] = False
     n_repeated = np.bincount(owner[repeated], minlength=len(fcis))
     swarm = PeriodicPattern if ctx.matrix.kind == "periodic" else ClosedSwarm
-    for fci, n_times, repeats in zip(fcis, (sizes - n_repeated).tolist(),
-                                     n_repeated.tolist()):
+    times = t.tolist()
+    for fci, a, b, n_times, repeats in zip(
+            fcis, offset[:-1].tolist(), offset[1:].tolist(),
+            (sizes - n_repeated).tolist(), n_repeated.tolist()):
         if n_times >= params.min_t:
-            times = map(_time, fci.items)
             patterns.append(swarm(fci.tidset, tuple(
-                dict.fromkeys(times) if repeats else times)))
+                dict.fromkeys(times[a:b]) if repeats else times[a:b])))
     if swarm is PeriodicPattern:
         return
 
@@ -167,7 +172,7 @@ def _decode_chunk(fcis: list[FCI], cols: _Columns, ctx: ExtractionContext,
     breaks = starts_fci.copy()
     breaks[1:] |= t[1:] != t[:-1] + 1
     run_start = np.flatnonzero(breaks)
-    run_len = np.diff(run_start, append=len(items))
+    run_len = np.diff(run_start, append=len(codes))
     run_owner = owner[run_start]
     guarded = (run_len >= params.min_t) & (
         np.bitwise_and.reduceat(words, run_start, axis=0)
@@ -191,23 +196,20 @@ def _decode_chunk(fcis: list[FCI], cols: _Columns, ctx: ExtractionContext,
     chain_breaks = breaks.copy()
     chain_breaks[inside] = ~cols.linked(col[inside - 1], col[inside])
     chain_start = np.flatnonzero(chain_breaks)
-    chain_len = np.diff(chain_start, append=len(items))
+    chain_len = np.diff(chain_start, append=len(codes))
     kept = chain_len >= max(2, params.min_t)
     cores = np.bitwise_and.reduceat(words, chain_start, axis=0)[kept]
-    chain_start = chain_start[kept]
-    chain_owner = owner[chain_start]
-    begin = (chain_start - offset[chain_owner]).tolist()
     # A chain is its column sequence (the core follows from it), so equal
     # chains of different itemsets are recognised by their bytes in ``col``.
     col_bytes = col.tobytes()
     step = col.itemsize
-    for k, (f, a, s, n) in enumerate(zip(chain_owner.tolist(), begin,
-                                         chain_start.tolist(),
-                                         chain_len[kept].tolist())):
+    for k, (s, n) in enumerate(zip(chain_start[kept].tolist(),
+                                   chain_len[kept].tolist())):
         key = col_bytes[s * step:(s + n) * step]
         if key not in movers:
-            movers[key] = MovingCluster(fcis[f].items[a:a + n],
-                                        Tidset(_mask(cores[k])))
+            movers[key] = MovingCluster(
+                tuple(map(cols.cids.__getitem__, col[s:s + n].tolist())),
+                Tidset(_mask(cores[k])))
 
 
 def extract_patterns(fcis: Iterable[FCI], ctx: ExtractionContext) -> list[Pattern]:

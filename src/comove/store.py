@@ -4,6 +4,11 @@ pattern CSV and GeoJSON.
 All writers emit canonically ordered rows with ``\\n`` line endings so that
 identical inputs give byte-identical files regardless of platform or thread
 count.
+
+The itemset store is read into packed FCIs (tidset masks and item codes).
+Each keeps the member-id and item text of its line where that text is what
+the writer would write, so an append copies the line of every stored
+itemset that survives the merge instead of formatting it again.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import itemgetter, lt, or_
+from functools import reduce
+from operator import attrgetter, lt, or_
 from pathlib import Path
 
 from .ingest import TrajectoryDB
@@ -27,14 +32,12 @@ from .model import (
     GroupPattern,
     MovingCluster,
     ParseError,
-    Row,
     Tidset,
     UniverseError,
     canonical_sort,
     code_item,
-    fci_rows,
     item_code,
-    row_fcis,
+    packed_fci,
 )
 
 __all__ = [
@@ -50,7 +53,7 @@ __all__ = [
 ]
 
 
-_codes = itemgetter(1)
+_codes = attrgetter("codes")
 
 
 def _fmt_time(label) -> str:
@@ -186,40 +189,16 @@ class FciStore:
     """A persisted mining result: the itemsets plus everything needed to
     interpret and extend them later.
 
-    ``rows`` holds the itemsets as :class:`~comove.model.Row` objects, in
-    the order of ``fcis``; rows made from FCIs carry the text the writer
-    writes for them.  A store made by :meth:`of_rows`, as the reader makes
-    it, builds its ``fcis`` on first use, so a store that is read, merged
-    and written never builds an FCI."""
+    The reader's FCIs keep the text of their store lines, which the writer
+    copies, so a store that is read, merged and written is written back
+    without formatting its surviving itemsets again.  Such FCIs belong with
+    the label tables they were read with; time labels may be extended at
+    the end, as an append does."""
 
     epsilon: int
     object_labels: tuple[str, ...]
     time_labels: tuple
     fcis: tuple[FCI, ...]
-
-    @classmethod
-    def of_rows(cls, epsilon: int, object_labels: tuple[str, ...],
-                time_labels: tuple, rows: list[Row]) -> "FciStore":
-        store = object.__new__(cls)
-        store.__dict__.update(epsilon=epsilon, object_labels=object_labels,
-                              time_labels=time_labels, rows=rows)
-        return store
-
-    def __getattr__(self, name):
-        # Called only for attributes not set: ``fcis`` of an of_rows store.
-        if name != "fcis" or "rows" not in self.__dict__:
-            raise AttributeError(name)
-        fcis = self.__dict__["fcis"] = tuple(row_fcis(self.rows))
-        return fcis
-
-    @cached_property
-    def rows(self) -> list[Row]:
-        # Member ids come from each FCI's own tidset, whose index tuple is
-        # cached once patterns have been decoded from it.
-        labels = self.object_labels
-        rows = [Row(mask, codes, ",".join([labels[i] for i in f.tidset.ids]))
-                for (mask, codes, _, _), f in zip(fci_rows(self.fcis), self.fcis)]
-        return _with_text(rows, labels, self.time_labels)
 
     @property
     def time_span(self) -> int:
@@ -235,56 +214,53 @@ def write_fci_store(store: FciStore, dest):
     format uses as separators, and must not end in whitespace, which the
     reader strips from the end of the objects line.
 
-    A row's member-id and item text is written as the row carries it, and
-    formatted only where it carries none."""
-    for label in store.object_labels:
+    An itemset's member-id and item text is written as the FCI carries it,
+    and formatted only where it carries none: member ids from the FCI's own
+    tidset, whose index tuple is cached once patterns have been decoded
+    from it, and the items its item text does not cover."""
+    labels = store.object_labels
+    for label in labels:
         if (not label or label != label.rstrip()
                 or any(sep in label for sep in ",\t\n\r")):
             raise ParseError(
                 f"object id {label!r} cannot be stored: ids must be non-empty, "
                 "contain no ',', tab or newline, and not end in whitespace")
-    rows = _with_text(sorted(store.rows, key=_codes), store.object_labels,
-                      store.time_labels)
+    tl = [_fmt_time(t) for t in store.time_labels]
+    item_text = _ItemText(tl).__getitem__
+    lines = []
+    for f in sorted(store.fcis, key=_codes):
+        ids, items = f.ids_text, f.items_text
+        if ids is None:
+            ids = ",".join([labels[i] for i in f.tidset.ids])
+        done = 0 if items is None else items.count(";") + 1
+        if done < len(f.codes):
+            rest = ";".join(map(item_text, f.codes[done:]))
+            items = f"{items};{rest}" if done else rest
+        lines.append(f"{f.mask.bit_count()}\t{ids}\t{items}\n")
 
     def write(fh):
-        tl = [_fmt_time(t) for t in store.time_labels]
         fh.write(f"# epsilon\t{store.epsilon}\n")
-        fh.write(f"# n_objects\t{len(store.object_labels)}\n")
+        fh.write(f"# n_objects\t{len(labels)}\n")
         if tl:
             fh.write(f"# time_range\t{tl[0]}\t{tl[-1]}\n")
-        fh.write(f"# objects\t{','.join(store.object_labels)}\n")
+        fh.write(f"# objects\t{','.join(labels)}\n")
         fh.write(f"# times\t{','.join(tl)}\n")
-        fh.write("".join([f"{mask.bit_count()}\t{ids}\t{items}\n"
-                          for mask, _, ids, items in rows]))
+        fh.write("".join(lines))
     _write_to(dest, write)
 
 
-def _with_text(rows: list[Row], object_labels: tuple[str, ...],
-               time_labels: tuple) -> list[Row]:
-    """``rows`` with the member-id and item text each lacks formatted in
-    the given label tables, as the store writes it."""
-    tl = [_fmt_time(t) for t in time_labels]
-    # An item recurs in every itemset that contains it, so each distinct
-    # one is formatted once.
-    item_strs: dict[int, str] = {}
-    out = []
-    for row in rows:
-        mask, codes, ids, items = row
-        if ids is None or items is None:
-            if ids is None:
-                ids = ",".join([object_labels[i] for i in Tidset(mask).ids])
-            if items is None:
-                try:
-                    items = ";".join(map(item_strs.__getitem__, codes))
-                except KeyError:
-                    for c in codes:
-                        if c not in item_strs:
-                            t, ordinal = code_item(c)
-                            item_strs[c] = f"{tl[t]}:{ordinal}"
-                    items = ";".join(map(item_strs.__getitem__, codes))
-            row = Row(mask, codes, ids, items)
-        out.append(row)
-    return out
+class _ItemText(dict):
+    """Item code -> ``time:ordinal`` text.  An item recurs in every itemset
+    that contains it, so each distinct one is formatted once."""
+
+    def __init__(self, time_labels: list[str]):
+        super().__init__()
+        self.time_labels = time_labels
+
+    def __missing__(self, code: int) -> str:
+        t, ordinal = code_item(code)
+        text = self[code] = f"{self.time_labels[t]}:{ordinal}"
+        return text
 
 
 def _parse_item(item: str, t_idx: dict[str, int], line_no: int) -> tuple[int, bool]:
@@ -300,10 +276,10 @@ def _parse_item(item: str, t_idx: dict[str, int], line_no: int) -> tuple[int, bo
 
 
 def read_fci_store(source) -> FciStore:
-    """Parse a store into rows.  A row keeps its member-id text when the
-    ids are in universe order and its item text when every item is written
-    as ``time:ordinal`` in canonical form, so writing the store back copies
-    that text instead of formatting it."""
+    """Parse a store into packed FCIs.  An FCI keeps its member-id text when
+    the ids are in universe order and its item text when every item is
+    written as ``time:ordinal`` in canonical form, so writing the store back
+    copies that text instead of formatting it."""
     if isinstance(source, (str, Path)):
         with open(source) as fh:
             return read_fci_store(fh)
@@ -357,7 +333,7 @@ def read_fci_store(source) -> FciStore:
     # item still fails on its own line.
     item_codes: dict[str, int] = {}
     odd_items: set[str] = set()  # cached items not written in canonical form
-    rows = []
+    fcis = []
     for line_no, parts in body:
         if len(parts) != 3:
             raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}",
@@ -395,8 +371,8 @@ def read_fci_store(source) -> FciStore:
             raise ParseError("FCI items must be strictly ascending", line=line_no)
         if odd_items and not odd_items.isdisjoint(tokens):
             items = None
-        rows.append(Row(mask, codes, ids, items))
-    return FciStore.of_rows(epsilon, labels, times, rows)
+        fcis.append(packed_fci(mask, codes, ids, items))
+    return FciStore(epsilon, labels, times, tuple(fcis))
 
 
 # ---------------------------------------------------------------------------

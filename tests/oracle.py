@@ -237,7 +237,7 @@ class _ColumnLookup:
     """Full column tidsets by id, and their Jaccard similarity per pair."""
 
     def __init__(self, matrix: ClusterMatrix):
-        self.columns = matrix.column_map()
+        self.columns = {c.cid: c.members for c in matrix.columns}
         self.jaccard: dict[tuple[ClusterId, ClusterId], float] = {}
 
     def tidset(self, cid: ClusterId) -> Tidset:

@@ -267,18 +267,14 @@ def test_append_chain_matches_the_fci_merge(tmp_path, capsys):
 
 
 def test_append_builds_fcis_for_the_batch_only(tmp_path, monkeypatch):
-    # The stored itemsets are read, merged and written as rows, so the FCIs
-    # one append builds come from mining its batch, whatever the store holds.
+    # The stored and the batch itemsets are read, mined, merged and written
+    # packed, so an append reads no FCI's ClusterId tuple, whatever the store
+    # holds.
     full = _gen(tmp_path, "full.csv", objects=14, times=45, groups=3,
                 switch_prob=0.05)
     batch = _cut_csv(full, tmp_path / "batch.csv", 40, 45)
-    built = []
-    post_init = FCI.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
+    reads = []
+    items = FCI.items
     sizes = []
     for span in (10, 35):
         base = _cut_csv(full, tmp_path / f"base{span}.csv", 0, span)
@@ -286,14 +282,15 @@ def test_append_builds_fcis_for_the_batch_only(tmp_path, monkeypatch):
         store = tmp_path / f"m{span}" / "fcis.tsv"
         sizes.append(len(read_fci_store(store).fcis))
         with monkeypatch.context() as m:
-            m.setattr(FCI, "__post_init__", counting)
-            built.clear()
+            m.setattr(FCI, "items", property(
+                lambda f: reads.append(f) or items.fget(f)))
             assert main(["append", str(batch), str(tmp_path / f"a{span}"),
                          "--store", str(store)] + APPEND_FLAGS) == 0
-            sizes.append(len(built))
-    small_store, small_built, big_store, big_built = sizes
+            assert reads == []
+            assert read_fci_store(store).fcis[0].items and len(reads) == 1
+            reads.clear()
+    small_store, big_store = sizes
     assert big_store > 2 * small_store
-    assert small_built == big_built > 0
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +395,7 @@ def test_unreadable_input_exits_2(tmp_path, capsys, case, message):
     traj = _gen(tmp_path)
     out = tmp_path / "o"
     argv = ["mine", str(traj), str(out), "--eps", "2.0", "--minpts", "2"]
+    bad = traj
     if case == "undecodable-csv":
         lines = traj.read_bytes().split(b"\n")
         lines[3] = b"\xff\xfe" + lines[3]
@@ -407,13 +405,14 @@ def test_unreadable_input_exits_2(tmp_path, capsys, case, message):
         assert main(argv[:2] + [str(store.parent)] + argv[3:]) == 0
         store.write_bytes(store.read_bytes() + b"2\to\xff\t0:0\n")
         argv = ["append", str(traj), str(out), "--store", str(store)]
+        bad = store
     else:
         with open(traj, "a") as fh:
             fh.write("x" * 140_000 + ",99,0,0\n")
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("comove: error: ") and message in err
+    assert err.startswith(f"comove: error: {bad}: ") and message in err
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ from comove import (
     ClusterMatrix,
     Column,
     CoMoveError,
+    ParameterError,
     Tidset,
     combine_fcis,
     mine_fci,
@@ -50,6 +51,18 @@ def test_combine_two_store_instance():
     ]
     assert counters == {"pairs": 2, "new": 2, "absorbed_existing": 2,
                         "absorbed_incoming": 1, "stops": 1}
+
+
+@pytest.mark.parametrize("epsilon", [0, -1, "2"])
+def test_combine_refuses_an_epsilon_mine_fci_refuses(epsilon):
+    # at 0 the disjoint tidsets below would give an itemset with no object
+    existing = [_fci([(0, 0)], 0, 1)]
+    incoming = [_fci([(1, 0)], 2, 3)]
+    m = ClusterMatrix.build(("a",), (0,), [Column(_cid(0, 0), _tid(0))])
+    for call in (lambda: combine_fcis(existing, incoming, epsilon),
+                 lambda: mine_fci(m, epsilon)):
+        with pytest.raises(ParameterError, match="epsilon must be an int >= 1"):
+            call()
 
 
 def test_combine_empty_sides():

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+name it exports is defined in it.
 
 No linter is a dependency, so this reads each module with ``ast``: an
 imported name counts as used when some expression of the module names it.
@@ -8,6 +9,7 @@ annotations``, so annotations are expressions here too, never strings.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -39,3 +41,10 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exports_are_defined(path):
+    module = importlib.import_module(f"comove.{path.stem}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{path.name}: __all__ names undefined {missing}"

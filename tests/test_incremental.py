@@ -188,16 +188,12 @@ def test_parameter_free_matches_monolithic():
 
 
 def test_block_modes_build_each_fci_once(monkeypatch):
-    # blocks are mined and merged as rows, so the only FCIs built are the
-    # ones returned
-    built = []
-    post_init = FCI.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(FCI, "__post_init__", counting)
+    # blocks are mined and merged as packed FCIs, so no FCI's ClusterId
+    # tuple is read, let alone built, on the way
+    reads = []
+    items = FCI.items
+    monkeypatch.setattr(FCI, "items", property(
+        lambda f: reads.append(f) or items.fget(f)))
     runs = [lambda m, eps: mine_incremental(m, eps, 1),
             lambda m, eps: mine_incremental(m, eps, 7),
             mine_incremental, mine_parameter_free]
@@ -207,11 +203,11 @@ def test_block_modes_build_each_fci_once(monkeypatch):
         m = gen_random_matrix(rng, max_times=40)
         for eps in (1, 2):
             for run in runs:
-                built.clear()
-                got = run(m, eps)
-                assert len(built) == len(got)
-                total += len(got)
-    assert total > 0
+                total += len(run(m, eps))
+    assert reads == [] and total > 0
+    [f] = mine_incremental(make_matrix({(0, 0): [0, 1], (1, 0): [0, 1]}), 2)
+    assert f.items == (ClusterId(0, 0), ClusterId(1, 0))
+    assert reads == [f]  # the counter sees a read
 
 
 def test_parameter_free_on_nested_chains():

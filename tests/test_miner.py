@@ -98,7 +98,7 @@ def test_parameter_validation():
 # ---------------------------------------------------------------------------
 
 def _check_fci_invariants(matrix: ClusterMatrix, fcis, epsilon: int):
-    col = matrix.column_map()
+    col = {c.cid: c.members for c in matrix.columns}
     seen = set()
     for f in fcis:
         assert f.items not in seen

@@ -24,6 +24,7 @@ from comove import (
     UniverseError,
     canonical_sort,
 )
+from comove.model import packed_fci
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +64,6 @@ def test_tidset_set_ops():
     a = Tidset.from_ids([0, 1, 2])
     b = Tidset.from_ids([0, 1])
     assert (a & b).ids == (0, 1)
-    assert (a | b).ids == (0, 1, 2)
-    assert b.issubset(a) and a.issuperset(b)
-    assert not a.issubset(b)
     assert a & a == a
     assert Tidset(1) & Tidset(2) == Tidset(0)
 
@@ -82,8 +80,6 @@ def test_tidset_eq_hash_repr():
 def test_tidset_ops_match_python_sets(a, b):
     ta, tb = Tidset.from_ids(a), Tidset.from_ids(b)
     assert (ta & tb).ids == tuple(sorted(a & b))
-    assert (ta | tb).ids == tuple(sorted(a | b))
-    assert ta.issubset(tb) == a.issubset(b)
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +96,6 @@ def test_matrix_build_sorts_columns():
     assert [c.cid for c in m.columns] == [
         ClusterId(0, 0), ClusterId(0, 1), ClusterId(1, 0)]
     assert m.n_objects == 3 and m.n_times == 2 and m.n_columns == 3
-
-
-def test_matrix_lookup_helpers():
-    m = ClusterMatrix.build(("a", "b"), (0, 1), [_col(0, 0, [0, 1]), _col(1, 0, [1])])
-    assert set(m.column_map()) == {ClusterId(0, 0), ClusterId(1, 0)}
-    assert m.column_map()[ClusterId(1, 0)].ids == (1,)
 
 
 @pytest.mark.parametrize("labels,times,cols,err", [
@@ -145,6 +135,21 @@ def test_fci_basics():
     assert len(f) == 2
 
 
+def test_fci_equals_its_packed_form_with_or_without_text():
+    items = (ClusterId(0, 3), ClusterId(2, 1), ClusterId(2**40, 0))
+    f = FCI(items, Tidset.from_ids([1, 4]))
+    codes = (3, 2 << 64 | 1, 2**40 << 64)
+    assert f.mask == 0b10010 and f.codes == codes
+    assert f.ids_text is None and f.items_text is None
+    for text in [(), ("b,e",), ("b,e", "0:3;2:1;x:0")]:
+        g = packed_fci(0b10010, codes, *text)
+        assert g == f and f == g and hash(g) == hash(f) and repr(g) == repr(f)
+        assert g.items == items and g.tidset == f.tidset and g.support == 2
+    assert f != packed_fci(0b10010, codes[:2])
+    assert f != packed_fci(0b10000, codes)
+    assert f != (items, f.tidset)
+
+
 def test_fci_validation():
     with pytest.raises(ValueError):
         FCI((), Tidset(1))
@@ -152,6 +157,8 @@ def test_fci_validation():
         FCI((ClusterId(1, 0), ClusterId(0, 0)), Tidset(1))
     with pytest.raises(ValueError):
         FCI((ClusterId(0, 0), ClusterId(0, 0)), Tidset(1))
+    with pytest.raises(ValueError, match="ordinal must be >= 0"):
+        FCI((ClusterId(0, -1),), Tidset(1))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from comove import (
     write_patterns_geojson,
     write_trajectories,
 )
+from comove.model import packed_fci
 from oracle import brute_read_fci_store, brute_write_fci_store, gen_random_matrix
 from conftest import expanding_trio_matrix, make_matrix, three_column_matrix
 
@@ -299,8 +300,8 @@ def _written(write, store) -> str:
 def test_fci_store_rows_carry_only_the_text_the_writer_writes():
     text = (_HEADER + "2\ta,b\t0:0;1:2\n2\tb,a\t0:1\n1\tb\t0:02\n"
             "1\ta\t0:3;1:+4\n")
-    rows = read_fci_store(io.StringIO(text)).rows
-    assert [(r.ids_text, r.items_text) for r in rows] == [
+    fcis = read_fci_store(io.StringIO(text)).fcis
+    assert [(f.ids_text, f.items_text) for f in fcis] == [
         ("a,b", "0:0;1:2"), (None, "0:1"), ("b", None), ("a", None)]
     buf = io.StringIO()
     write_fci_store(read_fci_store(io.StringIO(text)), buf)
@@ -308,18 +309,29 @@ def test_fci_store_rows_carry_only_the_text_the_writer_writes():
         "2\ta,b\t0:0;1:2\n2\ta,b\t0:1\n1\tb\t0:2\n1\ta\t0:3;1:4\n")
 
 
+def test_fci_store_formats_the_items_its_text_does_not_cover():
+    # an append keeps a stored itemset's item text for the union it joins
+    # with a new one, and the writer adds the new items
+    codes = (0, 1 << 64 | 2)
+    fcis = (packed_fci(1, codes, None, "0:0"), packed_fci(2, codes, "b"),
+            packed_fci(3, codes, None, "0:0;1:2"))
+    buf = io.StringIO()
+    write_fci_store(FciStore(1, ("a", "b"), (0, 1), fcis), buf)
+    assert buf.getvalue().endswith(
+        "1\ta\t0:0;1:2\n1\tb\t0:0;1:2\n2\ta,b\t0:0;1:2\n")
+
+
 def test_fci_store_ordinals_must_fit_the_item_code():
     # items are packed as time << 64 | ordinal, so 2**64 and up are refused
-    # by the reader and by every FCI-to-row conversion
+    # by the reader and by the FCI constructor
     top = 2**64 - 1
     got = read_fci_store(io.StringIO(_HEADER + f"1\ta\t0:{top}\n"))
     assert got.fcis[0].items == (ClusterId(0, top),)
     with pytest.raises(ParseError, match=r"ordinal must be < 2\*\*64") as info:
         read_fci_store(io.StringIO(_HEADER + f"1\ta\t0:0\n1\ta\t0:{top + 1}\n"))
     assert info.value.line == 5
-    big = FciStore(1, ("a",), (0,), (FCI((ClusterId(0, top + 1),), Tidset(1)),))
     with pytest.raises(ParseError, match=r"ordinal must be < 2\*\*64"):
-        write_fci_store(big, io.StringIO())
+        FCI((ClusterId(0, top + 1),), Tidset(1))
 
 
 def test_fci_store_time_span():

@@ -115,8 +115,7 @@ def build_parser() -> _Parser:
                      description="Co-movement pattern mining over trajectories.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="write a synthetic trajectory CSV",
-                           parents=[])
+    p_gen = sub.add_parser("gen", help="write a synthetic trajectory CSV")
     p_gen.add_argument("output", help="destination CSV path")
     p_gen.add_argument("--objects", type=int, default=100)
     p_gen.add_argument("--times", type=int, default=100)
@@ -278,8 +277,6 @@ def _cmd_append(args) -> int:
         new_db.align_to(store.object_labels),
         DbscanParams(eps=args.eps, min_pts=args.min_pts), threads=args.threads)
     new_fcis = mine_fci(new_matrix, store.epsilon)
-    # The stored itemsets keep the text of their lines, which the writer
-    # copies for every one that survives the merge.
     counters: dict = {}
     combined = combine_fcis(store.fcis,
                             shift_times(new_fcis, len(store.time_labels)),
@@ -345,8 +342,7 @@ def main(argv=None) -> int:
                 return _cmd_convert_columns(args)
             return _cmd_convert_patterns(args)
         raise AssertionError(f"unhandled command {args.command}")
-    except (CoMoveError, OSError, UnicodeDecodeError, csv.Error) as e:
-        # An input that cannot be read as text or as CSV is a data error.
+    except (CoMoveError, OSError) as e:
         print(f"comove: error: {e}", file=sys.stderr)
         return 2
 

@@ -137,5 +137,6 @@ def _union(mask: int, a: FCI, b: FCI) -> FCI:
     if b.codes[0] < a.codes[0]:
         a, b = b, a
     if a.codes[-1] < b.codes[0]:
-        return packed_fci(mask, a.codes + b.codes, None, a.items_text)
+        return packed_fci(mask, a.codes + b.codes, None, a.items_text,
+                          a.text_labels)
     return packed_fci(mask, tuple(sorted(a.codes + b.codes)))

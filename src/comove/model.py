@@ -282,18 +282,18 @@ class FCI:
     belonging to every item, and the support is its cardinality.
 
     The itemset is held packed: ``mask`` is the tidset as an int and
-    ``codes`` are the items as ascending :func:`item_code` ints.  ``items``
+    ``codes`` are the items as ascending :func:`item_code` ints; ``items``
     and ``tidset`` are built from them on first read and cached.  An itemset
     read from a store also keeps its line's member-id and item text
-    (``ids_text``, ``items_text``) where that text is what the store writer
-    would write under the same label tables; equality, hashing and repr
-    ignore it.  ``items_text`` may cover only the leading items, one
-    ``;``-separated field each, as it does for an itemset an append joins
-    from a stored one and a new one.  :func:`packed_fci` makes an FCI from
+    (``ids_text``, ``items_text``; the latter may cover only the leading
+    items, one ``;`` field each, as for an itemset an append joins) and, in
+    ``text_labels``, the label tables that text was read with.  Equality,
+    hashing and repr ignore all three.  :func:`packed_fci` makes an FCI from
     packed fields without checks.
     """
 
-    __slots__ = ("mask", "codes", "ids_text", "items_text", "_items", "_tidset")
+    __slots__ = ("mask", "codes", "ids_text", "items_text", "text_labels",
+                 "_items", "_tidset")
 
     def __init__(self, items: Sequence[ClusterId], tidset: Tidset):
         items = tuple(items)
@@ -303,7 +303,7 @@ class FCI:
             raise ValueError("FCI items must be strictly ascending")
         self.mask = tidset.mask
         self.codes = tuple([item_code(*c) for c in items])
-        self.ids_text = self.items_text = None
+        self.ids_text = self.items_text = self.text_labels = None
         self._items = items
         self._tidset = tidset
 
@@ -346,13 +346,15 @@ _new = object.__new__
 
 
 def packed_fci(mask: int, codes: tuple[int, ...], ids_text: str | None = None,
-               items_text: str | None = None) -> FCI:
-    """The FCI of a tidset mask and ascending item codes, unchecked."""
+               items_text: str | None = None, text_labels: tuple | None = None) -> FCI:
+    """The FCI of a tidset mask and ascending item codes, unchecked.  Text
+    given without ``text_labels`` is never written."""
     f = _new(FCI)
     f.mask = mask
     f.codes = codes
     f.ids_text = ids_text
     f.items_text = items_text
+    f.text_labels = text_labels
     f._items = f._tidset = None
     return f
 
@@ -474,10 +476,7 @@ class GroupPattern:
 
     @property
     def times(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for a, b in self.segments:
-            out.extend(range(a, b + 1))
-        return tuple(out)
+        return tuple([t for a, b in self.segments for t in range(a, b + 1)])
 
 
 @dataclass(frozen=True)
@@ -493,7 +492,7 @@ Pattern = Union[ClosedSwarm, Convoy, MovingCluster, GroupPattern, PeriodicPatter
 
 
 def _pattern_key(p: Pattern):
-    if isinstance(p, ClosedSwarm):
+    if isinstance(p, (ClosedSwarm, PeriodicPattern)):
         return (p.kind, p.objects.ids, p.times, ())
     if isinstance(p, Convoy):
         return (p.kind, p.objects.ids, (p.start, p.end), ())
@@ -501,8 +500,6 @@ def _pattern_key(p: Pattern):
         return (p.kind, p.objects.ids, tuple(p.clusters), ())
     if isinstance(p, GroupPattern):
         return (p.kind, p.objects.ids, p.segments, (p.weight,))
-    if isinstance(p, PeriodicPattern):
-        return (p.kind, p.objects.ids, p.times, ())
     raise TypeError(f"not a pattern: {p!r}")
 
 

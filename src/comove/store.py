@@ -7,8 +7,9 @@ count.
 
 The itemset store is read into packed FCIs (tidset masks and item codes).
 Each keeps the member-id and item text of its line where that text is what
-the writer would write, so an append copies the line of every stored
-itemset that survives the merge instead of formatting it again.
+the writer would write, tagged with the label tables it was read with, so an
+append copies the line of every stored itemset that survives the merge
+instead of formatting it again.
 """
 
 from __future__ import annotations
@@ -190,10 +191,9 @@ class FciStore:
     interpret and extend them later.
 
     The reader's FCIs keep the text of their store lines, which the writer
-    copies, so a store that is read, merged and written is written back
-    without formatting its surviving itemsets again.  Such FCIs belong with
-    the label tables they were read with; time labels may be extended at
-    the end, as an append does."""
+    copies while the store's label tables agree with the ones the text was
+    read with, so a store that is read, merged and written is written back
+    without formatting its surviving itemsets again."""
 
     epsilon: int
     object_labels: tuple[str, ...]
@@ -214,10 +214,12 @@ def write_fci_store(store: FciStore, dest):
     format uses as separators, and must not end in whitespace, which the
     reader strips from the end of the objects line.
 
-    An itemset's member-id and item text is written as the FCI carries it,
-    and formatted only where it carries none: member ids from the FCI's own
-    tidset, whose index tuple is cached once patterns have been decoded
-    from it, and the items its item text does not cover."""
+    An itemset's member-id and item text is written as the FCI carries it
+    when the store's object labels are the ones the text was read with and
+    its time labels start with the ones read.  The rest is formatted: member
+    ids from the FCI's own tidset, whose index tuple is cached once patterns
+    have been decoded from it, and the items its item text does not
+    cover."""
     labels = store.object_labels
     for label in labels:
         if (not label or label != label.rstrip()
@@ -225,11 +227,20 @@ def write_fci_store(store: FciStore, dest):
             raise ParseError(
                 f"object id {label!r} cannot be stored: ids must be non-empty, "
                 "contain no ',', tab or newline, and not end in whitespace")
-    tl = [_fmt_time(t) for t in store.time_labels]
+    tl = tuple(map(_fmt_time, store.time_labels))
     item_text = _ItemText(tl).__getitem__
+    # id of the label tables some text was read with -> whether the ids and
+    # the items text read with them is what this store writes
+    agrees = {id(None): (False, False)}
     lines = []
     for f in sorted(store.fcis, key=_codes):
-        ids, items = f.ids_text, f.items_text
+        ok = agrees.get(id(f.text_labels))
+        if ok is None:
+            read_labels, read_tl = f.text_labels
+            ok = agrees[id(f.text_labels)] = (read_labels == labels,
+                                              tl[:len(read_tl)] == read_tl)
+        ids = f.ids_text if ok[0] else None
+        items = f.items_text if ok[1] else None
         if ids is None:
             ids = ",".join([labels[i] for i in f.tidset.ids])
         done = 0 if items is None else items.count(";") + 1
@@ -253,7 +264,7 @@ class _ItemText(dict):
     """Item code -> ``time:ordinal`` text.  An item recurs in every itemset
     that contains it, so each distinct one is formatted once."""
 
-    def __init__(self, time_labels: list[str]):
+    def __init__(self, time_labels: tuple[str, ...]):
         super().__init__()
         self.time_labels = time_labels
 
@@ -278,8 +289,9 @@ def _parse_item(item: str, t_idx: dict[str, int], line_no: int) -> tuple[int, bo
 def read_fci_store(source) -> FciStore:
     """Parse a store into packed FCIs.  An FCI keeps its member-id text when
     the ids are in universe order and its item text when every item is
-    written as ``time:ordinal`` in canonical form, so writing the store back
-    copies that text instead of formatting it."""
+    written as ``time:ordinal`` in canonical form, with the store's object
+    labels and formatted time labels as its ``text_labels``, so writing the
+    store back copies that text instead of formatting it."""
     if isinstance(source, (str, Path)):
         with open(source) as fh:
             return read_fci_store(fh)
@@ -328,6 +340,7 @@ def read_fci_store(source) -> FciStore:
     o_idx = {o: i for i, o in enumerate(labels)}
     bit = (1).__lshift__
     t_idx = {_fmt_time(t): i for i, t in enumerate(times)}
+    text_labels = (labels, tuple(t_idx))
     # Rows repeat the same few thousand item strings, so each distinct one is
     # parsed once.  Only items that passed validation are cached, so a bad
     # item still fails on its own line.
@@ -371,7 +384,7 @@ def read_fci_store(source) -> FciStore:
             raise ParseError("FCI items must be strictly ascending", line=line_no)
         if odd_items and not odd_items.isdisjoint(tokens):
             items = None
-        fcis.append(packed_fci(mask, codes, ids, items))
+        fcis.append(packed_fci(mask, codes, ids, items, text_labels))
     return FciStore(epsilon, labels, times, tuple(fcis))
 
 

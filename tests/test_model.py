@@ -140,8 +140,9 @@ def test_fci_equals_its_packed_form_with_or_without_text():
     f = FCI(items, Tidset.from_ids([1, 4]))
     codes = (3, 2 << 64 | 1, 2**40 << 64)
     assert f.mask == 0b10010 and f.codes == codes
-    assert f.ids_text is None and f.items_text is None
-    for text in [(), ("b,e",), ("b,e", "0:3;2:1;x:0")]:
+    assert f.ids_text is None and f.items_text is None and f.text_labels is None
+    for text in [(), ("b,e",), ("b,e", "0:3;2:1;x:0"),
+                 ("b,e", "0:3", (("a", "b"), ("0",)))]:
         g = packed_fci(0b10010, codes, *text)
         assert g == f and f == g and hash(g) == hash(f) and repr(g) == repr(f)
         assert g.items == items and g.tidset == f.tidset and g.support == 2

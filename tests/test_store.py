@@ -22,6 +22,7 @@ from comove import (
     Tidset,
     TrajectoryDB,
     UniverseError,
+    combine_fcis,
     extract_patterns,
     mine_fci,
     parse_trajectories,
@@ -313,12 +314,34 @@ def test_fci_store_formats_the_items_its_text_does_not_cover():
     # an append keeps a stored itemset's item text for the union it joins
     # with a new one, and the writer adds the new items
     codes = (0, 1 << 64 | 2)
-    fcis = (packed_fci(1, codes, None, "0:0"), packed_fci(2, codes, "b"),
-            packed_fci(3, codes, None, "0:0;1:2"))
+    read_with = (("a", "b"), ("0",))
+    fcis = (packed_fci(1, codes, None, "0:0", read_with),
+            packed_fci(2, codes, "b", None, read_with),
+            packed_fci(3, codes, None, "0:0;1:2", read_with))
     buf = io.StringIO()
     write_fci_store(FciStore(1, ("a", "b"), (0, 1), fcis), buf)
     assert buf.getvalue().endswith(
         "1\ta\t0:0;1:2\n1\tb\t0:0;1:2\n2\ta,b\t0:0;1:2\n")
+
+
+@pytest.mark.parametrize("objects, times", [
+    (("x", "y"), (0, 1, 2)),        # objects relabelled
+    (("b", "a"), (0, 1, 2)),        # objects reordered
+    (("a", "b"), (5, 6, 7)),        # times re-based
+    (("a", "b"), (0, 1.0, 2)),      # a time equal to, but not written as, one read
+    (("a", "b"), (0,)),             # times cut short
+    (("x", "y"), (0, 1, 2, 3)),     # times extended, objects relabelled
+])
+def test_fci_store_text_is_not_copied_under_other_labels(objects, times):
+    text = ("# epsilon\t1\n# objects\ta,b\n# times\t0,1,2\n"
+            "2\ta,b\t0:0;1:2\n1\ta\t0:0;2:1\n1\tb\t0:1\n")
+    read = read_fci_store(io.StringIO(text))
+    fcis = read.fcis + tuple(combine_fcis(
+        read.fcis, [FCI((ClusterId(len(times) - 1, 9),), Tidset(0b11))], 1))
+    if len(times) < 3:  # keep only items the shorter time table can name
+        fcis = tuple(f for f in fcis if f.times[-1] < len(times))
+    store = FciStore(1, objects, times, fcis)
+    assert _written(write_fci_store, store) == _written(brute_write_fci_store, store)
 
 
 def test_fci_store_ordinals_must_fit_the_item_code():

@@ -176,11 +176,11 @@ def _kind_counts(patterns) -> dict:
     return dict(sorted(Counter(p.kind for p in patterns).items()))
 
 
-def _read(read, path):
-    """``read(path)``, with ``path`` named in the message of a data error,
-    so a command that reads two files says which one is bad."""
+def _read(read, path, **kwargs):
+    """``read(path, **kwargs)``, with ``path`` named in the message of a data
+    error, so a command that reads two files says which one is bad."""
     try:
-        return read(path)
+        return read(path, **kwargs)
     except (ParseError, UnicodeDecodeError, csv.Error) as e:
         raise CoMoveError(f"{path}: {e}") from e
 
@@ -263,7 +263,8 @@ def _cmd_mine(args, parser: _Parser) -> int:
 
 def _cmd_append(args) -> int:
     t0 = time.perf_counter()
-    store = _read(read_fci_store, args.store)
+    read_counters: dict = {}
+    store = _read(read_fci_store, args.store, counters=read_counters)
     if args.epsilon is not None and args.epsilon != store.epsilon:
         raise CoMoveError(
             f"--epsilon {args.epsilon} does not match the store's epsilon "
@@ -290,6 +291,7 @@ def _cmd_append(args) -> int:
              n_existing=len(store.fcis), n_incoming=len(new_fcis),
              n_combined=len(combined),
              update_was_recommended=should_update(store.time_span, new_db.n_times),
+             **{f"store_{k}": v for k, v in read_counters.items()},
              **counters, elapsed_s=round(time.perf_counter() - t0, 3))
     return 0
 

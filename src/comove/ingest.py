@@ -149,23 +149,29 @@ def _tokenize(lines_in):
 
     A chunk of ``_CHUNK_ROWS`` lines is split as one string when its lines
     are plain (see ``_split_plain``) and goes through ``csv.reader``
-    otherwise.  Once a chunk holds a '"', the rest of the input goes through
+    otherwise.  One line past each chunk is read ahead and carried into the
+    next, so the chunk that ends the input is known as the last even when
+    it is full.  Once a chunk holds a '"', the rest of the input goes through
     one ``csv.reader``, because a quoted field can span lines."""
     limit = csv.field_size_limit()
     read = 0  # lines pulled so far
+    ahead: list[str] = []  # the line read past the last chunk
     while True:
-        lines: list[str] = []
+        lines = ahead
         failure = None
         try:
-            lines.extend(islice(lines_in, _CHUNK_ROWS))
+            lines.extend(islice(lines_in, _CHUNK_ROWS + 1 - len(lines)))
         except UnicodeDecodeError as e:
             failure = e  # raised once the lines read before it are checked
+        # a chunk with no line after it ends the input
+        last = len(lines) <= _CHUNK_ROWS
+        ahead = lines[_CHUNK_ROWS:]
+        del lines[_CHUNK_ROWS:]
         text = "".join(lines)
         if '"' in text:
             rest = lines_in if failure is None else _raise(failure)
-            yield from _csv_chunks(chain(lines, rest), read)
+            yield from _csv_chunks(chain(lines, ahead, rest), read)
             return
-        last = len(lines) < _CHUNK_ROWS  # a short chunk ends the input
         if lines:
             fields = _split_plain(text, lines, last, limit)
             if fields is None:

@@ -9,7 +9,10 @@ The itemset store is read into packed FCIs (tidset masks and item codes).
 Each keeps the member-id and item text of its line where that text is what
 the writer would write, tagged with the label tables it was read with, so an
 append copies the line of every stored itemset that survives the merge
-instead of formatting it again.
+instead of formatting it again.  The writer sorts rows by items, so a row
+mostly starts with the items of the row before it (front coding); the
+reader copies the codes of those leading items from that row and parses
+only the rest.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import reduce
-from operator import attrgetter, lt, or_
+from itertools import compress, filterfalse, repeat
+from operator import add, attrgetter, lt, ne
 from pathlib import Path
 
 from .ingest import TrajectoryDB
@@ -270,31 +273,72 @@ class _ItemText(dict):
 
     def __missing__(self, code: int) -> str:
         t, ordinal = code_item(code)
+        if not 0 <= t < len(self.time_labels):
+            raise ParseError(
+                f"item {ClusterId(t, ordinal)} cannot be stored: its time index "
+                f"is outside the store's {len(self.time_labels)} time labels")
         text = self[code] = f"{self.time_labels[t]}:{ordinal}"
         return text
 
 
-def _parse_item(item: str, t_idx: dict[str, int], line_no: int) -> tuple[int, bool]:
-    """An item's code, and whether the item is written as the writer would."""
+def _check_item(item: str, t_code: dict[str, int], line_no: int) -> None:
+    """Raise the ParseError of a bad item, reported at ``line_no``."""
     t_str, _, ord_str = item.partition(":")
-    if t_str not in t_idx:
+    if t_str not in t_code:
         raise ParseError(f"unknown time label {t_str!r}", line=line_no)
     try:
         ordinal = int(ord_str)
     except ValueError:
         raise ParseError(f"unparseable item {item!r}", line=line_no) from None
-    return item_code(t_idx[t_str], ordinal, line_no), ord_str == str(ordinal)
+    item_code(0, ordinal, line_no)
 
 
-def read_fci_store(source) -> FciStore:
+def _parse_items(items: list[str], t_code: dict[str, int], line_no: int):
+    """The codes of ``items``, given the code of each time label's ordinal 0,
+    and the items not written as the writer would.  The first bad item
+    raises its ParseError."""
+    t_strs, _, ord_strs = zip(*map(str.partition, items, repeat(":")))
+    try:
+        ordinals = list(map(int, ord_strs))
+        codes = list(map(add, map(t_code.__getitem__, t_strs), ordinals))
+        for bound in (min(ordinals), max(ordinals)):
+            item_code(0, bound)  # an ordinal the code cannot hold raises
+    except (KeyError, ValueError):
+        for item in items:
+            _check_item(item, t_code, line_no)
+        raise
+    return codes, compress(items, map(ne, ord_strs, map(str, ordinals)))
+
+
+def _shared_prefix(a: str, b: str) -> int:
+    """The length of the longest common prefix of ``a`` and ``b``, found by
+    a binary search on slice compares."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if a.startswith(b[:mid]):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
     """Parse a store into packed FCIs.  An FCI keeps its member-id text when
     the ids are in universe order and its item text when every item is
     written as ``time:ordinal`` in canonical form, with the store's object
     labels and formatted time labels as its ``text_labels``, so writing the
-    store back copies that text instead of formatting it."""
+    store back copies that text instead of formatting it.
+
+    A row's leading items that repeat the previous row's, whole ``;``
+    fields each, take their codes from that row; only the rest is split
+    and parsed.  The writer sorts rows by items, so most items repeat; an
+    unsorted store is read the same, with fewer items reused.
+    ``counters``, when given, is filled with ``rows``, ``items`` and
+    ``items_reused``, the items whose codes were copied."""
     if isinstance(source, (str, Path)):
         with open(source) as fh:
-            return read_fci_store(fh)
+            return read_fci_store(fh, counters=counters)
     header: dict[str, list[str]] = {}
     body: list[tuple[int, list[str]]] = []
     for line_no, line in enumerate(source, start=1):
@@ -337,16 +381,19 @@ def read_fci_store(source) -> FciStore:
     if any(times[i] >= times[i + 1] for i in range(len(times) - 1)):
         raise ParseError("store times must be strictly increasing")
 
-    o_idx = {o: i for i, o in enumerate(labels)}
-    bit = (1).__lshift__
-    t_idx = {_fmt_time(t): i for i, t in enumerate(times)}
-    text_labels = (labels, tuple(t_idx))
+    o_bit = {o: 1 << i for i, o in enumerate(labels)}
+    t_code = {_fmt_time(t): item_code(i, 0) for i, t in enumerate(times)}
+    text_labels = (labels, tuple(t_code))
     # Rows repeat the same few thousand item strings, so each distinct one is
     # parsed once.  Only items that passed validation are cached, so a bad
     # item still fails on its own line.
     item_codes: dict[str, int] = {}
     odd_items: set[str] = set()  # cached items not written in canonical form
     fcis = []
+    reused = 0
+    # the previous row's items field, its codes and the index of its first
+    # item not written in canonical form (its length when there is none)
+    prev_items, prev_codes, prev_odd = "", (), 0
     for line_no, parts in body:
         if len(parts) != 3:
             raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}",
@@ -359,32 +406,60 @@ def read_fci_store(source) -> FciStore:
                              line=line_no) from None
         members = ids.split(",")
         try:
-            idx = list(map(o_idx.__getitem__, members))
+            bits = list(map(o_bit.__getitem__, members))
         except KeyError as e:
             raise ParseError(f"unknown object id {e.args[0]!r}", line=line_no) from None
-        mask = reduce(or_, map(bit, idx))
-        if not all(map(lt, idx, idx[1:])):
-            ids = None
+        # a repeated member carries into another bit, so the sum has fewer
+        # bits set than there are members
+        mask = sum(bits)
         if mask.bit_count() != support or len(members) != support:
             raise ParseError(
                 f"support {support} does not match {len(members)} member ids",
                 line=line_no)
-        tokens = items.split(";")
-        try:
-            codes = tuple(map(item_codes.__getitem__, tokens))
-        except KeyError:
-            for item in tokens:
-                if item not in item_codes:
-                    code, canonical = _parse_item(item, t_idx, line_no)
-                    item_codes[item] = code
-                    if not canonical:
-                        odd_items.add(item)
-            codes = tuple(map(item_codes.__getitem__, tokens))
-        if not all(map(lt, codes, codes[1:])):
-            raise ParseError("FCI items must be strictly ascending", line=line_no)
-        if odd_items and not odd_items.isdisjoint(tokens):
-            items = None
-        fcis.append(packed_fci(mask, codes, ids, items, text_labels))
+        if not all(map(lt, bits, bits[1:])):
+            ids = None
+
+        # Where the two items fields part, or the shorter one ends, is the
+        # junction when both have a field end there; else it is the last ';'
+        # before.  A field is never empty, so a junction at 0 shares nothing.
+        end = _shared_prefix(items, prev_items)
+        if not ((end == len(items) or items[end] == ";")
+                and (end == len(prev_items) or prev_items[end] == ";")):
+            end = items.rfind(";", 0, end)
+        shared = items.count(";", 0, end) + 1 if end > 0 else 0
+        if shared and end == len(items):
+            tokens = []
+            codes = prev_codes[:shared]
+        else:
+            tokens = (items[end + 1:] if shared else items).split(";")
+            try:
+                codes = tuple(map(item_codes.__getitem__, tokens))
+            except KeyError:
+                new = list(dict.fromkeys(filterfalse(item_codes.__contains__,
+                                                     tokens)))
+                new_codes, new_odd = _parse_items(new, t_code, line_no)
+                item_codes.update(zip(new, new_codes))
+                odd_items.update(new_odd)
+                codes = tuple(map(item_codes.__getitem__, tokens))
+            if (not all(map(lt, codes, codes[1:]))
+                    or shared and prev_codes[shared - 1] >= codes[0]):
+                raise ParseError("FCI items must be strictly ascending",
+                                 line=line_no)
+            if shared:
+                codes = prev_codes[:shared] + codes
+        if prev_odd < shared:
+            odd = prev_odd
+        elif odd_items and not odd_items.isdisjoint(tokens):
+            odd = shared + next(i for i, t in enumerate(tokens) if t in odd_items)
+        else:
+            odd = len(codes)
+        fcis.append(packed_fci(mask, codes, ids,
+                               items if odd == len(codes) else None, text_labels))
+        prev_items, prev_codes, prev_odd = items, codes, odd
+        reused += shared
+    if counters is not None:
+        counters.update(rows=len(fcis), items=sum(len(f.codes) for f in fcis),
+                        items_reused=reused)
     return FciStore(epsilon, labels, times, tuple(fcis))
 
 

@@ -497,6 +497,8 @@ def brute_read_fci_store(source) -> FciStore:
                 raise ParseError(f"unparseable item {item!r}", line=line_no) from None
             if ordinal < 0:
                 raise ParseError(f"ordinal must be >= 0, got {ordinal}", line=line_no)
+            if ordinal >= 2**64:
+                raise ParseError(f"ordinal must be < 2**64, got {ordinal}", line=line_no)
             items.append(ClusterId(t_idx[t_str], ordinal))
         try:
             fcis.append(FCI(tuple(items), tid))

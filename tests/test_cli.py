@@ -266,6 +266,22 @@ def test_append_chain_matches_the_fci_merge(tmp_path, capsys):
     assert new_total > 0
 
 
+def test_append_reports_the_store_items_it_reused(tmp_path, capsys):
+    # Row 2 reuses two items of row 1 and row 3 one; row 4 shares no whole
+    # item with row 3.
+    store = tmp_path / "fcis.tsv"
+    store.write_text("# epsilon\t1\n# objects\ta,b\n# times\t0,1,2\n"
+                     "2\ta,b\t0:0;1:0;2:0\n1\ta\t0:0;1:0;2:1\n1\tb\t0:0;2:0\n"
+                     "1\ta\t0:1\n")
+    batch = tmp_path / "batch.csv"
+    batch.write_text("object_id,timestamp,x,y\na,3,0,0\nb,3,0,1\n")
+    assert main(["append", str(batch), str(tmp_path / "out"), "--store", str(store)]
+                + APPEND_FLAGS) == 0
+    summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert {key: summary[key] for key in summary if key.startswith("store_")} == {
+        "store_rows": 4, "store_items": 9, "store_items_reused": 3}
+
+
 def test_append_builds_fcis_for_the_batch_only(tmp_path, monkeypatch):
     # The stored and the batch itemsets are read, mined, merged and written
     # packed, so an append reads no FCI's ClusterId tuple, whatever the store

@@ -214,14 +214,36 @@ _PLAIN = "".join(
     _PLAIN.replace("o3, 5 ,38.5", "o3,5,inf"),       # non-finite on line 40
     _PLAIN.replace("o4, 7 ,53.5", "o4, 0 ,53.5"),    # duplicate on line 55
     _PLAIN.replace("o5, 2 ,19.5", "o5,2.5,19.5"),    # bad timestamp on line 21
+    # two full chunks, the second ending without a line end
+    "".join(_PLAIN.splitlines(keepends=True)[:20]).rstrip("\n"),
 ], ids=["no-final-newline", "final-newline", "non-finite", "duplicate",
-        "bad-timestamp"])
+        "bad-timestamp", "full-chunks-no-final-newline"])
 def test_plain_lines_are_split_without_the_csv_reader(text):
     want = _parse_outcome(brute_parse_trajectories, io.StringIO(text))
     with mock.patch.object(comove.ingest, "_CHUNK_ROWS", 10), \
             mock.patch("comove.ingest.csv.reader",
                        side_effect=AssertionError("csv.reader was called")):
         assert _parse_outcome(parse_trajectories, io.StringIO(text)) == want
+
+
+def _failing_after(lines: list[str], n: int):
+    """The first ``n`` of ``lines``, then a decode error."""
+    yield from lines[:n]
+    raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+
+@pytest.mark.parametrize("bad_line", [None, 4])
+@pytest.mark.parametrize("n", [9, 10, 11, 20])
+def test_a_read_error_after_a_chunk_follows_the_check_of_its_lines(n, bad_line):
+    # Reading the line after a full chunk fails: the chunk's own records are
+    # checked first, so a bad record in them is the error reported.
+    lines = _PLAIN.splitlines(keepends=True)
+    if bad_line:
+        lines[bad_line - 1] = "o1,x,0,0\n"
+    with mock.patch.object(comove.ingest, "_CHUNK_ROWS", 10):
+        got = _parse_outcome(parse_trajectories, _failing_after(lines, n))
+    assert got == _parse_outcome(brute_parse_trajectories, _failing_after(lines, n))
+    assert got[0] is (UnicodeDecodeError if bad_line is None else ParseError)
 
 
 def test_a_line_item_with_an_inner_line_break_matches_the_oracle():

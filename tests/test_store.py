@@ -280,9 +280,9 @@ def _store_texts(draw):
     return (draw(st.sampled_from(["\n", "\r\n"]))).join(lines + [""])
 
 
-@settings(max_examples=400, deadline=None)
-@given(_store_texts())
-def test_fci_store_codec_matches_line_by_line_oracle(text):
+def _assert_read_as_the_oracle_reads(text: str):
+    """The store, or the error (type, message, line), and the bytes the
+    store is written back as, agree with the line-by-line oracle's."""
     got, error = _outcome(read_fci_store, io.StringIO(text))
     want, want_error = _outcome(brute_read_fci_store, io.StringIO(text))
     assert error == want_error
@@ -290,6 +290,111 @@ def test_fci_store_codec_matches_line_by_line_oracle(text):
     if got is not None:
         written, write_error = _outcome(_written, write_fci_store, got)
         assert (written, write_error) == _outcome(_written, brute_write_fci_store, want)
+        # a row keeps its items text when every item is written canonically
+        fields = [line.split("\t")[2] for line in text.split("\n")
+                  if line.strip() and line[0] != "#"]
+        assert [f.items_text for f in got.fcis] == [
+            items if all(o == str(int(o)) for _, _, o in
+                         (item.partition(":") for item in items.split(";")))
+            else None for items in fields]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_store_texts())
+def test_fci_store_codec_matches_line_by_line_oracle(text):
+    _assert_read_as_the_oracle_reads(text)
+
+
+# "1:1" is text-wise a leading part of "1:10", and "1:0" of "10:0", without
+# ending where an item ends.
+_SHARED_TIMES = ("1", "2", "10", "11")
+
+
+@st.composite
+def _front_coded_texts(draw):
+    """Store text whose rows share long leading runs of items: in the order
+    they were drawn, sorted, reversed or shuffled; a row may repeat the one
+    before or be a leading part of it.  Some items are spelled as the writer
+    never writes them, in every row or in one; one row may get a fault among
+    the items it does not share with the row before it."""
+    universe = [(t, o) for t in range(len(_SHARED_TIMES)) for o in (0, 1, 10)]
+    rows, prev = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        head = prev[:draw(st.integers(0, len(prev)))]
+        rest = [i for i in universe if not head or i > head[-1]]
+        tail = draw(st.sets(st.sampled_from(rest), min_size=0 if head else 1,
+                            max_size=4)) if rest else set()
+        prev = head + sorted(tail)
+        rows.append(prev)
+    order = draw(st.sampled_from(["drawn", "sorted", "reversed", "shuffled"]))
+    if order == "sorted":
+        rows.sort()
+    elif order == "reversed":
+        rows.sort(reverse=True)
+    elif order == "shuffled":
+        rows = draw(st.permutations(rows))
+    odd = draw(st.sets(st.sampled_from(universe), max_size=2))
+    lines = [(draw(st.lists(st.sampled_from("abc"), min_size=1, unique=True)),
+              [f"{_SHARED_TIMES[t]}:{'0' * ((t, o) in odd)}{o}" for t, o in items])
+             for items in rows]
+    r = len(lines) - 1 - draw(st.integers(0, len(lines) - 1))  # last row first
+    tokens = lines[r][1]
+    if draw(st.booleans()):  # one row spells one item oddly
+        k = draw(st.integers(0, len(tokens) - 1))
+        t, _, o = tokens[k].partition(":")
+        tokens[k] = f"{t}:+{o}"
+    if draw(st.booleans()):
+        before = lines[r - 1][1] if r else []
+        shared = next((i for i, (a, b) in enumerate(zip(tokens, before)) if a != b),
+                      min(len(tokens), len(before)))
+        k = draw(st.integers(shared, len(tokens)))
+        bad = draw(st.sampled_from([
+            "9:0", "1:x", "1:-1", f"1:{2**64}", "", "1:0", "11:10",
+            tokens[k - 1] if k else "1:0"]))
+        if k < len(tokens) and draw(st.booleans()):
+            tokens[k] = bad
+        else:
+            tokens.insert(k, bad)
+    return ("# epsilon\t1\n# objects\ta,b,c\n# times\t" + ",".join(_SHARED_TIMES)
+            + "\n" + "".join(f"{len(m)}\t{','.join(m)}\t{';'.join(tokens)}\n"
+                             for m, tokens in lines))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_front_coded_texts())
+def test_fci_store_rows_sharing_leading_items_match_the_oracle(text):
+    _assert_read_as_the_oracle_reads(text)
+
+
+@pytest.mark.parametrize("rows", [
+    ["1:0;1:1;2:0", "1:0;1:1", "1:0"],         # each a leading part of the last
+    ["1:0;1:1", "1:0;1:1", "1:0;1:1;2:0"],     # repeated, then extended
+    ["1:1;2:0", "1:10"],                       # text shared past an item's end
+    ["1:10", "1:1;2:0"],
+    ["1:0;2:0", "10:0"],
+    ["1:01;2:0", "1:01;2:1", "1:1;2:1"],       # an odd spelling in a shared run
+    ["1:0;2:0", "1:0;2:0;2:0"],                # a repeat at the junction
+    ["1:0;2:1", "1:0;2:1;2:0"],                # a descent at the junction
+    ["1:0;2:1", "1:0;2:1;"],                   # an empty item after a shared run
+    ["1:0;2:1", "1:0;2:1;7:0"],                # an unknown time after a shared run
+    [";1:0"],                                  # an empty first item
+    ["1:0", ";1:0"],
+])
+def test_fci_store_rows_sharing_leading_items(rows):
+    _assert_read_as_the_oracle_reads(
+        "# epsilon\t1\n# objects\ta\n# times\t1,2,10\n"
+        + "".join(f"1\ta\t{items}\n" for items in rows))
+
+
+def test_fci_store_reader_counts_the_items_it_reuses():
+    # Row 2 reuses 0:0 and 1:0 from row 1, row 3 reuses 0:0; row 4 shares
+    # only the text "0:" with row 3, no whole item.
+    text = ("# epsilon\t1\n# objects\ta,b\n# times\t0,1,2\n"
+            "2\ta,b\t0:0;1:0;2:0\n1\ta\t0:0;1:0;2:1\n1\tb\t0:0;2:0\n1\ta\t0:1\n")
+    counters: dict = {}
+    store = read_fci_store(io.StringIO(text), counters=counters)
+    assert counters == {"rows": 4, "items": 9, "items_reused": 3}
+    assert store == brute_read_fci_store(io.StringIO(text))
 
 
 def _written(write, store) -> str:
@@ -407,6 +512,18 @@ def test_fci_store_rejects_unstorable_object_ids(label):
     assert buf.getvalue() == ""
 
 
+@pytest.mark.parametrize("time", [-1, 2, 7])
+def test_fci_store_refuses_an_item_outside_its_time_labels(time):
+    # A negative index must not be written as a label counted from the end.
+    fcis = (FCI((ClusterId(0, 1),), Tidset(0b11)),
+            FCI((ClusterId(time, 0),), Tidset(0b01)))
+    buf = io.StringIO()
+    with pytest.raises(ParseError, match=rf"item ClusterId\(time={time}, ordinal=0\) "
+                       r"cannot be stored: .* 2 time labels"):
+        write_fci_store(FciStore(1, ("a", "b"), (0, 1), fcis), buf)
+    assert buf.getvalue() == ""
+
+
 def test_fci_store_failed_write_keeps_existing_file(tmp_path):
     path = tmp_path / "fcis.tsv"
     good = FciStore(1, ("a",), (0,), (FCI((ClusterId(0, 0),), Tidset.from_ids([0])),))
@@ -414,7 +531,7 @@ def test_fci_store_failed_write_keeps_existing_file(tmp_path):
     before = path.read_bytes()
     # item time index 5 is outside the single time label
     bad = FciStore(1, ("a",), (0,), (FCI((ClusterId(5, 0),), Tidset.from_ids([0])),))
-    with pytest.raises(IndexError):
+    with pytest.raises(ParseError):
         write_fci_store(bad, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["fcis.tsv"]

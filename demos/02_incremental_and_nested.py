@@ -80,8 +80,7 @@ def main():
         members = ",".join(labels[i] for i in f.tidset.ids)
         print(f"  times {tuple(c.time for c in f.items)} -> {members}")
 
-    reordered, _perm = nested_reorder(matrix)
-    parts = nested_block_partition(reordered)
+    parts = nested_block_partition(nested_reorder(matrix))
     nested_cols = sum(len(b) for b in parts[:-1])
     print(f"\nparameter-free partition after reordering the big matrix: "
           f"{len(parts) - 1} nested runs covering {nested_cols} columns, "

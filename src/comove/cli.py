@@ -26,6 +26,7 @@ from .incremental import mine_incremental, mine_parameter_free
 from .ingest import interpolate, parse_trajectories, periodic_decompose
 from .miner import mine_fci
 from .model import (
+    MINING_MODES,
     CoMoveError,
     MiningParams,
     ParameterError,
@@ -76,7 +77,7 @@ def _mining_flags() -> argparse.ArgumentParser:
     g = p.add_argument_group("mining")
     g.add_argument("--epsilon", type=int, default=2,
                    help="min objects per itemset (default 2)")
-    g.add_argument("--mode", choices=("monolithic", "incremental", "nested"),
+    g.add_argument("--mode", choices=MINING_MODES,
                    default="monolithic", help="mining strategy (default monolithic)")
     g.add_argument("--block-size", type=int, default=None,
                    help="timestamps per block; needs --mode incremental (default 25)")

@@ -24,6 +24,7 @@ import numpy as np
 
 from .ingest import TrajectoryDB
 from .model import (
+    MATRIX_KINDS,
     ClusterId,
     ClusterMatrix,
     Column,
@@ -155,7 +156,7 @@ def build_cluster_matrix(db: TrajectoryDB, params: DbscanParams, *,
     database from periodic decomposition).  ``threads`` clusters timestamps
     concurrently; output is identical for any thread count.
     """
-    if kind not in ("per-timestamp", "periodic"):
+    if kind not in MATRIX_KINDS:
         raise MatrixKindError(
             f"cannot build a {kind!r} matrix from trajectories")
     if not isinstance(threads, int) or threads < 1:

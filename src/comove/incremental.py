@@ -9,10 +9,13 @@ monolithic answer exactly, including itemset contents.  Merging runs as a
 balanced reduction: each round combines adjacent pairs of results, so no
 side grows to the whole answer while the other stays one block wide.
 
-The parameter-free variant skips choosing a block size: columns are reordered
-so that containment chains sit next to each other, chains become nested
-blocks, and whatever is left goes into one sparse block.  Every block, nested
-or not, is mined by :func:`~comove.miner.mine_columns`, the miner behind
+The parameter-free variant skips choosing a block size: one sort puts the
+columns in order of tidset size, then content, so containment chains sit
+next to each other; each maximal nested run becomes a block, and whatever is
+left goes into one sparse block.  Any column partition merges to the exact
+answer, so the partition only decides how many merges run, and the merges,
+not the sort, are this mode's cost.  Every block, nested or not, is mined by
+:func:`~comove.miner.mine_columns`, the miner behind
 :func:`~comove.miner.mine_fci`.
 
 Blocks are mined and merged as packed FCIs (tidset masks and item codes),
@@ -81,48 +84,18 @@ def _is_nested(left: Column, right: Column) -> bool:
     return right.members.mask & ~left.members.mask == 0
 
 
-def nested_reorder(matrix: ClusterMatrix) -> tuple[ClusterMatrix, tuple[int, ...]]:
-    """Reorder columns to put containment chains next to each other.
-
-    Primary order: tidset size descending, ties broken on tidset content so
-    equal columns group together.  A single left-to-right pass then swaps
-    adjacent columns whenever the swap creates a nested adjacency without
-    destroying one.  Returns the reordered matrix plus the permutation
-    (original column index per new position).
-    """
-    order = sorted(range(len(matrix.columns)),
-                   key=lambda j: (-len(matrix.columns[j].members),
-                                  matrix.columns[j].members.ids))
-    cols = [matrix.columns[j] for j in order]
-
-    def adjacent_flags(i: int) -> list[bool]:
-        """Nestedness of the three adjacencies a swap at (i, i+1) can touch."""
-        return [
-            0 <= a and a + 1 < len(cols) and _is_nested(cols[a], cols[a + 1])
-            for a in (i - 1, i, i + 1)
-        ]
-
-    for i in range(len(cols) - 1):
-        before = adjacent_flags(i)
-        cols[i], cols[i + 1] = cols[i + 1], cols[i]
-        order[i], order[i + 1] = order[i + 1], order[i]
-        after = adjacent_flags(i)
-        gained = sum(after) > sum(before)
-        lost = any(b and not a for b, a in zip(before, after))
-        if not (gained and not lost):
-            cols[i], cols[i + 1] = cols[i + 1], cols[i]
-            order[i], order[i + 1] = order[i + 1], order[i]
-
-    reordered = ClusterMatrix(matrix.object_labels, matrix.time_labels,
-                              tuple(cols), matrix.kind)
-    return reordered, tuple(order)
+def nested_reorder(matrix: ClusterMatrix) -> tuple[Column, ...]:
+    """The matrix's columns with containment chains next to each other:
+    tidset size descending, ties broken on tidset content so equal columns
+    group together."""
+    return tuple(sorted(matrix.columns,
+                        key=lambda c: (-len(c.members), c.members.ids)))
 
 
-def nested_block_partition(matrix: ClusterMatrix) -> list[tuple[Column, ...]]:
-    """Split a (reordered) matrix into maximal nested runs of at least two
+def nested_block_partition(cols: tuple[Column, ...]) -> list[tuple[Column, ...]]:
+    """Split a column sequence into maximal nested runs of at least two
     columns plus one sparse block holding everything else.  The sparse block
     always comes last, even when empty."""
-    cols = matrix.columns
     blocks: list[tuple[Column, ...]] = []
     spare: list[Column] = []
     i = 0
@@ -142,5 +115,5 @@ def nested_block_partition(matrix: ClusterMatrix) -> list[tuple[Column, ...]]:
 def mine_parameter_free(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:
     """Incremental mining without a block-size parameter: blocks come from
     the data's own containment structure.  Result equals mine_fci."""
-    reordered, _ = nested_reorder(matrix)
-    return _mine_blocks(matrix, nested_block_partition(reordered), epsilon)
+    return _mine_blocks(matrix, nested_block_partition(nested_reorder(matrix)),
+                        epsilon)

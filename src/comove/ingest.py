@@ -149,31 +149,24 @@ def _tokenize(lines_in):
 
     A chunk of ``_CHUNK_ROWS`` lines is split as one string when its lines
     are plain (see ``_split_plain``) and goes through ``csv.reader``
-    otherwise.  One line past each chunk is read ahead and carried into the
-    next, so the chunk that ends the input is known as the last even when
-    it is full.  Once a chunk holds a '"', the rest of the input goes through
+    otherwise.  Once a chunk holds a '"', the rest of the input goes through
     one ``csv.reader``, because a quoted field can span lines."""
     limit = csv.field_size_limit()
     read = 0  # lines pulled so far
-    ahead: list[str] = []  # the line read past the last chunk
     while True:
-        lines = ahead
+        lines: list[str] = []
         failure = None
         try:
-            lines.extend(islice(lines_in, _CHUNK_ROWS + 1 - len(lines)))
+            lines.extend(islice(lines_in, _CHUNK_ROWS))
         except UnicodeDecodeError as e:
             failure = e  # raised once the lines read before it are checked
-        # a chunk with no line after it ends the input
-        last = len(lines) <= _CHUNK_ROWS
-        ahead = lines[_CHUNK_ROWS:]
-        del lines[_CHUNK_ROWS:]
         text = "".join(lines)
         if '"' in text:
             rest = lines_in if failure is None else _raise(failure)
-            yield from _csv_chunks(chain(lines, ahead, rest), read)
+            yield from _csv_chunks(chain(lines, rest), read)
             return
         if lines:
-            fields = _split_plain(text, lines, last, limit)
+            fields = _split_plain(text, lines, limit)
             if fields is None:
                 yield from _csv_chunks(lines, read)
             else:
@@ -181,7 +174,7 @@ def _tokenize(lines_in):
             read += len(lines)
         if failure is not None:
             raise failure
-        if last:
+        if len(lines) < _CHUNK_ROWS:
             return
 
 
@@ -190,16 +183,15 @@ def _raise(error: Exception):
     yield  # a generator: raises when the first line is pulled
 
 
-def _split_plain(text: str, lines: list[str], last: bool, limit: int):
+def _split_plain(text: str, lines: list[str], limit: int):
     """The four field columns of ``lines``, which join to ``text`` (free of
     '"'), split as ``csv.reader`` splits them; None unless every line is
     plain: it holds no carriage return or NUL, exactly three commas and one
-    line end, at its end (the final line may lack it when the chunk is the
-    ``last`` of the input), and it is no longer than the csv field limit
-    ``limit``."""
+    line end, at its end, and it is no longer than the csv field limit
+    ``limit``.  The chunk's final line may lack its line end: it is then the
+    input's last line, or an item of a list source, which ``csv.reader``
+    also reads as one record."""
     if not text.endswith("\n"):
-        if not last:
-            return None
         text += "\n"
     if ("\r" in text or "\0" in text or text.count("\n") != len(lines)
             or not all(map(str.endswith, lines[:-1], repeat("\n")))

@@ -232,10 +232,11 @@ class ClusterMatrix:
 
     @classmethod
     def build(cls, object_labels: Sequence[str], time_labels: Sequence,
-              columns: Iterable[Column], kind: str = "per-timestamp",
-              sort: bool = True) -> "ClusterMatrix":
-        cols = tuple(sorted(columns, key=lambda c: c.cid) if sort else columns)
-        return cls(tuple(object_labels), tuple(time_labels), cols, kind)
+              columns: Iterable[Column],
+              kind: str = "per-timestamp") -> "ClusterMatrix":
+        """A matrix of ``columns`` sorted by cluster id."""
+        return cls(tuple(object_labels), tuple(time_labels),
+                   tuple(sorted(columns, key=lambda c: c.cid)), kind)
 
     @property
     def n_objects(self) -> int:

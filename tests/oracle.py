@@ -408,13 +408,20 @@ def brute_write_fci_store(store: FciStore, fh) -> None:
                 f"object id {label!r} cannot be stored: ids must be non-empty, "
                 "contain no ',', tab or newline, and not end in whitespace")
     tl = [_fmt_time(t) for t in store.time_labels]
+    fcis = sorted(store.fcis, key=lambda f: f.items)
+    for fci in fcis:
+        for c in fci.items:
+            if not 0 <= c.time < len(tl):
+                raise ParseError(
+                    f"item {c} cannot be stored: its time index is outside "
+                    f"the store's {len(tl)} time labels")
     fh.write(f"# epsilon\t{store.epsilon}\n")
     fh.write(f"# n_objects\t{len(store.object_labels)}\n")
     if tl:
         fh.write(f"# time_range\t{tl[0]}\t{tl[-1]}\n")
     fh.write(f"# objects\t{','.join(store.object_labels)}\n")
     fh.write(f"# times\t{','.join(tl)}\n")
-    for fci in sorted(store.fcis, key=lambda f: f.items):
+    for fci in fcis:
         ids = ",".join(store.object_labels[i] for i in fci.tidset.ids)
         items = ";".join(f"{tl[c.time]}:{c.ordinal}" for c in fci.items)
         fh.write(f"{fci.support}\t{ids}\t{items}\n")

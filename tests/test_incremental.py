@@ -4,7 +4,6 @@ import pytest
 from comove import (
     FCI,
     ClusterId,
-    ClusterMatrix,
     ParameterError,
     Tidset,
     mine_fci,
@@ -118,32 +117,18 @@ def test_incremental_default_block_size():
 def test_nested_reorder_sorts_by_size_then_content():
     m = make_matrix({(0, 0): [0, 1], (1, 0): [0, 1, 2, 3], (2, 0): [0, 1, 2],
                      (3, 0): [2, 3]})
-    reordered, perm = nested_reorder(m)
-    assert [c.members for c in reordered.columns] == [
+    assert [c.members for c in nested_reorder(m)] == [
         _tid(0, 1, 2, 3), _tid(0, 1, 2), _tid(0, 1), _tid(2, 3)]
-    assert perm == (1, 2, 0, 3)
-
-
-def test_nested_reorder_swap_gains_an_adjacency():
-    # size order alone gives [{0,1}, {1,2}] after the 3-set; swapping makes
-    # {1,2} adjacent to its superset
-    m = make_matrix({(0, 0): [1, 2, 3], (1, 0): [0, 1], (2, 0): [1, 2]})
-    reordered, perm = nested_reorder(m)
-    assert [c.members for c in reordered.columns] == [
-        _tid(0, 1), _tid(1, 2, 3), _tid(1, 2)]
-    assert perm == (1, 0, 2)
 
 
 def test_nested_reorder_permutation_is_valid():
     rng = np.random.default_rng(33)
     for _ in range(40):
         m = gen_random_matrix(rng)
-        reordered, perm = nested_reorder(m)
-        assert sorted(perm) == list(range(m.n_columns))
-        assert all(reordered.columns[i] == m.columns[perm[i]]
-                   for i in range(m.n_columns))
-        assert reordered.object_labels == m.object_labels
-        assert reordered.time_labels == m.time_labels
+        cols = nested_reorder(m)
+        assert sorted(cols, key=lambda c: c.cid) == list(m.columns)
+        sizes = [len(c.members) for c in cols]
+        assert sizes == sorted(sizes, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -154,25 +139,24 @@ def test_partition_two_chains_and_a_leftover():
     # column order: {0,1,2}>={0,1}, then {3,4}, then {2,3,4}>={3,4}
     m = make_matrix({(0, 0): [0, 1, 2], (1, 0): [0, 1], (2, 0): [3, 4],
                      (3, 0): [2, 3, 4], (4, 0): [3, 4]})
-    blocks = nested_block_partition(m)
+    blocks = nested_block_partition(m.columns)
     assert [[c.cid.time for c in b] for b in blocks] == [[0, 1], [3, 4], [2]]
 
 
 def test_partition_fully_nested():
     m = make_matrix({(0, 0): [0, 1, 2], (1, 0): [0, 1], (2, 0): [0]})
-    blocks = nested_block_partition(m)
+    blocks = nested_block_partition(m.columns)
     assert blocks == [m.columns, ()]
 
 
 def test_partition_nothing_nested():
     m = make_matrix({(0, 0): [0, 1], (1, 0): [2, 3], (2, 0): [4, 5]})
-    blocks = nested_block_partition(m)
+    blocks = nested_block_partition(m.columns)
     assert blocks == [m.columns]
 
 
 def test_partition_empty_matrix():
-    m = ClusterMatrix.build(("a",), (0,), [])
-    assert nested_block_partition(m) == [()]
+    assert nested_block_partition(()) == [()]
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,17 @@ def test_plain_lines_are_split_without_the_csv_reader(text):
         assert _parse_outcome(parse_trajectories, io.StringIO(text)) == want
 
 
+def test_list_items_without_line_ends_are_split_without_the_csv_reader():
+    # csv.reader reads each item of a list source as one record, so an item
+    # that lacks its "\n" ends its line whatever item follows it.
+    lines = _PLAIN.splitlines()
+    want = _parse_outcome(brute_parse_trajectories, lines)
+    with mock.patch.object(comove.ingest, "_CHUNK_ROWS", 1), \
+            mock.patch("comove.ingest.csv.reader",
+                       side_effect=AssertionError("csv.reader was called")):
+        assert _parse_outcome(parse_trajectories, lines) == want
+
+
 def _failing_after(lines: list[str], n: int):
     """The first ``n`` of ``lines``, then a decode error."""
     yield from lines[:n]

@@ -517,11 +517,16 @@ def test_fci_store_refuses_an_item_outside_its_time_labels(time):
     # A negative index must not be written as a label counted from the end.
     fcis = (FCI((ClusterId(0, 1),), Tidset(0b11)),
             FCI((ClusterId(time, 0),), Tidset(0b01)))
-    buf = io.StringIO()
-    with pytest.raises(ParseError, match=rf"item ClusterId\(time={time}, ordinal=0\) "
-                       r"cannot be stored: .* 2 time labels"):
-        write_fci_store(FciStore(1, ("a", "b"), (0, 1), fcis), buf)
-    assert buf.getvalue() == ""
+    store = FciStore(1, ("a", "b"), (0, 1), fcis)
+    # the reference refuses it the same way, and neither writes anything
+    for write in (write_fci_store, brute_write_fci_store):
+        buf = io.StringIO()
+        with pytest.raises(ParseError) as refused:
+            write(store, buf)
+        assert str(refused.value) == (
+            f"item ClusterId(time={time}, ordinal=0) cannot be stored: its "
+            "time index is outside the store's 2 time labels")
+        assert type(refused.value) is ParseError and buf.getvalue() == ""
 
 
 def test_fci_store_failed_write_keeps_existing_file(tmp_path):

@@ -1,15 +1,21 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import comove.clustering
 from comove import (
     DbscanParams,
     MatrixKindError,
     ParameterError,
+    SyntheticSpec,
     Tidset,
     TrajectoryDB,
     build_cluster_matrix,
     dbscan_snapshot,
+    gen_synthetic,
 )
 from conftest import make_matrix
 from oracle import brute_dbscan_snapshot
@@ -80,6 +86,44 @@ def test_min_pts_counts_the_point_itself():
 def test_ids_pass_through():
     got = _snap([0.0, 0.5], eps=1.0, min_pts=2, ids=[9, 5])
     assert got == [Tidset.from_ids([5, 9])]
+
+
+def test_non_finite_coordinates_are_noise():
+    # A NaN or infinite coordinate is within eps of nothing, not even of the
+    # point itself (two points at the same infinity are NaN apart), so it
+    # neither clusters nor adds to a neighbour's density.
+    nan, inf = float("nan"), float("inf")
+    pts = [(0.0, 0.0), (0.5, 0.0), (nan, 0.0), (0.0, nan), (inf, 0.0),
+           (inf, 0.0), (-inf, 0.0), (0.0, -inf), (inf, inf)]
+    ids = np.arange(len(pts))
+    assert dbscan_snapshot(ids, pts, DbscanParams(eps=1.0, min_pts=2)) == \
+        [Tidset.from_ids([0, 1])]
+    assert dbscan_snapshot(ids, pts, DbscanParams(eps=1.0, min_pts=3)) == []
+
+
+def test_negative_object_id_raises():
+    with pytest.raises(ValueError, match="non-negative"):
+        _snap([0.0, 0.5], eps=1.0, min_pts=2, ids=[-1, 3])
+
+
+@pytest.mark.parametrize("points, eps", [
+    # eps*eps underflows to 0: a pair is within only if its squared gaps
+    # underflow as well, which happens far beyond eps
+    ([(0.0, 0.0), (1e-170, 0.0), (0.0, 3e-162), (1e-300, 1e-300)], 1e-300),
+    # eps*eps overflows: every finite pair is within, even one whose gap
+    # overflows
+    ([(1.7e308, 0.0), (-1.7e308, 0.0), (0.0, 1.7e308)], 1e200),
+    # coordinates at the top of the float range with an ordinary eps
+    ([(1.7e308, 0.0), (np.nextafter(1.7e308, 0), 0.0), (-1.7e308, 1.0),
+      (-1.7e308, 2.0)], 1.0),
+])
+def test_snapshot_equals_oracle_at_float_extremes(points, eps):
+    ids, pts = np.arange(len(points)), np.array(points)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for min_pts in (2, 3):
+            params = DbscanParams(eps=eps, min_pts=min_pts)
+            assert dbscan_snapshot(ids, pts, params) == \
+                brute_dbscan_snapshot(ids, pts, params)
 
 
 def test_border_point_joins_first_cluster_by_id():
@@ -217,6 +261,18 @@ def test_snapshot_equals_bfs_oracle(snapshot):
 # Whole-database matrix construction
 # ---------------------------------------------------------------------------
 
+def _oracle_matrix(db, params):
+    """The cluster matrix ``brute_dbscan_snapshot`` gives, timestamp by
+    timestamp."""
+    cells = {}
+    for t in range(db.n_times):
+        idx = np.nonzero(db.present[:, t])[0]
+        for o, tid in enumerate(brute_dbscan_snapshot(idx, db.xy[idx, t], params)):
+            cells[(t, o)] = tid.ids
+    return make_matrix(cells, n_objects=db.n_objects, n_times=db.n_times,
+                       labels=db.object_labels)
+
+
 def _traj_db(frames, labels):
     """frames: list (one per time) of {label: (x, y)}."""
     xy = np.full((len(labels), len(frames), 2), np.nan)
@@ -280,21 +336,13 @@ def test_build_matrix_equals_oracle_columns():
                           tuple(range(n_times)), xy)
         params = DbscanParams(eps=float(rng.choice([0.5, 1.0, 1.5])),
                               min_pts=int(rng.integers(2, 5)))
-        cells = {}
-        for t in range(n_times):
-            idx = np.nonzero(db.present[:, t])[0]
-            for o, tid in enumerate(brute_dbscan_snapshot(idx, xy[idx, t], params)):
-                cells[(t, o)] = tid.ids
-        want = make_matrix(cells, n_objects=n_objects, n_times=n_times,
-                           labels=db.object_labels)
-        assert build_cluster_matrix(db, params) == want
+        assert build_cluster_matrix(db, params) == _oracle_matrix(db, params)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_build_matrix_equals_oracle_as_snapshot_sizes_shrink_and_grow(threads):
-    # Each worker thread reuses its distance buffers: a snapshot after a
-    # larger one reads them at a smaller shape, and a later larger one grows
-    # them again.
+    # Snapshots of very different sizes, including an empty one, side by
+    # side in the same steps.
     rng = np.random.default_rng(29)
     sizes = [12, 3, 30, 1, 20, 30, 5, 0, 16]
     n_objects = max(sizes)
@@ -304,12 +352,81 @@ def test_build_matrix_equals_oracle_as_snapshot_sizes_shrink_and_grow(threads):
     db = TrajectoryDB(tuple(f"o{i:02d}" for i in range(n_objects)),
                       tuple(range(len(sizes))), xy)
     params = DbscanParams(eps=1.0, min_pts=2)
-    cells = {}
-    for t in range(len(sizes)):
-        idx = np.nonzero(db.present[:, t])[0]
-        for o, tid in enumerate(brute_dbscan_snapshot(idx, xy[idx, t], params)):
-            cells[(t, o)] = tid.ids
-    want = make_matrix(cells, n_objects=n_objects, n_times=len(sizes),
-                       labels=db.object_labels)
+    want = _oracle_matrix(db, params)
     assert want.n_columns > len(sizes)  # clusters to compare, not only noise
     assert build_cluster_matrix(db, params, threads=threads) == want
+
+
+def _nudge(v: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        v = float(np.nextafter(v, np.copysign(np.inf, ulps)))
+    return v
+
+
+@st.composite
+def _grid_databases(draw):
+    """A small trajectory database laid out where a grid is most likely to go
+    wrong, with its parameters.
+
+    Positions are multiples of eps moved by a few ulps, a previous position
+    moved by exactly eps (along an axis or as a 3-4-5 diagonal), or a
+    previous position repeated.  Every coordinate is shifted by one offset
+    that may be negative or as large as 1e12, where eps = 0.001 is only a
+    few ulps wide.
+    """
+    eps = draw(st.sampled_from([0.001, 0.1, 0.3, 1.0, 2.5]))
+    shift = draw(st.sampled_from([0.0, -7.0, 1e3, -1e6, 1e9, 1e12, -1e12]))
+    n_objects, n_times = draw(st.integers(1, 10)), draw(st.integers(1, 4))
+    xy = np.full((n_objects, n_times, 2), np.nan)
+    for t in range(n_times):
+        placed = []
+        for o in range(n_objects):
+            how = draw(st.sampled_from(["absent", "lattice", "eps away", "repeat"]))
+            if how == "absent":
+                continue
+            if how == "lattice" or not placed:
+                pos = tuple(_nudge(shift + draw(st.integers(-3, 3)) * eps,
+                                   draw(st.integers(-3, 3))) for _ in "xy")
+            else:
+                x, y = draw(st.sampled_from(placed))
+                if how == "eps away":
+                    dx, dy = draw(st.sampled_from(
+                        [(1, 0), (-1, 0), (0, 1), (0, -1), (0.6, 0.8), (-0.8, 0.6)]))
+                    x, y = x + dx * eps, y + dy * eps
+                pos = (x, y)
+            placed.append(pos)
+            xy[o, t] = pos
+    db = TrajectoryDB(tuple(f"o{i}" for i in range(n_objects)),
+                      tuple(range(n_times)), xy)
+    return db, DbscanParams(eps=eps, min_pts=draw(st.integers(2, 4)))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@settings(max_examples=150, deadline=None)
+@given(case=_grid_databases(),
+       budget=st.sampled_from([None, (1, 1), (3, 2), (6, 5)]))
+def test_build_matrix_equals_oracle_on_grid_edge_cases(threads, case, budget):
+    # Small budgets (points per step, candidate pairs per batch) split
+    # batches inside a timestamp and steps across timestamps.
+    db, params = case
+    step, batch = budget or (comove.clustering._STEP_POINTS,
+                             comove.clustering._BATCH_PAIRS)
+    with mock.patch.object(comove.clustering, "_STEP_POINTS", step), \
+            mock.patch.object(comove.clustering, "_BATCH_PAIRS", batch):
+        got = build_cluster_matrix(db, params, threads=threads)
+    assert got == _oracle_matrix(db, params)
+
+
+def test_build_matrix_memory_does_not_grow_with_snapshot_squared():
+    # 3 000 objects in one snapshot: a dense n x n distance matrix alone
+    # would take 72 MB.  Gate on memory only, never on time.
+    db = gen_synthetic(SyntheticSpec(n_objects=3000, n_times=20, n_groups=300,
+                                     seed=11))
+    tracemalloc.start()
+    try:
+        matrix = build_cluster_matrix(db, DbscanParams(eps=3, min_pts=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.n_columns > 0
+    assert peak < 32 * 2 ** 20

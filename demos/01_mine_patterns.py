@@ -13,7 +13,6 @@ from comove import (
     ClosedSwarm,
     Convoy,
     DbscanParams,
-    ExtractionContext,
     GroupPattern,
     MiningParams,
     MovingCluster,
@@ -62,9 +61,8 @@ def main():
     fcis = mine_fci(matrix, 3)
     print(f"mined {len(fcis)} frequent closed itemsets at support >= 3\n")
 
-    ctx = ExtractionContext(matrix, MiningParams(epsilon=3, min_t=5,
-                                                 min_wei=0.5))
-    patterns = extract_patterns(fcis, ctx)
+    patterns = extract_patterns(fcis, matrix,
+                                MiningParams(min_t=5, min_wei=0.5))
     print(f"{len(patterns)} patterns lasting at least 5 timestamps:")
     for p in patterns:
         print("  " + describe(p, matrix))

@@ -12,7 +12,6 @@ import io
 
 from comove import (
     DbscanParams,
-    ExtractionContext,
     MiningParams,
     build_cluster_matrix,
     extract_patterns,
@@ -40,9 +39,8 @@ def main():
     matrix = build_cluster_matrix(dec.sub_db, DbscanParams(eps=0.5, min_pts=2),
                                   kind="periodic")
     fcis = mine_fci(matrix, 2)
-    ctx = ExtractionContext(matrix, MiningParams(epsilon=2, min_t=2))
     print("\nperiodic patterns (days sharing a place at each offset):")
-    for p in extract_patterns(fcis, ctx):
+    for p in extract_patterns(fcis, matrix, MiningParams(min_t=2)):
         days = ", ".join(matrix.object_labels[i] for i in p.objects.ids)
         coverage = len(p.times) / matrix.n_times
         print(f"  offsets {p.times} shared by {days} "

@@ -48,7 +48,7 @@ from .model import (
     UniverseError,
     canonical_sort,
 )
-from .patterns import ExtractionContext, extract_patterns
+from .patterns import extract_patterns
 from .store import (
     FciStore,
     check_pattern_object_ids,

@@ -26,15 +26,15 @@ from .incremental import mine_incremental, mine_parameter_free
 from .ingest import interpolate, parse_trajectories, periodic_decompose
 from .miner import mine_fci
 from .model import (
-    MINING_MODES,
     CoMoveError,
     MiningParams,
     ParameterError,
     ParseError,
     TimeRangeError,
     UniverseError,
+    check_epsilon,
 )
-from .patterns import ExtractionContext, extract_patterns
+from .patterns import extract_patterns
 from .store import (
     FciStore,
     check_pattern_object_ids,
@@ -77,7 +77,7 @@ def _mining_flags() -> argparse.ArgumentParser:
     g = p.add_argument_group("mining")
     g.add_argument("--epsilon", type=int, default=2,
                    help="min objects per itemset (default 2)")
-    g.add_argument("--mode", choices=MINING_MODES,
+    g.add_argument("--mode", choices=("monolithic", "incremental", "nested"),
                    default="monolithic", help="mining strategy (default monolithic)")
     g.add_argument("--block-size", type=int, default=None,
                    help="timestamps per block; needs --mode incremental (default 25)")
@@ -193,6 +193,13 @@ def _load_db(args):
     return db
 
 
+def _cluster(db, args, kind: str = "per-timestamp"):
+    """``db`` clustered with the --eps, --minpts and --threads flags."""
+    return build_cluster_matrix(
+        db, DbscanParams(eps=args.eps, min_pts=args.min_pts), kind=kind,
+        threads=args.threads)
+
+
 def _cmd_gen(args) -> int:
     spec = SyntheticSpec(n_objects=args.objects, n_times=args.times,
                          n_groups=args.groups, switch_prob=args.switch_prob,
@@ -204,12 +211,12 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _mine_with_mode(matrix, params: MiningParams):
-    if params.mode == "incremental":
-        return mine_incremental(matrix, params.epsilon, params.block_size)
-    if params.mode == "nested":
-        return mine_parameter_free(matrix, params.epsilon)
-    return mine_fci(matrix, params.epsilon)
+def _mine_with_mode(matrix, epsilon: int, mode: str, block_size: int | None):
+    if mode == "incremental":
+        return mine_incremental(matrix, epsilon, block_size)
+    if mode == "nested":
+        return mine_parameter_free(matrix, epsilon)
+    return mine_fci(matrix, epsilon)
 
 
 def _write_outputs(out_dir: str, store: FciStore | None, patterns, matrix, db, emit):
@@ -233,10 +240,12 @@ def _cmd_mine(args, parser: _Parser) -> int:
     if args.block_size is not None and args.mode != "incremental":
         parser.error("--block-size needs --mode incremental")
     t0 = time.perf_counter()
-    params = MiningParams(epsilon=args.epsilon, min_t=args.min_t,
-                          theta=args.theta, min_c=args.min_c,
-                          min_wei=args.min_wei, block_size=args.block_size,
-                          mode=args.mode)
+    check_epsilon(args.epsilon)
+    params = MiningParams(min_t=args.min_t, theta=args.theta, min_c=args.min_c,
+                          min_wei=args.min_wei)
+    if args.block_size is not None and args.block_size < 1:
+        raise ParameterError(
+            f"block_size must be an int >= 1 or None, got {args.block_size!r}")
     db = None
     if args.pre_clustered:
         matrix = _read(read_cluster_columns, args.input)
@@ -245,15 +254,13 @@ def _cmd_mine(args, parser: _Parser) -> int:
         if args.period is not None:
             db = periodic_decompose(db, args.period).sub_db
         kind = "periodic" if args.period is not None else "per-timestamp"
-        matrix = build_cluster_matrix(
-            db, DbscanParams(eps=args.eps, min_pts=args.min_pts),
-            kind=kind, threads=args.threads)
-    fcis = _mine_with_mode(matrix, params)
-    patterns = extract_patterns(fcis, ExtractionContext(matrix, params))
-    store = FciStore(params.epsilon, matrix.object_labels, matrix.time_labels,
+        matrix = _cluster(db, args, kind)
+    fcis = _mine_with_mode(matrix, args.epsilon, args.mode, args.block_size)
+    patterns = extract_patterns(fcis, matrix, params)
+    store = FciStore(args.epsilon, matrix.object_labels, matrix.time_labels,
                      tuple(fcis))
     _write_outputs(args.out_dir, store, patterns, matrix, db, args.emit)
-    _summary(command="mine", mode=params.mode, input=args.input,
+    _summary(command="mine", mode=args.mode, input=args.input,
              n_objects=matrix.n_objects, n_times=matrix.n_times,
              n_columns=matrix.n_columns, n_fcis=len(fcis),
              n_patterns=len(patterns), patterns=_kind_counts(patterns),
@@ -275,9 +282,7 @@ def _cmd_append(args) -> int:
         raise TimeRangeError(
             f"new data starts at {new_db.time_labels[0]!r}, not strictly after "
             f"the store's last timestamp {store.time_labels[-1]!r}")
-    new_matrix = build_cluster_matrix(
-        new_db.align_to(store.object_labels),
-        DbscanParams(eps=args.eps, min_pts=args.min_pts), threads=args.threads)
+    new_matrix = _cluster(new_db.align_to(store.object_labels), args)
     new_fcis = mine_fci(new_matrix, store.epsilon)
     counters: dict = {}
     combined = combine_fcis(store.fcis,
@@ -298,9 +303,7 @@ def _cmd_append(args) -> int:
 
 
 def _cmd_convert_columns(args) -> int:
-    db = _load_db(args)
-    matrix = build_cluster_matrix(
-        db, DbscanParams(eps=args.eps, min_pts=args.min_pts), threads=args.threads)
+    matrix = _cluster(_load_db(args), args)
     write_cluster_columns(matrix, args.output)
     _summary(command="convert", conversion="columns", input=args.input,
              output=args.output, n_columns=matrix.n_columns)
@@ -315,11 +318,10 @@ def _cmd_convert_patterns(args) -> int:
             "trajectories and store cover different object universes")
     if db.time_labels != store.time_labels:
         raise TimeRangeError("trajectories and store cover different time ranges")
-    matrix = build_cluster_matrix(
-        db, DbscanParams(eps=args.eps, min_pts=args.min_pts), threads=args.threads)
-    params = MiningParams(epsilon=store.epsilon, min_t=args.min_t,
-                          theta=args.theta, min_c=args.min_c, min_wei=args.min_wei)
-    patterns = extract_patterns(store.fcis, ExtractionContext(matrix, params))
+    matrix = _cluster(db, args)
+    params = MiningParams(min_t=args.min_t, theta=args.theta, min_c=args.min_c,
+                          min_wei=args.min_wei)
+    patterns = extract_patterns(store.fcis, matrix, params)
     _write_outputs(args.out_dir, None, patterns, matrix, db, args.emit)
     _summary(command="convert", conversion="patterns", store=args.store,
              input=args.input, n_patterns=len(patterns),

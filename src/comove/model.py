@@ -369,33 +369,23 @@ def check_epsilon(epsilon: int):
 # Mining parameters
 # ---------------------------------------------------------------------------
 
-#: Accepted values for MiningParams.mode.
-MINING_MODES = ("monolithic", "incremental", "nested")
-
-
 @dataclass(frozen=True)
 class MiningParams:
-    """Support/shape thresholds shared across the mining pipeline.
+    """The shape thresholds ``extract_patterns`` decodes itemsets with;
+    support (epsilon) is not one: it is fixed when the itemsets are mined.
 
-    epsilon    minimum number of co-moving objects (itemset support)
     min_t      minimum number of involved time units
     theta      Jaccard threshold for moving-cluster chains
     min_c      minimum number of consecutive segments in a group pattern
     min_wei    minimum fraction of the time span covered by a group pattern
-    block_size timestamps per block for incremental mining (None = default 25)
-    mode       monolithic | incremental | nested
     """
 
-    epsilon: int = 2
     min_t: int = 1
     theta: float = 0.5
     min_c: int = 1
     min_wei: float = 0.0
-    block_size: int | None = None
-    mode: str = "monolithic"
 
     def __post_init__(self):
-        check_epsilon(self.epsilon)
         if not isinstance(self.min_t, int) or self.min_t < 1:
             raise ParameterError(f"min_t must be an int >= 1, got {self.min_t!r}")
         if not 0.0 <= self.theta <= 1.0:
@@ -404,13 +394,6 @@ class MiningParams:
             raise ParameterError(f"min_c must be an int >= 1, got {self.min_c!r}")
         if not 0.0 <= self.min_wei <= 1.0:
             raise ParameterError(f"min_wei must be in [0, 1], got {self.min_wei!r}")
-        if self.block_size is not None and (
-                not isinstance(self.block_size, int) or self.block_size < 1):
-            raise ParameterError(
-                f"block_size must be an int >= 1 or None, got {self.block_size!r}")
-        if self.mode not in MINING_MODES:
-            raise ParameterError(
-                f"mode must be one of {MINING_MODES}, got {self.mode!r}")
 
 
 # ---------------------------------------------------------------------------

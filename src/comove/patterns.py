@@ -2,9 +2,10 @@
 
 ``extract_patterns`` is the one decoder: it reads each itemset once and
 yields every pattern kind the matrix supports, which callers filter by
-``kind``.  Its :class:`ExtractionContext` carries the matrix the itemsets
-were mined from (pattern shape depends on the full column tidsets, not just
-the itemset) and the thresholds.
+``kind``.  It decodes against the matrix the itemsets were mined from
+(pattern shape depends on the full column tidsets, not just the itemset) and
+the shape thresholds of :class:`MiningParams`; support was fixed when the
+itemsets were mined.
 
 Itemsets are decoded a chunk at a time as whole arrays, from their packed
 fields: every item code becomes a column index, item times are read off the
@@ -44,24 +45,12 @@ from .model import (
     item_code,
 )
 
-__all__ = ["ExtractionContext", "extract_patterns"]
+__all__ = ["extract_patterns"]
 
 # Itemsets decoded per step: bounds the arrays a decode holds at once.
 _CHUNK_FCIS = 256
 
 _codes = attrgetter("codes")
-
-
-class ExtractionContext:
-    """Matrix + parameters that ``extract_patterns`` decodes against."""
-
-    def __init__(self, matrix: ClusterMatrix, params: MiningParams):
-        self.matrix = matrix
-        self.params = params
-
-    @property
-    def n_times(self) -> int:
-        return self.matrix.n_times
 
 
 def _words(masks: Sequence[int], n_words: int) -> np.ndarray:
@@ -123,11 +112,11 @@ class _Columns:
         return self._linked[at]
 
 
-def _decode_chunk(fcis: list[FCI], cols: _Columns, ctx: ExtractionContext,
-                  patterns: list[Pattern], movers: dict[bytes, MovingCluster]) -> None:
+def _decode_chunk(fcis: list[FCI], cols: _Columns, matrix: ClusterMatrix,
+                  params: MiningParams, patterns: list[Pattern],
+                  movers: dict[bytes, MovingCluster]) -> None:
     """Append one chunk's swarms, convoys and group patterns to ``patterns``
     and its moving clusters to ``movers``, keyed by their column sequence."""
-    params = ctx.params
     code_lists = list(map(_codes, fcis))
     codes = list(chain.from_iterable(code_lists))
     col = cols.positions(codes)
@@ -143,9 +132,13 @@ def _decode_chunk(fcis: list[FCI], cols: _Columns, ctx: ExtractionContext,
     # always is; a hand-edited store row need not be, and would decode into
     # patterns the data does not hold.
     words = cols.words[col]
-    fci_words = _words([f.mask for f in fcis], cols.n_words)
+    masks = [f.mask for f in fcis]
     shared = np.bitwise_and.reduceat(words, offset[:-1], axis=0)
-    outside = (fci_words & ~shared).any(axis=1)
+    try:
+        fci_words = _words(masks, cols.n_words)
+        outside = (fci_words & ~shared).any(axis=1)
+    except OverflowError:  # an object past the last word is in no column
+        outside = np.array([m.bit_length() > 64 * cols.n_words for m in masks])
     if outside.any():
         f = fcis[int(outside.argmax())]
         raise UniverseError(
@@ -157,7 +150,7 @@ def _decode_chunk(fcis: list[FCI], cols: _Columns, ctx: ExtractionContext,
     repeated[1:] &= t[1:] == t[:-1]
     repeated[0] = False
     n_repeated = np.bincount(owner[repeated], minlength=len(fcis))
-    swarm = PeriodicPattern if ctx.matrix.kind == "periodic" else ClosedSwarm
+    swarm = PeriodicPattern if matrix.kind == "periodic" else ClosedSwarm
     times = t.tolist()
     for fci, a, b, n_times, repeats in zip(
             fcis, offset[:-1].tolist(), offset[1:].tolist(),
@@ -187,7 +180,7 @@ def _decode_chunk(fcis: list[FCI], cols: _Columns, ctx: ExtractionContext,
     # Group patterns: at least min_c guarded runs covering min_wei of the span.
     for f, segs in segments.items():
         if len(segs) >= params.min_c:
-            weight = sum(b - a + 1 for a, b in segs) / ctx.n_times
+            weight = sum(b - a + 1 for a, b in segs) / matrix.n_times
             if weight >= params.min_wei:
                 patterns.append(GroupPattern(fcis[f].tidset, tuple(segs), weight))
 
@@ -212,7 +205,8 @@ def _decode_chunk(fcis: list[FCI], cols: _Columns, ctx: ExtractionContext,
                 Tidset(_mask(cores[k])))
 
 
-def extract_patterns(fcis: Iterable[FCI], ctx: ExtractionContext) -> list[Pattern]:
+def extract_patterns(fcis: Iterable[FCI], matrix: ClusterMatrix,
+                     params: MiningParams) -> list[Pattern]:
     """Decode a set of closed itemsets into every pattern kind the matrix
     supports, deduplicated and canonically ordered.
 
@@ -220,13 +214,14 @@ def extract_patterns(fcis: Iterable[FCI], ctx: ExtractionContext) -> list[Patter
     pattern on a periodic matrix, which yields nothing else, and a closed
     swarm otherwise.  Per-timestamp matrices add a convoy per guarded run,
     the moving clusters of the runs and the group pattern of the guarded
-    runs.  An item that is not a column of the matrix raises UniverseError.
+    runs.  An item that is not a column of the matrix raises UniverseError,
+    and so does an itemset holding an object that is not in all its columns.
     """
-    cols = _Columns(ctx.matrix, ctx.params.theta)
+    cols = _Columns(matrix, params.theta)
     patterns: list[Pattern] = []
     movers: dict[bytes, MovingCluster] = {}
     it = iter(fcis)
     while chunk := list(islice(it, _CHUNK_FCIS)):
-        _decode_chunk(chunk, cols, ctx, patterns, movers)
+        _decode_chunk(chunk, cols, matrix, params, patterns, movers)
     patterns.extend(movers.values())
     return canonical_sort(patterns)

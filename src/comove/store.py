@@ -22,11 +22,12 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from itertools import compress, filterfalse, repeat
 from operator import add, attrgetter, lt, ne
 from pathlib import Path
 
-from .ingest import TrajectoryDB
+from .ingest import TrajectoryDB, _parse_timestamp
 from .model import (
     FCI,
     ClusterId,
@@ -101,17 +102,35 @@ def _parse_time_label(s: str, line: int | None = None):
 # Trajectory CSV
 # ---------------------------------------------------------------------------
 
+def _iso_time(label: float) -> str:
+    """A float time label (epoch seconds) as ISO-8601 UTC with microseconds,
+    or ParseError if ``parse_trajectories`` would not read it back exactly."""
+    try:
+        text = datetime.fromtimestamp(label, timezone.utc).isoformat(
+            timespec="microseconds")
+        if _parse_timestamp(text) == label:
+            return text
+    except (OverflowError, OSError, ValueError):
+        pass
+    raise ParseError(
+        f"time label {label!r} has no exact ISO-8601 form with microseconds")
+
+
 def write_trajectories(db: TrajectoryDB, dest):
-    """object_id,timestamp,x,y rows, object-major, observed cells only."""
+    """object_id,timestamp,x,y rows, object-major, observed cells only.  A
+    float time label is written as ISO-8601 UTC with microseconds."""
+    time_text = [_iso_time(t) if isinstance(t, float) else str(t)
+                 for t in db.time_labels]
+
     def write(fh):
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["object_id", "timestamp", "x", "y"])
         present = db.present
         for o, label in enumerate(db.object_labels):
-            for t, tlabel in enumerate(db.time_labels):
+            for t, tlabel in enumerate(time_text):
                 if present[o, t]:
                     x, y = db.xy[o, t]
-                    w.writerow([label, _fmt_time(tlabel),
+                    w.writerow([label, tlabel,
                                 repr(float(x)), repr(float(y))])
     _write_to(dest, write)
 

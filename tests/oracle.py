@@ -40,7 +40,6 @@ from comove.model import (
     UniverseError,
     canonical_sort,
 )
-from comove.patterns import ExtractionContext
 from comove.store import FciStore, _fmt_time, _parse_time_label
 
 __all__ = [
@@ -208,7 +207,8 @@ def brute_convoys(matrix: ClusterMatrix, epsilon: int, min_t: int) -> list[Convo
     return out
 
 
-def brute_group_patterns(matrix: ClusterMatrix, params: MiningParams) -> list[GroupPattern]:
+def brute_group_patterns(matrix: ClusterMatrix, epsilon: int,
+                         params: MiningParams) -> list[GroupPattern]:
     """Group patterns by object-subset enumeration: segments are the guarded
     consecutive runs (as for convoys); a subset qualifies when it has at least
     min_c segments covering at least min_wei of the whole time span."""
@@ -217,7 +217,7 @@ def brute_group_patterns(matrix: ClusterMatrix, params: MiningParams) -> list[Gr
     n_times = matrix.n_times
     out = []
     for obj_mask in range(1, 1 << matrix.n_objects):
-        if obj_mask.bit_count() < params.epsilon:
+        if obj_mask.bit_count() < epsilon:
             continue
         segs = _guarded_runs(per_time, obj_mask, params.min_t)
         if len(segs) < params.min_c:
@@ -305,15 +305,14 @@ def _moving_clusters(runs, cols: _ColumnLookup,
     return result
 
 
-def brute_extract_patterns(fcis, ctx: ExtractionContext):
+def brute_extract_patterns(fcis, matrix: ClusterMatrix, params: MiningParams):
     """Every pattern kind decoded itemset by itemset, item by item, with each
     column tidset looked up when a guarded run or a Jaccard needs it.  The
     reference for ``comove.extract_patterns`` on itemsets over the matrix's
     own columns (an absent column raises UniverseError here only when a
     lookup reaches it)."""
-    params = ctx.params
-    cols = _ColumnLookup(ctx.matrix)
-    swarm = PeriodicPattern if ctx.matrix.kind == "periodic" else ClosedSwarm
+    cols = _ColumnLookup(matrix)
+    swarm = PeriodicPattern if matrix.kind == "periodic" else ClosedSwarm
     patterns = []
     movers: set[MovingCluster] = set()
     for fci in fcis:
@@ -327,7 +326,7 @@ def brute_extract_patterns(fcis, ctx: ExtractionContext):
         patterns.extend(Convoy(fci.tidset, a, b) for a, b in segments)
         movers.update(_moving_clusters(runs, cols, params))
         if len(segments) >= params.min_c:
-            weight = sum(b - a + 1 for a, b in segments) / ctx.n_times
+            weight = sum(b - a + 1 for a, b in segments) / matrix.n_times
             if weight >= params.min_wei:
                 patterns.append(GroupPattern(fci.tidset, tuple(segments), weight))
     patterns.extend(movers)

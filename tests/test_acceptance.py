@@ -14,7 +14,6 @@ from comove import (
     ClusterId,
     Convoy,
     DbscanParams,
-    ExtractionContext,
     GroupPattern,
     MiningParams,
     PeriodicPattern,
@@ -72,8 +71,7 @@ def test_worked_example_mines_exact_itemsets_and_patterns(capsys):
     m = three_column_matrix()
     t0 = time.perf_counter()
     fcis = mine_fci(m, 2)
-    pats = extract_patterns(
-        fcis, ExtractionContext(m, MiningParams(epsilon=2, min_t=2)))
+    pats = extract_patterns(fcis, m, MiningParams(min_t=2))
     elapsed = time.perf_counter() - t0
     assert fcis == [
         FCI((_cid(0, 0), _cid(1, 0), _cid(2, 0)), _tid(0, 1)),
@@ -93,24 +91,20 @@ def test_worked_example_mines_exact_itemsets_and_patterns(capsys):
 def test_definition_scenarios_reproduce_stated_patterns(capsys):
     # a pair clustered at times 0, 2, 3: the swarm spans the gap
     m = pair_with_gap_matrix()
-    pats = extract_patterns(
-        mine_fci(m, 2), ExtractionContext(m, MiningParams(epsilon=2, min_t=2)))
+    pats = extract_patterns(mine_fci(m, 2), m, MiningParams(min_t=2))
     assert [p for p in pats if isinstance(p, ClosedSwarm)] == [
         ClosedSwarm(_tid(0, 1), (0, 2, 3))]
 
     # a pair joined by a third object halfway: two overlapping convoys
     m = expanding_trio_matrix()
-    pats = extract_patterns(
-        mine_fci(m, 2), ExtractionContext(m, MiningParams(epsilon=2, min_t=2)))
+    pats = extract_patterns(mine_fci(m, 2), m, MiningParams(min_t=2))
     assert [p for p in pats if isinstance(p, Convoy)] == [
         Convoy(_tid(0, 1), 0, 3), Convoy(_tid(0, 1, 2), 2, 3)]
 
     # two stints with a break: one group pattern covering 4 of 5 timestamps
     m = two_stint_matrix()
     pats = extract_patterns(
-        mine_fci(m, 2),
-        ExtractionContext(m, MiningParams(epsilon=2, min_t=2, min_c=1,
-                                          min_wei=0.5)))
+        mine_fci(m, 2), m, MiningParams(min_t=2, min_c=1, min_wei=0.5))
     groups = [p for p in pats if isinstance(p, GroupPattern)]
     assert groups == [GroupPattern(_tid(0, 1), ((0, 1), (3, 4)), 0.8)]
     assert groups[0].weight == 4 / 5
@@ -126,8 +120,7 @@ def test_definition_scenarios_reproduce_stated_patterns(capsys):
     sub = periodic_decompose(db, 4).sub_db
     pm = build_cluster_matrix(sub, DbscanParams(eps=0.5, min_pts=2),
                               kind="periodic")
-    pats = extract_patterns(
-        mine_fci(pm, 2), ExtractionContext(pm, MiningParams(epsilon=2, min_t=2)))
+    pats = extract_patterns(mine_fci(pm, 2), pm, MiningParams(min_t=2))
     assert pats == [
         PeriodicPattern(_tid(0, 1), (0, 1, 2, 3)),
         PeriodicPattern(_tid(0, 1, 2), (0, 2, 3)),
@@ -149,14 +142,14 @@ def test_pipeline_matches_brute_force_enumeration(capsys):
         for eps in (1, 2, 3):
             fcis = mine_fci(m, eps)
             for min_t in (1, 2, 3):
-                params = MiningParams(epsilon=eps, min_t=min_t)
-                pats = extract_patterns(fcis, ExtractionContext(m, params))
+                params = MiningParams(min_t=min_t)
+                pats = extract_patterns(fcis, m, params)
                 assert {p for p in pats if isinstance(p, ClosedSwarm)} == set(
                     brute_closed_swarms(m, eps, min_t))
                 assert {p for p in pats if isinstance(p, Convoy)} == set(
                     brute_convoys(m, eps, min_t))
                 assert {p for p in pats if isinstance(p, GroupPattern)} == set(
-                    brute_group_patterns(m, params))
+                    brute_group_patterns(m, eps, params))
                 n_settings += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

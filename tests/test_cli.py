@@ -372,7 +372,8 @@ def test_convert_patterns_rejects_itemset_outside_its_columns(tmp_path, capsys):
 
 def test_usage_errors_exit_1(tmp_path):
     for argv in ([], ["mine"], ["mine", "in.csv"], ["bogus"],
-                 ["mine", "a", "b", "--no-such-flag"]):
+                 ["mine", "a", "b", "--no-such-flag"],
+                 ["mine", "a", "b", "--mode", "bogus"]):
         with pytest.raises(SystemExit) as ei:
             main(argv)
         assert ei.value.code == 1
@@ -460,6 +461,21 @@ def test_threads_below_one_exit_2_before_any_io(tmp_path, capsys, argv):
     argv = [a.format(missing=missing, out=out) for a in argv]
     assert main(argv + ["--threads", "0"]) == 2
     assert "threads must be an int >= 1, got 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epsilon", "0"], "epsilon must be an int >= 1, got 0"),
+    (["--mode", "incremental", "--block-size", "0"],
+     "block_size must be an int >= 1 or None, got 0"),
+], ids=["epsilon", "block-size"])
+def test_mine_refuses_support_and_block_size_before_any_io(tmp_path, capsys,
+                                                           flags, message):
+    # the input does not exist, so only a check made before reading it can
+    # report the flag
+    argv = ["mine", str(tmp_path / "missing.csv"), str(tmp_path / "out")]
+    assert main(argv + flags) == 2
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

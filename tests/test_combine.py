@@ -53,7 +53,7 @@ def test_combine_two_store_instance():
                         "absorbed_incoming": 1, "stops": 1}
 
 
-@pytest.mark.parametrize("epsilon", [0, -1, "2"])
+@pytest.mark.parametrize("epsilon", [0, -1, 1.5, "2"])
 def test_combine_refuses_an_epsilon_mine_fci_refuses(epsilon):
     # at 0 the disjoint tidsets below would give an itemset with no object
     existing = [_fci([(0, 0)], 0, 1)]

@@ -168,14 +168,12 @@ def test_fci_validation():
 
 def test_mining_params_defaults():
     p = MiningParams()
-    assert (p.epsilon, p.min_t, p.theta, p.min_c, p.min_wei) == (2, 1, 0.5, 1, 0.0)
-    assert p.block_size is None and p.mode == "monolithic"
+    assert (p.min_t, p.theta, p.min_c, p.min_wei) == (1, 0.5, 1, 0.0)
 
 
 @pytest.mark.parametrize("kw", [
-    {"epsilon": 0}, {"epsilon": 1.5}, {"min_t": 0}, {"theta": -0.1},
-    {"theta": 1.1}, {"min_c": 0}, {"min_wei": 2.0}, {"block_size": 0},
-    {"block_size": 2.5}, {"mode": "bogus"},
+    {"min_t": 0}, {"theta": -0.1}, {"theta": 1.1}, {"min_c": 0},
+    {"min_wei": 2.0},
 ])
 def test_mining_params_validation(kw):
     with pytest.raises(ParameterError):

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,6 @@ from comove import (
     ClusterMatrix,
     Column,
     Convoy,
-    ExtractionContext,
     GroupPattern,
     MiningParams,
     MovingCluster,
@@ -41,13 +41,9 @@ from conftest import (
 )
 
 
-def _ctx(matrix, **kw):
-    return ExtractionContext(matrix, MiningParams(**kw))
-
-
-def _decode(fcis, ctx, kind):
+def _decode(fcis, matrix, params, kind):
     """The patterns of one kind that extract_patterns decodes from fcis."""
-    return [p for p in extract_patterns(fcis, ctx) if p.kind == kind]
+    return [p for p in extract_patterns(fcis, matrix, params) if p.kind == kind]
 
 
 def _tid(*ids):
@@ -65,27 +61,27 @@ def _cid(t, o):
 def test_swarm_spans_gaps_convoy_does_not():
     m = pair_with_gap_matrix()
     (fci,) = mine_fci(m, 2)
-    ctx = _ctx(m, epsilon=2, min_t=2)
-    assert _decode([fci], ctx, "closed_swarm") == [
+    params = MiningParams(min_t=2)
+    assert _decode([fci], m, params, "closed_swarm") == [
         ClosedSwarm(_tid(0, 1), (0, 2, 3))]
     # the lone t=0 item is too short a run; only t=2..3 makes a convoy
-    assert _decode([fci], ctx, "convoy") == [Convoy(_tid(0, 1), 2, 3)]
-    ctx1 = _ctx(m, epsilon=2, min_t=1)
-    assert _decode([fci], ctx1, "convoy") == [Convoy(_tid(0, 1), 0, 0),
-                                              Convoy(_tid(0, 1), 2, 3)]
+    assert _decode([fci], m, params, "convoy") == [Convoy(_tid(0, 1), 2, 3)]
+    params1 = MiningParams(min_t=1)
+    assert _decode([fci], m, params1, "convoy") == [Convoy(_tid(0, 1), 0, 0),
+                                                    Convoy(_tid(0, 1), 2, 3)]
 
 
 def test_swarm_too_few_times_is_dropped():
     m = pair_with_gap_matrix()
     (fci,) = mine_fci(m, 2)
-    assert _decode([fci], _ctx(m, min_t=4), "closed_swarm") == []
+    assert _decode([fci], m, MiningParams(min_t=4), "closed_swarm") == []
 
 
 def test_expanding_trio_convoys():
     m = expanding_trio_matrix()
     fcis = mine_fci(m, 2)
-    ctx = _ctx(m, epsilon=2, min_t=2)
-    assert _decode(fcis, ctx, "convoy") == [Convoy(_tid(0, 1), 0, 3), Convoy(_tid(0, 1, 2), 2, 3)]
+    params = MiningParams(min_t=2)
+    assert _decode(fcis, m, params, "convoy") == [Convoy(_tid(0, 1), 0, 3), Convoy(_tid(0, 1, 2), 2, 3)]
 
 
 def test_guard_suppresses_non_maximal_run():
@@ -94,22 +90,22 @@ def test_guard_suppresses_non_maximal_run():
     m = make_matrix({(0, 0): [0, 1, 2], (2, 0): [0, 1, 2], (3, 0): [0, 1]},
                     n_times=4)
     fcis = mine_fci(m, 2)
-    ctx = _ctx(m, epsilon=2, min_t=1)
+    params = MiningParams(min_t=1)
     pair = next(f for f in fcis if f.tidset == _tid(0, 1))
-    assert _decode([pair], ctx, "convoy") == [Convoy(_tid(0, 1), 2, 3)]
+    assert _decode([pair], m, params, "convoy") == [Convoy(_tid(0, 1), 2, 3)]
     trio = next(f for f in fcis if f.tidset == _tid(0, 1, 2))
-    assert _decode([trio], ctx, "convoy") == [Convoy(_tid(0, 1, 2), 0, 0),
-                                              Convoy(_tid(0, 1, 2), 2, 2)]
+    assert _decode([trio], m, params, "convoy") == [Convoy(_tid(0, 1, 2), 0, 0),
+                                                    Convoy(_tid(0, 1, 2), 2, 2)]
 
 
 def test_two_stint_group_pattern():
     m = two_stint_matrix()
     (fci,) = mine_fci(m, 2)
-    ctx = _ctx(m, epsilon=2, min_t=2, min_c=2)
-    assert _decode([fci], ctx, "group_pattern") == [GroupPattern(
+    params = MiningParams(min_t=2, min_c=2)
+    assert _decode([fci], m, params, "group_pattern") == [GroupPattern(
         _tid(0, 1), ((0, 1), (3, 4)), 0.8)]
-    assert _decode([fci], _ctx(m, min_t=2, min_c=3), "group_pattern") == []
-    assert _decode([fci], _ctx(m, min_t=2, min_c=2, min_wei=0.9),
+    assert _decode([fci], m, MiningParams(min_t=2, min_c=3), "group_pattern") == []
+    assert _decode([fci], m, MiningParams(min_t=2, min_c=2, min_wei=0.9),
                    "group_pattern") == []
 
 
@@ -117,15 +113,15 @@ def test_moving_cluster_chain_breaks_on_low_overlap():
     m = make_matrix({(0, 0): [0, 1, 2, 3, 4, 5], (1, 0): [0, 1]})
     pair = next(f for f in mine_fci(m, 2) if f.tidset == _tid(0, 1))
     # Jaccard between the two clusters is 2/6, under the default 0.5
-    assert _decode([pair], _ctx(m), "moving_cluster") == []
-    got = _decode([pair], _ctx(m, theta=0.33), "moving_cluster")
+    assert _decode([pair], m, MiningParams(), "moving_cluster") == []
+    got = _decode([pair], m, MiningParams(theta=0.33), "moving_cluster")
     assert got == [MovingCluster((_cid(0, 0), _cid(1, 0)), _tid(0, 1))]
 
 
 def test_moving_cluster_needs_two_consecutive_clusters():
     m = pair_with_gap_matrix()
     (fci,) = mine_fci(m, 2)
-    got = _decode([fci], _ctx(m, theta=0.0), "moving_cluster")
+    got = _decode([fci], m, MiningParams(theta=0.0), "moving_cluster")
     # the t=0 item stands alone; only the t=2..3 run chains
     assert got == [MovingCluster((_cid(2, 0), _cid(3, 0)), _tid(0, 1))]
 
@@ -133,24 +129,24 @@ def test_moving_cluster_needs_two_consecutive_clusters():
 def test_moving_cluster_core_can_exceed_itemset_tidset():
     m = expanding_trio_matrix()
     fcis = mine_fci(m, 2)
-    ctx = _ctx(m, theta=0.5)
+    params = MiningParams(theta=0.5)
     pair = next(f for f in fcis if f.tidset == _tid(0, 1))
     # the pair's items chain across all four timestamps (Jaccard 1, 2/3, 1);
     # the chain's core is the pair itself
-    assert _decode([pair], ctx, "moving_cluster") == [MovingCluster(
+    assert _decode([pair], m, params, "moving_cluster") == [MovingCluster(
         (_cid(0, 0), _cid(1, 0), _cid(2, 0), _cid(3, 0)), _tid(0, 1))]
     trio = next(f for f in fcis if f.tidset == _tid(0, 1, 2))
-    assert _decode([trio], ctx, "moving_cluster") == [MovingCluster(
+    assert _decode([trio], m, params, "moving_cluster") == [MovingCluster(
         (_cid(2, 0), _cid(3, 0)), _tid(0, 1, 2))]
 
 
 def test_periodic_pattern_of_uniform_matrix():
     m = uniform_periodic_matrix()
     (fci,) = mine_fci(m, 2)
-    ctx = _ctx(m, min_t=2)
-    assert _decode([fci], ctx, "periodic_pattern") == [
+    params = MiningParams(min_t=2)
+    assert _decode([fci], m, params, "periodic_pattern") == [
         PeriodicPattern(_tid(0, 1, 2), (0, 1, 2))]
-    assert _decode([fci], _ctx(m, min_t=4), "periodic_pattern") == []
+    assert _decode([fci], m, MiningParams(min_t=4), "periodic_pattern") == []
 
 
 def test_context_rejects_foreign_items():
@@ -160,25 +156,32 @@ def test_context_rejects_foreign_items():
     foreign = FCI((_cid(0, 0), _cid(9, 0)), _tid(0, 1))
     for min_t in (1, 2, 5):
         with pytest.raises(UniverseError, match=r"ClusterId\(time=9, ordinal=0\)"):
-            extract_patterns([foreign], _ctx(m, min_t=min_t))
+            extract_patterns([foreign], m, MiningParams(min_t=min_t))
     periodic = uniform_periodic_matrix()
     with pytest.raises(UniverseError):
-        extract_patterns([foreign], _ctx(periodic, min_t=1))
+        extract_patterns([foreign], periodic, MiningParams(min_t=1))
 
 
 def test_itemset_with_objects_outside_its_columns_is_refused():
     # o1 and o3 are clustered apart at t=0, so no itemset holding both can
     # use (0, 0); decoding it would report a swarm the data does not hold
     m = make_matrix({(0, 0): [0, 1], (0, 1): [2, 3], (1, 0): [0, 1, 2, 3]})
-    bad = FCI((_cid(0, 0), _cid(1, 0)), _tid(0, 2))
+    apart = FCI((_cid(0, 0), _cid(1, 0)), _tid(0, 2))
+    # an object past the matrix's 64-bit tidset words is in no column at all
+    past = FCI((_cid(0, 0),), Tidset(1 << 70 | 3))
     for matrix in (m, make_matrix({(0, 0): [0, 1], (0, 1): [2, 3],
                                    (1, 0): [0, 1, 2, 3]}, kind="periodic")):
-        with pytest.raises(UniverseError, match="not in all its columns"):
-            extract_patterns(mine_fci(matrix, 1) + [bad], _ctx(matrix, min_t=1))
+        for bad in (apart, past):
+            message = (f"itemset {re.escape(str(bad.items))} holds objects "
+                       "that are not in all its columns")
+            with pytest.raises(UniverseError, match=message):
+                extract_patterns(mine_fci(matrix, 1) + [bad], matrix,
+                                 MiningParams(min_t=1))
     # an itemset whose tidset lies inside its columns' AND still decodes
     inside = FCI((_cid(0, 0), _cid(1, 0)), _tid(0))
-    assert _decode([inside], _ctx(m, epsilon=1, min_t=2), "closed_swarm") == [
+    assert _decode([inside], m, MiningParams(min_t=2), "closed_swarm") == [
         ClosedSwarm(_tid(0), (0, 1))]
+
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +190,8 @@ def test_itemset_with_objects_outside_its_columns_is_refused():
 
 def test_extract_patterns_expanding_trio():
     m = expanding_trio_matrix()
-    ctx = _ctx(m, epsilon=2, min_t=1, theta=0.5)
-    got = extract_patterns(mine_fci(m, 2), ctx)
+    params = MiningParams(min_t=1, theta=0.5)
+    got = extract_patterns(mine_fci(m, 2), m, params)
     assert got == canonical_sort([
         ClosedSwarm(_tid(0, 1), (0, 1, 2, 3)),
         ClosedSwarm(_tid(0, 1, 2), (2, 3)),
@@ -205,15 +208,15 @@ def test_extract_patterns_deduplicates_moving_clusters():
     # with theta high enough, the pair itemset and the trio itemset both
     # contribute the identical t=0..1 chain; it must appear once
     m = make_matrix({(0, 0): [0, 1, 2], (1, 0): [0, 1, 2], (2, 0): [0, 1]})
-    ctx = _ctx(m, epsilon=2, min_t=1, theta=0.7)
-    got = extract_patterns(mine_fci(m, 2), ctx)
+    params = MiningParams(min_t=1, theta=0.7)
+    got = extract_patterns(mine_fci(m, 2), m, params)
     movers = [p for p in got if p.kind == "moving_cluster"]
     assert movers == [MovingCluster((_cid(0, 0), _cid(1, 0)), _tid(0, 1, 2))]
 
 
 def test_extract_patterns_periodic_matrix_yields_periodic_only():
     m = uniform_periodic_matrix()
-    got = extract_patterns(mine_fci(m, 2), _ctx(m, min_t=1))
+    got = extract_patterns(mine_fci(m, 2), m, MiningParams(min_t=1))
     assert got == [PeriodicPattern(_tid(0, 1, 2), (0, 1, 2))]
 
 
@@ -226,16 +229,15 @@ def test_random_matrices_match_pattern_oracles():
     for _ in range(80):
         m = gen_random_matrix(rng)
         for eps, min_t in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            params = MiningParams(epsilon=eps, min_t=min_t, min_c=1, min_wei=0.0)
-            ctx = ExtractionContext(m, params)
-            got = extract_patterns(mine_fci(m, eps), ctx)
+            params = MiningParams(min_t=min_t, min_c=1, min_wei=0.0)
+            got = extract_patterns(mine_fci(m, eps), m, params)
 
             def of_kind(kind):
                 return {p for p in got if p.kind == kind}
 
             assert of_kind("closed_swarm") == set(brute_closed_swarms(m, eps, min_t))
             assert of_kind("convoy") == set(brute_convoys(m, eps, min_t))
-            assert of_kind("group_pattern") == set(brute_group_patterns(m, params))
+            assert of_kind("group_pattern") == set(brute_group_patterns(m, eps, params))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +279,7 @@ def _decodable(draw):
                 mask &= columns[j].members.mask
             fcis.append(FCI(tuple(sorted(columns[j].cid for j in picks)), Tidset(mask)))
     params = MiningParams(
-        epsilon=epsilon, min_t=draw(st.integers(1, 4)),
+        min_t=draw(st.integers(1, 4)),
         theta=draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1))),
         min_c=draw(st.integers(1, 3)),
         min_wei=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])))
@@ -288,6 +290,6 @@ def _decodable(draw):
 @given(_decodable(), st.sampled_from([1, 2, 256]))
 def test_extract_patterns_matches_itemwise_oracle(case, chunk_fcis):
     m, fcis, params = case
-    ctx = ExtractionContext(m, params)
     with mock.patch.object(comove.patterns, "_CHUNK_FCIS", chunk_fcis):
-        assert extract_patterns(fcis, ctx) == brute_extract_patterns(fcis, ctx)
+        assert (extract_patterns(fcis, m, params)
+                == brute_extract_patterns(fcis, m, params))

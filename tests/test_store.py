@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from comove import (
     Column,
     Convoy,
     ClosedSwarm,
-    ExtractionContext,
     FciStore,
     GroupPattern,
     MiningParams,
@@ -65,6 +65,34 @@ def test_trajectory_write_format():
     buf = io.StringIO()
     write_trajectories(db, buf)
     assert buf.getvalue() == "object_id,timestamp,x,y\na,3,0.25,-1.5\n"
+
+
+def test_trajectory_round_trip_with_float_time_labels():
+    # an ISO stamp with a fractional second parses to a float label, which
+    # is written back as ISO-8601 UTC with microseconds
+    src = ("object_id,timestamp,x,y\n"
+           "a,2021-01-01T00:00:00.5Z,0,0\n"
+           "a,2021-01-01T00:00:01Z,1,1\n"
+           "b,1969-12-31T23:59:59.25Z,2,2\n")
+    db = parse_trajectories(io.StringIO(src))
+    assert db.time_labels == (-0.75, 1609459200.5, 1609459201)
+    buf = io.StringIO()
+    write_trajectories(db, buf)
+    assert "a,2021-01-01T00:00:00.500000+00:00,0.0,0.0\n" in buf.getvalue()
+    buf.seek(0)
+    assert parse_trajectories(buf) == db
+
+
+@pytest.mark.parametrize("label", [1609459200.1234567, 1e20, math.nan])
+def test_trajectory_write_refuses_a_float_label_iso_cannot_hold(tmp_path, label):
+    db = TrajectoryDB(("a",), (0, label), np.zeros((1, 2, 2)))
+    buf = io.StringIO()
+    with pytest.raises(ParseError, match="no exact ISO-8601 form"):
+        write_trajectories(db, buf)
+    assert buf.getvalue() == ""
+    with pytest.raises(ParseError):
+        write_trajectories(db, tmp_path / "out.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_trajectory_write_to_path(tmp_path):
@@ -545,8 +573,7 @@ def test_fci_store_failed_write_keeps_existing_file(tmp_path):
 def test_failed_pattern_and_column_writes_keep_existing_file(tmp_path):
     m = expanding_trio_matrix()
     db = TrajectoryDB(m.object_labels, m.time_labels, np.zeros((3, 4, 2)))
-    patterns = extract_patterns(mine_fci(m, 2),
-                                ExtractionContext(m, MiningParams(epsilon=2)))
+    patterns = extract_patterns(mine_fci(m, 2), m, MiningParams())
     # time index 9 has no label in the four-timestamp matrix; the convoy
     # sorts after rows that are already formatted
     bad = patterns + [Convoy(Tidset.from_ids([0, 1]), 9, 9)]
@@ -588,8 +615,7 @@ def test_fci_store_minimal_header_ok():
 
 def test_patterns_csv_golden():
     m = expanding_trio_matrix()
-    ctx = ExtractionContext(m, MiningParams(epsilon=2, min_t=1))
-    patterns = extract_patterns(mine_fci(m, 2), ctx)
+    patterns = extract_patterns(mine_fci(m, 2), m, MiningParams(min_t=1))
     buf = io.StringIO()
     write_patterns_csv(patterns, m, buf)
     assert buf.getvalue() == (
@@ -607,8 +633,7 @@ def test_patterns_csv_golden():
 
 def test_patterns_csv_order_is_canonical():
     m = expanding_trio_matrix()
-    ctx = ExtractionContext(m, MiningParams(epsilon=2, min_t=1))
-    patterns = extract_patterns(mine_fci(m, 2), ctx)
+    patterns = extract_patterns(mine_fci(m, 2), m, MiningParams(min_t=1))
     a, b = io.StringIO(), io.StringIO()
     write_patterns_csv(patterns, m, a)
     write_patterns_csv(list(reversed(patterns)), m, b)

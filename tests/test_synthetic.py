@@ -6,7 +6,6 @@ import pytest
 from comove import (
     ClosedSwarm,
     DbscanParams,
-    ExtractionContext,
     MiningParams,
     ParameterError,
     SyntheticSpec,
@@ -55,9 +54,8 @@ def test_stable_groups_stay_clustered():
                          spread=0.1, seed=7)
     db = gen_synthetic(spec)
     matrix = build_cluster_matrix(db, DbscanParams(eps=2.0, min_pts=2))
-    params = MiningParams(epsilon=3, min_t=8)
-    patterns = extract_patterns(mine_fci(matrix, 3),
-                                ExtractionContext(matrix, params))
+    patterns = extract_patterns(mine_fci(matrix, 3), matrix,
+                                MiningParams(min_t=8))
     swarms = [p for p in patterns if p.kind == "closed_swarm"]
     assert swarms == [
         ClosedSwarm(Tidset.from_ids([0, 3, 6]), tuple(range(8))),

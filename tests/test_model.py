@@ -172,8 +172,8 @@ def test_mining_params_defaults():
 
 
 @pytest.mark.parametrize("kw", [
-    {"min_t": 0}, {"theta": -0.1}, {"theta": 1.1}, {"min_c": 0},
-    {"min_wei": 2.0},
+    {"min_t": 1.5}, {"min_c": 2.5}, {"min_t": 0}, {"theta": -0.1},
+    {"theta": 1.1}, {"min_c": 0}, {"min_wei": 2.0},
 ])
 def test_mining_params_validation(kw):
     with pytest.raises(ParameterError):

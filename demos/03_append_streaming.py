@@ -18,7 +18,6 @@ from comove import (
     gen_synthetic,
     mine_fci,
     shift_times,
-    should_update,
 )
 
 EPSILON = 4
@@ -66,14 +65,6 @@ def main():
     assert combined == full
     print(f"\nfull re-mine of all 80 days: {t_full * 1000:.1f} ms "
           f"-> identical itemsets")
-
-    if should_update(60, 20):
-        print("\nthe new window is small next to the history: combining "
-              "beats re-mining")
-    else:
-        print(f"\nthe new window is {20 / 60:.0%} of the history, past the "
-              f"15% mark where combining clearly beats re-mining; "
-              f"should_update(60, 20) -> False")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ stored results can absorb newly appended timestamps without re-mining.
 """
 
 from .clustering import DbscanParams, build_cluster_matrix, dbscan_snapshot
-from .combine import combine_fcis, shift_times, should_update
+from .combine import combine_fcis, shift_times
 from .incremental import (
     DEFAULT_BLOCK_SIZE,
     mine_incremental,

@@ -21,7 +21,7 @@ from collections import Counter
 from pathlib import Path
 
 from .clustering import DbscanParams, build_cluster_matrix
-from .combine import combine_fcis, shift_times, should_update
+from .combine import combine_fcis, shift_times
 from .incremental import mine_incremental, mine_parameter_free
 from .ingest import interpolate, parse_trajectories, periodic_decompose
 from .miner import mine_fci
@@ -296,7 +296,6 @@ def _cmd_append(args) -> int:
     _summary(command="append", store=args.store, input=args.input,
              n_existing=len(store.fcis), n_incoming=len(new_fcis),
              n_combined=len(combined),
-             update_was_recommended=should_update(store.time_span, new_db.n_times),
              **{f"store_{k}": v for k, v in read_counters.items()},
              **counters, elapsed_s=round(time.perf_counter() - t0, 3))
     return 0

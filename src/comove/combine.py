@@ -29,21 +29,9 @@ from operator import attrgetter
 
 from .model import FCI, CoMoveError, check_epsilon, code_item, item_code, packed_fci
 
-__all__ = ["combine_fcis", "should_update", "shift_times"]
-
-#: An incoming batch smaller than this fraction of the existing span is cheap
-#: enough to combine in place; anything bigger is worth a fresh full mine.
-UPDATE_FRACTION = 0.15
+__all__ = ["combine_fcis", "shift_times"]
 
 _codes = attrgetter("codes")
-
-
-def should_update(existing_span: int, incoming_span: int) -> bool:
-    """True when the incoming time span is small relative to the existing one
-    (strictly less than 15 percent), i.e. when combining beats re-mining."""
-    if existing_span < 0 or incoming_span < 0:
-        raise ValueError("time spans must be non-negative")
-    return incoming_span < UPDATE_FRACTION * existing_span
 
 
 def shift_times(fcis: list[FCI], offset: int) -> list[FCI]:

@@ -14,8 +14,10 @@ words.  An itemset whose tidset is not inside the AND of its columns' words
 (one ``np.bitwise_and.reduceat``) is refused before anything is decoded.
 Consecutive runs are breaks in the item times; a run is guarded when the AND
 of its columns' words equals the itemset's tidset; moving-cluster chains
-break where the Jaccard similarity of two adjacent columns, computed once per
-distinct pair, falls below theta, and their cores are another ``reduceat``.
+break where the Jaccard similarity of two adjacent columns falls below theta,
+and their cores are another ``reduceat``.  A chunk takes each distinct
+adjacent pair's similarity once, from byte-table popcounts of the AND and OR
+of the pair's words, so nothing but the output is kept between chunks.
 Pattern objects are built only for what is emitted, and ClusterIds only
 for the moving-cluster chains, from the matrix's own columns.
 """
@@ -64,24 +66,28 @@ def _mask(words: np.ndarray) -> int:
     return int.from_bytes(words.tobytes(), "little")
 
 
-class _Columns:
-    """The matrix's columns as decoding tables, plus the adjacency test of
-    moving-cluster chains memoised per column pair: it depends on the matrix
-    alone, not on the itemset asking."""
+# Set bits per byte value: ``np.bitwise_count`` needs numpy 2.
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
-    def __init__(self, matrix: ClusterMatrix, theta: float):
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of a C-contiguous ``(rows, W)`` uint64 array."""
+    return _BYTE_BITS[words.view(np.uint8)].sum(axis=1, dtype=np.int64)
+
+
+class _Columns:
+    """The matrix's columns as decoding tables: item code to column index,
+    column times and ClusterIds, column tidsets as rows of uint64 words, and
+    one shared int per time index for the swarms' time tuples."""
+
+    def __init__(self, matrix: ClusterMatrix):
         columns = matrix.columns
         self.cids = [c.cid for c in columns]
         self.index = {item_code(*cid): j for j, cid in enumerate(self.cids)}
-        self.masks = [c.members.mask for c in columns]
         self.time = np.array([c.cid.time for c in columns], dtype=np.intp)
+        self.time_ints = list(range(matrix.n_times))
         self.n_words = max(1, -(-matrix.n_objects // 64))
-        self.words = _words(self.masks, self.n_words)
-        self.theta = theta
-        # Pair codes prev * n_columns + cur seen so far, sorted, and whether
-        # each pair's Jaccard similarity reaches theta.
-        self._pairs = np.empty(0, dtype=np.int64)
-        self._linked = np.empty(0, dtype=bool)
+        self.words = _words([c.members.mask for c in columns], self.n_words)
 
     def positions(self, codes: list[int]) -> np.ndarray:
         try:
@@ -89,27 +95,6 @@ class _Columns:
         except KeyError as e:
             raise UniverseError(f"itemset references column {code_item(e.args[0])} "
                                 "absent from the matrix") from None
-
-    def linked(self, prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
-        """Whether Jaccard(prev[i], cur[i]) >= theta, for column index arrays."""
-        n = len(self.masks)
-        pair = prev.astype(np.int64) * n + cur
-        at = np.searchsorted(self._pairs, pair)
-        known = np.zeros(len(pair), dtype=bool)
-        if len(self._pairs):
-            known = self._pairs[np.minimum(at, len(self._pairs) - 1)] == pair
-        if not known.all():
-            new = np.unique(pair[~known])
-            linked = []
-            for p in new.tolist():
-                x, y = (self.masks[j] for j in divmod(p, n))
-                linked.append((x & y).bit_count() / (x | y).bit_count() >= self.theta)
-            pairs = np.concatenate([self._pairs, new])
-            order = np.argsort(pairs, kind="stable")
-            self._pairs = pairs[order]
-            self._linked = np.concatenate([self._linked, linked])[order]
-            at = np.searchsorted(self._pairs, pair)
-        return self._linked[at]
 
 
 def _decode_chunk(fcis: list[FCI], cols: _Columns, matrix: ClusterMatrix,
@@ -151,7 +136,7 @@ def _decode_chunk(fcis: list[FCI], cols: _Columns, matrix: ClusterMatrix,
     repeated[0] = False
     n_repeated = np.bincount(owner[repeated], minlength=len(fcis))
     swarm = PeriodicPattern if matrix.kind == "periodic" else ClosedSwarm
-    times = t.tolist()
+    times = list(map(cols.time_ints.__getitem__, t.tolist()))
     for fci, a, b, n_times, repeats in zip(
             fcis, offset[:-1].tolist(), offset[1:].tolist(),
             (sizes - n_repeated).tolist(), n_repeated.tolist()):
@@ -185,9 +170,15 @@ def _decode_chunk(fcis: list[FCI], cols: _Columns, matrix: ClusterMatrix,
                 patterns.append(GroupPattern(fcis[f].tidset, tuple(segs), weight))
 
     # Moving clusters: runs cut where adjacent columns overlap below theta.
+    # Both popcounts are exact below 2**53, so the ratio is the correctly
+    # rounded Jaccard similarity; no column is empty, so no union is 0.
     inside = np.flatnonzero(~breaks)
+    n = len(cols.cids)
+    pair, at = np.unique(col[inside - 1].astype(np.int64) * n + col[inside],
+                         return_inverse=True)
+    x, y = cols.words[pair // n], cols.words[pair % n]
     chain_breaks = breaks.copy()
-    chain_breaks[inside] = ~cols.linked(col[inside - 1], col[inside])
+    chain_breaks[inside] = (_popcount(x & y) / _popcount(x | y) < params.theta)[at]
     chain_start = np.flatnonzero(chain_breaks)
     chain_len = np.diff(chain_start, append=len(codes))
     kept = chain_len >= max(2, params.min_t)
@@ -217,7 +208,7 @@ def extract_patterns(fcis: Iterable[FCI], matrix: ClusterMatrix,
     runs.  An item that is not a column of the matrix raises UniverseError,
     and so does an itemset holding an object that is not in all its columns.
     """
-    cols = _Columns(matrix, params.theta)
+    cols = _Columns(matrix)
     patterns: list[Pattern] = []
     movers: dict[bytes, MovingCluster] = {}
     it = iter(fcis)

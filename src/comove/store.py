@@ -222,10 +222,6 @@ class FciStore:
     time_labels: tuple
     fcis: tuple[FCI, ...]
 
-    @property
-    def time_span(self) -> int:
-        return len(self.time_labels)
-
 
 def write_fci_store(store: FciStore, dest):
     """Header lines carry epsilon, the universe size, the covered time range

@@ -13,7 +13,6 @@ from comove import (
     combine_fcis,
     mine_fci,
     shift_times,
-    should_update,
 )
 from oracle import MAX_BRUTE_COLUMNS, brute_fcis, gen_random_matrix
 
@@ -113,17 +112,6 @@ def test_shift_times():
     assert shift_times([], 3) == []
     # original list untouched
     assert fcis[0].items[0] == (0, 0)
-
-
-def test_should_update_threshold():
-    assert should_update(1000, 100)
-    assert not should_update(1000, 150)  # boundary is strict
-    assert not should_update(1000, 500)
-    assert not should_update(0, 0)
-    with pytest.raises(ValueError):
-        should_update(-1, 5)
-    with pytest.raises(ValueError):
-        should_update(5, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,17 @@ def test_extract_patterns_periodic_matrix_yields_periodic_only():
     assert got == [PeriodicPattern(_tid(0, 1, 2), (0, 1, 2))]
 
 
+def test_closed_swarms_share_one_int_per_time():
+    # Ints past 256 are not cached by the interpreter, so a time index held
+    # by many swarms is stored once only if the decoder shares it.
+    m = make_matrix({(t, o): ids for t in range(300)
+                     for o, ids in enumerate([[0, 1], [2]])})
+    swarms = _decode(mine_fci(m, 1), m, MiningParams(min_t=2), "closed_swarm")
+    assert len(swarms) == 2
+    a, b = (s.times[280] for s in swarms)
+    assert a == 280 and a is b
+
+
 # ---------------------------------------------------------------------------
 # Randomized cross-checks against the object-subset oracles
 # ---------------------------------------------------------------------------
@@ -243,6 +254,10 @@ def test_random_matrices_match_pattern_oracles():
 # ---------------------------------------------------------------------------
 # The whole-array decoder against the item-by-item oracle
 # ---------------------------------------------------------------------------
+
+# Thetas a small column pair's Jaccard similarity can equal exactly.
+_EXACT_RATIOS = sorted({a / b for b in range(1, 7) for a in range(b + 1)})
+
 
 @st.composite
 def _decodable(draw):
@@ -280,7 +295,7 @@ def _decodable(draw):
             fcis.append(FCI(tuple(sorted(columns[j].cid for j in picks)), Tidset(mask)))
     params = MiningParams(
         min_t=draw(st.integers(1, 4)),
-        theta=draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1))),
+        theta=draw(st.one_of(st.sampled_from(_EXACT_RATIOS), st.floats(0, 1))),
         min_c=draw(st.integers(1, 3)),
         min_wei=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])))
     return m, fcis, params

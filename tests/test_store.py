@@ -490,10 +490,6 @@ def test_fci_store_ordinals_must_fit_the_item_code():
         FCI((ClusterId(0, top + 1),), Tidset(1))
 
 
-def test_fci_store_time_span():
-    assert FciStore(2, ("a",), (5, 6, 7), ()).time_span == 3
-
-
 _HEADER = "# epsilon\t1\n# objects\ta,b\n# times\t0,1\n"
 
 

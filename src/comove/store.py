@@ -3,7 +3,16 @@ pattern CSV and GeoJSON.
 
 All writers emit canonically ordered rows with ``\\n`` line endings so that
 identical inputs give byte-identical files regardless of platform or thread
-count.
+count.  The trajectory CSV writer formats its rows a column at a time, in
+batches of ``_WRITE_CELLS`` cells, and the pattern CSV writer writes each
+line as it formats it, so neither holds more than a batch of text.  A field
+that may need quoting is quoted by ``csv`` itself, so quoting follows the
+running Python's csv module.
+
+The trajectory, column and store writers refuse, before they write
+anything, object ids their reader would read back as other ids or not at
+all: empty ids, ids with whitespace its reader strips, and ids holding a
+separator of the format.  The pattern writers refuse ids holding ``;``.
 
 The itemset store is read into packed FCIs (tidset masks and item codes).
 Each keeps the member-id and item text of its line where that text is what
@@ -18,14 +27,17 @@ only the rest.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import compress, filterfalse, repeat
+from itertools import chain, compress, filterfalse, repeat
 from operator import add, attrgetter, lt, ne
 from pathlib import Path
+
+import numpy as np
 
 from .ingest import TrajectoryDB, _parse_timestamp
 from .model import (
@@ -59,6 +71,8 @@ __all__ = [
 
 
 _codes = attrgetter("codes")
+# Trajectory cells formatted and written per call: bounds the text held.
+_WRITE_CELLS = 1024
 
 
 def _fmt_time(label) -> str:
@@ -81,6 +95,23 @@ def _write_to(dest, write) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a row: quoted
+    where the running Python's csv module quotes it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]  # the empty second field and the newline
+
+
+def _check_ids(labels, seps: str, strip, what: str, rule: str) -> None:
+    """Raise ParseError naming the first of ``labels`` that is empty, holds
+    one of ``seps`` or is changed by ``strip``."""
+    for label in labels:
+        if not label or any(sep in label for sep in seps) or strip(label) != label:
+            raise ParseError(f"object id {label!r} cannot be {what}: ids must "
+                             f"be non-empty, {rule}")
 
 
 def _parse_time_label(s: str, line: int | None = None):
@@ -117,21 +148,33 @@ def _iso_time(label: float) -> str:
 
 
 def write_trajectories(db: TrajectoryDB, dest):
-    """object_id,timestamp,x,y rows, object-major, observed cells only.  A
-    float time label is written as ISO-8601 UTC with microseconds."""
-    time_text = [_iso_time(t) if isinstance(t, float) else str(t)
-                 for t in db.time_labels]
+    """object_id,timestamp,x,y rows, object-major with times ascending,
+    observed cells only.  A float time label is written as ISO-8601 UTC with
+    microseconds.
+
+    Each id and time field is formatted once, by ``csv``.  The rows are
+    formatted ``_WRITE_CELLS`` cells of the (object, time) grid at a time,
+    from the indices of the observed ones, with coordinates as their float
+    ``repr``.  An id that is empty, starts or ends in whitespace or holds a
+    carriage return raises ParseError before anything is written:
+    ``parse_trajectories`` strips ids, and csv quotes a carriage return
+    only from Python 3.13."""
+    _check_ids(db.object_labels, "\r", str.strip, "written to a trajectory CSV",
+               "hold no carriage return, and not start or end in whitespace")
+    ids = list(map(_csv_field, db.object_labels))
+    times = [_csv_field(_iso_time(t) if isinstance(t, float) else str(t))
+             for t in db.time_labels]
+    present = db.present.ravel()  # object-major cells, times ascending
 
     def write(fh):
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["object_id", "timestamp", "x", "y"])
-        present = db.present
-        for o, label in enumerate(db.object_labels):
-            for t, tlabel in enumerate(time_text):
-                if present[o, t]:
-                    x, y = db.xy[o, t]
-                    w.writerow([label, tlabel,
-                                repr(float(x)), repr(float(y))])
+        fh.write("object_id,timestamp,x,y\n")
+        for a in range(0, len(present), _WRITE_CELLS):
+            cells = np.flatnonzero(present[a:a + _WRITE_CELLS]) + a
+            o, t = np.divmod(cells, len(times))
+            xy = db.xy[o, t]
+            fh.write("".join([
+                f"{ids[i]},{times[j]},{x!r},{y!r}\n" for i, j, x, y in zip(
+                    o.tolist(), t.tolist(), xy[:, 0].tolist(), xy[:, 1].tolist())]))
     _write_to(dest, write)
 
 
@@ -195,6 +238,15 @@ def read_cluster_columns(source) -> ClusterMatrix:
 
 
 def write_cluster_columns(matrix: ClusterMatrix, dest):
+    """timestamp <TAB> ordinal <TAB> comma-joined member ids, one line per
+    column in (time, ordinal) order.  An object id that is empty, starts or
+    ends in whitespace or holds ``,``, tab or a newline raises ParseError
+    before anything is written: ``read_cluster_columns`` would read it back
+    as other ids or not at all."""
+    _check_ids(matrix.object_labels, ",\t\n\r", str.strip,
+               "written to a columns file", "contain no ',', tab or newline, "
+               "and not start or end in whitespace")
+
     def write(fh):
         for cid, members in sorted(matrix.columns, key=lambda c: c.cid):
             t = _fmt_time(matrix.time_labels[cid.time])
@@ -239,12 +291,8 @@ def write_fci_store(store: FciStore, dest):
     have been decoded from it, and the items its item text does not
     cover."""
     labels = store.object_labels
-    for label in labels:
-        if (not label or label != label.rstrip()
-                or any(sep in label for sep in ",\t\n\r")):
-            raise ParseError(
-                f"object id {label!r} cannot be stored: ids must be non-empty, "
-                "contain no ',', tab or newline, and not end in whitespace")
+    _check_ids(labels, ",\t\n\r", str.rstrip, "stored",
+               "contain no ',', tab or newline, and not end in whitespace")
     tl = tuple(map(_fmt_time, store.time_labels))
     item_text = _ItemText(tl).__getitem__
     # id of the label tables some text was read with -> whether the ids and
@@ -495,35 +543,49 @@ def check_pattern_object_ids(object_labels):
 def _pattern_rows(patterns, matrix: ClusterMatrix):
     """(pattern, kind, objects, times, weight) in canonical order.  Times are
     labels, formatted once per call; consecutive stretches are written as
-    first..last."""
+    first..last.  Each distinct tidset's member ids are joined once."""
     labels = [_fmt_time(t) for t in matrix.time_labels]
+    object_labels = matrix.object_labels
+    n_times = matrix.n_times
+    members: dict[int, str] = {}  # tidset mask -> ;-joined member ids
 
     def span(a: int, b: int) -> str:
         return labels[a] if a == b else f"{labels[a]}..{labels[b]}"
 
     for p in canonical_sort(patterns):
-        objects = ";".join([matrix.object_labels[i] for i in p.objects.ids])
+        objects = members.get(p.objects.mask)
+        if objects is None:
+            objects = members[p.objects.mask] = ";".join(
+                [object_labels[i] for i in p.objects.ids])
         if isinstance(p, GroupPattern):
             times, weight = ";".join([span(a, b) for a, b in p.segments]), p.weight
+        elif isinstance(p, (Convoy, MovingCluster)):
+            start, end = p.start, p.end
+            times, weight = span(start, end), (end - start + 1) / n_times
         else:
-            weight = len(p.times) / matrix.n_times
-            if isinstance(p, (Convoy, MovingCluster)):
-                times = span(p.start, p.end)
-            else:
-                times = ";".join([labels[t] for t in p.times])
+            times = ";".join([labels[t] for t in p.times])
+            weight = len(p.times) / n_times
         yield p, p.kind, objects, times, weight
 
 
 def write_patterns_csv(patterns, matrix: ClusterMatrix, dest):
     """kind,objects,times,weight rows in canonical order.  Times are labels;
-    consecutive stretches are written as first..last."""
+    consecutive stretches are written as first..last.  Object ids holding
+    ``;`` are refused (see ``check_pattern_object_ids``).
+
+    Each line is formatted and written directly.  csv quotes a field for
+    the characters it holds, and kinds and weights hold none it quotes, so
+    the objects and times fields go through ``csv`` only when some object
+    id or time label of the matrix needs quoting."""
     check_pattern_object_ids(matrix.object_labels)
+    quote = any(_csv_field(s) != s for s in chain(
+        matrix.object_labels, map(_fmt_time, matrix.time_labels)))
+    field = _csv_field if quote else str
 
     def write(fh):
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["kind", "objects", "times", "weight"])
+        fh.write("kind,objects,times,weight\n")
         for _, kind, objects, times, weight in _pattern_rows(patterns, matrix):
-            w.writerow([kind, objects, times, repr(weight)])
+            fh.write(f"{kind},{field(objects)},{field(times)},{weight!r}\n")
     _write_to(dest, write)
 
 

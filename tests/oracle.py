@@ -2,12 +2,13 @@
 
 The functions here are deliberately naive: they enumerate candidate itemsets
 or object subsets exhaustively, expand clusters point by point, decode
-itemsets item by item, read CSV records or store lines one at a time, and
-apply the definitions directly, without sharing any code with the production
-clustering, miner, pattern decoder, CSV parser or store codec (the parser
-oracle reuses only ``_parse_timestamp``, the rule for one timestamp field,
-and the store oracle only ``_fmt_time`` and ``_parse_time_label``, the rules
-for one time label).  They exist so the fast paths can be checked against an
+itemsets item by item, read or write CSV records or store lines one at a
+time, and apply the definitions directly, without sharing any code with the
+production clustering, miner, pattern decoder, CSV parser and writers or
+store codec (the parser oracle reuses only ``_parse_timestamp``, the rule
+for one timestamp field, and the store and writer oracles only
+``_fmt_time``, ``_iso_time`` and ``_parse_time_label``, the rules for one
+time label).  They exist so the fast paths can be checked against an
 independent computation on small inputs; size guards keep the enumerations
 from being misused on anything big.
 """
@@ -40,12 +41,14 @@ from comove.model import (
     UniverseError,
     canonical_sort,
 )
-from comove.store import FciStore, _fmt_time, _parse_time_label
+from comove.store import FciStore, _fmt_time, _iso_time, _parse_time_label
 
 __all__ = [
     "SizeGuardError",
     "brute_dbscan_snapshot",
     "brute_parse_trajectories",
+    "brute_write_trajectories",
+    "brute_write_patterns_csv",
     "brute_read_fci_store",
     "brute_write_fci_store",
     "brute_fcis",
@@ -391,6 +394,55 @@ def brute_parse_trajectories(source) -> TrajectoryDB:
     for obj, ts, x, y in rows:
         xy[obj_idx[obj], t_idx[ts]] = (x, y)
     return TrajectoryDB(labels, times, xy)
+
+
+def brute_write_trajectories(db: TrajectoryDB, fh) -> None:
+    """object_id,timestamp,x,y rows written one observation at a time by
+    ``csv.writer``, object-major with times ascending.  The reference for
+    ``comove.write_trajectories`` on a text stream and valid ids."""
+    time_text = [_iso_time(t) if isinstance(t, float) else str(t)
+                 for t in db.time_labels]
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(["object_id", "timestamp", "x", "y"])
+    present = ~np.isnan(db.xy[:, :, 0])
+    for o, label in enumerate(db.object_labels):
+        for t, tlabel in enumerate(time_text):
+            if present[o, t]:
+                x, y = db.xy[o, t]
+                w.writerow([label, tlabel, repr(float(x)), repr(float(y))])
+
+
+# ---------------------------------------------------------------------------
+# Pattern CSV, one pattern at a time
+# ---------------------------------------------------------------------------
+
+def brute_write_patterns_csv(patterns, matrix: ClusterMatrix, fh) -> None:
+    """kind,objects,times,weight rows written one pattern at a time by
+    ``csv.writer``, each field formatted where it is used.  The reference
+    for ``comove.write_patterns_csv`` on a text stream."""
+    for label in matrix.object_labels:
+        if ";" in label:
+            raise ParseError(
+                f"object id {label!r} cannot be written to a pattern file: "
+                "ids must not contain ';'")
+    labels = [_fmt_time(t) for t in matrix.time_labels]
+
+    def span(a: int, b: int) -> str:
+        return labels[a] if a == b else f"{labels[a]}..{labels[b]}"
+
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(["kind", "objects", "times", "weight"])
+    for p in canonical_sort(patterns):
+        objects = ";".join(matrix.object_labels[i] for i in p.objects.ids)
+        if isinstance(p, GroupPattern):
+            times, weight = ";".join(span(a, b) for a, b in p.segments), p.weight
+        else:
+            weight = len(p.times) / matrix.n_times
+            if isinstance(p, (Convoy, MovingCluster)):
+                times = span(p.start, p.end)
+            else:
+                times = ";".join(labels[t] for t in p.times)
+        w.writerow([p.kind, objects, times, repr(weight)])
 
 
 # ---------------------------------------------------------------------------

@@ -487,6 +487,18 @@ def test_mine_rejects_object_id_with_separator(tmp_path):
     assert not (out / "fcis.tsv").exists()
 
 
+@pytest.mark.parametrize("label", ["a,b", "a\tb"])
+def test_convert_columns_rejects_object_id_with_separator(tmp_path, capsys, label):
+    # the columns file joins member ids with ',' between tabs, so "a,b"
+    # would read back as two objects and "a\tb" not at all
+    traj = tmp_path / "traj.csv"
+    traj.write_text(f'"{label}",0,0,0\n"{label}",1,0,0\nc,0,0,0\nc,1,0,0\n')
+    cols = tmp_path / "cols.tsv"
+    assert main(["convert", "columns", str(traj), str(cols), "--eps", "2.0"]) == 2
+    assert "comove: error: object id" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
+
+
 def test_mine_and_convert_reject_object_id_with_pattern_separator(tmp_path):
     # pattern files join member ids with ';', so "a;b" would read back as
     # two members; the store alone could hold it, but no output is written

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,8 +35,15 @@ from comove import (
     write_patterns_geojson,
     write_trajectories,
 )
-from comove.model import packed_fci
-from oracle import brute_read_fci_store, brute_write_fci_store, gen_random_matrix
+from comove import store as store_module
+from comove.model import PeriodicPattern, packed_fci
+from oracle import (
+    brute_read_fci_store,
+    brute_write_fci_store,
+    brute_write_patterns_csv,
+    brute_write_trajectories,
+    gen_random_matrix,
+)
 from conftest import expanding_trio_matrix, make_matrix, three_column_matrix
 
 
@@ -102,6 +110,58 @@ def test_trajectory_write_to_path(tmp_path):
     assert parse_trajectories(p) == db
 
 
+# " s" would read back as "s", "a" and " a" as one object observed twice,
+# "" not at all, and "a\rb" is left unquoted by csv before Python 3.13
+@pytest.mark.parametrize("label", ["", " ", " s", "s ", "a\rb", "\ta"])
+def test_trajectory_write_refuses_ids_that_do_not_read_back(tmp_path, label):
+    db = TrajectoryDB(("a", label), (0,), np.zeros((2, 1, 2)))
+    buf = io.StringIO()
+    with pytest.raises(ParseError, match="cannot be written to a trajectory CSV") \
+            as refused:
+        write_trajectories(db, buf)
+    assert repr(label) in str(refused.value)
+    assert buf.getvalue() == ""
+    with pytest.raises(ParseError):
+        write_trajectories(db, tmp_path / "out.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+# ids csv must quote, and characters that need no quoting
+_ODD_IDS = st.text(st.sampled_from('ab,"\n é;\u4e2d'), min_size=1, max_size=4)
+
+
+@st.composite
+def _trajectory_dbs(draw):
+    labels = draw(st.lists(_ODD_IDS.filter(lambda o: o == o.strip()),
+                           min_size=1, max_size=5, unique=True))
+    times = draw(st.one_of(
+        st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=6, unique=True),
+        # float labels with an exact ISO-8601 form, written as ISO-8601
+        st.lists(st.builds(lambda s, k: s + k / 8, st.integers(-10**9, 4 * 10**9),
+                           st.integers(1, 7)),
+                 min_size=1, max_size=6, unique=True)))
+    n = len(labels) * len(times)
+    # 0 unobserved, 1 observed, 2 a finite x with a NaN y
+    cells = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    coords = draw(st.lists(st.floats(allow_nan=False), min_size=2 * n, max_size=2 * n))
+    xy = np.array(coords, dtype=float).reshape(len(labels), len(times), 2)
+    xy[(cells == 0).reshape(len(labels), len(times))] = np.nan
+    xy[(cells == 2).reshape(len(labels), len(times)), 1] = np.nan
+    return TrajectoryDB(tuple(labels), tuple(times), xy)
+
+
+@pytest.mark.parametrize("batch", [1, 3, store_module._WRITE_CELLS])
+@settings(max_examples=150, deadline=None)
+@given(db=_trajectory_dbs())
+def test_trajectory_writer_matches_the_row_by_row_oracle(batch, db):
+    want = io.StringIO()
+    brute_write_trajectories(db, want)
+    got = io.StringIO()
+    with mock.patch.object(store_module, "_WRITE_CELLS", batch):
+        write_trajectories(db, got)
+    assert got.getvalue() == want.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # Cluster-column dump
 # ---------------------------------------------------------------------------
@@ -163,6 +223,22 @@ def test_cluster_columns_format_and_comments():
 def test_cluster_columns_rejects(text):
     with pytest.raises(ParseError):
         read_cluster_columns(io.StringIO(text))
+
+
+# "a,b" would read back as two objects, " a" as "a", and "a\tb" not at all
+@pytest.mark.parametrize("label", ["", "a,b", " a", "a ", "a\tb", "a\nb", "a\rb"])
+def test_cluster_columns_refuse_ids_that_do_not_read_back(tmp_path, label):
+    m = ClusterMatrix.build(("c", label), (0,),
+                            [Column(ClusterId(0, 0), Tidset.from_ids([0, 1]))])
+    buf = io.StringIO()
+    with pytest.raises(ParseError, match="cannot be written to a columns file") \
+            as refused:
+        write_cluster_columns(m, buf)
+    assert repr(label) in str(refused.value)
+    assert buf.getvalue() == ""
+    with pytest.raises(ParseError):
+        write_cluster_columns(m, tmp_path / "cols.tsv")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +710,36 @@ def test_patterns_csv_order_is_canonical():
     write_patterns_csv(patterns, m, a)
     write_patterns_csv(list(reversed(patterns)), m, b)
     assert a.getvalue() == b.getvalue()
+
+
+@st.composite
+def _pattern_sets(draw):
+    """Patterns of every kind decoded from a random matrix whose object ids
+    csv must quote and whose time labels may be floats."""
+    m = gen_random_matrix(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    labels = draw(st.lists(_ODD_IDS.filter(lambda o: ";" not in o),
+                           min_size=m.n_objects, max_size=m.n_objects, unique=True))
+    times = sorted(draw(st.one_of(
+        st.sets(st.integers(-10**6, 10**6), min_size=m.n_times, max_size=m.n_times),
+        st.sets(st.floats(-1e6, 1e6, allow_nan=False), min_size=m.n_times,
+                max_size=m.n_times))))
+    m = ClusterMatrix.build(labels, times, m.columns)
+    patterns = extract_patterns(mine_fci(m, 1), m,
+                                MiningParams(min_t=1, theta=0.3, min_c=1))
+    patterns += [PeriodicPattern(p.objects, p.times) for p in patterns
+                 if isinstance(p, ClosedSwarm)]
+    return patterns, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_pattern_sets())
+def test_patterns_csv_matches_the_row_by_row_oracle(case):
+    patterns, m = case
+    want = io.StringIO()
+    brute_write_patterns_csv(patterns, m, want)
+    got = io.StringIO()
+    write_patterns_csv(patterns, m, got)
+    assert got.getvalue() == want.getvalue()
 
 
 # ---------------------------------------------------------------------------

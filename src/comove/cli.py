@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -290,9 +291,10 @@ def _cmd_append(args) -> int:
                             store.epsilon, counters=counters)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_fci_store(FciStore(store.epsilon, store.object_labels,
-                             store.time_labels + new_db.time_labels,
-                             tuple(combined)), out / "fcis.tsv")
+    # replace keeps the text the store was read with, which the writer copies
+    write_fci_store(dataclasses.replace(
+        store, time_labels=store.time_labels + new_db.time_labels,
+        fcis=tuple(combined)), out / "fcis.tsv")
     _summary(command="append", store=args.store, input=args.input,
              n_existing=len(store.fcis), n_incoming=len(new_fcis),
              n_combined=len(combined),

@@ -94,7 +94,9 @@ def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
             if gamma.bit_count() < epsilon:
                 continue
             if gamma not in produced:
-                produced[gamma] = _union(gamma, cex, cin)
+                # sorted merges the two ascending runs in linear time
+                produced[gamma] = packed_fci(gamma,
+                                             tuple(sorted(cex.codes + cin.codes)))
                 stats["new"] += 1
             if gamma == cex.mask:
                 old_dead[oi] = True
@@ -117,14 +119,3 @@ def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
 def _support_codes(f: FCI):
     return f.mask.bit_count(), f.codes
 
-
-def _union(mask: int, a: FCI, b: FCI) -> FCI:
-    """The itemset of a's and b's items with tidset ``mask``.  When one
-    side's items all precede the other's, as in every append, that side's
-    item text is the start of the union's."""
-    if b.codes[0] < a.codes[0]:
-        a, b = b, a
-    if a.codes[-1] < b.codes[0]:
-        return packed_fci(mask, a.codes + b.codes, None, a.items_text,
-                          a.text_labels)
-    return packed_fci(mask, tuple(sorted(a.codes + b.codes)))

@@ -8,9 +8,8 @@ the types defined here:
 * a :class:`ClusterMatrix` is the 0-1 object/cluster membership matrix with
   columns grouped by time unit,
 * an :class:`FCI` is a frequent closed itemset over matrix columns, held
-  packed into ints (plus the text of its store line, when read from one);
-  it is the one itemset type the miner emits, the merge combines, the
-  decoder reads and the itemset store reads and writes,
+  packed into ints; it is the one itemset type the miner emits, the merge
+  combines, the decoder reads and the itemset store reads and writes,
 * pattern dataclasses carry the decoded co-movement patterns.
 """
 
@@ -284,17 +283,11 @@ class FCI:
 
     The itemset is held packed: ``mask`` is the tidset as an int and
     ``codes`` are the items as ascending :func:`item_code` ints; ``items``
-    and ``tidset`` are built from them on first read and cached.  An itemset
-    read from a store also keeps its line's member-id and item text
-    (``ids_text``, ``items_text``; the latter may cover only the leading
-    items, one ``;`` field each, as for an itemset an append joins) and, in
-    ``text_labels``, the label tables that text was read with.  Equality,
-    hashing and repr ignore all three.  :func:`packed_fci` makes an FCI from
-    packed fields without checks.
+    and ``tidset`` are built from them on first read and cached.
+    :func:`packed_fci` makes an FCI from packed fields without checks.
     """
 
-    __slots__ = ("mask", "codes", "ids_text", "items_text", "text_labels",
-                 "_items", "_tidset")
+    __slots__ = ("mask", "codes", "_items", "_tidset")
 
     def __init__(self, items: Sequence[ClusterId], tidset: Tidset):
         items = tuple(items)
@@ -304,7 +297,6 @@ class FCI:
             raise ValueError("FCI items must be strictly ascending")
         self.mask = tidset.mask
         self.codes = tuple([item_code(*c) for c in items])
-        self.ids_text = self.items_text = self.text_labels = None
         self._items = items
         self._tidset = tidset
 
@@ -346,16 +338,11 @@ class FCI:
 _new = object.__new__
 
 
-def packed_fci(mask: int, codes: tuple[int, ...], ids_text: str | None = None,
-               items_text: str | None = None, text_labels: tuple | None = None) -> FCI:
-    """The FCI of a tidset mask and ascending item codes, unchecked.  Text
-    given without ``text_labels`` is never written."""
+def packed_fci(mask: int, codes: tuple[int, ...]) -> FCI:
+    """The FCI of a tidset mask and ascending item codes, unchecked."""
     f = _new(FCI)
     f.mask = mask
     f.codes = codes
-    f.ids_text = ids_text
-    f.items_text = items_text
-    f.text_labels = text_labels
     f._items = f._tidset = None
     return f
 

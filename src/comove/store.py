@@ -15,13 +15,14 @@ all: empty ids, ids with whitespace its reader strips, and ids holding a
 separator of the format.  The pattern writers refuse ids holding ``;``.
 
 The itemset store is read into packed FCIs (tidset masks and item codes).
-Each keeps the member-id and item text of its line where that text is what
-the writer would write, tagged with the label tables it was read with, so an
-append copies the line of every stored itemset that survives the merge
-instead of formatting it again.  The writer sorts rows by items, so a row
-mostly starts with the items of the row before it (front coding); the
-reader copies the codes of those leading items from that row and parses
-only the rest.
+When every line of a store is written as the writer writes it, the reader
+also keeps each line's member-id and item text, keyed by tidset mask, with
+the label tables it was read with; writing the store back copies that text
+instead of formatting it again, for every itemset an append keeps and for
+the leading items of one that absorbed a stored itemset.  Only this module
+knows that text.  The writer sorts rows by items, so a row mostly starts
+with the items of the row before it (front coding); the reader copies the
+codes of those leading items from that row and parses only the rest.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain, compress, filterfalse, repeat
-from operator import add, attrgetter, lt, ne
+from itertools import chain, filterfalse, repeat
+from operator import add, attrgetter, eq, lt
 from pathlib import Path
 
 import numpy as np
@@ -264,15 +265,18 @@ class FciStore:
     """A persisted mining result: the itemsets plus everything needed to
     interpret and extend them later.
 
-    The reader's FCIs keep the text of their store lines, which the writer
-    copies while the store's label tables agree with the ones the text was
-    read with, so a store that is read, merged and written is written back
-    without formatting its surviving itemsets again."""
+    ``text`` is set by :func:`read_fci_store` only: the object labels and
+    formatted time labels of a store whose lines are all written as the
+    writer writes them, and a map from each line's tidset mask to its
+    member-id text, item text and item codes.  The writer copies it where
+    the labels agree, so keep it (``dataclasses.replace``) when a read store
+    is merged and written back.  Equality and repr ignore it."""
 
     epsilon: int
     object_labels: tuple[str, ...]
     time_labels: tuple
     fcis: tuple[FCI, ...]
+    text: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def write_fci_store(store: FciStore, dest):
@@ -284,32 +288,35 @@ def write_fci_store(store: FciStore, dest):
     format uses as separators, and must not end in whitespace, which the
     reader strips from the end of the objects line.
 
-    An itemset's member-id and item text is written as the FCI carries it
-    when the store's object labels are the ones the text was read with and
-    its time labels start with the ones read.  The rest is formatted: member
-    ids from the FCI's own tidset, whose index tuple is cached once patterns
-    have been decoded from it, and the items its item text does not
-    cover."""
+    The text the reader kept (``store.text``) for an itemset's tidset is
+    copied where it is what this store writes: the member ids when the
+    object labels are the ones read, and the items read when the time
+    labels start with the ones read and the itemset's items start with
+    them, as for a stored itemset an append keeps or one a union absorbed.
+    The rest is formatted: member ids from the FCI's own tidset, whose
+    index tuple is cached once patterns have been decoded from it, and the
+    items after the copied ones."""
     labels = store.object_labels
     _check_ids(labels, ",\t\n\r", str.rstrip, "stored",
                "contain no ',', tab or newline, and not end in whitespace")
     tl = tuple(map(_fmt_time, store.time_labels))
     item_text = _ItemText(tl).__getitem__
-    # id of the label tables some text was read with -> whether the ids and
-    # the items text read with them is what this store writes
-    agrees = {id(None): (False, False)}
+    read_labels, read_tl, rows = store.text or ((), (), {})
+    same_ids = read_labels == labels
+    same_items = tl[:len(read_tl)] == read_tl
     lines = []
     for f in sorted(store.fcis, key=_codes):
-        ok = agrees.get(id(f.text_labels))
-        if ok is None:
-            read_labels, read_tl = f.text_labels
-            ok = agrees[id(f.text_labels)] = (read_labels == labels,
-                                              tl[:len(read_tl)] == read_tl)
-        ids = f.ids_text if ok[0] else None
-        items = f.items_text if ok[1] else None
+        ids = items = None
+        done = 0
+        row = rows.get(f.mask)
+        if row is not None:
+            read_ids, read_items, read = row
+            if same_ids:
+                ids = read_ids
+            if same_items and (read is f.codes or f.codes[:len(read)] == read):
+                items, done = read_items, len(read)
         if ids is None:
             ids = ",".join([labels[i] for i in f.tidset.ids])
-        done = 0 if items is None else items.count(";") + 1
         if done < len(f.codes):
             rest = ";".join(map(item_text, f.codes[done:]))
             items = f"{items};{rest}" if done else rest
@@ -358,8 +365,8 @@ def _check_item(item: str, t_code: dict[str, int], line_no: int) -> None:
 
 def _parse_items(items: list[str], t_code: dict[str, int], line_no: int):
     """The codes of ``items``, given the code of each time label's ordinal 0,
-    and the items not written as the writer would.  The first bad item
-    raises its ParseError."""
+    and whether every item is written as the writer would.  The first bad
+    item raises its ParseError."""
     t_strs, _, ord_strs = zip(*map(str.partition, items, repeat(":")))
     try:
         ordinals = list(map(int, ord_strs))
@@ -370,7 +377,7 @@ def _parse_items(items: list[str], t_code: dict[str, int], line_no: int):
         for item in items:
             _check_item(item, t_code, line_no)
         raise
-    return codes, compress(items, map(ne, ord_strs, map(str, ordinals)))
+    return codes, all(map(eq, ord_strs, map(str, ordinals)))
 
 
 def _shared_prefix(a: str, b: str) -> int:
@@ -387,11 +394,14 @@ def _shared_prefix(a: str, b: str) -> int:
 
 
 def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
-    """Parse a store into packed FCIs.  An FCI keeps its member-id text when
-    the ids are in universe order and its item text when every item is
-    written as ``time:ordinal`` in canonical form, with the store's object
-    labels and formatted time labels as its ``text_labels``, so writing the
-    store back copies that text instead of formatting it.
+    """Parse a store into packed FCIs.  When every row lists its ids in
+    universe order and writes every item as ``time:ordinal`` in canonical
+    form, the store's ``text`` keeps each row's text by tidset mask, so
+    writing the store back copies that text instead of formatting it.  A
+    store spelled otherwise has no ``text`` and is written from its codes.
+
+    A repeated object id in the header, and a row whose support is below
+    epsilon, raise ParseError.
 
     A row's leading items that repeat the previous row's, whole ``;``
     fields each, take their codes from that row; only the rest is split
@@ -427,6 +437,10 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
         raise ParseError(f"store epsilon must be >= 1, got {epsilon}")
     labels = tuple(o for o in header["objects"][0].split(",") if o) \
         if header["objects"] and header["objects"][0] else ()
+    o_bit = {o: 1 << i for i, o in enumerate(labels)}
+    if len(o_bit) != len(labels):
+        repeated = next(o for i, o in enumerate(labels) if o in labels[:i])
+        raise ParseError(f"store header repeats object id {repeated!r}")
     times = tuple(_parse_time_label(t) for t in header["times"][0].split(",") if t) \
         if header["times"] and header["times"][0] else ()
     if "n_objects" in header:
@@ -444,19 +458,16 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
     if any(times[i] >= times[i + 1] for i in range(len(times) - 1)):
         raise ParseError("store times must be strictly increasing")
 
-    o_bit = {o: 1 << i for i, o in enumerate(labels)}
     t_code = {_fmt_time(t): item_code(i, 0) for i, t in enumerate(times)}
-    text_labels = (labels, tuple(t_code))
     # Rows repeat the same few thousand item strings, so each distinct one is
     # parsed once.  Only items that passed validation are cached, so a bad
     # item still fails on its own line.
     item_codes: dict[str, int] = {}
-    odd_items: set[str] = set()  # cached items not written in canonical form
     fcis = []
+    rows = {}  # tidset mask -> (ids text, items text, codes)
+    canonical = True  # every row so far is written as the writer writes it
     reused = 0
-    # the previous row's items field, its codes and the index of its first
-    # item not written in canonical form (its length when there is none)
-    prev_items, prev_codes, prev_odd = "", (), 0
+    prev_items, prev_codes = "", ()
     for line_no, parts in body:
         if len(parts) != 3:
             raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}",
@@ -479,8 +490,10 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
             raise ParseError(
                 f"support {support} does not match {len(members)} member ids",
                 line=line_no)
-        if not all(map(lt, bits, bits[1:])):
-            ids = None
+        if support < epsilon:
+            raise ParseError(f"support {support} is below the store's epsilon "
+                             f"{epsilon}", line=line_no)
+        canonical = canonical and all(map(lt, bits, bits[1:]))
 
         # Where the two items fields part, or the shorter one ends, is the
         # junction when both have a field end there; else it is the last ';'
@@ -491,7 +504,6 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
             end = items.rfind(";", 0, end)
         shared = items.count(";", 0, end) + 1 if end > 0 else 0
         if shared and end == len(items):
-            tokens = []
             codes = prev_codes[:shared]
         else:
             tokens = (items[end + 1:] if shared else items).split(";")
@@ -500,9 +512,9 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
             except KeyError:
                 new = list(dict.fromkeys(filterfalse(item_codes.__contains__,
                                                      tokens)))
-                new_codes, new_odd = _parse_items(new, t_code, line_no)
+                new_codes, spelled = _parse_items(new, t_code, line_no)
                 item_codes.update(zip(new, new_codes))
-                odd_items.update(new_odd)
+                canonical = canonical and spelled
                 codes = tuple(map(item_codes.__getitem__, tokens))
             if (not all(map(lt, codes, codes[1:]))
                     or shared and prev_codes[shared - 1] >= codes[0]):
@@ -510,20 +522,15 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
                                  line=line_no)
             if shared:
                 codes = prev_codes[:shared] + codes
-        if prev_odd < shared:
-            odd = prev_odd
-        elif odd_items and not odd_items.isdisjoint(tokens):
-            odd = shared + next(i for i, t in enumerate(tokens) if t in odd_items)
-        else:
-            odd = len(codes)
-        fcis.append(packed_fci(mask, codes, ids,
-                               items if odd == len(codes) else None, text_labels))
-        prev_items, prev_codes, prev_odd = items, codes, odd
+        fcis.append(packed_fci(mask, codes))
+        rows[mask] = (ids, items, codes)
+        prev_items, prev_codes = items, codes
         reused += shared
     if counters is not None:
         counters.update(rows=len(fcis), items=sum(len(f.codes) for f in fcis),
                         items_reused=reused)
-    return FciStore(epsilon, labels, times, tuple(fcis))
+    return FciStore(epsilon, labels, times, tuple(fcis),
+                    (labels, tuple(t_code), rows) if canonical else None)
 
 
 # ---------------------------------------------------------------------------

@@ -507,6 +507,9 @@ def brute_read_fci_store(source) -> FciStore:
         raise ParseError(f"store epsilon must be >= 1, got {epsilon}")
     labels = tuple(o for o in header["objects"][0].split(",") if o) \
         if header["objects"] and header["objects"][0] else ()
+    for i, o in enumerate(labels):
+        if o in labels[:i]:
+            raise ParseError(f"store header repeats object id {o!r}")
     times = tuple(_parse_time_label(t) for t in header["times"][0].split(",") if t) \
         if header["times"] and header["times"][0] else ()
     if "n_objects" in header:
@@ -544,6 +547,9 @@ def brute_read_fci_store(source) -> FciStore:
             raise ParseError(
                 f"support {support} does not match {len(members)} member ids",
                 line=line_no)
+        if support < epsilon:
+            raise ParseError(f"support {support} is below the store's epsilon "
+                             f"{epsilon}", line=line_no)
         items = []
         for item in parts[2].split(";"):
             t_str, _, ord_str = item.partition(":")

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -36,7 +37,7 @@ from comove import (
     write_trajectories,
 )
 from comove import store as store_module
-from comove.model import PeriodicPattern, packed_fci
+from comove.model import PeriodicPattern
 from oracle import (
     brute_read_fci_store,
     brute_write_fci_store,
@@ -294,7 +295,8 @@ def _stores(draw, min_size=0):
                                    max_size=8)):
             ids = draw(st.sets(st.integers(0, len(labels) - 1), min_size=1))
             fcis[tuple(sorted(items))] = Tidset.from_ids(ids)
-    return FciStore(draw(st.integers(1, 9)), tuple(labels), times,
+    least = min((len(tid) for tid in fcis.values()), default=9)
+    return FciStore(draw(st.integers(1, least)), tuple(labels), times,
                     tuple(FCI(items, tid) for items, tid in sorted(fcis.items())))
 
 
@@ -394,13 +396,19 @@ def _assert_read_as_the_oracle_reads(text: str):
     if got is not None:
         written, write_error = _outcome(_written, write_fci_store, got)
         assert (written, write_error) == _outcome(_written, brute_write_fci_store, want)
-        # a row keeps its items text when every item is written canonically
-        fields = [line.split("\t")[2] for line in text.split("\n")
-                  if line.strip() and line[0] != "#"]
-        assert [f.items_text for f in got.fcis] == [
-            items if all(o == str(int(o)) for _, _, o in
-                         (item.partition(":") for item in items.split(";")))
-            else None for items in fields]
+        # the store keeps its rows' text when every row lists its ids in
+        # universe order and writes every item canonically
+        index = {label: i for i, label in enumerate(got.object_labels)}
+
+        def spelled(ids: str, items: str) -> bool:
+            order = [index[m] for m in ids.split(",")]
+            return order == sorted(order) and all(
+                o == str(int(o)) for _, _, o in
+                (item.partition(":") for item in items.split(";")))
+        rows = [line.split("\t") for line in text.split("\n")
+                if line.strip() and line[0] != "#"]
+        assert (got.text is not None) == all(
+            spelled(ids, items) for _, ids, items in rows)
 
 
 @settings(max_examples=400, deadline=None)
@@ -508,29 +516,77 @@ def _written(write, store) -> str:
 
 
 def test_fci_store_rows_carry_only_the_text_the_writer_writes():
-    text = (_HEADER + "2\ta,b\t0:0;1:2\n2\tb,a\t0:1\n1\tb\t0:02\n"
-            "1\ta\t0:3;1:+4\n")
-    fcis = read_fci_store(io.StringIO(text)).fcis
-    assert [(f.ids_text, f.items_text) for f in fcis] == [
-        ("a,b", "0:0;1:2"), (None, "0:1"), ("b", None), ("a", None)]
-    buf = io.StringIO()
-    write_fci_store(read_fci_store(io.StringIO(text)), buf)
-    assert buf.getvalue().endswith(
-        "2\ta,b\t0:0;1:2\n2\ta,b\t0:1\n1\tb\t0:2\n1\ta\t0:3;1:4\n")
+    # one row spelled otherwise than the writer writes it drops the text of
+    # the whole store, which is then written from its codes
+    rows = "2\ta,b\t0:0;1:2\n1\ta\t0:0;1:3\n"
+    header = _HEADER.replace("# objects", "# n_objects\t2\n# time_range\t0\t1\n"
+                             "# objects")
+    for odd, fixed in [
+        ("", ""),
+        ("2\tb,a\t0:1\n", "2\ta,b\t0:1\n"),    # ids out of universe order
+        ("1\tb\t0:02\n", "1\tb\t0:2\n"),        # an ordinal not in canonical form
+        ("1\ta\t0:3;1:+4\n", "1\ta\t0:3;1:4\n"),
+    ]:
+        store = read_fci_store(io.StringIO(_HEADER + rows + odd))
+        assert (store.text is None) == bool(odd)
+        if store.text is not None:
+            labels, times, text = store.text
+            assert (labels, times) == (("a", "b"), ("0", "1"))
+            assert text == {f.mask: (ids, items, f.codes) for f, (ids, items) in
+                            zip(store.fcis, [("a,b", "0:0;1:2"), ("a", "0:0;1:3")])}
+        assert store == replace(store, text=None)
+        assert _written(write_fci_store, store) == _written(
+            brute_write_fci_store, store) == header + rows + fixed
 
 
-def test_fci_store_formats_the_items_its_text_does_not_cover():
-    # an append keeps a stored itemset's item text for the union it joins
-    # with a new one, and the writer adds the new items
-    codes = (0, 1 << 64 | 2)
-    read_with = (("a", "b"), ("0",))
-    fcis = (packed_fci(1, codes, None, "0:0", read_with),
-            packed_fci(2, codes, "b", None, read_with),
-            packed_fci(3, codes, None, "0:0;1:2", read_with))
+def test_fci_store_formats_the_items_its_text_does_not_cover(monkeypatch):
+    # an append keeps a stored itemset's text for the union that absorbs it
+    # and the writer formats the new items after it; an itemset with another
+    # stored itemset's tidset has other leading items, so only its ids are
+    # copied
+    read = read_fci_store(io.StringIO(_HEADER + "2\ta,b\t0:0;1:2\n1\ta\t1:1\n"))
+    fcis = (FCI((ClusterId(0, 0), ClusterId(1, 2), ClusterId(2, 0)), Tidset(0b11)),
+            FCI((ClusterId(0, 5), ClusterId(2, 1)), Tidset(0b01)))
+    store = replace(read, time_labels=(0, 1, 2), fcis=fcis)
+    formatted = []
+    missing = store_module._ItemText.__missing__
+    monkeypatch.setattr(store_module._ItemText, "__missing__",
+                        lambda d, code: formatted.append(code) or missing(d, code))
+    assert _written(write_fci_store, store).endswith(
+        "2\ta,b\t0:0;1:2;2:0\n1\ta\t0:5;2:1\n")
+    assert formatted == [2 << 64, 5, 2 << 64 | 1]
+    assert _written(write_fci_store, store) == _written(brute_write_fci_store, store)
+
+
+@pytest.mark.parametrize("rows", [
+    "1\ta\t0:0\n1\ta\t1:0\n",
+    "1\ta\t1:0\n1\ta\t0:0;1:0\n",
+    "2\ta,b\t0:0\n2\ta,b\t0:0;1:1\n1\tb\t0:0;1:0\n",
+])
+def test_fci_store_rows_sharing_a_tidset_are_written_as_the_oracle_writes(rows):
+    store = read_fci_store(io.StringIO(_HEADER + rows))
+    assert store.text is not None
+    assert _written(write_fci_store, store) == _written(brute_write_fci_store, store)
+
+
+def test_fci_store_written_back_formats_nothing(monkeypatch):
+    # a canonical store read and written back copies every row's text: no
+    # item is formatted and no tidset expanded, unless the text is dropped
+    m = gen_random_matrix(np.random.default_rng(41))
     buf = io.StringIO()
-    write_fci_store(FciStore(1, ("a", "b"), (0, 1), fcis), buf)
-    assert buf.getvalue().endswith(
-        "1\ta\t0:0;1:2\n1\tb\t0:0;1:2\n2\ta,b\t0:0;1:2\n")
+    write_fci_store(FciStore(1, m.object_labels, m.time_labels,
+                             tuple(mine_fci(m, 1))), buf)
+    formatted, expanded = [], []
+    missing, tidset = store_module._ItemText.__missing__, FCI.tidset
+    monkeypatch.setattr(store_module._ItemText, "__missing__",
+                        lambda d, code: formatted.append(code) or missing(d, code))
+    monkeypatch.setattr(FCI, "tidset", property(
+        lambda f: expanded.append(f) or tidset.fget(f)))
+    read = read_fci_store(io.StringIO(buf.getvalue()))
+    assert _written(write_fci_store, read) == buf.getvalue()
+    assert formatted == [] and expanded == [] and read.fcis
+    assert _written(write_fci_store, replace(read, text=None)) == buf.getvalue()
+    assert formatted and len(expanded) == len(read.fcis)
 
 
 @pytest.mark.parametrize("objects, times", [
@@ -549,7 +605,8 @@ def test_fci_store_text_is_not_copied_under_other_labels(objects, times):
         read.fcis, [FCI((ClusterId(len(times) - 1, 9),), Tidset(0b11))], 1))
     if len(times) < 3:  # keep only items the shorter time table can name
         fcis = tuple(f for f in fcis if f.times[-1] < len(times))
-    store = FciStore(1, objects, times, fcis)
+    store = replace(read, object_labels=objects, time_labels=times, fcis=fcis)
+    assert store.text is not None
     assert _written(write_fci_store, store) == _written(brute_write_fci_store, store)
 
 
@@ -588,10 +645,25 @@ _HEADER = "# epsilon\t1\n# objects\ta,b\n# times\t0,1\n"
     _HEADER + "1\ta\t0:x\n",             # bad ordinal
     _HEADER + "1\ta\t0:-1\n",            # negative ordinal
     _HEADER + "1\ta\t1:0;0:0\n",         # items out of order
+    "# epsilon\t1\n# objects\ta,b,a\n# times\t0\n",   # a repeated object id
+    "# epsilon\t2\n# objects\ta,b\n# times\t0\n1\ta\t0:0\n",  # support < epsilon
 ])
 def test_fci_store_rejects(text):
     with pytest.raises(ParseError):
         read_fci_store(io.StringIO(text))
+
+
+@pytest.mark.parametrize("text, error, line", [
+    ("# epsilon\t1\n# objects\ta,b,a\n# times\t0\n2\ta,b\t0:0\n",
+     "store header repeats object id 'a'", None),
+    ("# epsilon\t2\n# objects\ta,b\n# times\t0\n2\ta,b\t0:0\n1\ta\t0:0\n",
+     "line 5: support 1 is below the store's epsilon 2", 5),
+])
+def test_fci_store_refusals_name_their_cause(text, error, line):
+    for read in (read_fci_store, brute_read_fci_store):
+        with pytest.raises(ParseError) as refused:
+            read(io.StringIO(text))
+        assert (str(refused.value), refused.value.line) == (error, line)
 
 
 def test_fci_store_cached_item_does_not_hide_a_later_error():

@@ -194,6 +194,23 @@ def _load_db(args):
     return db
 
 
+def _clustering(args) -> dict:
+    """The clustering flags as a store records them."""
+    return {"eps": args.eps, "min_pts": args.min_pts,
+            "interpolate": not args.no_interpolate}
+
+
+def _check_clustering(store: FciStore, args):
+    """Raise ParameterError naming both values where the clustering flags
+    differ from the ones the store records it was mined with."""
+    if store.clustering is None:
+        return
+    for key, value in _clustering(args).items():
+        if value != store.clustering[key]:
+            raise ParameterError(f"{key} {value!r} does not match the store's "
+                                 f"{key} {store.clustering[key]!r}")
+
+
 def _cluster(db, args, kind: str = "per-timestamp"):
     """``db`` clustered with the --eps, --minpts and --threads flags."""
     return build_cluster_matrix(
@@ -259,7 +276,7 @@ def _cmd_mine(args, parser: _Parser) -> int:
     fcis = _mine_with_mode(matrix, args.epsilon, args.mode, args.block_size)
     patterns = extract_patterns(fcis, matrix, params)
     store = FciStore(args.epsilon, matrix.object_labels, matrix.time_labels,
-                     tuple(fcis))
+                     tuple(fcis), None if args.pre_clustered else _clustering(args))
     _write_outputs(args.out_dir, store, patterns, matrix, db, args.emit)
     _summary(command="mine", mode=args.mode, input=args.input,
              n_objects=matrix.n_objects, n_times=matrix.n_times,
@@ -278,6 +295,7 @@ def _cmd_append(args) -> int:
         raise CoMoveError(
             f"--epsilon {args.epsilon} does not match the store's epsilon "
             f"{store.epsilon}")
+    _check_clustering(store, args)
     new_db = _load_db(args)
     if store.time_labels and new_db.time_labels[0] <= store.time_labels[-1]:
         raise TimeRangeError(
@@ -313,6 +331,7 @@ def _cmd_convert_columns(args) -> int:
 
 def _cmd_convert_patterns(args) -> int:
     store = _read(read_fci_store, args.store)
+    _check_clustering(store, args)
     db = _load_db(args)
     if db.object_labels != store.object_labels:
         raise UniverseError(

@@ -42,24 +42,28 @@ def shift_times(fcis: list[FCI], offset: int) -> list[FCI]:
             for f in fcis]
 
 
-def _check_disjoint_columns(existing: list[FCI], incoming: list[FCI]):
+def _check_disjoint_columns(existing: list[FCI], incoming: list[FCI]) -> int:
+    """Raise unless the sides share no column.  Return 1 when every existing
+    code precedes every incoming one, -1 when every incoming code precedes
+    every existing one, 0 when the code ranges interleave."""
     if not existing or not incoming:
-        return
+        return 0
 
     def span(fcis):
         return min(f.codes[0] for f in fcis), max(f.codes[-1] for f in fcis)
 
-    # Sides whose code ranges do not overlap, as in every append, share no
-    # column; only interleaved sides need the sets.
+    # Sides whose code ranges do not overlap, as in every append and block
+    # merge, share no column; only interleaved sides need the sets.
     (lo_a, hi_a), (lo_b, hi_b) = span(existing), span(incoming)
     if hi_a < lo_b or hi_b < lo_a:
-        return
+        return 1 if hi_a < lo_b else -1
     shared = (set().union(*map(_codes, existing))
               & set().union(*map(_codes, incoming)))
     if shared:
         raise CoMoveError(
             f"both sides use column {code_item(min(shared))}; combined itemsets "
             "need sides that share no column")
+    return 0
 
 
 def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
@@ -74,7 +78,7 @@ def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
     """
     check_epsilon(epsilon)
     old, new = list(existing), list(incoming)
-    _check_disjoint_columns(old, new)
+    order = _check_disjoint_columns(old, new)
     stats = {"pairs": 0, "new": 0, "absorbed_existing": 0,
              "absorbed_incoming": 0, "stops": 0}
 
@@ -94,9 +98,12 @@ def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
             if gamma.bit_count() < epsilon:
                 continue
             if gamma not in produced:
-                # sorted merges the two ascending runs in linear time
-                produced[gamma] = packed_fci(gamma,
-                                             tuple(sorted(cex.codes + cin.codes)))
+                # sides in code order concatenate; interleaved ones merge
+                # their two ascending runs in sorted's linear time
+                codes = (cex.codes + cin.codes if order > 0 else
+                         cin.codes + cex.codes if order < 0 else
+                         tuple(sorted(cex.codes + cin.codes)))
+                produced[gamma] = packed_fci(gamma, codes)
                 stats["new"] += 1
             if gamma == cex.mask:
                 old_dead[oi] = True

@@ -388,15 +388,19 @@ class _Grid:
 def interpolate(db: TrajectoryDB) -> TrajectoryDB:
     """Fill interior gaps of each trajectory by linear interpolation over the
     time labels.  Leading and trailing gaps stay missing (no extrapolation).
+
+    Only objects with an interior gap, an unobserved time with
+    observations before and after it, are interpolated.  The rest are
+    copied as they are, which is what interpolating them would give.
     """
     xy = db.xy.copy()
     t = np.asarray(db.time_labels, dtype=float)
-    for o, seen in enumerate(db.present):
-        obs = np.nonzero(seen)[0]
-        if len(obs) < 2:
-            continue
-        lo, hi = obs[0], obs[-1]
-        inner = slice(lo, hi + 1)
+    present = db.present
+    seen = np.cumsum(present, axis=1)  # observations up to each time
+    gaps = ~present & (seen > 0) & (seen < seen[:, -1:])
+    for o in np.flatnonzero(gaps.any(axis=1)).tolist():
+        obs = np.flatnonzero(present[o])
+        inner = slice(obs[0], obs[-1] + 1)
         for axis in (0, 1):
             xy[o, inner, axis] = np.interp(t[inner], t[obs], db.xy[o, obs, axis])
     return TrajectoryDB(db.object_labels, db.time_labels, xy)

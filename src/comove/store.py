@@ -15,14 +15,13 @@ all: empty ids, ids with whitespace its reader strips, and ids holding a
 separator of the format.  The pattern writers refuse ids holding ``;``.
 
 The itemset store is read into packed FCIs (tidset masks and item codes).
-When every line of a store is written as the writer writes it, the reader
-also keeps each line's member-id and item text, keyed by tidset mask, with
-the label tables it was read with; writing the store back copies that text
-instead of formatting it again, for every itemset an append keeps and for
-the leading items of one that absorbed a stored itemset.  Only this module
-knows that text.  The writer sorts rows by items, so a row mostly starts
-with the items of the row before it (front coding); the reader copies the
-codes of those leading items from that row and parses only the rest.
+A row writes its items as runs, ``a..b:o`` for ordinal ``o`` at every store
+time from label ``a`` through ``b`` and ``t:o`` for one item, so each row
+stands alone.  When every line of a store is written as the writer writes
+it, the reader also keeps each line's member-id and item text, keyed by
+tidset mask, with the label tables it was read with; writing the store back
+copies that text instead of formatting it again, for every itemset an
+append keeps.  Only this module knows that text.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain, filterfalse, repeat
-from operator import add, attrgetter, eq, lt
+from itertools import chain, filterfalse
+from operator import attrgetter, lt
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +52,6 @@ from .model import (
     Tidset,
     UniverseError,
     canonical_sort,
-    code_item,
     item_code,
     packed_fci,
 )
@@ -265,6 +263,9 @@ class FciStore:
     """A persisted mining result: the itemsets plus everything needed to
     interpret and extend them later.
 
+    ``clustering`` is ``{"eps": float, "min_pts": int, "interpolate": bool}``
+    as mined, or None where not known (pre-clustered input, older stores).
+
     ``text`` is set by :func:`read_fci_store` only: the object labels and
     formatted time labels of a store whose lines are all written as the
     writer writes them, and a map from each line's tidset mask to its
@@ -276,13 +277,18 @@ class FciStore:
     object_labels: tuple[str, ...]
     time_labels: tuple
     fcis: tuple[FCI, ...]
+    clustering: dict | None = None
     text: tuple | None = field(default=None, compare=False, repr=False)
 
 
+_TIME_STEP = item_code(1, 0)  # the code of the next time's item, less this one's
+
+
 def write_fci_store(store: FciStore, dest):
-    """Header lines carry epsilon, the universe size, the covered time range
-    and the full label tables; one row per itemset:
-    support <TAB> member ids <TAB> time:ordinal items.
+    """Header lines carry epsilon, the clustering when known, the universe
+    size, the covered time range and the full label tables; one row per
+    itemset: support <TAB> member ids <TAB> items, the items as their
+    maximal runs (see ``_run_texts``).
 
     Object ids must be non-empty, free of ``,``, tab and newline, which the
     format uses as separators, and must not end in whitespace, which the
@@ -290,40 +296,35 @@ def write_fci_store(store: FciStore, dest):
 
     The text the reader kept (``store.text``) for an itemset's tidset is
     copied where it is what this store writes: the member ids when the
-    object labels are the ones read, and the items read when the time
-    labels start with the ones read and the itemset's items start with
-    them, as for a stored itemset an append keeps or one a union absorbed.
-    The rest is formatted: member ids from the FCI's own tidset, whose
-    index tuple is cached once patterns have been decoded from it, and the
-    items after the copied ones."""
+    object labels are the ones read, and the items when the time labels
+    start with the ones read and the itemset's items are the ones read, as
+    for a stored itemset an append keeps.  The rest is formatted: member ids
+    from the FCI's own tidset, whose index tuple is cached once patterns
+    have been decoded from it, and items from their codes."""
     labels = store.object_labels
     _check_ids(labels, ",\t\n\r", str.rstrip, "stored",
                "contain no ',', tab or newline, and not end in whitespace")
     tl = tuple(map(_fmt_time, store.time_labels))
-    item_text = _ItemText(tl).__getitem__
     read_labels, read_tl, rows = store.text or ((), (), {})
     same_ids = read_labels == labels
     same_items = tl[:len(read_tl)] == read_tl
-    lines = []
-    for f in sorted(store.fcis, key=_codes):
-        ids = items = None
-        done = 0
-        row = rows.get(f.mask)
-        if row is not None:
-            read_ids, read_items, read = row
-            if same_ids:
-                ids = read_ids
-            if same_items and (read is f.codes or f.codes[:len(read)] == read):
-                items, done = read_items, len(read)
-        if ids is None:
-            ids = ",".join([labels[i] for i in f.tidset.ids])
-        if done < len(f.codes):
-            rest = ";".join(map(item_text, f.codes[done:]))
-            items = f"{items};{rest}" if done else rest
-        lines.append(f"{f.mask.bit_count()}\t{ids}\t{items}\n")
+    fcis = sorted(store.fcis, key=_codes)
+    ids, items = [], []
+    for f in fcis:
+        read_ids, read_items, read = rows.get(f.mask, (None, None, None))
+        ids.append(read_ids if same_ids and read_ids
+                   else ",".join([labels[i] for i in f.tidset.ids]))
+        items.append(read_items if same_items and (read is f.codes or read == f.codes)
+                     else None)
+    formatted = _run_texts([f.codes for f, t in zip(fcis, items) if t is None], tl)
+    lines = [f"{f.mask.bit_count()}\t{i}\t{next(formatted) if t is None else t}\n"
+             for f, i, t in zip(fcis, ids, items)]
 
     def write(fh):
         fh.write(f"# epsilon\t{store.epsilon}\n")
+        if store.clustering is not None:
+            fh.write("# clustering" + "".join(f"\t{k}={store.clustering[k]!r}"
+                     for k in ("eps", "min_pts", "interpolate")) + "\n")
         fh.write(f"# n_objects\t{len(labels)}\n")
         if tl:
             fh.write(f"# time_range\t{tl[0]}\t{tl[-1]}\n")
@@ -333,98 +334,99 @@ def write_fci_store(store: FciStore, dest):
     _write_to(dest, write)
 
 
-class _ItemText(dict):
-    """Item code -> ``time:ordinal`` text.  An item recurs in every itemset
-    that contains it, so each distinct one is formatted once."""
+class _RunKeys(dict):
+    """Item code -> ``ordinal index * (n_times + 1) + time``, one more for the
+    same ordinal's item at the next time and for no other item.  Each
+    distinct item is keyed once; ``ordinals`` maps ordinals to indices."""
 
-    def __init__(self, time_labels: tuple[str, ...]):
+    def __init__(self, n_times: int):
         super().__init__()
-        self.time_labels = time_labels
+        self.n_times, self.ordinals = n_times, {}
 
-    def __missing__(self, code: int) -> str:
-        t, ordinal = code_item(code)
-        if not 0 <= t < len(self.time_labels):
+    def __missing__(self, code: int) -> int:
+        t, ordinal = divmod(code, _TIME_STEP)
+        if not 0 <= t < self.n_times:
             raise ParseError(
                 f"item {ClusterId(t, ordinal)} cannot be stored: its time index "
-                f"is outside the store's {len(self.time_labels)} time labels")
-        text = self[code] = f"{self.time_labels[t]}:{ordinal}"
-        return text
+                f"is outside the store's {self.n_times} time labels")
+        o = self.ordinals.setdefault(ordinal, len(self.ordinals))
+        key = self[code] = o * (self.n_times + 1) + t
+        return key
 
 
-def _check_item(item: str, t_code: dict[str, int], line_no: int) -> None:
-    """Raise the ParseError of a bad item, reported at ``line_no``."""
-    t_str, _, ord_str = item.partition(":")
-    if t_str not in t_code:
-        raise ParseError(f"unknown time label {t_str!r}", line=line_no)
+def _run_texts(rows: list[tuple[int, ...]], tl: tuple[str, ...]):
+    """An iterator over the items text of each row of codes: its maximal runs
+    of one ordinal at consecutive store times, in code order, each written
+    ``a..b:o``, or ``t:o`` for a run of one item, joined by ``;``."""
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    run_keys = _RunKeys(len(tl))
+    keys = np.fromiter(map(run_keys.__getitem__, chain.from_iterable(rows)),
+                       np.int64, lengths.sum())
+    breaks = np.ones(len(keys) + 1, bool)  # where a run starts, then the end
+    breaks[1:-1] = np.diff(keys) != 1
+    row_starts = np.cumsum(lengths) - lengths
+    breaks[row_starts] = True
+    starts = np.flatnonzero(breaks[:-1])
+    o_index, first_t = np.divmod(keys[starts], len(tl) + 1)
+    last_t = keys[np.flatnonzero(breaks[1:])] % (len(tl) + 1)
+    ordinals = list(map(str, run_keys.ordinals))
+    runs = [f"{tl[a]}:{ordinals[o]}" if a == b else f"{tl[a]}..{tl[b]}:{ordinals[o]}"
+            for o, a, b in zip(o_index.tolist(), first_t.tolist(), last_t.tolist())]
+    bounds = np.searchsorted(starts, row_starts).tolist() + [len(runs)]
+    return iter([";".join(runs[i:j]) for i, j in zip(bounds, bounds[1:])])
+
+
+def _parse_run(token: str, t_index: dict[str, int], line_no: int):
+    """A run's (ordinal, first time index, last time index) and whether it is
+    spelled as the writer spells it, or the ParseError of a bad run."""
+    times, _, ord_str = token.partition(":")
+    start, dots, end = times.partition("..")
+    for label in (start, end) if dots else (start,):
+        if label not in t_index:
+            raise ParseError(f"unknown time label {label!r}", line=line_no)
+    a = t_index[start]
+    b = t_index[end] if dots else a
+    if b <= a and dots:
+        raise ParseError(f"run {token!r} does not end after it starts", line=line_no)
     try:
         ordinal = int(ord_str)
     except ValueError:
-        raise ParseError(f"unparseable item {item!r}", line=line_no) from None
-    item_code(0, ordinal, line_no)
-
-
-def _parse_items(items: list[str], t_code: dict[str, int], line_no: int):
-    """The codes of ``items``, given the code of each time label's ordinal 0,
-    and whether every item is written as the writer would.  The first bad
-    item raises its ParseError."""
-    t_strs, _, ord_strs = zip(*map(str.partition, items, repeat(":")))
-    try:
-        ordinals = list(map(int, ord_strs))
-        codes = list(map(add, map(t_code.__getitem__, t_strs), ordinals))
-        for bound in (min(ordinals), max(ordinals)):
-            item_code(0, bound)  # an ordinal the code cannot hold raises
-    except (KeyError, ValueError):
-        for item in items:
-            _check_item(item, t_code, line_no)
-        raise
-    return codes, all(map(eq, ord_strs, map(str, ordinals)))
-
-
-def _shared_prefix(a: str, b: str) -> int:
-    """The length of the longest common prefix of ``a`` and ``b``, found by
-    a binary search on slice compares."""
-    lo, hi = 0, min(len(a), len(b))
-    while lo < hi:
-        mid = (lo + hi + 1) >> 1
-        if a.startswith(b[:mid]):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+        raise ParseError(f"unparseable item {token!r}", line=line_no) from None
+    item_code(0, ordinal, line_no)  # an ordinal the code cannot hold raises
+    return (ordinal, a, b), ord_str == str(ordinal)
 
 
 def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
     """Parse a store into packed FCIs.  When every row lists its ids in
-    universe order and writes every item as ``time:ordinal`` in canonical
-    form, the store's ``text`` keeps each row's text by tidset mask, so
+    universe order and writes its items as maximal runs with canonical
+    ordinals, the store's ``text`` keeps each row's text by tidset mask, so
     writing the store back copies that text instead of formatting it.  A
     store spelled otherwise has no ``text`` and is written from its codes.
 
     A repeated object id in the header, and a row whose support is below
     epsilon, raise ParseError.
 
-    A row's leading items that repeat the previous row's, whole ``;``
-    fields each, take their codes from that row; only the rest is split
-    and parsed.  The writer sorts rows by items, so most items repeat; an
-    unsorted store is read the same, with fewer items reused.
+    Each distinct run is parsed once.  The items of the runs, by ordinal
+    then time, are the store's distinct items, made once each in one list;
+    a run's codes are a slice of it, and a row's are its runs' joined.
     ``counters``, when given, is filled with ``rows``, ``items`` and
-    ``items_reused``, the items whose codes were copied."""
+    ``runs``."""
     if isinstance(source, (str, Path)):
         with open(source) as fh:
             return read_fci_store(fh, counters=counters)
     header: dict[str, list[str]] = {}
-    body: list[tuple[int, list[str]]] = []
+    body: list[tuple[int, str]] = []  # split in the row loop: fewer objects to collect
     for line_no, line in enumerate(source, start=1):
         line = line.rstrip("\n")
-        if not line.strip():
+        if not line or line.isspace():
             continue
         if line.startswith("#"):
             parts = line[1:].strip().split("\t")
-            if parts and parts[0] in ("epsilon", "n_objects", "time_range",
-                                      "objects", "times"):
+            if parts and parts[0] in ("epsilon", "clustering", "n_objects",
+                                      "time_range", "objects", "times"):
                 header[parts[0]] = parts[1:]
             continue
-        body.append((line_no, line.split("\t")))
+        body.append((line_no, line))
 
     for key in ("epsilon", "objects", "times"):
         if key not in header:
@@ -435,6 +437,14 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
         raise ParseError("store header has an unparseable epsilon") from None
     if epsilon < 1:
         raise ParseError(f"store epsilon must be >= 1, got {epsilon}")
+    clustering = header.get("clustering")
+    if clustering is not None:
+        c = dict(f.partition("=")[::2] for f in clustering)
+        try:
+            clustering = {"eps": float(c["eps"]), "min_pts": int(c["min_pts"]),
+                          "interpolate": ["False", "True"].index(c["interpolate"]) == 1}
+        except (KeyError, ValueError):
+            raise ParseError("store header has an unparseable clustering") from None
     labels = tuple(o for o in header["objects"][0].split(",") if o) \
         if header["objects"] and header["objects"][0] else ()
     o_bit = {o: 1 << i for i, o in enumerate(labels)}
@@ -458,17 +468,12 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
     if any(times[i] >= times[i + 1] for i in range(len(times) - 1)):
         raise ParseError("store times must be strictly increasing")
 
-    t_code = {_fmt_time(t): item_code(i, 0) for i, t in enumerate(times)}
-    # Rows repeat the same few thousand item strings, so each distinct one is
-    # parsed once.  Only items that passed validation are cached, so a bad
-    # item still fails on its own line.
-    item_codes: dict[str, int] = {}
-    fcis = []
-    rows = {}  # tidset mask -> (ids text, items text, codes)
+    t_index = {_fmt_time(t): i for i, t in enumerate(times)}
+    parsed: dict[str, tuple[int, int, int]] = {}  # run text -> (ordinal, first, last)
+    read = []  # (mask, ids text, items text, runs) per row
     canonical = True  # every row so far is written as the writer writes it
-    reused = 0
-    prev_items, prev_codes = "", ()
-    for line_no, parts in body:
+    for line_no, line in body:
+        parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}",
                              line=line_no)
@@ -494,43 +499,38 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
             raise ParseError(f"support {support} is below the store's epsilon "
                              f"{epsilon}", line=line_no)
         canonical = canonical and all(map(lt, bits, bits[1:]))
+        tokens = items.split(";")
+        for token in filterfalse(parsed.__contains__, tokens):
+            parsed[token], spelled = _parse_run(token, t_index, line_no)
+            canonical = canonical and spelled
+        runs = list(map(parsed.__getitem__, tokens))
+        for (o, a, _), (p, _, b) in zip(runs[1:], runs):
+            if (a, o) <= (b, p):
+                raise ParseError("FCI items must be strictly ascending", line=line_no)
+            canonical = canonical and (o, a) != (p, b + 1)  # runs are maximal
+        read.append((mask, ids, items, runs))
 
-        # Where the two items fields part, or the shorter one ends, is the
-        # junction when both have a field end there; else it is the last ';'
-        # before.  A field is never empty, so a junction at 0 shares nothing.
-        end = _shared_prefix(items, prev_items)
-        if not ((end == len(items) or items[end] == ";")
-                and (end == len(prev_items) or prev_items[end] == ";")):
-            end = items.rfind(";", 0, end)
-        shared = items.count(";", 0, end) + 1 if end > 0 else 0
-        if shared and end == len(items):
-            codes = prev_codes[:shared]
-        else:
-            tokens = (items[end + 1:] if shared else items).split(";")
-            try:
-                codes = tuple(map(item_codes.__getitem__, tokens))
-            except KeyError:
-                new = list(dict.fromkeys(filterfalse(item_codes.__contains__,
-                                                     tokens)))
-                new_codes, spelled = _parse_items(new, t_code, line_no)
-                item_codes.update(zip(new, new_codes))
-                canonical = canonical and spelled
-                codes = tuple(map(item_codes.__getitem__, tokens))
-            if (not all(map(lt, codes, codes[1:]))
-                    or shared and prev_codes[shared - 1] >= codes[0]):
-                raise ParseError("FCI items must be strictly ascending",
-                                 line=line_no)
-            if shared:
-                codes = prev_codes[:shared] + codes
+    pool, run_codes, o_end = [], {}, None  # distinct item codes; run -> its codes
+    for run in sorted(set(parsed.values())):
+        o, a, b = run
+        if o != o_end or a > t_end + 1:  # a new stretch of times (first: o_end None)
+            origin, o_end, t_end = len(pool) - a, o, a - 1
+        if b > t_end:
+            pool += range(item_code(t_end + 1, o), item_code(b, o) + 1, _TIME_STEP)
+            t_end = b
+        run_codes[run] = tuple(pool[origin + a:origin + b + 1])
+    fcis, rows = [], {}  # tidset mask -> (ids text, items text, codes)
+    for mask, ids, items, runs in read:
+        # () + t is t, so one run shares its tuple; sum copies runs quadratically
+        codes = (sum(map(run_codes.__getitem__, runs), ()) if len(runs) < 8 else
+                 tuple(chain.from_iterable(map(run_codes.__getitem__, runs))))
         fcis.append(packed_fci(mask, codes))
         rows[mask] = (ids, items, codes)
-        prev_items, prev_codes = items, codes
-        reused += shared
     if counters is not None:
         counters.update(rows=len(fcis), items=sum(len(f.codes) for f in fcis),
-                        items_reused=reused)
-    return FciStore(epsilon, labels, times, tuple(fcis),
-                    (labels, tuple(t_code), rows) if canonical else None)
+                        runs=sum(len(r[3]) for r in read))
+    return FciStore(epsilon, labels, times, tuple(fcis), clustering,
+                    (labels, tuple(t_index), rows) if canonical else None)
 
 
 # ---------------------------------------------------------------------------

@@ -450,8 +450,10 @@ def brute_write_patterns_csv(patterns, matrix: ClusterMatrix, fh) -> None:
 # ---------------------------------------------------------------------------
 
 def brute_write_fci_store(store: FciStore, fh) -> None:
-    """The store text written FCI by FCI, each item formatted where it is
-    used.  The reference for ``comove.write_fci_store`` on a text stream."""
+    """The store text written FCI by FCI, its items grouped item by item
+    into maximal runs of one ordinal at consecutive times, each formatted
+    where it is used.  The reference for ``comove.write_fci_store`` on a
+    text stream."""
     for label in store.object_labels:
         if (not label or label != label.rstrip()
                 or any(sep in label for sep in ",\t\n\r")):
@@ -467,6 +469,10 @@ def brute_write_fci_store(store: FciStore, fh) -> None:
                     f"item {c} cannot be stored: its time index is outside "
                     f"the store's {len(tl)} time labels")
     fh.write(f"# epsilon\t{store.epsilon}\n")
+    if store.clustering is not None:
+        c = store.clustering
+        fh.write(f"# clustering\teps={c['eps']!r}\tmin_pts={c['min_pts']!r}"
+                 f"\tinterpolate={c['interpolate']!r}\n")
     fh.write(f"# n_objects\t{len(store.object_labels)}\n")
     if tl:
         fh.write(f"# time_range\t{tl[0]}\t{tl[-1]}\n")
@@ -474,14 +480,23 @@ def brute_write_fci_store(store: FciStore, fh) -> None:
     fh.write(f"# times\t{','.join(tl)}\n")
     for fci in fcis:
         ids = ",".join(store.object_labels[i] for i in fci.tidset.ids)
-        items = ";".join(f"{tl[c.time]}:{c.ordinal}" for c in fci.items)
+        runs: list[list[ClusterId]] = []  # [first, last] item of each run
+        for c in fci.items:
+            if runs and c == (runs[-1][1].time + 1, runs[-1][1].ordinal):
+                runs[-1][1] = c
+            else:
+                runs.append([c, c])
+        items = ";".join(
+            f"{tl[a.time]}:{a.ordinal}" if a == b
+            else f"{tl[a.time]}..{tl[b.time]}:{a.ordinal}" for a, b in runs)
         fh.write(f"{fci.support}\t{ids}\t{items}\n")
 
 
 def brute_read_fci_store(source) -> FciStore:
-    """A store text read line by line into FCIs, each item parsed where it
-    is used.  The reference for ``comove.read_fci_store``: the same store,
-    or the same error (class, message and line)."""
+    """A store text read line by line into FCIs, each run parsed where it
+    is used and expanded item by item.  The reference for
+    ``comove.read_fci_store``: the same store, or the same error (class,
+    message and line)."""
     header: dict[str, list[str]] = {}
     body: list[tuple[int, list[str]]] = []
     for line_no, line in enumerate(source, start=1):
@@ -490,8 +505,8 @@ def brute_read_fci_store(source) -> FciStore:
             continue
         if line.startswith("#"):
             parts = line[1:].strip().split("\t")
-            if parts and parts[0] in ("epsilon", "n_objects", "time_range",
-                                      "objects", "times"):
+            if parts and parts[0] in ("epsilon", "clustering", "n_objects",
+                                      "time_range", "objects", "times"):
                 header[parts[0]] = parts[1:]
             continue
         body.append((line_no, line.split("\t")))
@@ -505,6 +520,20 @@ def brute_read_fci_store(source) -> FciStore:
         raise ParseError("store header has an unparseable epsilon") from None
     if epsilon < 1:
         raise ParseError(f"store epsilon must be >= 1, got {epsilon}")
+    clustering = None
+    if "clustering" in header:
+        fields = {}
+        for f in header["clustering"]:
+            key, _, value = f.partition("=")
+            fields[key] = value
+        try:
+            if fields["interpolate"] not in ("True", "False"):
+                raise ValueError(fields["interpolate"])
+            clustering = {"eps": float(fields["eps"]),
+                          "min_pts": int(fields["min_pts"]),
+                          "interpolate": fields["interpolate"] == "True"}
+        except (KeyError, ValueError):
+            raise ParseError("store header has an unparseable clustering") from None
     labels = tuple(o for o in header["objects"][0].split(",") if o) \
         if header["objects"] and header["objects"][0] else ()
     for i, o in enumerate(labels):
@@ -551,24 +580,30 @@ def brute_read_fci_store(source) -> FciStore:
             raise ParseError(f"support {support} is below the store's epsilon "
                              f"{epsilon}", line=line_no)
         items = []
-        for item in parts[2].split(";"):
-            t_str, _, ord_str = item.partition(":")
-            if t_str not in t_idx:
-                raise ParseError(f"unknown time label {t_str!r}", line=line_no)
+        for run in parts[2].split(";"):
+            t_str, _, ord_str = run.partition(":")
+            first, last = t_str.split("..", 1) if ".." in t_str else (t_str, t_str)
+            for label in dict.fromkeys((first, last)):
+                if label not in t_idx:
+                    raise ParseError(f"unknown time label {label!r}", line=line_no)
+            if ".." in t_str and t_idx[last] <= t_idx[first]:
+                raise ParseError(f"run {run!r} does not end after it starts",
+                                 line=line_no)
             try:
                 ordinal = int(ord_str)
             except ValueError:
-                raise ParseError(f"unparseable item {item!r}", line=line_no) from None
+                raise ParseError(f"unparseable item {run!r}", line=line_no) from None
             if ordinal < 0:
                 raise ParseError(f"ordinal must be >= 0, got {ordinal}", line=line_no)
             if ordinal >= 2**64:
                 raise ParseError(f"ordinal must be < 2**64, got {ordinal}", line=line_no)
-            items.append(ClusterId(t_idx[t_str], ordinal))
+            for t in range(t_idx[first], t_idx[last] + 1):
+                items.append(ClusterId(t, ordinal))
         try:
             fcis.append(FCI(tuple(items), tid))
         except ValueError as e:
             raise ParseError(str(e), line=line_no) from None
-    return FciStore(epsilon, labels, times, tuple(fcis))
+    return FciStore(epsilon, labels, times, tuple(fcis), clustering)
 
 
 # ---------------------------------------------------------------------------

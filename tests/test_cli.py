@@ -117,7 +117,11 @@ def test_mine_pre_clustered_matches_direct(tmp_path):
     assert main(["mine", str(traj), str(direct)] + MINE_FLAGS) == 0
     assert main(["mine", str(cols), str(pre), "--pre-clustered",
                  "--epsilon", "2"]) == 0
-    assert (direct / "fcis.tsv").read_bytes() == (pre / "fcis.tsv").read_bytes()
+    # the same store, but only a store clustered here records its clustering
+    clustering = "# clustering\teps=2.0\tmin_pts=2\tinterpolate=True\n"
+    direct_store = (direct / "fcis.tsv").read_text()
+    assert clustering in direct_store
+    assert direct_store.replace(clustering, "") == (pre / "fcis.tsv").read_text()
     assert (direct / "patterns.csv").read_bytes() == (pre / "patterns.csv").read_bytes()
 
 
@@ -151,12 +155,13 @@ def test_mine_periodic_route(tmp_path):
     )
     assert (out / "fcis.tsv").read_text() == (
         "# epsilon\t2\n"
+        "# clustering\teps=0.5\tmin_pts=2\tinterpolate=True\n"
         "# n_objects\t3\n"
         "# time_range\t0\t3\n"
         "# objects\tbird#0,bird#1,bird#2\n"
         "# times\t0,1,2,3\n"
-        "2\tbird#0,bird#1\t0:0;1:0;2:0;3:0\n"
-        "3\tbird#0,bird#1,bird#2\t0:0;2:0;3:0\n"
+        "2\tbird#0,bird#1\t0..3:0\n"
+        "3\tbird#0,bird#1,bird#2\t0:0;2..3:0\n"
     )
 
 
@@ -206,13 +211,14 @@ def test_append_rejects_epsilon_mismatch(tmp_path):
                  "--store", str(out / "fcis.tsv"), "--epsilon", "3"]) == 2
 
 
-def test_append_rejects_overlapping_times(tmp_path):
+def test_append_rejects_overlapping_times(tmp_path, capsys):
     traj = _gen(tmp_path)
     out = tmp_path / "out"
     assert main(["mine", str(traj), str(out)] + MINE_FLAGS) == 0
     # appending the very same time range must fail
     assert main(["append", str(traj), str(tmp_path / "x"),
-                 "--store", str(out / "fcis.tsv")]) == 2
+                 "--store", str(out / "fcis.tsv"), "--eps", "2.0"]) == 2
+    assert "not strictly after" in capsys.readouterr().err
 
 
 def _cut_csv(src, dest, lo, hi):
@@ -252,7 +258,8 @@ def test_append_chain_matches_the_fci_merge(tmp_path, capsys):
                                         len(prev.time_labels)),
                             prev.epsilon, counters=counters)
         want = FciStore(prev.epsilon, prev.object_labels,
-                        prev.time_labels + db.time_labels, tuple(fcis))
+                        prev.time_labels + db.time_labels, tuple(fcis),
+                        prev.clustering)
         buf, oracle_buf = io.StringIO(), io.StringIO()
         write_fci_store(want, buf)
         brute_write_fci_store(want, oracle_buf)
@@ -266,12 +273,11 @@ def test_append_chain_matches_the_fci_merge(tmp_path, capsys):
     assert new_total > 0
 
 
-def test_append_reports_the_store_items_it_reused(tmp_path, capsys):
-    # Row 2 reuses two items of row 1 and row 3 one; row 4 shares no whole
-    # item with row 3.
+def test_append_reports_the_store_runs_it_read(tmp_path, capsys):
+    # 9 items in 6 runs: 0..2:0 is three items, 0:0;2:0 two runs of one.
     store = tmp_path / "fcis.tsv"
     store.write_text("# epsilon\t1\n# objects\ta,b\n# times\t0,1,2\n"
-                     "2\ta,b\t0:0;1:0;2:0\n1\ta\t0:0;1:0;2:1\n1\tb\t0:0;2:0\n"
+                     "2\ta,b\t0..2:0\n1\ta\t0..1:0;2:1\n1\tb\t0:0;2:0\n"
                      "1\ta\t0:1\n")
     batch = tmp_path / "batch.csv"
     batch.write_text("object_id,timestamp,x,y\na,3,0,0\nb,3,0,1\n")
@@ -279,7 +285,63 @@ def test_append_reports_the_store_items_it_reused(tmp_path, capsys):
                 + APPEND_FLAGS) == 0
     summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert {key: summary[key] for key in summary if key.startswith("store_")} == {
-        "store_rows": 4, "store_items": 9, "store_items_reused": 3}
+        "store_rows": 4, "store_items": 9, "store_runs": 6}
+
+
+def test_append_to_a_store_of_one_field_per_item_equals_full_remine(tmp_path):
+    # data/itemwise_fcis.tsv is fcis.tsv as comove wrote it before runs: one
+    # time:ordinal field per item and no clustering line.  It was mined with
+    # MINE_FLAGS from times 0-29 of the trajectories generated below.
+    old = Path(__file__).parent / "data" / "itemwise_fcis.tsv"
+    store = read_fci_store(old)
+    assert store.text is None and store.clustering is None
+    rewritten = tmp_path / "runs.tsv"
+    write_fci_store(store, rewritten)
+    assert len(rewritten.read_bytes()) < len(old.read_bytes())
+    assert read_fci_store(rewritten) == store
+
+    full = _gen(tmp_path, "full.csv", objects=14, times=45, groups=3,
+                switch_prob=0.05)
+    batch = _cut_csv(full, tmp_path / "batch.csv", 30, 45)
+    assert main(["append", str(batch), str(tmp_path / "a"), "--store", str(old)]
+                + APPEND_FLAGS) == 0
+    assert main(["mine", str(full), str(tmp_path / "m")] + MINE_FLAGS) == 0
+    remined = (tmp_path / "m" / "fcis.tsv").read_text()
+    assert (tmp_path / "a" / "fcis.tsv").read_text() == remined.replace(
+        "# clustering\teps=2.0\tmin_pts=2\tinterpolate=True\n", "")
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--eps", "0.0001", "--minpts", "5"],
+     "eps 0.0001 does not match the store's eps 1.0"),
+    (["--eps", "1", "--minpts", "5"], "min_pts 5 does not match the store's min_pts 2"),
+    (["--eps", "1", "--no-interpolate"],
+     "interpolate False does not match the store's interpolate True"),
+])
+@pytest.mark.parametrize("command", ["append", "convert-patterns"])
+def test_other_clustering_flags_exit_2_before_any_output(tmp_path, capsys,
+                                                          command, flags, error):
+    # A store records the clustering it was mined with; without the check,
+    # appending or decoding with other flags exits 0 and mixes itemsets of
+    # two clusterings.
+    traj = _gen(tmp_path)
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    _split_csv(traj, first, second, 6)
+    assert main(["mine", str(first), str(tmp_path / "m"), "--eps", "1",
+                 "--minpts", "2", "--epsilon", "2"]) == 0
+    store, dest = tmp_path / "m" / "fcis.tsv", tmp_path / "out"
+    argv = (["append", str(second), str(dest), "--store", str(store)]
+            if command == "append" else
+            ["convert", "patterns", str(store), str(first), str(dest)])
+    capsys.readouterr()
+    assert main(argv + flags) == 2
+    assert f"comove: error: {error}\n" in capsys.readouterr().err
+    assert not dest.exists()
+    if command == "append":
+        # a store that records no clustering is appended to as before
+        store.write_text("".join(line for line in store.read_text().splitlines(True)
+                                 if not line.startswith("# clustering\t")))
+        assert main(argv + flags) == 0
 
 
 def test_append_builds_fcis_for_the_batch_only(tmp_path, monkeypatch):
@@ -323,13 +385,14 @@ def test_convert_patterns_matches_mine(tmp_path):
     assert (out / "patterns.csv").read_bytes() == (out2 / "patterns.csv").read_bytes()
 
 
-def test_convert_patterns_rejects_wrong_trajectories(tmp_path):
+def test_convert_patterns_rejects_wrong_trajectories(tmp_path, capsys):
     traj = _gen(tmp_path, "a.csv", seed=1)
     other = _gen(tmp_path, "b.csv", seed=1, objects=11)
     out = tmp_path / "mined"
     assert main(["mine", str(traj), str(out)] + MINE_FLAGS) == 0
     assert main(["convert", "patterns", str(out / "fcis.tsv"), str(other),
-                 str(tmp_path / "x")]) == 2
+                 str(tmp_path / "x"), "--eps", "2.0"]) == 2
+    assert "different object universes" in capsys.readouterr().err
 
 
 def test_convert_patterns_rejects_foreign_item_alone_in_time(tmp_path, capsys):

@@ -143,6 +143,8 @@ def test_random_splits_match_monolithic():
             counters = {}
             got = combine_fcis(existing, incoming, eps, counters=counters)
             assert got == mine_fci(m, eps)
+            # the later side given first joins its codes after the other's
+            assert combine_fcis(incoming, existing, eps) == got
             assert counters["pairs"] <= len(existing) * len(incoming)
             assert counters["stops"] == counters["absorbed_incoming"]
             assert counters["absorbed_existing"] <= len(existing)

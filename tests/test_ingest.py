@@ -302,6 +302,19 @@ def test_interpolate_fills_interior_gap():
     assert np.array_equal(out.xy[1], db.xy[1])  # fully observed row untouched
 
 
+def test_interpolate_only_objects_with_an_interior_gap(monkeypatch):
+    # only a has an interior gap: b is seen at every time and c once, and
+    # both come back bit for bit, b's -0.0 included
+    db = _db("a,0,0,0\na,2,2,4\nb,0,-0.0,5\nb,1,5,5\nb,2,5,5\nc,1,1,1\n")
+    calls = []
+    interp = np.interp
+    monkeypatch.setattr(np, "interp", lambda *args: calls.append(args) or interp(*args))
+    out = interpolate(db)
+    assert len(calls) == 2  # a's x and y
+    assert out.xy[0, 1].tolist() == [1.0, 2.0]
+    assert out.xy[1:].tobytes() == db.xy[1:].tobytes()
+
+
 def test_interpolate_leaves_edges_missing():
     # c pins timestamps 1 and 2 into the grid so b really has interior gaps
     db = _db("a,0,9,9\nb,0,0,0\nb,3,3,3\nb,4,4,4\nc,1,7,7\nc,2,7,7\n")

@@ -266,7 +266,7 @@ def test_fci_store_header_and_rows():
         "# time_range\t0\t2\n"
         "# objects\to1,o2,o3,o4,o5\n"
         "# times\t0,1,2\n"
-        "2\to1,o2\t0:0;1:0;2:0\n"
+        "2\to1,o2\t0..2:0\n"
         "3\to1,o2,o3\t0:0;2:0\n"
     )
 
@@ -397,14 +397,22 @@ def _assert_read_as_the_oracle_reads(text: str):
         written, write_error = _outcome(_written, write_fci_store, got)
         assert (written, write_error) == _outcome(_written, brute_write_fci_store, want)
         # the store keeps its rows' text when every row lists its ids in
-        # universe order and writes every item canonically
+        # universe order and writes its items as maximal runs with canonical
+        # ordinals
         index = {label: i for i, label in enumerate(got.object_labels)}
+        t_index = {store_module._fmt_time(t): i for i, t in enumerate(got.time_labels)}
 
         def spelled(ids: str, items: str) -> bool:
             order = [index[m] for m in ids.split(",")]
+            runs = []  # (first time, last time, ordinal text)
+            for run in items.split(";"):
+                times, _, o = run.partition(":")
+                first, _, last = times.partition("..")
+                runs.append((t_index[first], t_index[last or first], o))
             return order == sorted(order) and all(
-                o == str(int(o)) for _, _, o in
-                (item.partition(":") for item in items.split(";")))
+                o == str(int(o)) for _, _, o in runs) and not any(
+                (a, int(o)) == (b + 1, int(p))
+                for (a, _, o), (_, b, p) in zip(runs[1:], runs))
         rows = [line.split("\t") for line in text.split("\n")
                 if line.strip() and line[0] != "#"]
         assert (got.text is not None) == all(
@@ -498,14 +506,151 @@ def test_fci_store_rows_sharing_leading_items(rows):
         + "".join(f"1\ta\t{items}\n" for items in rows))
 
 
-def test_fci_store_reader_counts_the_items_it_reuses():
-    # Row 2 reuses 0:0 and 1:0 from row 1, row 3 reuses 0:0; row 4 shares
-    # only the text "0:" with row 3, no whole item.
+# "1..10" runs from the first label to the third, "1..1" and "10..1" do not
+# end after they start.
+_RUN_TIMES = ("1", "2", "10", "11", "12")
+
+
+@st.composite
+def _run_texts(draw):
+    """Store text whose rows write their items as runs, maximal or split
+    anywhere.  One row may get a fault: an unknown start or end label, an
+    end not after its start, runs that overlap or descend, or a bad or
+    oddly spelled ordinal."""
+    n = len(_RUN_TIMES)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        runs = []  # [first time, last time, ordinal]
+        for t, o in sorted(draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                                  st.integers(0, 2)),
+                                        min_size=1, max_size=8))):
+            if runs and (t, o) == (runs[-1][1] + 1, runs[-1][2]) and draw(st.booleans()):
+                runs[-1][1] = t
+            else:
+                runs.append([t, t, o])
+        rows.append([[_RUN_TIMES[a], _RUN_TIMES[b] if b > a else None, str(o)]
+                     for a, b, o in runs])
+    tokens = draw(st.sampled_from(rows))
+    k = draw(st.integers(0, len(tokens) - 1))
+    a = _RUN_TIMES.index(tokens[k][0])
+    kind = draw(st.sampled_from(["none", "start", "end", "not_after", "overlap",
+                                 "descend", "ordinal"]))
+    if kind == "start":
+        tokens[k][0] = draw(st.sampled_from(["9", "1.0", "", "x"]))
+    elif kind == "end":
+        tokens[k][1] = draw(st.sampled_from(["9", "1.0", "", "2..10", "12:"]))
+    elif kind == "not_after":
+        tokens[k][1] = _RUN_TIMES[draw(st.integers(0, a))]
+    elif kind == "overlap":
+        b = _RUN_TIMES.index(tokens[k][1] or tokens[k][0])
+        first = draw(st.integers(a, b))
+        last = draw(st.integers(first, n - 1))
+        tokens.insert(k + 1, [_RUN_TIMES[first], _RUN_TIMES[last] if last > first
+                              else None, draw(st.sampled_from(["0", "1", "2"]))])
+    elif kind == "descend" and len(tokens) > 1:
+        j = draw(st.integers(0, len(tokens) - 2))
+        tokens[j], tokens[j + 1] = tokens[j + 1], tokens[j]
+    elif kind == "ordinal":
+        tokens[k][2] = draw(st.sampled_from(["x", "-1", str(2**64), "", "+1", "01",
+                                             " 2", "1.0"]))
+    lines = [";".join(f"{a}..{b}:{o}" if b is not None else f"{a}:{o}"
+                      for a, b, o in row) for row in rows]
+    return ("# epsilon\t1\n# objects\ta\n# times\t" + ",".join(_RUN_TIMES) + "\n"
+            + "".join(f"1\ta\t{items}\n" for items in lines))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_run_texts())
+def test_fci_store_runs_match_the_oracle(text):
+    _assert_read_as_the_oracle_reads(text)
+
+
+@pytest.mark.parametrize("items, error", [
+    ("0..1:0;2:0", None),                       # not maximal: read, text dropped
+    ("0..2:0;1:1", "FCI items must be strictly ascending"),
+    ("0..0:0", "run '0..0:0' does not end after it starts"),
+    ("2..1:0", "run '2..1:0' does not end after it starts"),
+    ("0..9:0", "unknown time label '9'"),
+    ("0..1:x", "unparseable item '0..1:x'"),
+])
+def test_fci_store_reads_runs(items, error):
+    text = f"# epsilon\t1\n# objects\ta\n# times\t0,1,2\n1\ta\t{items}\n"
+    for read in (read_fci_store, brute_read_fci_store):
+        if error is None:
+            store = read(io.StringIO(text))
+            assert store.fcis == (FCI(tuple(ClusterId(t, 0) for t in range(3)),
+                                      Tidset(1)),)
+            assert store.text is None
+            assert _written(write_fci_store, store).endswith("1\ta\t0..2:0\n")
+            continue
+        with pytest.raises(ParseError) as refused:
+            read(io.StringIO(text))
+        assert (str(refused.value), refused.value.line) == (f"line 4: {error}", 4)
+
+
+@pytest.mark.parametrize("line, clustering", [
+    ("eps=1.5\tmin_pts=3\tinterpolate=False",
+     {"eps": 1.5, "min_pts": 3, "interpolate": False}),
+    ("min_pts=3\tinterpolate=True\teps=2", {"eps": 2.0, "min_pts": 3, "interpolate": True}),
+    ("eps=1.5\tmin_pts=3", None),
+    ("eps=x\tmin_pts=3\tinterpolate=True", None),
+    ("eps=1.5\tmin_pts=3\tinterpolate=yes", None),
+])
+def test_fci_store_clustering_line(line, clustering):
+    text = f"# epsilon\t1\n# clustering\t{line}\n# objects\ta\n# times\t0\n1\ta\t0:0\n"
+    for read in (read_fci_store, brute_read_fci_store):
+        if clustering is None:
+            with pytest.raises(ParseError, match="unparseable clustering"):
+                read(io.StringIO(text))
+            continue
+        store = read(io.StringIO(text))
+        assert store.clustering == clustering
+        written = _written(write_fci_store, store)
+        assert written == _written(brute_write_fci_store, store)
+        assert "# clustering\teps=" in written
+
+
+def test_fci_store_rows_share_their_item_codes():
+    # each distinct item is one int object, whichever runs hold it
+    store = read_fci_store(io.StringIO(
+        "# epsilon\t1\n# objects\ta,b\n# times\t0,1,2,3\n"
+        "2\ta,b\t1..2:0\n1\ta\t0..3:0\n1\tb\t2:0;3:1\n1\tb\t3:1\n"))
+    items: dict = {}
+    for f in store.fcis:
+        for code in f.codes:
+            assert items.setdefault(code, code) is code
+    assert len(items) == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stores(min_size=1), st.data())
+def test_fci_store_read_modify_write_matches_the_oracle_writer(store, data):
+    # a read store merged with itemsets at appended times, as an append
+    # does, is written as the oracle writes it, whatever text it copies
+    buf = io.StringIO()
+    brute_write_fci_store(store, buf)
+    read = read_fci_store(io.StringIO(buf.getvalue()))
+    assert read.text is not None
+    n, extra = len(read.time_labels), data.draw(st.integers(1, 3))
+    cids = st.builds(ClusterId, st.integers(n, n + extra - 1), st.integers(0, 2))
+    incoming = {tuple(sorted(items)): Tidset.from_ids(ids) for items, ids in data.draw(
+        st.lists(st.tuples(st.sets(cids, min_size=1),
+                           st.sets(st.integers(0, len(read.object_labels) - 1),
+                                   min_size=1)), max_size=4))}
+    fcis = combine_fcis(read.fcis, [FCI(i, t) for i, t in incoming.items()], 1)
+    times = read.time_labels + tuple(read.time_labels[-1] + k for k in range(1, extra + 1))
+    merged = replace(read, time_labels=times, fcis=tuple(fcis))
+    assert _written(write_fci_store, merged) == _written(brute_write_fci_store, merged)
+
+
+def test_fci_store_reader_counts_rows_items_and_runs():
+    # 0..2:0 is three items in one run; 0:0;2:0 two runs, as 1 is not 2's
+    # time before.
     text = ("# epsilon\t1\n# objects\ta,b\n# times\t0,1,2\n"
-            "2\ta,b\t0:0;1:0;2:0\n1\ta\t0:0;1:0;2:1\n1\tb\t0:0;2:0\n1\ta\t0:1\n")
+            "2\ta,b\t0..2:0\n1\ta\t0..1:0;2:1\n1\tb\t0:0;2:0\n1\ta\t0:1\n")
     counters: dict = {}
     store = read_fci_store(io.StringIO(text), counters=counters)
-    assert counters == {"rows": 4, "items": 9, "items_reused": 3}
+    assert counters == {"rows": 4, "items": 9, "runs": 6}
     assert store == brute_read_fci_store(io.StringIO(text))
 
 
@@ -540,28 +685,28 @@ def test_fci_store_rows_carry_only_the_text_the_writer_writes():
 
 
 def test_fci_store_formats_the_items_its_text_does_not_cover(monkeypatch):
-    # an append keeps a stored itemset's text for the union that absorbs it
-    # and the writer formats the new items after it; an itemset with another
-    # stored itemset's tidset has other leading items, so only its ids are
-    # copied
-    read = read_fci_store(io.StringIO(_HEADER + "2\ta,b\t0:0;1:2\n1\ta\t1:1\n"))
-    fcis = (FCI((ClusterId(0, 0), ClusterId(1, 2), ClusterId(2, 0)), Tidset(0b11)),
+    # a union that absorbed a stored itemset has its tidset but more items,
+    # which can extend the stored itemset's last run, so only its ids are
+    # copied and its items are formatted from their codes; so are those of
+    # an itemset with another stored itemset's tidset
+    read = read_fci_store(io.StringIO(_HEADER + "2\ta,b\t0..1:0\n1\ta\t1:1\n"))
+    fcis = (FCI((ClusterId(0, 0), ClusterId(1, 0), ClusterId(2, 0)), Tidset(0b11)),
             FCI((ClusterId(0, 5), ClusterId(2, 1)), Tidset(0b01)))
     store = replace(read, time_labels=(0, 1, 2), fcis=fcis)
     formatted = []
-    missing = store_module._ItemText.__missing__
-    monkeypatch.setattr(store_module._ItemText, "__missing__",
+    missing = store_module._RunKeys.__missing__
+    monkeypatch.setattr(store_module._RunKeys, "__missing__",
                         lambda d, code: formatted.append(code) or missing(d, code))
     assert _written(write_fci_store, store).endswith(
-        "2\ta,b\t0:0;1:2;2:0\n1\ta\t0:5;2:1\n")
-    assert formatted == [2 << 64, 5, 2 << 64 | 1]
+        "2\ta,b\t0..2:0\n1\ta\t0:5;2:1\n")
+    assert formatted == [0, 1 << 64, 2 << 64, 5, 2 << 64 | 1]
     assert _written(write_fci_store, store) == _written(brute_write_fci_store, store)
 
 
 @pytest.mark.parametrize("rows", [
     "1\ta\t0:0\n1\ta\t1:0\n",
-    "1\ta\t1:0\n1\ta\t0:0;1:0\n",
-    "2\ta,b\t0:0\n2\ta,b\t0:0;1:1\n1\tb\t0:0;1:0\n",
+    "1\ta\t1:0\n1\ta\t0..1:0\n",
+    "2\ta,b\t0:0\n2\ta,b\t0:0;1:1\n1\tb\t0..1:0\n",
 ])
 def test_fci_store_rows_sharing_a_tidset_are_written_as_the_oracle_writes(rows):
     store = read_fci_store(io.StringIO(_HEADER + rows))
@@ -577,8 +722,8 @@ def test_fci_store_written_back_formats_nothing(monkeypatch):
     write_fci_store(FciStore(1, m.object_labels, m.time_labels,
                              tuple(mine_fci(m, 1))), buf)
     formatted, expanded = [], []
-    missing, tidset = store_module._ItemText.__missing__, FCI.tidset
-    monkeypatch.setattr(store_module._ItemText, "__missing__",
+    missing, tidset = store_module._RunKeys.__missing__, FCI.tidset
+    monkeypatch.setattr(store_module._RunKeys, "__missing__",
                         lambda d, code: formatted.append(code) or missing(d, code))
     monkeypatch.setattr(FCI, "tidset", property(
         lambda f: expanded.append(f) or tidset.fget(f)))

@@ -200,6 +200,12 @@ def _clustering(args) -> dict:
             "interpolate": not args.no_interpolate}
 
 
+def _mining_params(args) -> MiningParams:
+    """The pattern shape thresholds of the --min-t/--theta/--min-c/--min-wei flags."""
+    return MiningParams(min_t=args.min_t, theta=args.theta, min_c=args.min_c,
+                        min_wei=args.min_wei)
+
+
 def _check_clustering(store: FciStore, args):
     """Raise ParameterError naming both values where the clustering flags
     differ from the ones the store records it was mined with."""
@@ -259,8 +265,7 @@ def _cmd_mine(args, parser: _Parser) -> int:
         parser.error("--block-size needs --mode incremental")
     t0 = time.perf_counter()
     check_epsilon(args.epsilon)
-    params = MiningParams(min_t=args.min_t, theta=args.theta, min_c=args.min_c,
-                          min_wei=args.min_wei)
+    params = _mining_params(args)
     if args.block_size is not None and args.block_size < 1:
         raise ParameterError(
             f"block_size must be an int >= 1 or None, got {args.block_size!r}")
@@ -339,8 +344,7 @@ def _cmd_convert_patterns(args) -> int:
     if db.time_labels != store.time_labels:
         raise TimeRangeError("trajectories and store cover different time ranges")
     matrix = _cluster(db, args)
-    params = MiningParams(min_t=args.min_t, theta=args.theta, min_c=args.min_c,
-                          min_wei=args.min_wei)
+    params = _mining_params(args)
     patterns = extract_patterns(store.fcis, matrix, params)
     _write_outputs(args.out_dir, None, patterns, matrix, db, args.emit)
     _summary(command="convert", conversion="patterns", store=args.store,

@@ -254,20 +254,25 @@ class ClusterMatrix:
 # Frequent closed itemsets
 # ---------------------------------------------------------------------------
 
-#: An item's code is ``time << _ITEM_BITS | ordinal``, so codes sort like
-#: (time, ordinal) items; ordinals must lie in [0, 2**_ITEM_BITS).
-_ITEM_BITS = 64
+#: An item's code is ``time << _ITEM_BITS | ordinal``, an int64 that sorts like
+#: the (time, ordinal) item; :func:`item_code` refuses an item it cannot hold.
+_ITEM_BITS = 32
 _ORDINAL_MASK = (1 << _ITEM_BITS) - 1
+_TIME_STEP = 1 << _ITEM_BITS  # the code of the next time's item, less this one's
+_TIME_BOUND = 1 << (63 - _ITEM_BITS)
 
 
 def item_code(time: int, ordinal: int, line: int | None = None) -> int:
-    """The code of item (time, ordinal).  An ordinal the code cannot hold
-    raises ParseError, reported at ``line`` when given."""
+    """The code of item (time, ordinal).  An ordinal or time the code cannot
+    hold raises ParseError, reported at ``line`` when given."""
     if ordinal < 0:
         raise ParseError(f"ordinal must be >= 0, got {ordinal}", line=line)
     if ordinal > _ORDINAL_MASK:
         raise ParseError(f"ordinal must be < 2**{_ITEM_BITS}, got {ordinal}",
                          line=line)
+    if not -_TIME_BOUND <= time < _TIME_BOUND:
+        raise ParseError(f"time index must be in [-2**{63 - _ITEM_BITS}, "
+                         f"2**{63 - _ITEM_BITS}), got {time}", line=line)
     return time << _ITEM_BITS | ordinal
 
 
@@ -282,8 +287,9 @@ class FCI:
     belonging to every item, and the support is its cardinality.
 
     The itemset is held packed: ``mask`` is the tidset as an int and
-    ``codes`` are the items as ascending :func:`item_code` ints; ``items``
-    and ``tidset`` are built from them on first read and cached.
+    ``codes`` are the items as ascending :func:`item_code` ints, which fit an
+    int64 (an item they cannot hold raises ParseError); ``items`` and
+    ``tidset`` are built from them on first read and cached.
     :func:`packed_fci` makes an FCI from packed fields without checks.
     """
 

@@ -8,10 +8,10 @@ the shape thresholds of :class:`MiningParams`; support was fixed when the
 itemsets were mined.
 
 Itemsets are decoded a chunk at a time as whole arrays, from their packed
-fields: every item code becomes a column index, item times are read off the
-columns, and column tidsets become rows of ``(n_columns, W)`` uint64
-words.  An itemset whose tidset is not inside the AND of its columns' words
-(one ``np.bitwise_and.reduceat``) is refused before anything is decoded.
+fields: every item code becomes a column index by binary search, item times
+are the codes' high bits, and column tidsets become rows of uint64 words.
+An itemset whose tidset is not inside the AND of its columns' words (one
+``np.bitwise_and.reduceat``) is refused before anything is decoded.
 Consecutive runs are breaks in the item times; a run is guarded when the AND
 of its columns' words equals the itemset's tidset; moving-cluster chains
 break where the Jaccard similarity of two adjacent columns falls below theta,
@@ -31,6 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import (
+    _ITEM_BITS,
     FCI,
     ClosedSwarm,
     ClusterMatrix,
@@ -76,25 +77,27 @@ def _popcount(words: np.ndarray) -> np.ndarray:
 
 
 class _Columns:
-    """The matrix's columns as decoding tables: item code to column index,
-    column times and ClusterIds, column tidsets as rows of uint64 words, and
-    one shared int per time index for the swarms' time tuples."""
+    """The matrix's columns in cid order as decoding tables: their item codes,
+    ClusterIds and tidsets as rows of uint64 words, and one shared int per
+    time index for the swarms' time tuples."""
 
     def __init__(self, matrix: ClusterMatrix):
-        columns = matrix.columns
+        # ClusterMatrix.build sorts its columns, ClusterMatrix(...) need not
+        columns = sorted(matrix.columns, key=lambda c: c.cid)
         self.cids = [c.cid for c in columns]
-        self.index = {item_code(*cid): j for j, cid in enumerate(self.cids)}
-        self.time = np.array([c.cid.time for c in columns], dtype=np.intp)
+        self.codes = np.array([item_code(*cid) for cid in self.cids], np.int64)
         self.time_ints = list(range(matrix.n_times))
         self.n_words = max(1, -(-matrix.n_objects // 64))
         self.words = _words([c.members.mask for c in columns], self.n_words)
 
-    def positions(self, codes: list[int]) -> np.ndarray:
-        try:
-            return np.fromiter(map(self.index.__getitem__, codes), np.intp, len(codes))
-        except KeyError as e:
-            raise UniverseError(f"itemset references column {code_item(e.args[0])} "
-                                "absent from the matrix") from None
+    def positions(self, codes: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(self.codes, codes)
+        absent = np.searchsorted(self.codes, codes, "right") == at
+        if absent.any():
+            raise UniverseError(f"itemset references column "
+                                f"{code_item(int(codes[absent.argmax()]))} absent "
+                                "from the matrix")
+        return at
 
 
 def _decode_chunk(fcis: list[FCI], cols: _Columns, matrix: ClusterMatrix,
@@ -103,10 +106,10 @@ def _decode_chunk(fcis: list[FCI], cols: _Columns, matrix: ClusterMatrix,
     """Append one chunk's swarms, convoys and group patterns to ``patterns``
     and its moving clusters to ``movers``, keyed by their column sequence."""
     code_lists = list(map(_codes, fcis))
-    codes = list(chain.from_iterable(code_lists))
-    col = cols.positions(codes)
-    t = cols.time[col]
     sizes = np.fromiter(map(len, code_lists), np.intp, len(fcis))
+    codes = np.fromiter(chain.from_iterable(code_lists), np.int64, sizes.sum())
+    col = cols.positions(codes)
+    t = codes >> _ITEM_BITS
     offset = np.zeros(len(fcis) + 1, dtype=np.intp)
     np.cumsum(sizes, out=offset[1:])
     owner = np.repeat(np.arange(len(fcis)), sizes)

@@ -41,6 +41,9 @@ import numpy as np
 
 from .ingest import TrajectoryDB, _parse_timestamp
 from .model import (
+    _ITEM_BITS,
+    _ORDINAL_MASK,
+    _TIME_STEP,
     FCI,
     ClusterId,
     ClusterMatrix,
@@ -52,6 +55,7 @@ from .model import (
     Tidset,
     UniverseError,
     canonical_sort,
+    code_item,
     item_code,
     packed_fci,
 )
@@ -281,9 +285,6 @@ class FciStore:
     text: tuple | None = field(default=None, compare=False, repr=False)
 
 
-_TIME_STEP = item_code(1, 0)  # the code of the next time's item, less this one's
-
-
 def write_fci_store(store: FciStore, dest):
     """Header lines carry epsilon, the clustering when known, the universe
     size, the covered time range and the full label tables; one row per
@@ -334,44 +335,28 @@ def write_fci_store(store: FciStore, dest):
     _write_to(dest, write)
 
 
-class _RunKeys(dict):
-    """Item code -> ``ordinal index * (n_times + 1) + time``, one more for the
-    same ordinal's item at the next time and for no other item.  Each
-    distinct item is keyed once; ``ordinals`` maps ordinals to indices."""
-
-    def __init__(self, n_times: int):
-        super().__init__()
-        self.n_times, self.ordinals = n_times, {}
-
-    def __missing__(self, code: int) -> int:
-        t, ordinal = divmod(code, _TIME_STEP)
-        if not 0 <= t < self.n_times:
-            raise ParseError(
-                f"item {ClusterId(t, ordinal)} cannot be stored: its time index "
-                f"is outside the store's {self.n_times} time labels")
-        o = self.ordinals.setdefault(ordinal, len(self.ordinals))
-        key = self[code] = o * (self.n_times + 1) + t
-        return key
-
-
 def _run_texts(rows: list[tuple[int, ...]], tl: tuple[str, ...]):
     """An iterator over the items text of each row of codes: its maximal runs
     of one ordinal at consecutive store times, in code order, each written
-    ``a..b:o``, or ``t:o`` for a run of one item, joined by ``;``."""
+    ``a..b:o``, or ``t:o`` for a run of one item, joined by ``;``.  An item
+    whose time is not a store time raises ParseError."""
     lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-    run_keys = _RunKeys(len(tl))
-    keys = np.fromiter(map(run_keys.__getitem__, chain.from_iterable(rows)),
-                       np.int64, lengths.sum())
-    breaks = np.ones(len(keys) + 1, bool)  # where a run starts, then the end
-    breaks[1:-1] = np.diff(keys) != 1
+    codes = np.fromiter(chain.from_iterable(rows), np.int64, lengths.sum())
+    end = len(tl) << _ITEM_BITS  # the first code past the last store time
+    if len(codes) and (codes.min() < 0 or codes.max() >= end):
+        bad = code_item(int(codes[((codes < 0) | (codes >= end)).argmax()]))
+        raise ParseError(f"item {bad} cannot be stored: its time index is "
+                         f"outside the store's {len(tl)} time labels")
+    breaks = np.ones(len(codes) + 1, bool)  # where a run starts, then the end
+    breaks[1:-1] = np.diff(codes) != _TIME_STEP
     row_starts = np.cumsum(lengths) - lengths
     breaks[row_starts] = True
     starts = np.flatnonzero(breaks[:-1])
-    o_index, first_t = np.divmod(keys[starts], len(tl) + 1)
-    last_t = keys[np.flatnonzero(breaks[1:])] % (len(tl) + 1)
-    ordinals = list(map(str, run_keys.ordinals))
-    runs = [f"{tl[a]}:{ordinals[o]}" if a == b else f"{tl[a]}..{tl[b]}:{ordinals[o]}"
-            for o, a, b in zip(o_index.tolist(), first_t.tolist(), last_t.tolist())]
+    first = codes[starts]
+    last_t = (codes[np.flatnonzero(breaks[1:])] >> _ITEM_BITS).tolist()
+    runs = [f"{tl[a]}:{o}" if a == b else f"{tl[a]}..{tl[b]}:{o}"
+            for o, a, b in zip((first & _ORDINAL_MASK).tolist(),
+                               (first >> _ITEM_BITS).tolist(), last_t)]
     bounds = np.searchsorted(starts, row_starts).tolist() + [len(runs)]
     return iter([";".join(runs[i:j]) for i, j in zip(bounds, bounds[1:])])
 

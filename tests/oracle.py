@@ -595,8 +595,8 @@ def brute_read_fci_store(source) -> FciStore:
                 raise ParseError(f"unparseable item {run!r}", line=line_no) from None
             if ordinal < 0:
                 raise ParseError(f"ordinal must be >= 0, got {ordinal}", line=line_no)
-            if ordinal >= 2**64:
-                raise ParseError(f"ordinal must be < 2**64, got {ordinal}", line=line_no)
+            if ordinal >= 2**32:
+                raise ParseError(f"ordinal must be < 2**32, got {ordinal}", line=line_no)
             for t in range(t_idx[first], t_idx[last] + 1):
                 items.append(ClusterId(t, ordinal))
         try:

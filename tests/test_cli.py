@@ -498,7 +498,7 @@ def test_unreadable_input_exits_2(tmp_path, capsys, case, message):
 
 @pytest.mark.parametrize("bad_line, message", [
     ("nan\t0\ta,b", "time label 'nan' is not finite"),
-    ("1\t18446744073709551616\ta,b", "ordinal must be < 2**64"),
+    ("1\t4294967296\ta,b", "ordinal must be < 2**32"),
 ], ids=["nan-time", "ordinal-too-big"])
 def test_mine_pre_clustered_rejects_a_bad_line(tmp_path, capsys, bad_line, message):
     cols = tmp_path / "cols.tsv"

@@ -2,6 +2,7 @@ import importlib
 import pkgutil
 import types
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -136,9 +137,9 @@ def test_fci_basics():
 
 
 def test_fci_equals_its_packed_form():
-    items = (ClusterId(0, 3), ClusterId(2, 1), ClusterId(2**40, 0))
+    items = (ClusterId(0, 3), ClusterId(2, 1), ClusterId(2**31 - 1, 0))
     f = FCI(items, Tidset.from_ids([1, 4]))
-    codes = (3, 2 << 64 | 1, 2**40 << 64)
+    codes = (3, 2 << 32 | 1, (2**31 - 1) << 32)
     assert f.mask == 0b10010 and f.codes == codes
     g = packed_fci(0b10010, codes)
     assert g == f and f == g and hash(g) == hash(f) and repr(g) == repr(f)
@@ -157,6 +158,18 @@ def test_fci_validation():
         FCI((ClusterId(0, 0), ClusterId(0, 0)), Tidset(1))
     with pytest.raises(ValueError, match="ordinal must be >= 0"):
         FCI((ClusterId(0, -1),), Tidset(1))
+
+
+def test_fci_times_must_fit_the_item_code():
+    # a code is time << 32 | ordinal in an int64, so times lie in
+    # [-2**31, 2**31); a negative time is left for the store writer to refuse
+    for time in (-2**31, -1, 2**31 - 1):
+        (code,) = FCI((ClusterId(time, 2**32 - 1),), Tidset(1)).codes
+        assert np.int64(code) == code
+    for time in (-2**31 - 1, 2**31, 2**40):
+        message = rf"time index must be in \[-2\*\*31, 2\*\*31\), got {time}"
+        with pytest.raises(ParseError, match=message):
+            FCI((ClusterId(time, 0),), Tidset(1))
 
 
 # ---------------------------------------------------------------------------

@@ -152,11 +152,15 @@ def test_periodic_pattern_of_uniform_matrix():
 def test_context_rejects_foreign_items():
     # Whatever the thresholds: at min_t=2 no guarded run or Jaccard reaches
     # the lone (9, 0), which used to decode into ClosedSwarm(times=(0, 9)).
+    # (1, 1) lies between the matrix's columns, (9, 0) past all of them.
     m = three_column_matrix()
     foreign = FCI((_cid(0, 0), _cid(9, 0)), _tid(0, 1))
+    between = FCI((_cid(0, 0), _cid(1, 1), _cid(2, 0)), _tid(0, 1))
     for min_t in (1, 2, 5):
         with pytest.raises(UniverseError, match=r"ClusterId\(time=9, ordinal=0\)"):
             extract_patterns([foreign], m, MiningParams(min_t=min_t))
+        with pytest.raises(UniverseError, match=r"ClusterId\(time=1, ordinal=1\)"):
+            extract_patterns([between], m, MiningParams(min_t=min_t))
     periodic = uniform_periodic_matrix()
     with pytest.raises(UniverseError):
         extract_patterns([foreign], periodic, MiningParams(min_t=1))
@@ -212,6 +216,20 @@ def test_extract_patterns_deduplicates_moving_clusters():
     got = extract_patterns(mine_fci(m, 2), m, params)
     movers = [p for p in got if p.kind == "moving_cluster"]
     assert movers == [MovingCluster((_cid(0, 0), _cid(1, 0)), _tid(0, 1, 2))]
+
+
+def test_extract_patterns_reads_columns_in_any_order():
+    # ClusterMatrix(...) keeps its columns as given; only build sorts them
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        m = gen_random_matrix(rng)
+        order = rng.permutation(m.n_columns).tolist()
+        shuffled = ClusterMatrix(m.object_labels, m.time_labels,
+                                 tuple(m.columns[j] for j in order))
+        fcis = mine_fci(m, 1)
+        params = MiningParams(min_t=1, theta=0.4)
+        assert extract_patterns(fcis, shuffled, params) == extract_patterns(
+            fcis, m, params)
 
 
 def test_extract_patterns_periodic_matrix_yields_periodic_only():

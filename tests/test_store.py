@@ -2,6 +2,7 @@ import io
 import json
 import math
 from dataclasses import replace
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -469,7 +470,7 @@ def _front_coded_texts(draw):
                       min(len(tokens), len(before)))
         k = draw(st.integers(shared, len(tokens)))
         bad = draw(st.sampled_from([
-            "9:0", "1:x", "1:-1", f"1:{2**64}", "", "1:0", "11:10",
+            "9:0", "1:x", "1:-1", f"1:{2**32}", f"1:{2**32 - 1}", "", "1:0", "11:10",
             tokens[k - 1] if k else "1:0"]))
         if k < len(tokens) and draw(st.booleans()):
             tokens[k] = bad
@@ -551,8 +552,8 @@ def _run_texts(draw):
         j = draw(st.integers(0, len(tokens) - 2))
         tokens[j], tokens[j + 1] = tokens[j + 1], tokens[j]
     elif kind == "ordinal":
-        tokens[k][2] = draw(st.sampled_from(["x", "-1", str(2**64), "", "+1", "01",
-                                             " 2", "1.0"]))
+        tokens[k][2] = draw(st.sampled_from(["x", "-1", str(2**32), str(2**32 - 1), "",
+                                             "+1", "01", " 2", "1.0"]))
     lines = [";".join(f"{a}..{b}:{o}" if b is not None else f"{a}:{o}"
                       for a, b, o in row) for row in rows]
     return ("# epsilon\t1\n# objects\ta\n# times\t" + ",".join(_RUN_TIMES) + "\n"
@@ -694,12 +695,12 @@ def test_fci_store_formats_the_items_its_text_does_not_cover(monkeypatch):
             FCI((ClusterId(0, 5), ClusterId(2, 1)), Tidset(0b01)))
     store = replace(read, time_labels=(0, 1, 2), fcis=fcis)
     formatted = []
-    missing = store_module._RunKeys.__missing__
-    monkeypatch.setattr(store_module._RunKeys, "__missing__",
-                        lambda d, code: formatted.append(code) or missing(d, code))
+    run_texts = store_module._run_texts
+    monkeypatch.setattr(store_module, "_run_texts", lambda rows, tl: formatted.extend(
+        chain.from_iterable(rows)) or run_texts(rows, tl))
     assert _written(write_fci_store, store).endswith(
         "2\ta,b\t0..2:0\n1\ta\t0:5;2:1\n")
-    assert formatted == [0, 1 << 64, 2 << 64, 5, 2 << 64 | 1]
+    assert formatted == [0, 1 << 32, 2 << 32, 5, 2 << 32 | 1]
     assert _written(write_fci_store, store) == _written(brute_write_fci_store, store)
 
 
@@ -722,9 +723,9 @@ def test_fci_store_written_back_formats_nothing(monkeypatch):
     write_fci_store(FciStore(1, m.object_labels, m.time_labels,
                              tuple(mine_fci(m, 1))), buf)
     formatted, expanded = [], []
-    missing, tidset = store_module._RunKeys.__missing__, FCI.tidset
-    monkeypatch.setattr(store_module._RunKeys, "__missing__",
-                        lambda d, code: formatted.append(code) or missing(d, code))
+    run_texts, tidset = store_module._run_texts, FCI.tidset
+    monkeypatch.setattr(store_module, "_run_texts", lambda rows, tl: formatted.extend(
+        chain.from_iterable(rows)) or run_texts(rows, tl))
     monkeypatch.setattr(FCI, "tidset", property(
         lambda f: expanded.append(f) or tidset.fget(f)))
     read = read_fci_store(io.StringIO(buf.getvalue()))
@@ -756,15 +757,17 @@ def test_fci_store_text_is_not_copied_under_other_labels(objects, times):
 
 
 def test_fci_store_ordinals_must_fit_the_item_code():
-    # items are packed as time << 64 | ordinal, so 2**64 and up are refused
+    # items are packed as time << 32 | ordinal, so 2**32 and up are refused
     # by the reader and by the FCI constructor
-    top = 2**64 - 1
+    top = 2**32 - 1
     got = read_fci_store(io.StringIO(_HEADER + f"1\ta\t0:{top}\n"))
     assert got.fcis[0].items == (ClusterId(0, top),)
-    with pytest.raises(ParseError, match=r"ordinal must be < 2\*\*64") as info:
+    assert _written(write_fci_store, replace(got, text=None)).endswith(
+        f"1\ta\t0:{top}\n")
+    with pytest.raises(ParseError, match=r"ordinal must be < 2\*\*32") as info:
         read_fci_store(io.StringIO(_HEADER + f"1\ta\t0:0\n1\ta\t0:{top + 1}\n"))
     assert info.value.line == 5
-    with pytest.raises(ParseError, match=r"ordinal must be < 2\*\*64"):
+    with pytest.raises(ParseError, match=r"ordinal must be < 2\*\*32"):
         FCI((ClusterId(0, top + 1),), Tidset(1))
 
 

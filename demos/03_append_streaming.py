@@ -62,7 +62,7 @@ def main():
     t0 = time.perf_counter()
     full = mine_fci(build_cluster_matrix(db, params), EPSILON)
     t_full = time.perf_counter() - t0
-    assert combined == full
+    assert sorted(combined, key=lambda f: f.codes) == full  # the merge is unordered
     print(f"\nfull re-mine of all 80 days: {t_full * 1000:.1f} ms "
           f"-> identical itemsets")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -112,7 +113,10 @@ def _emit_flag(p: argparse.ArgumentParser):
                    help="pattern output format(s) (default csv)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: building it costs
+    more than parsing with it, and parsing leaves it unchanged."""
     parser = _Parser(prog="comove",
                      description="Co-movement pattern mining over trajectories.")
     sub = parser.add_subparsers(dest="command", required=True)

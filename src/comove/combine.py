@@ -18,9 +18,15 @@ an incoming one is absorbed and never revisited, and the scan for one
 incoming itemset stops once its whole tidset has been matched, since any
 later pairing is covered by an earlier, more specific itemset.
 
-The loop reads each FCI's packed fields, a tidset mask and a tuple of item
-codes, and builds the combined itemsets packed, so the block merges and an
-append never build ClusterId or Tidset objects.
+The loop reads each FCI's tidset mask, and the item codes of an existing
+itemset only when it is the existing side of a union, and builds the combined
+itemsets packed, so the block merges and an append never build ClusterId or
+Tidset objects.  Each side is walked in a stable sort by support alone, so a
+side given in code order is walked in (support, codes) order.  The result is
+not sorted: an append hands it to ``write_fci_store``, which orders the rows
+it writes, and the block merges sort it by codes.  Itemsets read from a store
+build their codes on first use, so an append builds the codes of the stored
+itemsets its unions extend and no others.
 """
 
 from __future__ import annotations
@@ -32,6 +38,10 @@ from .model import FCI, CoMoveError, check_epsilon, code_item, item_code, packed
 __all__ = ["combine_fcis", "shift_times"]
 
 _codes = attrgetter("codes")
+
+
+def _support(f: FCI) -> int:
+    return f.mask.bit_count()
 
 
 def shift_times(fcis: list[FCI], offset: int) -> list[FCI]:
@@ -50,7 +60,8 @@ def _check_disjoint_columns(existing: list[FCI], incoming: list[FCI]) -> int:
         return 0
 
     def span(fcis):
-        return min(f.codes[0] for f in fcis), max(f.codes[-1] for f in fcis)
+        firsts, lasts = zip(*[f.bounds() for f in fcis])
+        return min(firsts), max(lasts)
 
     # Sides whose code ranges do not overlap, as in every append and block
     # merge, share no column; only interleaved sides need the sets.
@@ -72,9 +83,13 @@ def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
 
     ``existing`` and ``incoming`` must be mined from matrices that share no
     column; their columns may interleave in time.  The result equals mining
-    the combined matrix directly, sorted by items.  ``counters``, when
-    given, receives loop statistics (pairs, new, absorbed_existing,
-    absorbed_incoming, stops).
+    the combined matrix directly, as a set: the list holds the surviving
+    existing itemsets, then the surviving incoming ones, each side in order
+    of support, then the unions in the order the loop made them.  Sort it by
+    ``codes`` where order matters.  ``counters``, when given, receives loop
+    statistics (pairs, new, absorbed_existing, absorbed_incoming, stops),
+    which follow the order the loop walks the sides in: (support, codes)
+    for sides given in code order.
     """
     check_epsilon(epsilon)
     old, new = list(existing), list(incoming)
@@ -82,8 +97,8 @@ def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
     stats = {"pairs": 0, "new": 0, "absorbed_existing": 0,
              "absorbed_incoming": 0, "stops": 0}
 
-    old.sort(key=_support_codes)
-    new.sort(key=_support_codes)
+    old.sort(key=_support)  # stable: a side in code order stays so per support
+    new.sort(key=_support)
     old_dead = [False] * len(old)
     new_dead = [False] * len(new)
     produced: dict[int, FCI] = {}
@@ -117,12 +132,7 @@ def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
     result = [f for f, dead in zip(old, old_dead) if not dead]
     result += [f for f, dead in zip(new, new_dead) if not dead]
     result += produced.values()
-    result.sort(key=_codes)
     if counters is not None:
         counters.update(stats)
     return result
-
-
-def _support_codes(f: FCI):
-    return f.mask.bit_count(), f.codes
 

@@ -24,6 +24,8 @@ so no ClusterId or Tidset object is built for any itemset on the way.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .combine import combine_fcis
 from .miner import mine_columns
 from .model import FCI, ClusterMatrix, Column, ParameterError
@@ -38,6 +40,8 @@ __all__ = [
 ]
 
 DEFAULT_BLOCK_SIZE = 25
+
+_codes = attrgetter("codes")
 
 
 def split_blocks(matrix: ClusterMatrix,
@@ -57,11 +61,12 @@ def split_blocks(matrix: ClusterMatrix,
 def _mine_blocks(parent: ClusterMatrix, blocks: list[tuple[Column, ...]],
                  epsilon: int) -> list[FCI]:
     """Mine every block on its own, then merge the local results pairwise
-    until one is left."""
+    until one is left.  Each merge's result is sorted by codes, as the
+    miner's are, so every merge walks its sides in (support, codes) order."""
     results = [mine_columns(cols, parent.n_objects, epsilon) for cols in blocks]
     while len(results) > 1:
-        merged = [combine_fcis(results[i], results[i + 1], epsilon)
-                  for i in range(0, len(results) - 1, 2)]
+        merged = [sorted(combine_fcis(results[i], results[i + 1], epsilon),
+                         key=_codes) for i in range(0, len(results) - 1, 2)]
         if len(results) % 2:
             merged.append(results[-1])
         results = merged

@@ -183,6 +183,11 @@ def _raise(error: Exception):
     yield  # a generator: raises when the first line is pulled
 
 
+# Bytes other than the comma, line end, carriage return and NUL, which a
+# chunk's skeleton keeps (see _split_plain).
+_NOT_PLAIN_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n\r\0")))
+
+
 def _split_plain(text: str, lines: list[str], limit: int):
     """The four field columns of ``lines``, which join to ``text`` (free of
     '"'), split as ``csv.reader`` splits them; None unless every line is
@@ -190,12 +195,19 @@ def _split_plain(text: str, lines: list[str], limit: int):
     line end, at its end, and it is no longer than the csv field limit
     ``limit``.  The chunk's final line may lack its line end: it is then the
     input's last line, or an item of a list source, which ``csv.reader``
-    also reads as one record."""
+    also reads as one record.
+
+    The lines are checked at once, joined by NUL, which no plain line
+    holds: their UTF-8 bytes less all but commas, line ends, carriage
+    returns and NULs must be ``,,,\n`` per line, NUL between lines, and
+    each NUL must follow a line end."""
     if not text.endswith("\n"):
         text += "\n"
-    if ("\r" in text or "\0" in text or text.count("\n") != len(lines)
-            or not all(map(str.endswith, lines[:-1], repeat("\n")))
-            or set(map(str.count, lines, repeat(","))) != {3}
+    joined = "\0".join(lines) + ("" if lines[-1].endswith("\n") else "\n")
+    skeleton = joined.encode("utf-8", "surrogatepass").translate(
+        None, _NOT_PLAIN_SEPARATORS)
+    if (skeleton != b",,,\n\0" * (len(lines) - 1) + b",,,\n"
+            or joined.count("\n\0") != len(lines) - 1
             or (len(text) > limit and max(map(len, lines)) > limit)):
         return None
     fields = text.replace("\n", ",").split(",")

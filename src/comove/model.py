@@ -290,7 +290,9 @@ class FCI:
     ``codes`` are the items as ascending :func:`item_code` ints, which fit an
     int64 (an item they cannot hold raises ParseError); ``items`` and
     ``tidset`` are built from them on first read and cached.
-    :func:`packed_fci` makes an FCI from packed fields without checks.
+    :func:`packed_fci` makes an FCI from packed fields without checks.  An
+    FCI read from a store (see ``comove.store``) builds its ``codes`` on
+    first read too, and answers :meth:`bounds` without them.
     """
 
     __slots__ = ("mask", "codes", "_items", "_tidset")
@@ -325,6 +327,11 @@ class FCI:
     @property
     def times(self) -> tuple[int, ...]:
         return tuple([c >> _ITEM_BITS for c in self.codes])
+
+    def bounds(self) -> tuple[int, int]:
+        """The first and last item codes."""
+        codes = self.codes
+        return codes[0], codes[-1]
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -17,11 +17,12 @@ separator of the format.  The pattern writers refuse ids holding ``;``.
 The itemset store is read into packed FCIs (tidset masks and item codes).
 A row writes its items as runs, ``a..b:o`` for ordinal ``o`` at every store
 time from label ``a`` through ``b`` and ``t:o`` for one item, so each row
-stands alone.  When every line of a store is written as the writer writes
-it, the reader also keeps each line's member-id and item text, keyed by
-tidset mask, with the label tables it was read with; writing the store back
-copies that text instead of formatting it again, for every itemset an
-append keeps.  Only this module knows that text.
+stands alone.  When a store's rows are in code order and each is written as
+the writer writes it, the reader checks them all at once, builds each row's
+tidset mask and leaves its item codes to be built on first use; it keeps
+the rows, so writing the store back after an append copies the line of
+every stored itemset the append keeps and formats only the items the batch
+adds.  Only this module knows that text.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ import io
 import json
 import math
 import os
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain, filterfalse
-from operator import attrgetter, lt
+from itertools import chain, compress, count, filterfalse, repeat
+from operator import attrgetter, itemgetter, lt, methodcaller, not_
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +77,7 @@ __all__ = [
 
 
 _codes = attrgetter("codes")
+_new = object.__new__
 # Trajectory cells formatted and written per call: bounds the text held.
 _WRITE_CELLS = 1024
 
@@ -270,56 +274,191 @@ class FciStore:
     ``clustering`` is ``{"eps": float, "min_pts": int, "interpolate": bool}``
     as mined, or None where not known (pre-clustered input, older stores).
 
-    ``text`` is set by :func:`read_fci_store` only: the object labels and
-    formatted time labels of a store whose lines are all written as the
-    writer writes them, and a map from each line's tidset mask to its
-    member-id text, item text and item codes.  The writer copies it where
-    the labels agree, so keep it (``dataclasses.replace``) when a read store
-    is merged and written back.  Equality and repr ignore it."""
+    ``text`` is set by :func:`read_fci_store` only, for a store whose rows
+    are in code order and all written as the writer writes them: the rows
+    as read, with the object labels and formatted time labels they were read
+    with.  Its FCIs build their item codes from it on first use, and the
+    writer copies a stored row's line from it, so keep it
+    (``dataclasses.replace``) when a read store is merged and written back.
+    Equality and repr ignore it."""
 
     epsilon: int
     object_labels: tuple[str, ...]
     time_labels: tuple
     fcis: tuple[FCI, ...]
     clustering: dict | None = None
-    text: tuple | None = field(default=None, compare=False, repr=False)
+    text: _StoreRows | None = field(default=None, compare=False, repr=False)
+
+
+class _StoredFCI(FCI):
+    """An FCI read from a store, whose item codes are built from the store's
+    runs on first read.  (A property, not ``__getattr__``, which would slow
+    every other attribute read, ``mask`` in the merge loop among them.)"""
+
+    __slots__ = ("_rank", "_rows", "_bounds", "_codes")
+
+    @property
+    def codes(self) -> tuple[int, ...]:
+        codes = self._codes
+        if codes is None:
+            codes = self._codes = self._rows.codes(self._rank)
+        return codes
+
+    def bounds(self) -> tuple[int, int]:
+        return self._bounds
+
+
+def _stored_fci(mask: int, rank: int, bounds: tuple[int, int],
+                rows: _StoreRows) -> _StoredFCI:
+    f = _new(_StoredFCI)
+    f.mask, f._rank, f._bounds, f._rows = mask, rank, bounds, rows
+    f._codes = f._items = f._tidset = None
+    return f
+
+
+# The key of a run that a row leaves for a larger code is _ABOVE less its
+# last code, which is above the last code of every run (see _StoreRows).
+_ABOVE = (1 << 64) - 1
+
+
+class _StoreRows:
+    """The rows of a store read at once (see ``_read_rows``).
+
+    Row ``rank`` is ``lines[rank]``; its runs are ``tok[row_start[rank]:
+    row_start[rank + 1]]``, indices of distinct run texts whose first and
+    last item codes are ``first`` and ``last``.  ``built`` holds the rows
+    whose codes were built, with their codes, by first code, last code and
+    count.  ``keys`` is None unless the runs are maximal and the rows in
+    strictly ascending code order, so each row is as the writer writes it;
+    ``keys[rank]`` then lists for each run its first code, then its last
+    code when the row's next code is smaller than the run's next one would
+    be (at the same time, or the row ends there), else ``_ABOVE`` less its
+    last code; those lists sort as the rows' codes do."""
+
+    def __init__(self, labels, tl, lines, row_start, tok, first, last, keys):
+        self.labels, self.tl, self.lines = labels, tl, lines
+        self.row_start, self.tok, self.first, self.last = row_start, tok, first, last
+        self.keys = keys
+        self.run_codes: dict[int, tuple[int, ...]] = {}
+        self.pools: dict[int, list[int]] = {}  # ordinal -> its codes by time
+        self.built: dict[tuple[int, int, int], list] = {}
+
+    def codes(self, rank: int) -> tuple[int, ...]:
+        """Row ``rank``'s item codes.  A run's codes are made once, as a
+        slice of the codes of its ordinal at every store time, which are
+        made on the ordinal's first use; so each item is one int object,
+        whichever rows hold it."""
+        parts = []
+        for t in self.tok[self.row_start[rank]:self.row_start[rank + 1]]:
+            run = self.run_codes.get(t)
+            if run is None:
+                first, last = self.first[t], self.last[t]
+                o = first & _ORDINAL_MASK
+                pool = self.pools.get(o)
+                if pool is None:
+                    pool = self.pools[o] = list(range(
+                        o, len(self.tl) << _ITEM_BITS, _TIME_STEP))
+                run = self.run_codes[t] = tuple(
+                    pool[first >> _ITEM_BITS:(last >> _ITEM_BITS) + 1])
+            parts.append(run)
+        # () + t is t, so one run shares its tuple
+        codes = parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
+        self.built.setdefault((codes[0], codes[-1], len(codes)), []).append(
+            (rank, codes))
+        return codes
+
+    def built_row(self, codes: tuple[int, ...], k: int) -> int | None:
+        """The row whose codes were built and are ``codes[:k]``, if any."""
+        for rank, built in self.built.get((codes[0], codes[k - 1], k), ()):
+            if built == codes[:k]:
+                return rank
+        return None
+
+    def block_end(self, rank: int) -> int:
+        """The last row that has row ``rank``'s codes as a leading part."""
+        key = self.keys[rank]
+        return bisect_left(self.keys, key[:-1] + [_ABOVE - key[-1] + 1], rank + 1) - 1
+
+    def write_lines(self, fcis, labels, tl: tuple[str, ...]) -> list[str] | None:
+        """The lines of ``fcis`` in code order, or None unless each is one of
+        these rows, a union of a row whose codes were built and items at
+        later times, or an itemset of later times only.  A row's line is
+        copied; a union is written after the last row that has its row's
+        codes as a leading part, its items text the row's joined to the
+        formatted later runs, and the run that crosses the junction joined
+        into one.  Itemsets of later times only come last."""
+        if labels != self.labels or tl[:len(self.tl)] != self.tl:
+            return None
+        ours = [f.__class__ is _StoredFCI and f._rows is self for f in fcis]
+        ranks = sorted([f._rank for f, mine in zip(fcis, ours) if mine])
+        cut, end = len(self.tl) << _ITEM_BITS, len(tl) << _ITEM_BITS
+        placed = []  # (row it follows, -stored items, later codes, FCI, stored row)
+        for f in compress(fcis, map(not_, ours)):
+            codes = f.codes
+            if codes[0] < 0 or codes[-1] >= end or f.mask >> len(labels):
+                return None  # refused as the generic writer refuses it
+            k = bisect_left(codes, cut)
+            side = self.built_row(codes, k) if 0 < k < len(codes) else None
+            if side is None and k:
+                return None
+            placed.append((len(self.lines) if side is None else self.block_end(side),
+                           -k, codes[k:], f, side))
+        placed.sort(key=itemgetter(0, 1, 2))
+        texts = _run_texts([p[2] for p in placed], tl)
+        members = _member_texts([p[3].mask for p in placed], labels)
+        lines, out, done = self.lines, [], 0
+        for (after, _, later, f, side), items, ids in zip(placed, texts, members):
+            if side is not None:
+                items = self._union_items(side, later[0], items)
+            stop = bisect_right(ranks, after, done)
+            out += map(lines.__getitem__, ranks[done:stop])
+            out.append(f"{f.mask.bit_count()}\t{ids}\t{items}")
+            done = stop
+        out += map(lines.__getitem__, ranks[done:])
+        return out
+
+    def _union_items(self, side: int, code: int, later: str) -> str:
+        """Row ``side``'s items text followed by the text ``later`` of runs
+        starting at ``code``, joined into one run where the row's last run
+        goes on at ``code``."""
+        items = self.lines[side].rpartition("\t")[2]
+        t = self.tok[self.row_start[side + 1] - 1]
+        if code != self.last[t] + _TIME_STEP:
+            return f"{items};{later}"
+        head, sep, _ = items.rpartition(";")
+        run, sep2, rest = later.partition(";")
+        start = self.tl[self.first[t] >> _ITEM_BITS]
+        return f"{head}{sep}{start}..{run.partition('..')[2] or run}{sep2}{rest}"
 
 
 def write_fci_store(store: FciStore, dest):
     """Header lines carry epsilon, the clustering when known, the universe
     size, the covered time range and the full label tables; one row per
-    itemset: support <TAB> member ids <TAB> items, the items as their
-    maximal runs (see ``_run_texts``).
+    itemset in code order: support <TAB> member ids <TAB> items, the items
+    as their maximal runs (see ``_run_texts``).
 
     Object ids must be non-empty, free of ``,``, tab and newline, which the
     format uses as separators, and must not end in whitespace, which the
     reader strips from the end of the objects line.
 
-    The text the reader kept (``store.text``) for an itemset's tidset is
-    copied where it is what this store writes: the member ids when the
-    object labels are the ones read, and the items when the time labels
-    start with the ones read and the itemset's items are the ones read, as
-    for a stored itemset an append keeps.  The rest is formatted: member ids
-    from the FCI's own tidset, whose index tuple is cached once patterns
-    have been decoded from it, and items from their codes."""
+    A store read with ``text`` and written back under the object labels it
+    was read with, and time labels that start with the ones read, as after
+    an append, copies the line of every stored row it keeps and writes only
+    the rest (see ``_StoreRows.write_lines``): the unions, whose items text
+    is their stored row's followed by the runs formatted from their codes at
+    later times, and the itemsets of later times only.  Any other store is
+    sorted by codes and formatted whole, member ids from tidset masks and
+    items from their codes."""
     labels = store.object_labels
     _check_ids(labels, ",\t\n\r", str.rstrip, "stored",
                "contain no ',', tab or newline, and not end in whitespace")
     tl = tuple(map(_fmt_time, store.time_labels))
-    read_labels, read_tl, rows = store.text or ((), (), {})
-    same_ids = read_labels == labels
-    same_items = tl[:len(read_tl)] == read_tl
-    fcis = sorted(store.fcis, key=_codes)
-    ids, items = [], []
-    for f in fcis:
-        read_ids, read_items, read = rows.get(f.mask, (None, None, None))
-        ids.append(read_ids if same_ids and read_ids
-                   else ",".join([labels[i] for i in f.tidset.ids]))
-        items.append(read_items if same_items and (read is f.codes or read == f.codes)
-                     else None)
-    formatted = _run_texts([f.codes for f, t in zip(fcis, items) if t is None], tl)
-    lines = [f"{f.mask.bit_count()}\t{i}\t{next(formatted) if t is None else t}\n"
-             for f, i, t in zip(fcis, ids, items)]
+    lines = store.text and store.text.write_lines(store.fcis, labels, tl)
+    if lines is None:
+        fcis = sorted(store.fcis, key=_codes)
+        lines = [f"{f.mask.bit_count()}\t{ids}\t{items}" for f, ids, items in zip(
+            fcis, _member_texts([f.mask for f in fcis], labels),
+            _run_texts([f.codes for f in fcis], tl))]
 
     def write(fh):
         fh.write(f"# epsilon\t{store.epsilon}\n")
@@ -331,8 +470,21 @@ def write_fci_store(store: FciStore, dest):
             fh.write(f"# time_range\t{tl[0]}\t{tl[-1]}\n")
         fh.write(f"# objects\t{','.join(labels)}\n")
         fh.write(f"# times\t{','.join(tl)}\n")
-        fh.write("".join(lines))
+        if lines:
+            fh.write("\n".join(lines) + "\n")
     _write_to(dest, write)
+
+
+def _member_texts(masks: list[int], labels: tuple[str, ...]) -> list[str]:
+    """The member-id text of each tidset mask: its objects' labels in
+    universe order, joined by ``,``."""
+    width = (len(labels) + 7) >> 3
+    bits = np.unpackbits(np.frombuffer(b"".join(
+        [m.to_bytes(width, "little") for m in masks]), np.uint8), bitorder="little")
+    row, col = np.divmod(np.flatnonzero(bits), 8 * width or 1)
+    names = list(map(labels.__getitem__, col.tolist()))
+    bounds = np.searchsorted(row, np.arange(len(masks) + 1)).tolist()
+    return [",".join(names[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _run_texts(rows: list[tuple[int, ...]], tl: tuple[str, ...]):
@@ -362,8 +514,8 @@ def _run_texts(rows: list[tuple[int, ...]], tl: tuple[str, ...]):
 
 
 def _parse_run(token: str, t_index: dict[str, int], line_no: int):
-    """A run's (ordinal, first time index, last time index) and whether it is
-    spelled as the writer spells it, or the ParseError of a bad run."""
+    """A run's (ordinal, first time index, last time index), or the
+    ParseError of a bad run."""
     times, _, ord_str = token.partition(":")
     start, dots, end = times.partition("..")
     for label in (start, end) if dots else (start,):
@@ -378,40 +530,38 @@ def _parse_run(token: str, t_index: dict[str, int], line_no: int):
     except ValueError:
         raise ParseError(f"unparseable item {token!r}", line=line_no) from None
     item_code(0, ordinal, line_no)  # an ordinal the code cannot hold raises
-    return (ordinal, a, b), ord_str == str(ordinal)
+    return ordinal, a, b
 
 
 def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
-    """Parse a store into packed FCIs.  When every row lists its ids in
-    universe order and writes its items as maximal runs with canonical
-    ordinals, the store's ``text`` keeps each row's text by tidset mask, so
-    writing the store back copies that text instead of formatting it.  A
-    store spelled otherwise has no ``text`` and is written from its codes.
+    """Parse a store into packed FCIs.  Every row is checked, and the first
+    fault raises ParseError naming its line; so do a repeated object id in
+    the header and a row whose support is below epsilon.
 
-    A repeated object id in the header, and a row whose support is below
-    epsilon, raise ParseError.
+    A store whose rows list their ids in universe order and write their
+    support and ordinals as the writer writes them is read in one pass over
+    all rows at once (see ``_read_rows``), and its FCIs build their item
+    codes on first use.  When its runs are maximal too and its rows in
+    strictly ascending code order, so each row is as the writer writes it,
+    its ``text`` keeps the rows, and writing it back copies the line of each
+    row it keeps.  Any other store, and one with a faulty row, is read row
+    by row (``_read_rows_one_by_one``), with every FCI's codes built; a
+    store has no ``text`` unless it is read at once and kept.
 
-    Each distinct run is parsed once.  The items of the runs, by ordinal
-    then time, are the store's distinct items, made once each in one list;
-    a run's codes are a slice of it, and a row's are its runs' joined.
     ``counters``, when given, is filled with ``rows``, ``items`` and
     ``runs``."""
     if isinstance(source, (str, Path)):
         with open(source) as fh:
             return read_fci_store(fh, counters=counters)
+    lines = list(map(methodcaller("rstrip", "\n"), source))
     header: dict[str, list[str]] = {}
-    body: list[tuple[int, str]] = []  # split in the row loop: fewer objects to collect
-    for line_no, line in enumerate(source, start=1):
-        line = line.rstrip("\n")
-        if not line or line.isspace():
-            continue
-        if line.startswith("#"):
-            parts = line[1:].strip().split("\t")
-            if parts and parts[0] in ("epsilon", "clustering", "n_objects",
-                                      "time_range", "objects", "times"):
-                header[parts[0]] = parts[1:]
-            continue
-        body.append((line_no, line))
+    for line in filter(methodcaller("startswith", "#"), lines):
+        parts = line[1:].strip().split("\t")
+        if parts and parts[0] in ("epsilon", "clustering", "n_objects",
+                                  "time_range", "objects", "times"):
+            header[parts[0]] = parts[1:]
+    body = [i for i, line in enumerate(lines)  # rows, by index in lines
+            if line and line[0] != "#" and not line.isspace()]
 
     for key in ("epsilon", "objects", "times"):
         if key not in header:
@@ -432,11 +582,11 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
             raise ParseError("store header has an unparseable clustering") from None
     labels = tuple(o for o in header["objects"][0].split(",") if o) \
         if header["objects"] and header["objects"][0] else ()
-    o_bit = {o: 1 << i for i, o in enumerate(labels)}
-    if len(o_bit) != len(labels):
+    o_index = {o: i for i, o in enumerate(labels)}
+    if len(o_index) != len(labels):
         repeated = next(o for i, o in enumerate(labels) if o in labels[:i])
         raise ParseError(f"store header repeats object id {repeated!r}")
-    times = tuple(_parse_time_label(t) for t in header["times"][0].split(",") if t) \
+    times = tuple(map(_parse_time_label, filter(None, header["times"][0].split(",")))) \
         if header["times"] and header["times"][0] else ()
     if "n_objects" in header:
         try:
@@ -450,13 +600,135 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
         if (header["time_range"][0] != _fmt_time(times[0])
                 or header["time_range"][1] != _fmt_time(times[-1])):
             raise ParseError("store time_range disagrees with the times list")
-    if any(times[i] >= times[i + 1] for i in range(len(times) - 1)):
+    if not all(map(lt, times, times[1:])):
         raise ParseError("store times must be strictly increasing")
 
-    t_index = {_fmt_time(t): i for i, t in enumerate(times)}
+    t_index = dict(zip(map(_fmt_time, times), count()))
+    rows = [lines[i] for i in body]
+    fcis, text, counts = (
+        _read_rows(rows, labels, o_index, t_index, epsilon)
+        or _read_rows_one_by_one(zip([i + 1 for i in body], rows), o_index, t_index,
+                                 epsilon))
+    if counters is not None:
+        counters.update(zip(("rows", "items", "runs"), counts))
+    return FciStore(epsilon, labels, times, fcis, clustering, text)
+
+
+# A run as the writer writes it: its first time label, ".." and its last
+# when it has more than one item, then ":" and its ordinal.
+_RUN_TEXT = re.compile(r"([^:;]+?)(?:\.\.([^:;]+))?:(0|[1-9][0-9]{0,9})")
+# Bytes other than tab and newline, which a store row's skeleton keeps.
+_NOT_TAB_OR_NEWLINE = bytes(sorted(set(range(256)) - set(b"\t\n")))
+
+
+def _read_rows(lines: list[str], labels, o_index, t_index, epsilon: int):
+    """(FCIs, ``_StoreRows`` or None, (rows, items, runs)) of store rows
+    ``lines``, or None unless each row has three fields, a support written
+    as its count of member ids, ids known and in universe order, and items
+    as ascending runs of known time labels with ordinals under 2**32 and
+    without leading zeros.  The ``_StoreRows`` is given, as the store's
+    ``text``, when the runs are also maximal and the rows in strictly
+    ascending code order, so that every row is as the writer writes it.
+
+    All rows are checked at once: one split per field, one index lookup of
+    all member ids, and the run texts parsed once each by one regular
+    expression, with the order and count checks in numpy.  Each row's tidset
+    mask is packed from its ids' bytes; its codes are left to be built."""
+    n = len(lines)
+    skeleton = "\n".join(lines).encode("utf-8", "surrogatepass").translate(
+        None, _NOT_TAB_OR_NEWLINE)
+    if skeleton != b"\t\t\n" * (n - 1) + b"\t\t":
+        return None
+    fields = "\t".join(lines).split("\t")
+    ids, items = fields[1::3], fields[2::3]
+    n_ids = np.fromiter(map(str.count, ids, repeat(",")), np.intp, n) + 1
+    if fields[0::3] != list(map(str, n_ids.tolist())) or n_ids.min() < epsilon:
+        return None
+    try:
+        idx = np.fromiter(map(o_index.__getitem__, ",".join(ids).split(",")),
+                          np.intp, n_ids.sum())
+    except KeyError:
+        return None
+    row_ends = np.cumsum(n_ids) - 1
+    ascending = np.diff(idx) > 0
+    ascending[row_ends[:-1]] = True  # a row's first id follows another row's
+    if not ascending.all():
+        return None
+    # Each row's mask as little-endian bytes: ids ascend, so the bytes each
+    # row sets ascend too, and the bits of one byte sum to their union.
+    width = (len(labels) + 7) >> 3
+    byte = np.repeat(np.arange(n) * width, n_ids) + (idx >> 3)
+    heads = np.flatnonzero(np.diff(byte, prepend=-1))
+    packed = np.zeros(n * width, np.uint8)
+    packed[byte[heads]] = np.add.reduceat(
+        np.left_shift(1, idx & 7).astype(np.uint8), heads)
+    packed = packed.tobytes()
+    masks = map(int.from_bytes, map(packed.__getitem__, map(
+        slice, range(0, n * width, width), range(width, n * width + 1, width))),
+        repeat("little"))
+
+    tokens = ";".join(items).split(";")
+    index = dict(zip(dict.fromkeys(tokens), count()))  # run text -> its index
+    matches = list(map(_RUN_TEXT.fullmatch, index))
+    if None in matches:
+        return None
+    starts, ends, ordinals = zip(*map(re.Match.groups, matches))
+    try:
+        a = np.fromiter(map(t_index.__getitem__, starts), np.int64, len(index))
+        b = np.fromiter(map({**t_index, None: -1}.__getitem__, ends), np.int64,
+                        len(index))
+    except KeyError:
+        return None
+    o = np.fromiter(map(int, ordinals), np.int64, len(index))
+    one = b < 0
+    if (o > _ORDINAL_MASK).any() or (b <= a)[~one].any():
+        return None
+    b[one] = a[one]
+    first, last = a << _ITEM_BITS | o, b << _ITEM_BITS | o
+    tok = np.fromiter(map(index.__getitem__, tokens), np.intp, len(tokens))
+    row_start = np.zeros(n + 1, np.intp)
+    np.cumsum(np.fromiter(map(str.count, items, repeat(";")), np.intp, n) + 1,
+              out=row_start[1:])
+    f, g = first[tok], last[tok]
+    # a row's runs ascend: the next starts past the last code
+    ends_row = np.zeros(len(tok), bool)
+    ends_row[row_start[1:] - 1] = True
+    nxt, after = f[1:], g[:-1] + _TIME_STEP
+    inner = ~ends_row[:-1]
+    if (nxt <= g[:-1])[inner].any():
+        return None
+    keys = None
+    if not (nxt == after)[inner].any():  # maximal: no run goes on in the next
+        below = ends_row.copy()
+        below[:-1] |= nxt < after
+        key = np.empty(2 * len(tok), np.uint64)
+        key[0::2] = f
+        g64 = g.astype(np.uint64)
+        key[1::2] = np.where(below, g64, _ABOVE - g64)
+        key = key.tolist()
+        bounds = (2 * row_start).tolist()
+        keys = list(map(key.__getitem__, map(slice, bounds, bounds[1:])))
+        if not all(map(lt, keys, keys[1:])):
+            keys = None
+    rows = _StoreRows(labels, tuple(t_index), lines, row_start.tolist(), tok.tolist(),
+                      first.tolist(), last.tolist(), keys)
+    fcis = tuple(map(_stored_fci, masks, range(n), zip(
+        f[row_start[:-1]].tolist(), g[row_start[1:] - 1].tolist()), repeat(rows)))
+    n_items = int(((g - f) >> _ITEM_BITS).sum()) + len(tok)
+    return fcis, rows if keys is not None else None, (n, n_items, len(tok))
+
+
+def _read_rows_one_by_one(body, o_index, t_index, epsilon: int):
+    """(FCIs, None, (rows, items, runs)) of store rows ``body``, (line
+    number, line) pairs, each checked in turn, the first fault raised as
+    ParseError at its line.
+
+    Each distinct run is parsed once.  The items of the runs, by ordinal
+    then time, are the store's distinct items, made once each in one list;
+    a run's codes are a slice of it, and a row's are its runs' joined."""
+    o_bit = {o: 1 << i for o, i in o_index.items()}
     parsed: dict[str, tuple[int, int, int]] = {}  # run text -> (ordinal, first, last)
-    read = []  # (mask, ids text, items text, runs) per row
-    canonical = True  # every row so far is written as the writer writes it
+    read = []  # (mask, runs) per row
     for line_no, line in body:
         parts = line.split("\t")
         if len(parts) != 3:
@@ -483,17 +755,14 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
         if support < epsilon:
             raise ParseError(f"support {support} is below the store's epsilon "
                              f"{epsilon}", line=line_no)
-        canonical = canonical and all(map(lt, bits, bits[1:]))
         tokens = items.split(";")
         for token in filterfalse(parsed.__contains__, tokens):
-            parsed[token], spelled = _parse_run(token, t_index, line_no)
-            canonical = canonical and spelled
+            parsed[token] = _parse_run(token, t_index, line_no)
         runs = list(map(parsed.__getitem__, tokens))
         for (o, a, _), (p, _, b) in zip(runs[1:], runs):
             if (a, o) <= (b, p):
                 raise ParseError("FCI items must be strictly ascending", line=line_no)
-            canonical = canonical and (o, a) != (p, b + 1)  # runs are maximal
-        read.append((mask, ids, items, runs))
+        read.append((mask, runs))
 
     pool, run_codes, o_end = [], {}, None  # distinct item codes; run -> its codes
     for run in sorted(set(parsed.values())):
@@ -504,18 +773,14 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
             pool += range(item_code(t_end + 1, o), item_code(b, o) + 1, _TIME_STEP)
             t_end = b
         run_codes[run] = tuple(pool[origin + a:origin + b + 1])
-    fcis, rows = [], {}  # tidset mask -> (ids text, items text, codes)
-    for mask, ids, items, runs in read:
+    fcis = []
+    for mask, runs in read:
         # () + t is t, so one run shares its tuple; sum copies runs quadratically
         codes = (sum(map(run_codes.__getitem__, runs), ()) if len(runs) < 8 else
                  tuple(chain.from_iterable(map(run_codes.__getitem__, runs))))
         fcis.append(packed_fci(mask, codes))
-        rows[mask] = (ids, items, codes)
-    if counters is not None:
-        counters.update(rows=len(fcis), items=sum(len(f.codes) for f in fcis),
-                        runs=sum(len(r[3]) for r in read))
-    return FciStore(epsilon, labels, times, tuple(fcis), clustering,
-                    (labels, tuple(t_index), rows) if canonical else None)
+    return (tuple(fcis), None,
+            (len(fcis), sum(len(f.codes) for f in fcis), sum(len(r) for _, r in read)))
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,8 @@ def test_append_combination_equals_full_remine(capsys):
     existing = [_fci([(0, 0)], 0, 1), _fci([(0, 1)], 2, 3)]
     incoming = [_fci([(1, 0)], 0, 1), _fci([(1, 1)], 1, 2, 3)]
     counters = {}
-    got = combine_fcis(existing, incoming, 2, counters=counters)
+    got = sorted(combine_fcis(existing, incoming, 2, counters=counters),
+                 key=lambda f: f.codes)  # the merge's result is unordered
     assert got == [
         _fci([(0, 0), (1, 0)], 0, 1),
         _fci([(0, 1), (1, 1)], 2, 3),
@@ -228,8 +229,8 @@ def test_append_combination_equals_full_remine(capsys):
             m.object_labels, m.time_labels,
             [c for c in m.columns if c.cid.time >= split], kind=m.kind)
         for eps in (1, 2, 3):
-            assert combine_fcis(mine_fci(left, eps), mine_fci(right, eps),
-                                eps) == mine_fci(m, eps)
+            assert sorted(combine_fcis(mine_fci(left, eps), mine_fci(right, eps),
+                                       eps), key=lambda f: f.codes) == mine_fci(m, eps)
     _report(capsys, "PASS  append-time combination: equals re-mining the "
                     "whole range on 200 random time splits, frozen "
                     "four-object instance reproduced")

@@ -21,6 +21,7 @@ from comove import (
     shift_times,
     write_fci_store,
 )
+from comove import cli
 from comove.cli import main
 from oracle import brute_write_fci_store
 
@@ -369,6 +370,58 @@ def test_append_builds_fcis_for_the_batch_only(tmp_path, monkeypatch):
             reads.clear()
     small_store, big_store = sizes
     assert big_store > 2 * small_store
+
+
+_TWO_PAIRS = "# epsilon\t2\n# objects\ta,b,c,d\n# times\t0,1,2\n2\ta,b\t0..2:0\n"
+
+
+@pytest.mark.parametrize("row, error", [
+    ("2\tc,d\t0..2:1\n", None),
+    ("2\tc,d\t0..7:1\n", "line 5: unknown time label '7'"),
+    ("2\tc,d\t2:1;0..1:1\n", "line 5: FCI items must be strictly ascending"),
+    ("2\tc,c\t0..2:1\n", "line 5: support 2 does not match 2 member ids"),
+    ("2\tc,d\t0..1:1;2:1\n", None),        # a run that is not maximal
+    ("2\td,c\t0..2:1\n", None),            # ids out of universe order
+    ("02\tc,d\t0..2:1\n", None),           # a support not as written
+])
+def test_append_checks_the_rows_its_merge_never_touches(tmp_path, capsys, row, error):
+    # The batch clusters a and b only, so the merge joins the first row and
+    # never builds the codes of the second; the append still refuses a
+    # faulty second row, naming its line, and writes nothing, and writes the
+    # rows read otherwise than the writer writes them as it writes them.
+    store = tmp_path / "fcis.tsv"
+    store.write_text(_TWO_PAIRS + row)
+    batch = tmp_path / "batch.csv"
+    batch.write_text("object_id,timestamp,x,y\na,3,0,0\nb,3,0,1\n"
+                     "c,3,50,50\nd,3,-50,-50\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main(["append", str(batch), str(out), "--store", str(store)] + APPEND_FLAGS)
+    if error is not None:
+        assert rc == 2
+        assert f"comove: error: {store}: {error}\n" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert rc == 0
+    assert (out / "fcis.tsv").read_text() == (
+        "# epsilon\t2\n# n_objects\t4\n# time_range\t0\t3\n# objects\ta,b,c,d\n"
+        "# times\t0,1,2,3\n2\ta,b\t0..3:0\n2\tc,d\t0..2:1\n")
+
+
+def test_the_parser_is_built_once_and_keeps_no_values(monkeypatch):
+    # main() parses every call with one parser; each call sees only its own
+    # flags, and the defaults of those it does not give
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_append", lambda args: seen.append(vars(args)) or 0)
+    monkeypatch.setattr(cli, "_cmd_mine",
+                        lambda args, parser: seen.append(vars(args)) or 0)
+    assert main(["append", "in.csv", "out", "--store", "s.tsv", "--eps", "2"]) == 0
+    assert main(["mine", "in.csv", "out"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    append, mine = seen
+    assert (append["command"], append["eps"], append["store"]) == ("append", 2.0, "s.tsv")
+    assert (mine["command"], mine["eps"], mine["epsilon"]) == ("mine", 0.001, 2)
+    assert "store" not in mine and "mode" not in append
 
 
 # ---------------------------------------------------------------------------

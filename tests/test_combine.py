@@ -29,6 +29,11 @@ def _fci(items, *ids):
     return FCI(tuple(_cid(t, o) for t, o in items), _tid(*ids))
 
 
+def _combined(*args, **kwargs):
+    """combine_fcis's result, which is unordered, in code order."""
+    return sorted(combine_fcis(*args, **kwargs), key=lambda f: f.codes)
+
+
 # ---------------------------------------------------------------------------
 # Two-store scenario with every code path: produce, absorb both sides, stop
 # ---------------------------------------------------------------------------
@@ -42,7 +47,7 @@ def _two_store_instance():
 def test_combine_two_store_instance():
     existing, incoming = _two_store_instance()
     counters = {}
-    got = combine_fcis(existing, incoming, 2, counters=counters)
+    got = _combined(existing, incoming, 2, counters=counters)
     assert got == [
         _fci([(0, 0), (1, 0)], 0, 1),
         _fci([(0, 1), (1, 1)], 2, 3),
@@ -67,16 +72,16 @@ def test_combine_refuses_an_epsilon_mine_fci_refuses(epsilon):
 def test_combine_empty_sides():
     existing, incoming = _two_store_instance()
     counters = {}
-    assert combine_fcis([], incoming, 2, counters=counters) == sorted(
+    assert _combined([], incoming, 2, counters=counters) == sorted(
         incoming, key=lambda f: f.items)
     assert counters["pairs"] == 0
-    assert combine_fcis(existing, [], 2) == sorted(existing, key=lambda f: f.items)
+    assert _combined(existing, [], 2) == sorted(existing, key=lambda f: f.items)
     assert combine_fcis([], [], 2) == []
 
 
 def test_combine_high_epsilon_keeps_sides_apart():
     existing, incoming = _two_store_instance()
-    got = combine_fcis(existing, incoming, 4)
+    got = _combined(existing, incoming, 4)
     assert got == sorted(existing + incoming, key=lambda f: f.items)
 
 
@@ -97,8 +102,8 @@ def test_combine_time_interleaved_sides():
         even = _sub(m, [c for c in m.columns if c.cid.time % 2 == 0])
         odd = _sub(m, [c for c in m.columns if c.cid.time % 2 == 1])
         for eps in (1, 2, 3):
-            assert combine_fcis(mine_fci(odd, eps), mine_fci(even, eps),
-                                eps) == mine_fci(m, eps)
+            assert _combined(mine_fci(odd, eps), mine_fci(even, eps),
+                             eps) == mine_fci(m, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +133,7 @@ def _halves(m: ClusterMatrix, split: int):
 
 
 def test_random_splits_match_monolithic():
+    # sides given in any order merge to the same itemsets
     rng = np.random.default_rng(71)
     checked = 0
     while checked < 60:
@@ -141,10 +147,13 @@ def test_random_splits_match_monolithic():
             existing = mine_fci(left, eps)
             incoming = mine_fci(right, eps)
             counters = {}
-            got = combine_fcis(existing, incoming, eps, counters=counters)
+            got = _combined(existing, incoming, eps, counters=counters)
             assert got == mine_fci(m, eps)
             # the later side given first joins its codes after the other's
-            assert combine_fcis(incoming, existing, eps) == got
+            assert _combined(incoming, existing, eps) == got
+            shuffled = [[side[i] for i in rng.permutation(len(side))]
+                        for side in (existing, incoming)]
+            assert _combined(*shuffled, eps) == got
             assert counters["pairs"] <= len(existing) * len(incoming)
             assert counters["stops"] == counters["absorbed_incoming"]
             assert counters["absorbed_existing"] <= len(existing)
@@ -207,8 +216,9 @@ def test_any_column_partition_reduces_to_monolithic(case):
     m, parts, merges, eps = case
     results = [mine_fci(p, eps) for p in parts]
     for i in merges:
+        # merged results, unordered, are sides of later merges as they are
         results[i:i + 2] = [combine_fcis(results[i], results[i + 1], eps)]
     want = mine_fci(m, eps)
-    assert results == [want]
+    assert sorted(results[0], key=lambda f: f.codes) == want
     if m.n_columns <= MAX_BRUTE_COLUMNS:
         assert want == brute_fcis(m, eps)

@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import replace
 from itertools import chain
+from operator import lt
 from unittest import mock
 
 import numpy as np
@@ -397,9 +398,9 @@ def _assert_read_as_the_oracle_reads(text: str):
     if got is not None:
         written, write_error = _outcome(_written, write_fci_store, got)
         assert (written, write_error) == _outcome(_written, brute_write_fci_store, want)
-        # the store keeps its rows' text when every row lists its ids in
-        # universe order and writes its items as maximal runs with canonical
-        # ordinals
+        # the store keeps its rows' text when the rows are in strictly
+        # ascending code order and every row lists its ids in universe order
+        # and writes its items as maximal runs with canonical ordinals
         index = {label: i for i, label in enumerate(got.object_labels)}
         t_index = {store_module._fmt_time(t): i for i, t in enumerate(got.time_labels)}
 
@@ -416,8 +417,9 @@ def _assert_read_as_the_oracle_reads(text: str):
                 for (a, _, o), (_, b, p) in zip(runs[1:], runs))
         rows = [line.split("\t") for line in text.split("\n")
                 if line.strip() and line[0] != "#"]
-        assert (got.text is not None) == all(
-            spelled(ids, items) for _, ids, items in rows)
+        codes = [f.codes for f in want.fcis]
+        assert (got.text is not None) == (all(map(lt, codes, codes[1:])) and all(
+            spelled(ids, items) for _, ids, items in rows))
 
 
 @settings(max_examples=400, deadline=None)
@@ -612,15 +614,41 @@ def test_fci_store_clustering_line(line, clustering):
 
 
 def test_fci_store_rows_share_their_item_codes():
-    # each distinct item is one int object, whichever runs hold it
-    store = read_fci_store(io.StringIO(
-        "# epsilon\t1\n# objects\ta,b\n# times\t0,1,2,3\n"
-        "2\ta,b\t1..2:0\n1\ta\t0..3:0\n1\tb\t2:0;3:1\n1\tb\t3:1\n"))
-    items: dict = {}
-    for f in store.fcis:
-        for code in f.codes:
-            assert items.setdefault(code, code) is code
-    assert len(items) == 5
+    # each distinct item is one int object, whichever runs hold it, in a
+    # store read at once (out of code order, so it keeps no text) and in
+    # one read row by row (one row lists its ids out of universe order)
+    for first in ("2\ta,b\t1..2:0\n", "2\tb,a\t1..2:0\n"):
+        store = read_fci_store(io.StringIO(
+            "# epsilon\t1\n# objects\ta,b\n# times\t0,1,2,3\n" + first
+            + "1\ta\t0..3:0\n1\tb\t2:0;3:1\n1\tb\t3:1\n"))
+        assert store.text is None
+        items: dict = {}
+        for f in store.fcis:
+            for code in f.codes:
+                assert items.setdefault(code, code) is code
+        assert len(items) == 5
+
+
+def test_fci_store_rows_build_their_codes_on_first_use():
+    # a store in code order builds no item codes when read; a row builds its
+    # codes when they are first read, each run's once, shared by the rows
+    # holding that run, and its first and last codes are known without them
+    text = ("# epsilon\t1\n# objects\ta,b\n# times\t0,1,2,3\n"
+            "1\ta\t0..3:0\n2\ta,b\t1..2:0\n1\tb\t1..2:0;3:1\n1\tb\t3:1\n")
+    store = read_fci_store(io.StringIO(text))
+    assert store.text is not None
+    assert [f.bounds() for f in store.fcis] == [
+        (0, 3 << 32), (1 << 32, 2 << 32), (1 << 32, 3 << 32 | 1),
+        (3 << 32 | 1, 3 << 32 | 1)]
+    assert store.text.built == {}
+    second, third, fourth = store.fcis[1:]
+    assert third.codes == (1 << 32, 2 << 32, 3 << 32 | 1)
+    assert second.codes[0] is third.codes[0] and fourth.codes[0] is third.codes[2]
+    brute = brute_read_fci_store(io.StringIO(text))
+    assert store.text.built_row(brute.fcis[0].codes + (4 << 32,), 4) is None
+    assert [store.text.built_row(f.codes + (4 << 32,), len(f))
+            for f in (second, third, fourth)] == [1, 2, 3]
+    assert store == brute
 
 
 @settings(max_examples=200, deadline=None)
@@ -644,6 +672,40 @@ def test_fci_store_read_modify_write_matches_the_oracle_writer(store, data):
     assert _written(write_fci_store, merged) == _written(brute_write_fci_store, merged)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_stores(min_size=1), st.data())
+def test_fci_store_append_builds_the_codes_of_union_sides_only(store, data):
+    # an append's merge builds the codes of the stored rows its unions
+    # extend and of no other row, and writes what the oracle writes of the
+    # store read line by line and merged with the same batch
+    buf = io.StringIO()
+    brute_write_fci_store(store, buf)
+    read = read_fci_store(io.StringIO(buf.getvalue()))
+    brute = brute_read_fci_store(io.StringIO(buf.getvalue()))
+    assert read.text is not None
+    n, extra = len(read.time_labels), data.draw(st.integers(1, 3))
+    cids = st.builds(ClusterId, st.integers(n, n + extra - 1), st.integers(0, 2))
+    incoming = [FCI(i, Tidset.from_ids(t)) for i, t in {
+        tuple(sorted(items)): ids for items, ids in data.draw(st.lists(st.tuples(
+            st.sets(cids, min_size=1),
+            st.sets(st.integers(0, len(read.object_labels) - 1), min_size=1)),
+            max_size=4))}.items()]
+    times = read.time_labels + tuple(read.time_labels[-1] + k for k in range(1, extra + 1))
+    built, codes = [], store_module._StoreRows.codes
+    with mock.patch.object(store_module._StoreRows, "codes",
+                           lambda rows, rank: built.append(rank) or codes(rows, rank)):
+        merged = combine_fcis(read.fcis, incoming, read.epsilon)
+        written = _written(write_fci_store, replace(
+            read, time_labels=times, fcis=tuple(merged)))
+    want = combine_fcis(brute.fcis, incoming, brute.epsilon)
+    assert written == _written(brute_write_fci_store, replace(
+        brute, time_labels=times, fcis=tuple(want)))
+    rows = [f.codes for f in brute.fcis]
+    sides = {rows.index(f.codes[:k]) for f in want
+             for k in [sum(c < n << 32 for c in f.codes)] if 0 < k < len(f)}
+    assert sorted(built) == sorted(sides)  # each built once
+
+
 def test_fci_store_reader_counts_rows_items_and_runs():
     # 0..2:0 is three items in one run; 0:0;2:0 two runs, as 1 is not 2's
     # time before.
@@ -662,8 +724,9 @@ def _written(write, store) -> str:
 
 
 def test_fci_store_rows_carry_only_the_text_the_writer_writes():
-    # one row spelled otherwise than the writer writes it drops the text of
-    # the whole store, which is then written from its codes
+    # one row spelled otherwise than the writer writes it, or out of code
+    # order, drops the text of the whole store, which is then written from
+    # its codes
     rows = "2\ta,b\t0:0;1:2\n1\ta\t0:0;1:3\n"
     header = _HEADER.replace("# objects", "# n_objects\t2\n# time_range\t0\t1\n"
                              "# objects")
@@ -672,14 +735,13 @@ def test_fci_store_rows_carry_only_the_text_the_writer_writes():
         ("2\tb,a\t0:1\n", "2\ta,b\t0:1\n"),    # ids out of universe order
         ("1\tb\t0:02\n", "1\tb\t0:2\n"),        # an ordinal not in canonical form
         ("1\ta\t0:3;1:+4\n", "1\ta\t0:3;1:4\n"),
+        ("02\ta,b\t0:1\n", "2\ta,b\t0:1\n"),   # a support not in canonical form
     ]:
         store = read_fci_store(io.StringIO(_HEADER + rows + odd))
         assert (store.text is None) == bool(odd)
         if store.text is not None:
-            labels, times, text = store.text
-            assert (labels, times) == (("a", "b"), ("0", "1"))
-            assert text == {f.mask: (ids, items, f.codes) for f, (ids, items) in
-                            zip(store.fcis, [("a,b", "0:0;1:2"), ("a", "0:0;1:3")])}
+            assert (store.text.labels, store.text.tl) == (("a", "b"), ("0", "1"))
+            assert store.text.lines == rows.splitlines()
         assert store == replace(store, text=None)
         assert _written(write_fci_store, store) == _written(
             brute_write_fci_store, store) == header + rows + fixed
@@ -704,20 +766,24 @@ def test_fci_store_formats_the_items_its_text_does_not_cover(monkeypatch):
     assert _written(write_fci_store, store) == _written(brute_write_fci_store, store)
 
 
-@pytest.mark.parametrize("rows", [
-    "1\ta\t0:0\n1\ta\t1:0\n",
-    "1\ta\t1:0\n1\ta\t0..1:0\n",
-    "2\ta,b\t0:0\n2\ta,b\t0:0;1:1\n1\tb\t0..1:0\n",
+@pytest.mark.parametrize("rows, in_order", [
+    ("1\ta\t0:0\n1\ta\t1:0\n", True),
+    ("1\ta\t1:0\n1\ta\t0..1:0\n", False),
+    ("1\ta\t0..1:0\n1\ta\t1:0\n", True),
+    ("2\ta,b\t0:0\n2\ta,b\t0:0;1:1\n1\tb\t0..1:0\n", False),
+    ("2\ta,b\t0:0\n1\tb\t0..1:0\n2\ta,b\t0:0;1:1\n", True),
 ])
-def test_fci_store_rows_sharing_a_tidset_are_written_as_the_oracle_writes(rows):
+def test_fci_store_rows_sharing_a_tidset_are_written_as_the_oracle_writes(
+        rows, in_order):
     store = read_fci_store(io.StringIO(_HEADER + rows))
-    assert store.text is not None
+    assert (store.text is not None) == in_order
     assert _written(write_fci_store, store) == _written(brute_write_fci_store, store)
 
 
 def test_fci_store_written_back_formats_nothing(monkeypatch):
     # a canonical store read and written back copies every row's text: no
-    # item is formatted and no tidset expanded, unless the text is dropped
+    # item is formatted unless the text is dropped, and the writer formats
+    # member ids from tidset masks, expanding no tidset
     m = gen_random_matrix(np.random.default_rng(41))
     buf = io.StringIO()
     write_fci_store(FciStore(1, m.object_labels, m.time_labels,
@@ -732,7 +798,7 @@ def test_fci_store_written_back_formats_nothing(monkeypatch):
     assert _written(write_fci_store, read) == buf.getvalue()
     assert formatted == [] and expanded == [] and read.fcis
     assert _written(write_fci_store, replace(read, text=None)) == buf.getvalue()
-    assert formatted and len(expanded) == len(read.fcis)
+    assert formatted and expanded == []
 
 
 @pytest.mark.parametrize("objects, times", [

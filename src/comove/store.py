@@ -635,6 +635,8 @@ def _read_rows(lines: list[str], labels, o_index, t_index, epsilon: int):
     expression, with the order and count checks in numpy.  Each row's tidset
     mask is packed from its ids' bytes; its codes are left to be built."""
     n = len(lines)
+    if not n:
+        return (), _StoreRows(labels, tuple(t_index), [], [0], [], [], [], []), (0, 0, 0)
     skeleton = "\n".join(lines).encode("utf-8", "surrogatepass").translate(
         None, _NOT_TAB_OR_NEWLINE)
     if skeleton != b"\t\t\n" * (n - 1) + b"\t\t":

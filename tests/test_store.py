@@ -766,17 +766,18 @@ def test_fci_store_formats_the_items_its_text_does_not_cover(monkeypatch):
     assert _written(write_fci_store, store) == _written(brute_write_fci_store, store)
 
 
-@pytest.mark.parametrize("rows, in_order", [
-    ("1\ta\t0:0\n1\ta\t1:0\n", True),
-    ("1\ta\t1:0\n1\ta\t0..1:0\n", False),
-    ("1\ta\t0..1:0\n1\ta\t1:0\n", True),
-    ("2\ta,b\t0:0\n2\ta,b\t0:0;1:1\n1\tb\t0..1:0\n", False),
-    ("2\ta,b\t0:0\n1\tb\t0..1:0\n2\ta,b\t0:0;1:1\n", True),
+@pytest.mark.parametrize("rows", [
+    "1\ta\t0:0\n1\ta\t1:0\n",
+    "1\ta\t1:0\n1\ta\t0..1:0\n",
+    "2\ta,b\t0:0\n2\ta,b\t0:0;1:1\n1\tb\t0..1:0\n",
+    "1\ta\t0..1:0\n1\ta\t1:0\n",
+    "2\ta,b\t0:0\n1\tb\t0..1:0\n2\ta,b\t0:0;1:1\n",
 ])
-def test_fci_store_rows_sharing_a_tidset_are_written_as_the_oracle_writes(
-        rows, in_order):
+def test_fci_store_rows_sharing_a_tidset_are_written_as_the_oracle_writes(rows):
+    # the store keeps its text only when its rows are in code order
     store = read_fci_store(io.StringIO(_HEADER + rows))
-    assert (store.text is not None) == in_order
+    codes = [f.codes for f in store.fcis]
+    assert (store.text is not None) == all(map(lt, codes, codes[1:]))
     assert _written(write_fci_store, store) == _written(brute_write_fci_store, store)
 
 

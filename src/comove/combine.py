@@ -18,10 +18,11 @@ an incoming one is absorbed and never revisited, and the scan for one
 incoming itemset stops once its whole tidset has been matched, since any
 later pairing is covered by an earlier, more specific itemset.
 
-The loop reads each FCI's tidset mask, and the item codes of an existing
-itemset only when it is the existing side of a union, and builds the combined
-itemsets packed, so the block merges and an append never build ClusterId or
-Tidset objects.  Each side is walked in a stable sort by support alone, so a
+The merge reads each FCI's tidset mask and first and last item codes
+(``FCI.bounds``), and the item codes of the two sides of each union it makes
+(of every itemset only when the sides' code ranges interleave), and builds
+the combined itemsets packed, so the block merges and an append never build
+ClusterId or Tidset objects.  Each side is walked in a stable sort by support alone, so a
 side given in code order is walked in (support, codes) order.  The result is
 not sorted: an append hands it to ``write_fci_store``, which orders the rows
 it writes, and the block merges sort it by codes.  Itemsets read from a store

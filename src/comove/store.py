@@ -17,12 +17,12 @@ separator of the format.  The pattern writers refuse ids holding ``;``.
 The itemset store is read into packed FCIs (tidset masks and item codes).
 A row writes its items as runs, ``a..b:o`` for ordinal ``o`` at every store
 time from label ``a`` through ``b`` and ``t:o`` for one item, so each row
-stands alone.  When a store's rows are in code order and each is written as
-the writer writes it, the reader checks them all at once, builds each row's
-tidset mask and leaves its item codes to be built on first use; it keeps
-the rows, so writing the store back after an append copies the line of
-every stored itemset the append keeps and formats only the items the batch
-adds.  Only this module knows that text.
+stands alone.  The reader checks a store's rows all at once where it can,
+builds each row's tidset mask and leaves its item codes to be built on
+first use.  When the rows are in code order and each is written as the
+writer writes it, it keeps them, so writing the store back after an append
+copies the line of every stored itemset the append keeps and formats only
+the items the batch adds.  Only this module knows that text.
 """
 
 from __future__ import annotations

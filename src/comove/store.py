@@ -60,7 +60,6 @@ from .model import (
     canonical_sort,
     code_item,
     item_code,
-    packed_fci,
 )
 
 __all__ = [
@@ -322,49 +321,48 @@ _ABOVE = (1 << 64) - 1
 
 
 class _StoreRows:
-    """The rows of a store read at once (see ``_read_rows``).
+    """The rows of a read store (see ``_read_rows`` and
+    ``_read_rows_one_by_one``).
 
-    Row ``rank`` is ``lines[rank]``; its runs are ``tok[row_start[rank]:
-    row_start[rank + 1]]``, indices of distinct run texts whose first and
-    last item codes are ``first`` and ``last``.  ``built`` holds the rows
-    whose codes were built, with their codes, by first code, last code and
-    count.  ``keys`` is None unless the runs are maximal and the rows in
-    strictly ascending code order, so each row is as the writer writes it;
-    ``keys[rank]`` then lists for each run its first code, then its last
-    code when the row's next code is smaller than the run's next one would
-    be (at the same time, or the row ends there), else ``_ABOVE`` less its
-    last code; those lists sort as the rows' codes do."""
+    Row ``rank``'s runs are ``tok[row_start[rank]:row_start[rank + 1]]``,
+    indices of distinct run texts whose first and last item codes are
+    ``first`` and ``last``.  ``keys`` is None unless the store was read at
+    once, its runs are maximal and its rows in strictly ascending code
+    order, so each row is as the writer writes it; row ``rank`` is then
+    ``lines[rank]``, ``built`` holds the rows whose codes were built, with
+    their codes, by first code, last code and count, and ``keys[rank]``
+    lists for each run its first code, then its last code when the row's
+    next code is smaller than the run's next one would be (at the same
+    time, or the row ends there), else ``_ABOVE`` less its last code; those
+    lists sort as the rows' codes do."""
 
     def __init__(self, labels, tl, lines, row_start, tok, first, last, keys):
         self.labels, self.tl, self.lines = labels, tl, lines
         self.row_start, self.tok, self.first, self.last = row_start, tok, first, last
         self.keys = keys
         self.run_codes: dict[int, tuple[int, ...]] = {}
-        self.pools: dict[int, list[int]] = {}  # ordinal -> its codes by time
+        self.pool: list[int] | None = None  # the runs' distinct items
+        self.spans: list[slice] = []  # each run's codes in pool
         self.built: dict[tuple[int, int, int], list] = {}
 
     def codes(self, rank: int) -> tuple[int, ...]:
         """Row ``rank``'s item codes.  A run's codes are made once, as a
-        slice of the codes of its ordinal at every store time, which are
-        made on the ordinal's first use; so each item is one int object,
-        whichever rows hold it."""
+        slice of the pool of the store's distinct items (see
+        ``_item_pool``), which is made on the first row's; so each item is
+        one int object, whichever rows hold it."""
+        if self.pool is None:
+            self.pool, self.spans = _item_pool(self.first, self.last)
         parts = []
         for t in self.tok[self.row_start[rank]:self.row_start[rank + 1]]:
             run = self.run_codes.get(t)
             if run is None:
-                first, last = self.first[t], self.last[t]
-                o = first & _ORDINAL_MASK
-                pool = self.pools.get(o)
-                if pool is None:
-                    pool = self.pools[o] = list(range(
-                        o, len(self.tl) << _ITEM_BITS, _TIME_STEP))
-                run = self.run_codes[t] = tuple(
-                    pool[first >> _ITEM_BITS:(last >> _ITEM_BITS) + 1])
+                run = self.run_codes[t] = tuple(self.pool[self.spans[t]])
             parts.append(run)
         # () + t is t, so one run shares its tuple
         codes = parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
-        self.built.setdefault((codes[0], codes[-1], len(codes)), []).append(
-            (rank, codes))
+        if self.keys is not None:
+            self.built.setdefault((codes[0], codes[-1], len(codes)), []).append(
+                (rank, codes))
         return codes
 
     def built_row(self, codes: tuple[int, ...], k: int) -> int | None:
@@ -429,6 +427,33 @@ class _StoreRows:
         run, sep2, rest = later.partition(";")
         start = self.tl[self.first[t] >> _ITEM_BITS]
         return f"{head}{sep}{start}..{run.partition('..')[2] or run}{sep2}{rest}"
+
+
+def _item_pool(first: list[int], last: list[int]) -> tuple[list[int], list[slice]]:
+    """The distinct items of runs with first and last item codes ``first``
+    and ``last``, as one list of ints made once each, and each run's slice
+    of it.  The runs of one ordinal whose times overlap or touch share one
+    stretch of the list, so it holds no item that no run holds."""
+    if not first:
+        return [], []
+    f, g = np.array(first, np.int64), np.array(last, np.int64)
+    order = np.lexsort((f >> _ITEM_BITS, f & _ORDINAL_MASK))
+    # ordinal-major keys of each run's first and last times, in that order
+    a = ((f & _ORDINAL_MASK).astype(np.uint64) << _ITEM_BITS
+         | (f >> _ITEM_BITS).astype(np.uint64))[order]
+    b = np.maximum.accumulate(a + ((g - f) >> _ITEM_BITS).astype(np.uint64)[order])
+    new = np.ones(len(a), bool)  # a run past the stretch before: a new stretch
+    new[1:] = a[1:] > b[:-1] + 1
+    heads = np.flatnonzero(new)
+    lengths = (b[np.append(heads[1:] - 1, len(a) - 1)] - a[heads] + 1).astype(np.int64)
+    base = np.cumsum(lengths) - lengths  # each stretch's start in the pool
+    stretch = np.cumsum(new) - 1
+    pool = (np.repeat(f[order][heads] - base * _TIME_STEP, lengths)
+            + np.arange(lengths.sum(), dtype=np.int64) * _TIME_STEP).tolist()
+    at = np.empty(len(a), np.int64)
+    at[order] = base[stretch] + (a - a[heads][stretch]).astype(np.int64)
+    end = at + ((g - f) >> _ITEM_BITS) + 1
+    return pool, list(map(slice, at.tolist(), end.tolist()))
 
 
 def write_fci_store(store: FciStore, dest):
@@ -545,8 +570,9 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
     strictly ascending code order, so each row is as the writer writes it,
     its ``text`` keeps the rows, and writing it back copies the line of each
     row it keeps.  Any other store, and one with a faulty row, is read row
-    by row (``_read_rows_one_by_one``), with every FCI's codes built; a
-    store has no ``text`` unless it is read at once and kept.
+    by row (``_read_rows_one_by_one``), its FCIs building their codes on
+    first use too; a store has no ``text`` unless it is read at once and
+    kept.
 
     ``counters``, when given, is filled with ``rows``, ``items`` and
     ``runs``."""
@@ -723,14 +749,12 @@ def _read_rows(lines: list[str], labels, o_index, t_index, epsilon: int):
 def _read_rows_one_by_one(body, o_index, t_index, epsilon: int):
     """(FCIs, None, (rows, items, runs)) of store rows ``body``, (line
     number, line) pairs, each checked in turn, the first fault raised as
-    ParseError at its line.
-
-    Each distinct run is parsed once.  The items of the runs, by ordinal
-    then time, are the store's distinct items, made once each in one list;
-    a run's codes are a slice of it, and a row's are its runs' joined."""
+    ParseError at its line.  Each distinct run is parsed once; the FCIs
+    build their codes from the runs on first use, as ``_read_rows``'s do."""
     o_bit = {o: 1 << i for o, i in o_index.items()}
-    parsed: dict[str, tuple[int, int, int]] = {}  # run text -> (ordinal, first, last)
-    read = []  # (mask, runs) per row
+    index: dict[str, int] = {}  # run text -> its index in runs
+    runs: list[tuple[int, int, int]] = []  # (ordinal, first, last time index)
+    masks, tok, row_start = [], [], [0]
     for line_no, line in body:
         parts = line.split("\t")
         if len(parts) != 3:
@@ -758,31 +782,27 @@ def _read_rows_one_by_one(body, o_index, t_index, epsilon: int):
             raise ParseError(f"support {support} is below the store's epsilon "
                              f"{epsilon}", line=line_no)
         tokens = items.split(";")
-        for token in filterfalse(parsed.__contains__, tokens):
-            parsed[token] = _parse_run(token, t_index, line_no)
-        runs = list(map(parsed.__getitem__, tokens))
-        for (o, a, _), (p, _, b) in zip(runs[1:], runs):
+        for token in filterfalse(index.__contains__, tokens):
+            runs.append(_parse_run(token, t_index, line_no))
+            index[token] = len(runs) - 1
+        row = list(map(index.__getitem__, tokens))
+        for i, j in zip(row, row[1:]):
+            (p, _, b), (o, a, _) = runs[i], runs[j]
             if (a, o) <= (b, p):
                 raise ParseError("FCI items must be strictly ascending", line=line_no)
-        read.append((mask, runs))
+        masks.append(mask)
+        tok += row
+        row_start.append(len(tok))
 
-    pool, run_codes, o_end = [], {}, None  # distinct item codes; run -> its codes
-    for run in sorted(set(parsed.values())):
-        o, a, b = run
-        if o != o_end or a > t_end + 1:  # a new stretch of times (first: o_end None)
-            origin, o_end, t_end = len(pool) - a, o, a - 1
-        if b > t_end:
-            pool += range(item_code(t_end + 1, o), item_code(b, o) + 1, _TIME_STEP)
-            t_end = b
-        run_codes[run] = tuple(pool[origin + a:origin + b + 1])
-    fcis = []
-    for mask, runs in read:
-        # () + t is t, so one run shares its tuple; sum copies runs quadratically
-        codes = (sum(map(run_codes.__getitem__, runs), ()) if len(runs) < 8 else
-                 tuple(chain.from_iterable(map(run_codes.__getitem__, runs))))
-        fcis.append(packed_fci(mask, codes))
-    return (tuple(fcis), None,
-            (len(fcis), sum(len(f.codes) for f in fcis), sum(len(r) for _, r in read)))
+    first = [a << _ITEM_BITS | o for o, a, _ in runs]
+    last = [b << _ITEM_BITS | o for o, _, b in runs]
+    rows = _StoreRows(None, tuple(t_index), None, row_start, tok, first, last, None)
+    fcis = tuple(map(_stored_fci, masks, count(), zip(
+        map(first.__getitem__, map(tok.__getitem__, row_start[:-1])),
+        map(last.__getitem__, map(tok.__getitem__, [i - 1 for i in row_start[1:]]))),
+        repeat(rows)))
+    n_items = sum([runs[t][2] - runs[t][1] + 1 for t in tok])
+    return fcis, None, (len(fcis), n_items, len(tok))
 
 
 # ---------------------------------------------------------------------------

@@ -629,6 +629,25 @@ def test_fci_store_rows_share_their_item_codes():
         assert len(items) == 5
 
 
+@pytest.mark.parametrize("ids", ["a", "b,a"], ids=["at-once", "row-by-row"])
+def test_fci_store_item_pool_holds_only_the_stored_items(ids):
+    # 1 997 ordinals, each at one of 2 000 times, and ordinal 0 again over
+    # the last three: building every row's codes makes the 2 000 stored
+    # items, not an item for every time of every ordinal
+    n = 2000
+    rows = [f"{ids.count(',') + 1}\t{ids}\t0:0\n"]
+    rows += [f"1\ta\t{t}:{t}\n" for t in range(1, n - 3)]
+    text = (f"# epsilon\t1\n# objects\ta,b\n# times\t{','.join(map(str, range(n)))}\n"
+            + "".join(rows) + f"1\ta\t{n - 3}..{n - 1}:0\n")
+    store = read_fci_store(io.StringIO(text))
+    assert (store.text is None) == (ids != "a")
+    pool = store.fcis[0]._rows
+    assert all(f._rows is pool for f in store.fcis)
+    assert store == brute_read_fci_store(io.StringIO(text))  # builds every row's codes
+    assert len(pool.pool) == n
+    assert store.fcis[-1].codes[-1] is pool.pool[3]  # ordinal 0 at time 1 999
+
+
 def test_fci_store_rows_build_their_codes_on_first_use():
     # a store in code order builds no item codes when read; a row builds its
     # codes when they are first read, each run's once, shared by the rows

@@ -294,7 +294,7 @@ class _StoredFCI(FCI):
     runs on first read.  (A property, not ``__getattr__``, which would slow
     every other attribute read, ``mask`` in the merge loop among them.)"""
 
-    __slots__ = ("_rank", "_rows", "_bounds", "_codes")
+    __slots__ = ("_rank", "_rows", "_codes")
 
     @property
     def codes(self) -> tuple[int, ...]:
@@ -304,13 +304,14 @@ class _StoredFCI(FCI):
         return codes
 
     def bounds(self) -> tuple[int, int]:
-        return self._bounds
+        rows, rank = self._rows, self._rank
+        return (rows.first[rows.tok[rows.row_start[rank]]],
+                rows.last[rows.tok[rows.row_start[rank + 1] - 1]])
 
 
-def _stored_fci(mask: int, rank: int, bounds: tuple[int, int],
-                rows: _StoreRows) -> _StoredFCI:
+def _stored_fci(mask: int, rank: int, rows: _StoreRows) -> _StoredFCI:
     f = _new(_StoredFCI)
-    f.mask, f._rank, f._bounds, f._rows = mask, rank, bounds, rows
+    f.mask, f._rank, f._rows = mask, rank, rows
     f._codes = f._items = f._tidset = None
     return f
 
@@ -740,8 +741,7 @@ def _read_rows(lines: list[str], labels, o_index, t_index, epsilon: int):
             keys = None
     rows = _StoreRows(labels, tuple(t_index), lines, row_start.tolist(), tok.tolist(),
                       first.tolist(), last.tolist(), keys)
-    fcis = tuple(map(_stored_fci, masks, range(n), zip(
-        f[row_start[:-1]].tolist(), g[row_start[1:] - 1].tolist()), repeat(rows)))
+    fcis = tuple(map(_stored_fci, masks, range(n), repeat(rows)))
     n_items = int(((g - f) >> _ITEM_BITS).sum()) + len(tok)
     return fcis, rows if keys is not None else None, (n, n_items, len(tok))
 
@@ -797,10 +797,7 @@ def _read_rows_one_by_one(body, o_index, t_index, epsilon: int):
     first = [a << _ITEM_BITS | o for o, a, _ in runs]
     last = [b << _ITEM_BITS | o for o, _, b in runs]
     rows = _StoreRows(None, tuple(t_index), None, row_start, tok, first, last, None)
-    fcis = tuple(map(_stored_fci, masks, count(), zip(
-        map(first.__getitem__, map(tok.__getitem__, row_start[:-1])),
-        map(last.__getitem__, map(tok.__getitem__, [i - 1 for i in row_start[1:]]))),
-        repeat(rows)))
+    fcis = tuple(map(_stored_fci, masks, count(), repeat(rows)))
     n_items = sum([runs[t][2] - runs[t][1] + 1 for t in tok])
     return fcis, None, (len(fcis), n_items, len(tok))
 

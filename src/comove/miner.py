@@ -93,8 +93,15 @@ def mine_columns(columns: Sequence[Column], n_objects: int,
         else:
             items = x_items + tuple(closure)
             results.append((items, new_tid))
+            # Of the children with one tidset only the first is pushed: a
+            # later one meets it in its live list, covering its tidset
+            # before its column, and would be rejected.
+            first: dict[int, int] = {}
+            for j2 in new_live:
+                if j2 > j:
+                    first.setdefault(new_tid & masks[j2], j2)
             stack.extend((j2, items, new_tid, new_live)
-                         for j2 in reversed(new_live) if j2 > j)
+                         for j2 in reversed(first.values()))
 
     fcis = [packed_fci(tid, tuple(sorted([codes[j] for k in items for j in groups[k]])))
             for items, tid in results]

@@ -16,7 +16,7 @@ Consecutive runs are breaks in the item times; a run is guarded when the AND
 of its columns' words equals the itemset's tidset; moving-cluster chains
 break where the Jaccard similarity of two adjacent columns falls below theta,
 and their cores are another ``reduceat``.  A chunk takes each distinct
-adjacent pair's similarity once, from byte-table popcounts of the AND and OR
+adjacent pair's similarity once, from popcounts of the AND and OR
 of the pair's words, so nothing but the output is kept between chunks.
 Pattern objects are built only for what is emitted, and ClusterIds only
 for the moving-cluster chains, from the matrix's own columns.
@@ -67,13 +67,29 @@ def _mask(words: np.ndarray) -> int:
     return int.from_bytes(words.tobytes(), "little")
 
 
-# Set bits per byte value: ``np.bitwise_count`` needs numpy 2.
-_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+_bitwise_count = getattr(np, "bitwise_count", None)  # numpy >= 2.0
+_M1, _M2, _M4, _H01 = map(np.uint64, (0x5555555555555555, 0x3333333333333333,
+                                      0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
+
+
+def _bits(words: np.ndarray) -> np.ndarray:
+    """The set bits of each word of a uint64 array, as uint8.  Without
+    ``np.bitwise_count``, each word's bits are summed in place (SWAR)."""
+    if _bitwise_count is not None:
+        return _bitwise_count(words)
+    x = words - ((words >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    return ((((x + (x >> np.uint64(4))) & _M4) * _H01) >> np.uint64(56)).astype(np.uint8)
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits per row of a C-contiguous ``(rows, W)`` uint64 array."""
-    return _BYTE_BITS[words.view(np.uint8)].sum(axis=1, dtype=np.int64)
+    """Set bits per row of a ``(rows, W)`` uint64 array, as int64."""
+    bits = _bits(words)
+    # a column at a time: a reduction along a short last axis is slow
+    total = bits[:, 0].astype(np.int64)
+    for k in range(1, bits.shape[1]):
+        total += bits[:, k]
+    return total
 
 
 class _Columns:

@@ -36,12 +36,13 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain, compress, count, filterfalse, repeat
-from operator import attrgetter, itemgetter, lt, methodcaller, not_
+from itertools import accumulate, chain, count, filterfalse, repeat
+from operator import attrgetter, itemgetter, lt, methodcaller
 from pathlib import Path
 
 import numpy as np
 
+from .combine import _Union
 from .ingest import TrajectoryDB, _parse_timestamp
 from .model import (
     _ITEM_BITS,
@@ -330,12 +331,10 @@ class _StoreRows:
     ``first`` and ``last``.  ``keys`` is None unless the store was read at
     once, its runs are maximal and its rows in strictly ascending code
     order, so each row is as the writer writes it; row ``rank`` is then
-    ``lines[rank]``, ``built`` holds the rows whose codes were built, with
-    their codes, by first code, last code and count, and ``keys[rank]``
-    lists for each run its first code, then its last code when the row's
-    next code is smaller than the run's next one would be (at the same
-    time, or the row ends there), else ``_ABOVE`` less its last code; those
-    lists sort as the rows' codes do."""
+    ``lines[rank]``, and ``keys[rank]`` lists for each run its first code,
+    then its last code when the row's next code is smaller than the run's
+    next one would be (at the same time, or the row ends there), else
+    ``_ABOVE`` less its last code; those lists sort as the rows' codes do."""
 
     def __init__(self, labels, tl, lines, row_start, tok, first, last, keys):
         self.labels, self.tl, self.lines = labels, tl, lines
@@ -344,7 +343,6 @@ class _StoreRows:
         self.run_codes: dict[int, tuple[int, ...]] = {}
         self.pool: list[int] | None = None  # the runs' distinct items
         self.spans: list[slice] = []  # each run's codes in pool
-        self.built: dict[tuple[int, int, int], list] = {}
 
     def codes(self, rank: int) -> tuple[int, ...]:
         """Row ``rank``'s item codes.  A run's codes are made once, as a
@@ -360,18 +358,7 @@ class _StoreRows:
                 run = self.run_codes[t] = tuple(self.pool[self.spans[t]])
             parts.append(run)
         # () + t is t, so one run shares its tuple
-        codes = parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
-        if self.keys is not None:
-            self.built.setdefault((codes[0], codes[-1], len(codes)), []).append(
-                (rank, codes))
-        return codes
-
-    def built_row(self, codes: tuple[int, ...], k: int) -> int | None:
-        """The row whose codes were built and are ``codes[:k]``, if any."""
-        for rank, built in self.built.get((codes[0], codes[k - 1], k), ()):
-            if built == codes[:k]:
-                return rank
-        return None
+        return parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
 
     def block_end(self, rank: int) -> int:
         """The last row that has row ``rank``'s codes as a leading part."""
@@ -380,28 +367,35 @@ class _StoreRows:
 
     def write_lines(self, fcis, labels, tl: tuple[str, ...]) -> list[str] | None:
         """The lines of ``fcis`` in code order, or None unless each is one of
-        these rows, a union of a row whose codes were built and items at
-        later times, or an itemset of later times only.  A row's line is
-        copied; a union is written after the last row that has its row's
-        codes as a leading part, its items text the row's joined to the
-        formatted later runs, and the run that crosses the junction joined
-        into one.  Itemsets of later times only come last."""
+        these rows, a union (see ``comove.combine``) of one of them and an
+        itemset of later times, or an itemset of later times only.  A row's
+        line is copied; a union is written after the last row that has its
+        row's codes as a leading part, ahead of the unions of rows before
+        its row, its items text the row's joined to the later itemset's
+        formatted runs, and the run that crosses the junction joined into
+        one.  No row's codes are built.  Itemsets of later times only come
+        last."""
         if labels != self.labels or tl[:len(self.tl)] != self.tl:
             return None
-        ours = [f.__class__ is _StoredFCI and f._rows is self for f in fcis]
-        ranks = sorted([f._rank for f, mine in zip(fcis, ours) if mine])
         cut, end = len(self.tl) << _ITEM_BITS, len(tl) << _ITEM_BITS
-        placed = []  # (row it follows, -stored items, later codes, FCI, stored row)
-        for f in compress(fcis, map(not_, ours)):
-            codes = f.codes
-            if codes[0] < 0 or codes[-1] >= end or f.mask >> len(labels):
-                return None  # refused as the generic writer refuses it
-            k = bisect_left(codes, cut)
-            side = self.built_row(codes, k) if 0 < k < len(codes) else None
-            if side is None and k:
-                return None
-            placed.append((len(self.lines) if side is None else self.block_end(side),
-                           -k, codes[k:], f, side))
+        ranks = []
+        placed = []  # (row it follows, -its row, later codes, FCI, its row)
+        for f in fcis:
+            if f.__class__ is _StoredFCI and f._rows is self:
+                ranks.append(f._rank)
+                continue
+            side = None
+            if f.__class__ is _Union and f.apart and f.head.__class__ is _StoredFCI \
+                    and f.head._rows is self:
+                side, f_later = f.head._rank, f.tail
+            else:
+                f_later = f
+            later = f_later.codes
+            if later[0] < cut or later[-1] >= end or f.mask >> len(labels):
+                return None  # not of later times, or refused by the generic writer
+            placed.append((len(self.lines), 1, later, f, None) if side is None else
+                          (self.block_end(side), -side, later, f, side))
+        ranks.sort()
         placed.sort(key=itemgetter(0, 1, 2))
         texts = _run_texts([p[2] for p in placed], tl)
         members = _member_texts([p[3].mask for p in placed], labels)
@@ -470,9 +464,10 @@ def write_fci_store(store: FciStore, dest):
     A store read with ``text`` and written back under the object labels it
     was read with, and time labels that start with the ones read, as after
     an append, copies the line of every stored row it keeps and writes only
-    the rest (see ``_StoreRows.write_lines``): the unions, whose items text
-    is their stored row's followed by the runs formatted from their codes at
-    later times, and the itemsets of later times only.  Any other store is
+    the rest (see ``_StoreRows.write_lines``): the merge's unions of a
+    stored row and an itemset of later times, whose items text is the row's
+    followed by the runs formatted from that itemset's codes, and the
+    itemsets of later times only.  Any other store is
     sorted by codes and formatted whole, member ids from tidset masks and
     items from their codes."""
     labels = store.object_labels
@@ -819,14 +814,30 @@ def check_pattern_object_ids(object_labels):
 def _pattern_rows(patterns, matrix: ClusterMatrix):
     """(pattern, kind, objects, times, weight) in canonical order.  Times are
     labels, formatted once per call; consecutive stretches are written as
-    first..last.  Each distinct tidset's member ids are joined once."""
+    first..last, except in a listed-times field, where each run of
+    consecutive times is one slice of all the labels joined by ``;``.  Each
+    distinct tidset's member ids are joined once."""
     labels = [_fmt_time(t) for t in matrix.time_labels]
+    joined = ";".join(labels)
+    at = [0, *accumulate(len(label) + 1 for label in labels)]  # each label in joined
     object_labels = matrix.object_labels
     n_times = matrix.n_times
     members: dict[int, str] = {}  # tidset mask -> ;-joined member ids
 
     def span(a: int, b: int) -> str:
         return labels[a] if a == b else f"{labels[a]}..{labels[b]}"
+
+    def listed(times: tuple[int, ...]) -> str:
+        # strictly ascending times: t - index is constant along a run of
+        # consecutive ones and grows from run to run, so a bisection finds
+        # each run's end
+        runs, i, n = [], 0, len(times)
+        while i < n:
+            d = times[i] - i
+            j = bisect_left(range(i, n), True, key=lambda k: times[k] - k != d) + i
+            runs.append(joined[at[times[i]]:at[times[j - 1] + 1] - 1])
+            i = j
+        return ";".join(runs)
 
     for p in canonical_sort(patterns):
         objects = members.get(p.objects.mask)
@@ -839,8 +850,7 @@ def _pattern_rows(patterns, matrix: ClusterMatrix):
             start, end = p.start, p.end
             times, weight = span(start, end), (end - start + 1) / n_times
         else:
-            times = ";".join([labels[t] for t in p.times])
-            weight = len(p.times) / n_times
+            times, weight = listed(p.times), len(p.times) / n_times
         yield p, p.kind, objects, times, weight
 
 

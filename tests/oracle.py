@@ -3,14 +3,15 @@
 The functions here are deliberately naive: they enumerate candidate itemsets
 or object subsets exhaustively, expand clusters point by point, decode
 itemsets item by item, read or write CSV records or store lines one at a
-time, and apply the definitions directly, without sharing any code with the
-production clustering, miner, pattern decoder, CSV parser and writers or
-store codec (the parser oracle reuses only ``_parse_timestamp``, the rule
-for one timestamp field, and the store and writer oracles only
-``_fmt_time``, ``_iso_time`` and ``_parse_time_label``, the rules for one
-time label).  They exist so the fast paths can be checked against an
-independent computation on small inputs; size guards keep the enumerations
-from being misused on anything big.
+time, merge two mined sides pair by pair, and apply the definitions
+directly, without sharing any code with the production clustering, miner,
+merge, pattern decoder, CSV parser and writers or store codec (the parser
+oracle reuses only ``_parse_timestamp``, the rule for one timestamp field,
+and the store and writer oracles only ``_fmt_time``, ``_iso_time`` and
+``_parse_time_label``, the rules for one time label).  They exist so the
+fast paths can be checked against an independent computation on small
+inputs; size guards keep the enumerations from being misused on anything
+big.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "brute_read_fci_store",
     "brute_write_fci_store",
     "brute_fcis",
+    "brute_combine_fcis",
     "brute_closed_swarms",
     "brute_convoys",
     "brute_group_patterns",
@@ -114,6 +116,50 @@ def brute_fcis(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:
             out.append(FCI(items, Tidset(mask)))
     out.sort(key=lambda f: f.items)
     return out
+
+
+def brute_combine_fcis(existing: list[FCI], incoming: list[FCI],
+                       epsilon: int) -> tuple[list[FCI], dict]:
+    """The merge of two column-disjoint sides' closed itemsets as a
+    support-ascending double loop over every pair, and its counters.
+
+    Walking supports upward, the first pair producing a tidset is the most
+    specific one, so the first hit's union is kept.  An existing itemset
+    whose tidset lies inside an incoming one is absorbed and skipped from
+    then on; the row of an incoming itemset stops at the first existing
+    itemset that contains it.  Returns (the surviving existing itemsets, the
+    surviving incoming ones, each in support order, then the unions in the
+    order made; counters ``pairs``, ``new``, ``absorbed_existing``,
+    ``absorbed_incoming`` and ``stops``)."""
+    old = sorted(existing, key=lambda f: len(f.tidset))
+    new = sorted(incoming, key=lambda f: len(f.tidset))
+    stats = dict.fromkeys(("pairs", "new", "absorbed_existing",
+                           "absorbed_incoming", "stops"), 0)
+    old_dead = [False] * len(old)
+    new_dead = [False] * len(new)
+    produced: dict[Tidset, FCI] = {}
+    for ni, cin in enumerate(new):
+        for oi, cex in enumerate(old):
+            if old_dead[oi]:
+                continue
+            stats["pairs"] += 1
+            gamma = cex.tidset & cin.tidset
+            if len(gamma) < epsilon:
+                continue
+            if gamma not in produced:
+                produced[gamma] = FCI(sorted(cex.items + cin.items), gamma)
+                stats["new"] += 1
+            if gamma == cex.tidset:
+                old_dead[oi] = True
+                stats["absorbed_existing"] += 1
+            if gamma == cin.tidset:
+                new_dead[ni] = True
+                stats["absorbed_incoming"] += 1
+                stats["stops"] += 1
+                break
+    result = [f for f, dead in zip(old, old_dead) if not dead]
+    result += [f for f, dead in zip(new, new_dead) if not dead]
+    return result + list(produced.values()), stats
 
 
 def _guard_objects(matrix: ClusterMatrix, who: str):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import comove.patterns
 from comove import (
     FCI,
     ClusterId,
@@ -14,7 +17,8 @@ from comove import (
     mine_fci,
     shift_times,
 )
-from oracle import MAX_BRUTE_COLUMNS, brute_fcis, gen_random_matrix
+from comove.model import packed_fci
+from oracle import MAX_BRUTE_COLUMNS, brute_combine_fcis, brute_fcis, gen_random_matrix
 
 
 def _cid(t, o):
@@ -222,3 +226,108 @@ def test_any_column_partition_reduces_to_monolithic(case):
     assert sorted(results[0], key=lambda f: f.codes) == want
     if m.n_columns <= MAX_BRUTE_COLUMNS:
         assert want == brute_fcis(m, eps)
+
+
+# ---------------------------------------------------------------------------
+# The closed form against the double loop it replaces
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _split_sides(draw):
+    """Two column-disjoint sides of a random matrix, mined, each in a drawn
+    order, with the matrix and epsilon.  Objects go past 64 (two or more
+    tidset words) as often as not; the split is in time or interleaved."""
+    n_objects = draw(st.one_of(st.integers(1, 8), st.integers(60, 150)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_times = draw(st.integers(1, 8))
+    cols = []
+    for t in range(n_times):
+        # each object joins one of three clusters or none (-1); a few
+        # groups keep their objects over a time, so tidsets repeat
+        stay = rng.random(n_objects) < draw(st.sampled_from([0.0, 0.8]))
+        label = np.where(stay, np.arange(n_objects) % 3,
+                         rng.integers(-1, 3, n_objects))
+        for ordinal, lab in enumerate(sorted(set(label.tolist()) - {-1})):
+            cols.append(Column(ClusterId(t, ordinal),
+                               Tidset.from_ids(np.flatnonzero(label == lab).tolist())))
+    m = ClusterMatrix.build(tuple(f"o{i}" for i in range(n_objects)),
+                            tuple(range(n_times)), cols)
+    if draw(st.booleans()):
+        split = draw(st.integers(0, n_times))  # 0 and n_times leave a side empty
+        later = [c.cid.time >= split for c in cols]
+    else:
+        later = draw(st.lists(st.booleans(), min_size=len(cols), max_size=len(cols)))
+    eps = draw(st.sampled_from([1, 2, 3, max(1, n_objects // 8)]))
+    sides = [mine_fci(_sub(m, [c for c, x in zip(cols, later) if x == side]), eps)
+             for side in (False, True)]
+    sides = [draw(st.permutations(side)) if draw(st.booleans()) else side
+             for side in sides]
+    if draw(st.booleans()):
+        sides.reverse()
+    return m, sides, eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_sides())
+def test_merge_matches_the_double_loop(case):
+    m, (existing, incoming), eps = case
+    counters = {}
+    got = combine_fcis(existing, incoming, eps, counters=counters)
+    want, want_counters = brute_combine_fcis(existing, incoming, eps)
+    # as a set, each union with the oracle's codes; and every counter
+    assert len(got) == len(want) and set(got) == set(want)
+    assert {f: f.codes for f in got} == {f: f.codes for f in want}
+    assert counters == want_counters
+    assert sorted(got, key=lambda f: f.codes) == mine_fci(m, eps)
+
+
+def test_merge_keeps_equal_support_itemsets_apart():
+    # three incoming itemsets of equal support each meet one existing
+    # itemset in a tidset of their own: every one of them is a union
+    existing = [_fci([(0, 0)], 0, 1, 2, 3, 4, 5)]
+    incoming = [_fci([(1, 0)], 0, 1, 6), _fci([(1, 1)], 2, 3, 7),
+                _fci([(1, 2)], 4, 5, 8)]
+    for side in (incoming, incoming[::-1]):
+        counters = {}
+        got = combine_fcis(existing, side, 2, counters=counters)
+        want, want_counters = brute_combine_fcis(existing, side, 2)
+        assert got == want and counters == want_counters
+        assert counters == {"pairs": 3, "new": 3, "absorbed_existing": 0,
+                            "absorbed_incoming": 0, "stops": 0}
+
+
+def test_merge_without_bitwise_count(monkeypatch):
+    # numpy before 2.0 has no bitwise_count: the merge counts bits itself
+    rng = np.random.default_rng(73)
+    monkeypatch.setattr(comove.patterns, "_bitwise_count", None)
+    for _ in range(30):
+        m = gen_random_matrix(rng, max_objects=150)
+        left, right = _halves(m, int(rng.integers(0, m.n_times + 1)))
+        for eps in (1, 3, 20):
+            existing, incoming = mine_fci(left, eps), mine_fci(right, eps)
+            counters = {}
+            got = combine_fcis(existing, incoming, eps, counters=counters)
+            assert (got, counters) == brute_combine_fcis(existing, incoming, eps)
+
+
+def test_merge_memory_is_bounded_by_its_tiles():
+    # 2 000 x 2 000 itemsets over 128 objects: their pair intersections
+    # would take 64 MB at once; the merge holds a tile of them at a time.
+    # Gate on memory only, never on time.
+    rng = np.random.default_rng(74)
+    words = rng.integers(0, 2 ** 63, size=(4000, 2), dtype=np.uint64)
+    words |= rng.integers(0, 2 ** 63, size=(4000, 2), dtype=np.uint64)
+    masks = [int.from_bytes(w.tobytes(), "little") for w in words]
+    existing = [packed_fci(mask, (i << 32,)) for i, mask in enumerate(masks[:2000])]
+    incoming = [packed_fci(mask, ((2000 + i) << 32,))
+                for i, mask in enumerate(masks[2000:])]
+    tracemalloc.start()
+    try:
+        counters = {}
+        got = combine_fcis(existing, incoming, 88, counters=counters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counters["pairs"] == 2000 * 2000 and 0 < counters["new"] < 10_000
+    assert len(got) == 4000 + counters["new"]
+    assert peak < 4 * 2 ** 20

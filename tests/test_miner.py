@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comove import (
     FCI,
@@ -13,6 +14,7 @@ from comove import (
     mine_fci,
 )
 from oracle import (
+    MAX_BRUTE_COLUMNS,
     SizeGuardError,
     brute_fcis,
     gen_random_matrix,
@@ -135,6 +137,38 @@ def test_duplicate_heavy_matrices_match_bruteforce():
         m = ClusterMatrix.build(base.object_labels, tuple(range(2 * t)), cols)
         for eps in (1, 2):
             assert mine_fci(m, eps) == brute_fcis(m, eps)
+
+
+@st.composite
+def _sibling_heavy_matrices(draw):
+    """Columns drawn from a few tidsets: a nested chain and some others,
+    each split at times into two disjoint columns, so the children of one
+    node often meet its tidset in the same objects."""
+    n_objects = draw(st.integers(2, 8))
+    full = (1 << n_objects) - 1
+    chain = [full]
+    for _ in range(draw(st.integers(1, 4))):
+        chain.append(chain[-1] & draw(st.integers(1, full)))
+    pool = [m for m in chain if m] + draw(st.lists(st.integers(1, full), max_size=3))
+    cols = []
+    for t in range(draw(st.integers(1, MAX_BRUTE_COLUMNS // 2))):
+        mask = draw(st.sampled_from(pool))
+        part = mask & draw(st.sampled_from([0, mask, draw(st.integers(0, full))]))
+        for ordinal, m in enumerate(x for x in (part, mask & ~part) if x):
+            cols.append(Column(ClusterId(t, ordinal), Tidset(m)))
+    n_times = max([c.cid.time for c in cols], default=0) + 1
+    return ClusterMatrix.build(tuple(f"o{i}" for i in range(n_objects)),
+                               tuple(range(n_times)), cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sibling_heavy_matrices(), st.integers(1, 3))
+def test_sibling_heavy_matrices_match_bruteforce(m, eps):
+    # a node pushes one child per distinct child tidset; the children it
+    # leaves out would have been rejected, so nothing is lost
+    got = mine_fci(m, eps)
+    assert got == brute_fcis(m, eps)
+    _check_fci_invariants(m, got, eps)
 
 
 def test_bruteforce_refuses_large_matrices():

@@ -659,15 +659,12 @@ def test_fci_store_rows_build_their_codes_on_first_use():
     assert [f.bounds() for f in store.fcis] == [
         (0, 3 << 32), (1 << 32, 2 << 32), (1 << 32, 3 << 32 | 1),
         (3 << 32 | 1, 3 << 32 | 1)]
-    assert store.text.built == {}
+    assert store.text.pool is None and store.text.run_codes == {}
     second, third, fourth = store.fcis[1:]
     assert third.codes == (1 << 32, 2 << 32, 3 << 32 | 1)
     assert second.codes[0] is third.codes[0] and fourth.codes[0] is third.codes[2]
-    brute = brute_read_fci_store(io.StringIO(text))
-    assert store.text.built_row(brute.fcis[0].codes + (4 << 32,), 4) is None
-    assert [store.text.built_row(f.codes + (4 << 32,), len(f))
-            for f in (second, third, fourth)] == [1, 2, 3]
-    assert store == brute
+    assert sorted(store.text.run_codes) == [1, 2]  # the runs of the rows read
+    assert store == brute_read_fci_store(io.StringIO(text))
 
 
 @settings(max_examples=200, deadline=None)
@@ -693,10 +690,11 @@ def test_fci_store_read_modify_write_matches_the_oracle_writer(store, data):
 
 @settings(max_examples=200, deadline=None)
 @given(_stores(min_size=1), st.data())
-def test_fci_store_append_builds_the_codes_of_union_sides_only(store, data):
-    # an append's merge builds the codes of the stored rows its unions
-    # extend and of no other row, and writes what the oracle writes of the
-    # store read line by line and merged with the same batch
+def test_fci_store_append_builds_no_stored_row_codes(store, data):
+    # an append's merge and write build no stored row's codes: a union keeps
+    # its stored side, whose line the writer copies; and it writes what the
+    # oracle writes of the store read line by line and merged with the same
+    # batch
     buf = io.StringIO()
     brute_write_fci_store(store, buf)
     read = read_fci_store(io.StringIO(buf.getvalue()))
@@ -716,13 +714,10 @@ def test_fci_store_append_builds_the_codes_of_union_sides_only(store, data):
         merged = combine_fcis(read.fcis, incoming, read.epsilon)
         written = _written(write_fci_store, replace(
             read, time_labels=times, fcis=tuple(merged)))
+    assert built == []
     want = combine_fcis(brute.fcis, incoming, brute.epsilon)
     assert written == _written(brute_write_fci_store, replace(
         brute, time_labels=times, fcis=tuple(want)))
-    rows = [f.codes for f in brute.fcis]
-    sides = {rows.index(f.codes[:k]) for f in want
-             for k in [sum(c < n << 32 for c in f.codes)] if 0 < k < len(f)}
-    assert sorted(built) == sorted(sides)  # each built once
 
 
 def test_fci_store_reader_counts_rows_items_and_runs():

@@ -42,6 +42,7 @@ from .store import (
     check_pattern_object_ids,
     read_cluster_columns,
     read_fci_store,
+    read_fci_table,
     write_cluster_columns,
     write_fci_store,
     write_patterns_csv,
@@ -299,7 +300,9 @@ def _cmd_mine(args, parser: _Parser) -> int:
 def _cmd_append(args) -> int:
     t0 = time.perf_counter()
     read_counters: dict = {}
-    store = _read(read_fci_store, args.store, counters=read_counters)
+    # the store's rows stay one table: the merge takes their tidsets as
+    # words, and the writer copies each kept row's line by its rank
+    store = _read(read_fci_table, args.store, counters=read_counters)
     if args.epsilon is not None and args.epsilon != store.epsilon:
         raise CoMoveError(
             f"--epsilon {args.epsilon} does not match the store's epsilon "
@@ -321,7 +324,7 @@ def _cmd_append(args) -> int:
     # replace keeps the text the store was read with, which the writer copies
     write_fci_store(dataclasses.replace(
         store, time_labels=store.time_labels + new_db.time_labels,
-        fcis=tuple(combined)), out / "fcis.tsv")
+        fcis=combined), out / "fcis.tsv")
     _summary(command="append", store=args.store, input=args.input,
              n_existing=len(store.fcis), n_incoming=len(new_fcis),
              n_combined=len(combined),

@@ -38,13 +38,28 @@ once an ``n`` contains it; the loop is not run, its counts are derived:
   ``absorbed_incoming`` and ``stops`` both count the ``n`` with a ``stop``;
 - ``new`` counts the distinct tidsets produced.
 
-A combined itemset is a lazy FCI that keeps the itemsets it joins and
-builds its codes from theirs on first read, so the merge builds no item
-codes, and an append, whose writer copies a stored side's line (see
-``comove.store``), builds none of the stored rows'.
+The merge itself (``_merge``) takes each side's tidsets as one ``(rows,
+W)`` word array and returns indices: the surviving rows of each side, and
+the pairs (existing row, incoming row) whose unions are new.
+``combine_fcis`` packs two FCI lists into words and builds its FCIs from
+those indices.  A combined FCI is lazy: it keeps the itemsets it joins
+and builds its codes from theirs on first read, so the merge builds no
+item codes.
+
+An append merges the rows of a store (``comove.store``) without building
+an FCI for any of them.  The existing side is then the store's rows, which
+carry their tidsets as words and hold items of the store's times only.
+If every incoming item lies after those, the sides share no column without
+any further check, and the result is a ``_Merge``: the indices above, from
+which the store writer copies each kept row's line and places each union
+by its stored row.  Reading the ``_Merge`` builds the FCIs, in the order
+``combine_fcis`` returns them for FCI lists.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -56,6 +71,8 @@ __all__ = ["combine_fcis", "shift_times"]
 # uint64 words of pair intersections per tile: 512 KiB, with the tile's
 # popcounts and pair indices under 1 MiB in all.
 _TILE_WORDS = 1 << 16
+
+_codes = attrgetter("codes")
 
 
 class _Union(FCI):
@@ -97,6 +114,10 @@ def shift_times(fcis: list[FCI], offset: int) -> list[FCI]:
             for f in fcis]
 
 
+def _distinct_codes(fcis: list[FCI]) -> np.ndarray:
+    return np.unique(np.fromiter(chain.from_iterable(map(_codes, fcis)), np.int64))
+
+
 def _check_disjoint_columns(existing: list[FCI], incoming: list[FCI]) -> int:
     """Raise unless the sides share no column.  Return 1 when every existing
     code precedes every incoming one, -1 when every incoming code precedes
@@ -109,16 +130,16 @@ def _check_disjoint_columns(existing: list[FCI], incoming: list[FCI]) -> int:
         return min(firsts), max(lasts)
 
     # Sides whose code ranges do not overlap, as in every append and block
-    # merge, share no column; only interleaved sides need the sets.
+    # merge, share no column; only interleaved sides need their codes.
     (lo_a, hi_a), (lo_b, hi_b) = span(existing), span(incoming)
     if hi_a < lo_b or hi_b < lo_a:
         return 1 if hi_a < lo_b else -1
-    shared = (set().union(*[f.codes for f in existing])
-              & set().union(*[f.codes for f in incoming]))
-    if shared:
+    shared = np.intersect1d(_distinct_codes(existing), _distinct_codes(incoming),
+                            assume_unique=True)
+    if len(shared):
         raise CoMoveError(
-            f"both sides use column {code_item(min(shared))}; combined itemsets "
-            "need sides that share no column")
+            f"both sides use column {code_item(int(shared[0]))}; combined "
+            "itemsets need sides that share no column")
     return 0
 
 
@@ -204,6 +225,52 @@ def _pairs(dead: np.ndarray, stop: np.ndarray) -> int:
     return total
 
 
+def _merge(a: np.ndarray, b: np.ndarray, epsilon: int, counters: dict | None):
+    """The merge of sides with tidsets ``a`` and ``b``, ``(rows, W)`` word
+    arrays, each walked in a stable sort by support: the rows of ``a`` and
+    of ``b`` that survive, each in walk order, and the (``a`` rows, ``b``
+    rows) of the pairs whose unions are new, in order of first pair.
+    ``counters``, when given, receives the five counters."""
+    na, nb = len(a), len(b)
+    sup_a, sup_b = _popcount(a), _popcount(b)
+    walk_a, walk_b = np.argsort(sup_a, kind="stable"), np.argsort(sup_b, kind="stable")
+    keys, dead, stop = _pair_tiles(np.ascontiguousarray(a[walk_a].T),
+                                   np.ascontiguousarray(b[walk_b].T),
+                                   sup_a[walk_a], sup_b[walk_b], epsilon)
+    n, o = np.divmod(keys, max(1, na))
+    if counters is not None:
+        absorbed = int((stop < na).sum())
+        counters.update(pairs=_pairs(dead, stop), new=len(keys),
+                        absorbed_existing=int((dead < nb).sum()),
+                        absorbed_incoming=absorbed, stops=absorbed)
+    return walk_a[dead == nb], walk_b[stop == na], (walk_a[o], walk_b[n])
+
+
+class _Merge:
+    """``_merge``'s result on ``existing`` and ``incoming``: ``old`` and
+    ``new`` their surviving rows, ``pairs`` the rows of each union.
+    ``order`` is ``_check_disjoint_columns``' answer, ``words`` the incoming
+    tidsets.  Iterating it builds the FCIs ``combine_fcis`` returns."""
+
+    __slots__ = ("existing", "incoming", "old", "new", "pairs", "order", "words")
+
+    def __init__(self, existing, incoming, old, new, pairs, order, words):
+        self.existing, self.incoming, self.old, self.new = existing, incoming, old, new
+        self.pairs, self.order, self.words = pairs, order, words
+
+    def __len__(self) -> int:
+        return len(self.old) + len(self.new) + len(self.pairs[0])
+
+    def __iter__(self):
+        existing, incoming, order = self.existing, self.incoming, self.order
+        yield from map(existing.__getitem__, self.old.tolist())
+        yield from map(incoming.__getitem__, self.new.tolist())
+        for o, n in zip(*map(np.ndarray.tolist, self.pairs)):
+            o, n = existing[o], incoming[n]
+            yield (_union(o.mask & n.mask, n, o, True) if order < 0 else
+                   _union(o.mask & n.mask, o, n, order > 0))
+
+
 def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
                  counters: dict | None = None) -> list[FCI]:
     """Closed itemsets of the combined matrix from the two sides' own.
@@ -217,32 +284,26 @@ def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
     ``counters``, when given, receives pairs, new, absorbed_existing,
     absorbed_incoming and stops, which follow the order the sides are walked
     in: (support, codes) for sides given in code order.
+
+    ``existing`` may also be a store's rows as ``comove.store``'s
+    ``read_fci_table`` reads them.  When every incoming item lies after the
+    store's times and every incoming tidset fits its words, the result is a
+    ``_Merge``: the same itemsets in the same order, as rows, built when it
+    is iterated.
     """
     check_epsilon(epsilon)
-    existing, incoming = list(existing), list(incoming)
+    incoming = list(incoming)
+    rows = getattr(existing, "words", None)  # a store's rows (see above)
+    if rows is not None and all(f.codes[0] >= existing.end
+                                and f.mask.bit_length() <= 64 * rows.shape[1]
+                                for f in incoming):
+        words = _words([f.mask for f in incoming], rows.shape[1])
+        return _Merge(existing, incoming, *_merge(rows, words, epsilon, counters), 1,
+                      words)
+    existing = list(existing)
     order = _check_disjoint_columns(existing, incoming)
-    na, nb = len(existing), len(incoming)
     masks = [f.mask for f in existing] + [f.mask for f in incoming]
     words = _words(masks, max(1, -(-max(map(int.bit_length, masks), default=0) // 64)))
-    sup = _popcount(words)
-    # each side in a stable sort by support: one in code order stays so per support
-    walk = np.concatenate([np.argsort(sup[:na], kind="stable"),
-                           na + np.argsort(sup[na:], kind="stable")])
-    old = [existing[i] for i in walk[:na].tolist()]
-    new = [incoming[i - na] for i in walk[na:].tolist()]
-    by_word, sup = np.ascontiguousarray(words[walk].T), sup[walk]
-    keys, dead, stop = _pair_tiles(by_word[:, :na], by_word[:, na:], sup[:na],
-                                   sup[na:], epsilon)
-
-    result = [f for f, d in zip(old, (dead == nb).tolist()) if d]
-    result += [f for f, s in zip(new, (stop == na).tolist()) if s]
-    for ni, oi in zip(*map(np.ndarray.tolist, np.divmod(keys, max(1, na)))):
-        o, n = old[oi], new[ni]
-        result.append(_union(o.mask & n.mask, n, o, True) if order < 0 else
-                      _union(o.mask & n.mask, o, n, order > 0))
-    if counters is not None:
-        absorbed = int((stop < na).sum())
-        counters.update(pairs=_pairs(dead, stop), new=len(keys),
-                        absorbed_existing=int((dead < nb).sum()),
-                        absorbed_incoming=absorbed, stops=absorbed)
-    return result
+    na = len(existing)
+    return list(_Merge(existing, incoming, *_merge(words[:na], words[na:], epsilon,
+                                                   counters), order, None))

@@ -61,16 +61,17 @@ def split_blocks(matrix: ClusterMatrix,
 def _mine_blocks(parent: ClusterMatrix, blocks: list[tuple[Column, ...]],
                  epsilon: int) -> list[FCI]:
     """Mine every block on its own, then merge the local results pairwise
-    until one is left.  Each merge's result is sorted by codes, as the
-    miner's are, so every merge walks its sides in (support, codes) order."""
+    until one is left, and sort that by codes, as the miner's are.  The
+    merges collect no counters, and any order of their sides gives the same
+    itemsets, so the results in between stay in merge order."""
     results = [mine_columns(cols, parent.n_objects, epsilon) for cols in blocks]
     while len(results) > 1:
-        merged = [sorted(combine_fcis(results[i], results[i + 1], epsilon),
-                         key=_codes) for i in range(0, len(results) - 1, 2)]
+        merged = [combine_fcis(results[i], results[i + 1], epsilon)
+                  for i in range(0, len(results) - 1, 2)]
         if len(results) % 2:
             merged.append(results[-1])
         results = merged
-    return results[0]
+    return sorted(results[0], key=_codes)
 
 
 def mine_incremental(matrix: ClusterMatrix, epsilon: int,

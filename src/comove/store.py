@@ -14,15 +14,18 @@ anything, object ids their reader would read back as other ids or not at
 all: empty ids, ids with whitespace its reader strips, and ids holding a
 separator of the format.  The pattern writers refuse ids holding ``;``.
 
-The itemset store is read into packed FCIs (tidset masks and item codes).
-A row writes its items as runs, ``a..b:o`` for ordinal ``o`` at every store
-time from label ``a`` through ``b`` and ``t:o`` for one item, so each row
-stands alone.  The reader checks a store's rows all at once where it can,
-builds each row's tidset mask and leaves its item codes to be built on
-first use.  When the rows are in code order and each is written as the
-writer writes it, it keeps them, so writing the store back after an append
-copies the line of every stored itemset the append keeps and formats only
-the items the batch adds.  Only this module knows that text.
+The itemset store is read into one table (``_StoreRows``): the rows'
+lines, their runs, and their tidsets as one ``(rows, W)`` array of uint64
+words.  A row writes its items as runs, ``a..b:o`` for ordinal ``o`` at
+every store time from label ``a`` through ``b`` and ``t:o`` for one item,
+so each row stands alone.  The reader checks a store's rows all at once
+where it can and leaves their item codes to be built on first use.
+``read_fci_store`` builds an FCI per row from the table; an append leaves
+the rows in it: ``combine_fcis`` merges a batch into it by row, and the
+writer, given that merge, copies the line of every stored row it keeps,
+places each union by its stored row and formats only the items the batch
+adds.  The writer does the same, by each FCI's row, for a read store
+merged as FCIs.  Only this module knows that text.
 """
 
 from __future__ import annotations
@@ -34,15 +37,15 @@ import math
 import os
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from itertools import accumulate, chain, count, filterfalse, repeat
-from operator import attrgetter, itemgetter, lt, methodcaller
+from operator import attrgetter, is_, lt, methodcaller
 from pathlib import Path
 
 import numpy as np
 
-from .combine import _Union
+from .combine import _Merge, _Union
 from .ingest import TrajectoryDB, _parse_timestamp
 from .model import (
     _ITEM_BITS,
@@ -62,6 +65,7 @@ from .model import (
     code_item,
     item_code,
 )
+from .patterns import _popcount, _words
 
 __all__ = [
     "write_trajectories",
@@ -115,6 +119,10 @@ def _csv_field(text: str) -> str:
 def _check_ids(labels, seps: str, strip, what: str, rule: str) -> None:
     """Raise ParseError naming the first of ``labels`` that is empty, holds
     one of ``seps`` or is changed by ``strip``."""
+    joined = "".join(labels)
+    if all(labels) and not any(sep in joined for sep in seps) and list(
+            map(strip, labels)) == list(labels):
+        return
     for label in labels:
         if not label or any(sep in label for sep in seps) or strip(label) != label:
             raise ParseError(f"object id {label!r} cannot be {what}: ids must "
@@ -274,13 +282,14 @@ class FciStore:
     ``clustering`` is ``{"eps": float, "min_pts": int, "interpolate": bool}``
     as mined, or None where not known (pre-clustered input, older stores).
 
-    ``text`` is set by :func:`read_fci_store` only, for a store whose rows
-    are in code order and all written as the writer writes them: the rows
-    as read, with the object labels and formatted time labels they were read
-    with.  Its FCIs build their item codes from it on first use, and the
-    writer copies a stored row's line from it, so keep it
-    (``dataclasses.replace``) when a read store is merged and written back.
-    Equality and repr ignore it."""
+    ``text`` is set by the readers only (:func:`read_fci_store` and
+    ``read_fci_table``), for a store whose rows are in code order and all
+    written as the writer writes them: the rows as read, with the object
+    labels and time labels they were read with.  The writer copies a stored
+    row's line from it, so keep it (``dataclasses.replace``) when a read
+    store is merged and written back.  Equality and repr ignore it.
+    ``read_fci_table`` leaves ``fcis`` as the rows' table, and an append
+    then sets it to ``combine_fcis``' merge of that table."""
 
     epsilon: int
     object_labels: tuple[str, ...]
@@ -324,25 +333,47 @@ _ABOVE = (1 << 64) - 1
 
 class _StoreRows:
     """The rows of a read store (see ``_read_rows`` and
-    ``_read_rows_one_by_one``).
+    ``_read_rows_one_by_one``), as one table: a sequence of their FCIs, each
+    built when it is read, that ``combine_fcis`` merges without building
+    any.
 
-    Row ``rank``'s runs are ``tok[row_start[rank]:row_start[rank + 1]]``,
-    indices of distinct run texts whose first and last item codes are
-    ``first`` and ``last``.  ``keys`` is None unless the store was read at
-    once, its runs are maximal and its rows in strictly ascending code
-    order, so each row is as the writer writes it; row ``rank`` is then
-    ``lines[rank]``, and ``keys[rank]`` lists for each run its first code,
-    then its last code when the row's next code is smaller than the run's
-    next one would be (at the same time, or the row ends there), else
-    ``_ABOVE`` less its last code; those lists sort as the rows' codes do."""
+    ``words`` holds the rows' tidsets, row ``rank``'s as row ``rank`` of an
+    ``(N, W)`` uint64 array, and ``end`` is the first item code past the
+    store's times, above every row's codes.  Row ``rank``'s runs are
+    ``tok[row_start[rank]:row_start[rank + 1]]``, indices of distinct run
+    texts whose first and last item codes are ``first`` and ``last``.
+    ``keys`` is None unless the store was read at once, its runs are maximal
+    and its rows in strictly ascending code order, so each row is as the
+    writer writes it; row ``rank`` is then ``lines[rank]``, and
+    ``keys[rank]`` holds for each run its first code, then its last code
+    when the row's next code is smaller than the run's next one would be (at
+    the same time, or the row ends there), else ``_ABOVE`` less its last
+    code, each as 8 big-endian bytes; those keys sort as the rows' codes
+    do."""
 
-    def __init__(self, labels, tl, lines, row_start, tok, first, last, keys):
-        self.labels, self.tl, self.lines = labels, tl, lines
+    def __init__(self, labels, times, tl, lines, words, row_start, tok, first, last,
+                 keys):
+        self.labels, self.times, self.tl, self.lines = labels, times, tl, lines
+        self.words, self.end = words, len(tl) << _ITEM_BITS
         self.row_start, self.tok, self.first, self.last = row_start, tok, first, last
         self.keys = keys
         self.run_codes: dict[int, tuple[int, ...]] = {}
         self.pool: list[int] | None = None  # the runs' distinct items
         self.spans: list[slice] = []  # each run's codes in pool
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, rank: int) -> _StoredFCI:
+        return _stored_fci(int.from_bytes(self.words[rank].tobytes(), "little"),
+                           rank, self)
+
+    def __iter__(self):
+        data, step = self.words.tobytes(), 8 * self.words.shape[1]
+        masks = map(int.from_bytes, map(data.__getitem__, map(
+            slice, range(0, len(data), step), range(step, len(data) + step, step))),
+            repeat("little"))
+        return map(_stored_fci, masks, count(), repeat(self))
 
     def codes(self, rank: int) -> tuple[int, ...]:
         """Row ``rank``'s item codes.  A run's codes are made once, as a
@@ -362,52 +393,92 @@ class _StoreRows:
 
     def block_end(self, rank: int) -> int:
         """The last row that has row ``rank``'s codes as a leading part."""
+        # the rows whose key goes on from the row's but for its last code,
+        # with a value up to _ABOVE less that code (a first code's leading
+        # byte is below 0xff)
         key = self.keys[rank]
-        return bisect_left(self.keys, key[:-1] + [_ABOVE - key[-1] + 1], rank + 1) - 1
+        above = (_ABOVE - int.from_bytes(key[-8:], "big")).to_bytes(8, "big")
+        return bisect_left(self.keys, key[:-8] + above + b"\xff", rank + 1) - 1
 
-    def write_lines(self, fcis, labels, tl: tuple[str, ...]) -> list[str] | None:
-        """The lines of ``fcis`` in code order, or None unless each is one of
-        these rows, a union (see ``comove.combine``) of one of them and an
-        itemset of later times, or an itemset of later times only.  A row's
-        line is copied; a union is written after the last row that has its
-        row's codes as a leading part, ahead of the unions of rows before
-        its row, its items text the row's joined to the later itemset's
+    def write_fcis(self, fcis, labels, tl: tuple[str, ...]) -> list[str] | None:
+        """``write_ranks`` of ``fcis``, or None unless each is one of these
+        rows, a union (see ``comove.combine``) of one of them and an itemset
+        of later times, or an itemset of later times only, and no tidset
+        holds an object past ``labels``."""
+        kept, sides, laters, masks = [], [], [], []
+        for f in fcis:
+            if f.__class__ is _StoredFCI and f._rows is self:
+                kept.append(f._rank)
+                continue
+            if f.__class__ is _Union and f.apart and f.head.__class__ is _StoredFCI \
+                    and f.head._rows is self:
+                sides.append(f.head._rank)
+                laters.append(f.tail.codes)
+            else:
+                sides.append(-1)
+                laters.append(f.codes)
+            if f.mask >> len(labels):
+                return None  # refused by the generic writer
+            masks.append(f.mask)
+        kept.sort()
+        return self.write_ranks(kept, sides, laters, _words(masks, self.words.shape[1]),
+                                labels, tl)
+
+    def write_merge(self, merge: _Merge, labels, tl: tuple[str, ...]) -> list[str] | None:
+        """``write_ranks`` of ``merge``, ``combine_fcis``' result on these
+        rows, or None where an incoming tidset holds an object past
+        ``labels``.  A union's tidset is its rows' words ANDed."""
+        incoming = merge.incoming
+        if any(f.mask >> len(labels) for f in incoming):
+            return None  # refused by the generic writer
+        (o, n), new = merge.pairs, merge.new
+        sides = o.tolist() + [-1] * len(new)
+        laters = [incoming[j].codes for j in n.tolist() + new.tolist()]
+        words = np.concatenate([self.words[o] & merge.words[n], merge.words[new]])
+        return self.write_ranks(np.sort(merge.old).tolist(), sides, laters, words,
+                                labels, tl)
+
+    def write_ranks(self, kept: list[int], sides: list[int], laters: list[tuple[int, ...]],
+                    words: np.ndarray, labels, tl: tuple[str, ...]) -> list[str] | None:
+        """The lines, in code order, of rows ``kept`` (ascending ranks) and of
+        one itemset per entry of ``sides``, ``laters`` and ``words``: the
+        union of row ``sides[i]`` (none where it is -1) and the items
+        ``laters[i]`` of later times, of tidset ``words[i]``.  None unless
+        ``labels`` and ``tl`` start as read and every later item lies in
+        ``tl``'s later times.
+
+        A row's line is copied.  A union is written after the last row that
+        has its row's codes as a leading part, ahead of the unions of rows
+        before its row, its items text the row's joined to the later items'
         formatted runs, and the run that crosses the junction joined into
         one.  No row's codes are built.  Itemsets of later times only come
         last."""
         if labels != self.labels or tl[:len(self.tl)] != self.tl:
             return None
-        cut, end = len(self.tl) << _ITEM_BITS, len(tl) << _ITEM_BITS
-        ranks = []
-        placed = []  # (row it follows, -its row, later codes, FCI, its row)
-        for f in fcis:
-            if f.__class__ is _StoredFCI and f._rows is self:
-                ranks.append(f._rank)
-                continue
-            side = None
-            if f.__class__ is _Union and f.apart and f.head.__class__ is _StoredFCI \
-                    and f.head._rows is self:
-                side, f_later = f.head._rank, f.tail
-            else:
-                f_later = f
-            later = f_later.codes
-            if later[0] < cut or later[-1] >= end or f.mask >> len(labels):
-                return None  # not of later times, or refused by the generic writer
-            placed.append((len(self.lines), 1, later, f, None) if side is None else
-                          (self.block_end(side), -side, later, f, side))
-        ranks.sort()
-        placed.sort(key=itemgetter(0, 1, 2))
+        cut, end = self.end, len(tl) << _ITEM_BITS
+        if any(later[0] < cut or later[-1] >= end for later in laters):
+            return None
+        lines = self.lines
+        # (row it follows, -its row: 1 for later items only, its later
+        # items, its entry)
+        placed = sorted(zip(
+            [self.block_end(s) if s >= 0 else len(lines) for s in sides],
+            [-s for s in sides], laters, count()))
+        at = [p[3] for p in placed]
+        words = words[at]
         texts = _run_texts([p[2] for p in placed], tl)
-        members = _member_texts([p[3].mask for p in placed], labels)
-        lines, out, done = self.lines, [], 0
-        for (after, _, later, f, side), items, ids in zip(placed, texts, members):
-            if side is not None:
-                items = self._union_items(side, later[0], items)
-            stop = bisect_right(ranks, after, done)
-            out += map(lines.__getitem__, ranks[done:stop])
-            out.append(f"{f.mask.bit_count()}\t{ids}\t{items}")
+        members = _member_texts(words.astype("<u8", copy=False).view(np.uint8), labels)
+        supports = _popcount(words).tolist()
+        out, done = [], 0
+        for (after, minus_side, later, _), items, ids, support in zip(
+                placed, texts, members, supports):
+            if minus_side <= 0:
+                items = self._union_items(-minus_side, later[0], items)
+            stop = bisect_right(kept, after, done)
+            out += map(lines.__getitem__, kept[done:stop])
+            out.append(f"{support}\t{ids}\t{items}")
             done = stop
-        out += map(lines.__getitem__, ranks[done:])
+        out += map(lines.__getitem__, kept[done:])
         return out
 
     def _union_items(self, side: int, code: int, later: str) -> str:
@@ -422,6 +493,11 @@ class _StoreRows:
         run, sep2, rest = later.partition(";")
         start = self.tl[self.first[t] >> _ITEM_BITS]
         return f"{head}{sep}{start}..{run.partition('..')[2] or run}{sep2}{rest}"
+
+
+def _n_words(labels) -> int:
+    """The uint64 words of a tidset over ``labels``, at least one."""
+    return max(1, -(-len(labels) // 64))
 
 
 def _item_pool(first: list[int], last: list[int]) -> tuple[list[int], list[slice]]:
@@ -464,21 +540,30 @@ def write_fci_store(store: FciStore, dest):
     A store read with ``text`` and written back under the object labels it
     was read with, and time labels that start with the ones read, as after
     an append, copies the line of every stored row it keeps and writes only
-    the rest (see ``_StoreRows.write_lines``): the merge's unions of a
+    the rest (see ``_StoreRows.write_ranks``): the merge's unions of a
     stored row and an itemset of later times, whose items text is the row's
     followed by the runs formatted from that itemset's codes, and the
-    itemsets of later times only.  Any other store is
-    sorted by codes and formatted whole, member ids from tidset masks and
-    items from their codes."""
+    itemsets of later times only.  Its itemsets are either FCIs or
+    ``combine_fcis``' result on its rows, which gives the rows by rank.  Any
+    other store is sorted by codes and formatted whole, member ids from
+    tidset masks and items from their codes."""
     labels = store.object_labels
     _check_ids(labels, ",\t\n\r", str.rstrip, "stored",
                "contain no ',', tab or newline, and not end in whitespace")
-    tl = tuple(map(_fmt_time, store.time_labels))
-    lines = store.text and store.text.write_lines(store.fcis, labels, tl)
+    rows, fcis = store.text, store.fcis
+    tl = _time_texts(store.time_labels, rows)
+    lines = None
+    if rows is not None:
+        lines = (rows.write_merge(fcis, labels, tl)
+                 if isinstance(fcis, _Merge) and fcis.existing is rows
+                 else rows.write_fcis(fcis, labels, tl))
     if lines is None:
-        fcis = sorted(store.fcis, key=_codes)
+        fcis = sorted(fcis, key=_codes)
+        width = (len(labels) + 7) >> 3
         lines = [f"{f.mask.bit_count()}\t{ids}\t{items}" for f, ids, items in zip(
-            fcis, _member_texts([f.mask for f in fcis], labels),
+            fcis, _member_texts(np.frombuffer(b"".join(
+                [f.mask.to_bytes(width, "little") for f in fcis]), np.uint8).reshape(
+                len(fcis), width), labels),
             _run_texts([f.codes for f in fcis], tl))]
 
     def write(fh):
@@ -496,15 +581,24 @@ def write_fci_store(store: FciStore, dest):
     _write_to(dest, write)
 
 
-def _member_texts(masks: list[int], labels: tuple[str, ...]) -> list[str]:
-    """The member-id text of each tidset mask: its objects' labels in
-    universe order, joined by ``,``."""
-    width = (len(labels) + 7) >> 3
-    bits = np.unpackbits(np.frombuffer(b"".join(
-        [m.to_bytes(width, "little") for m in masks]), np.uint8), bitorder="little")
-    row, col = np.divmod(np.flatnonzero(bits), 8 * width or 1)
+def _time_texts(time_labels: tuple, rows: _StoreRows | None) -> tuple[str, ...]:
+    """The written form of each time label.  Where the labels begin with the
+    very objects ``rows`` was read with, as after an append, those keep the
+    text they were read with."""
+    n = len(rows.times) if rows is not None else 0
+    if n and len(time_labels) >= n and all(map(is_, time_labels[:n], rows.times)):
+        return rows.tl + tuple(map(_fmt_time, time_labels[n:]))
+    return tuple(map(_fmt_time, time_labels))
+
+
+def _member_texts(packed: np.ndarray, labels: tuple[str, ...]) -> list[str]:
+    """The member-id text of each row of ``packed``, a tidset as its
+    little-endian bytes: its objects' labels in universe order, joined by
+    ``,``."""
+    bits = np.unpackbits(packed.reshape(-1), bitorder="little")
+    row, col = np.divmod(np.flatnonzero(bits), 8 * packed.shape[1] or 1)
     names = list(map(labels.__getitem__, col.tolist()))
-    bounds = np.searchsorted(row, np.arange(len(masks) + 1)).tolist()
+    bounds = np.searchsorted(row, np.arange(len(packed) + 1)).tolist()
     return [",".join(names[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
@@ -572,18 +666,35 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
 
     ``counters``, when given, is filled with ``rows``, ``items`` and
     ``runs``."""
+    store = read_fci_table(source, counters=counters)
+    return replace(store, fcis=tuple(store.fcis))
+
+
+def read_fci_table(source, *, counters: dict | None = None) -> FciStore:
+    """``read_fci_store``'s store, checked the same way, with its rows left
+    as one table (``_StoreRows``) in place of the tuple of FCIs: a sequence
+    that builds each row's FCI when it is read, and that ``combine_fcis``
+    merges by its tidset words without building any.  An append reads its
+    store so."""
     if isinstance(source, (str, Path)):
         with open(source) as fh:
-            return read_fci_store(fh, counters=counters)
-    lines = list(map(methodcaller("rstrip", "\n"), source))
+            return read_fci_table(fh, counters=counters)
+    text = source.read()
+    lines = text.split("\n")
+    n_head = 0  # the leading comment lines
+    while n_head < len(lines) and lines[n_head].startswith("#"):
+        n_head += 1
+    rows = None  # the lines after the header, where no comment follows it
+    if text.find("\n#", sum(map(len, lines[:n_head])) + n_head) < 0:
+        head, rows = lines[:n_head], lines[n_head:-1] if lines[-1] == "" else lines[n_head:]
+    else:
+        head = filter(methodcaller("startswith", "#"), lines)
     header: dict[str, list[str]] = {}
-    for line in filter(methodcaller("startswith", "#"), lines):
+    for line in head:
         parts = line[1:].strip().split("\t")
         if parts and parts[0] in ("epsilon", "clustering", "n_objects",
                                   "time_range", "objects", "times"):
             header[parts[0]] = parts[1:]
-    body = [i for i, line in enumerate(lines)  # rows, by index in lines
-            if line and line[0] != "#" and not line.isspace()]
 
     for key in ("epsilon", "objects", "times"):
         if key not in header:
@@ -608,8 +719,13 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
     if len(o_index) != len(labels):
         repeated = next(o for i, o in enumerate(labels) if o in labels[:i])
         raise ParseError(f"store header repeats object id {repeated!r}")
-    times = tuple(map(_parse_time_label, filter(None, header["times"][0].split(",")))) \
-        if header["times"] and header["times"][0] else ()
+    raw = header["times"][0] if header["times"] else ""
+    if _INT_LABELS.fullmatch(raw):  # each label as the writer writes it
+        tl = tuple(raw.split(","))
+        times = tuple(map(int, tl))
+    else:
+        times = tuple(map(_parse_time_label, filter(None, raw.split(","))))
+        tl = tuple(map(_fmt_time, times))
     if "n_objects" in header:
         try:
             declared = int(header["n_objects"][0])
@@ -625,40 +741,52 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
     if not all(map(lt, times, times[1:])):
         raise ParseError("store times must be strictly increasing")
 
-    t_index = dict(zip(map(_fmt_time, times), count()))
-    rows = [lines[i] for i in body]
-    fcis, text, counts = (
-        _read_rows(rows, labels, o_index, t_index, epsilon)
-        or _read_rows_one_by_one(zip([i + 1 for i in body], rows), o_index, t_index,
-                                 epsilon))
+    t_index = dict(zip(tl, count()))
+    read = rows is not None and _read_rows(rows, labels, o_index, times, t_index,
+                                           epsilon)
+    if not read:  # rows not all as the writer writes them, or blank lines
+        body = [i for i, line in enumerate(lines)  # rows, by index in lines
+                if line and line[0] != "#" and not line.isspace()]
+        read = (rows is None or len(body) != len(rows)) and _read_rows(
+            [lines[i] for i in body], labels, o_index, times, t_index, epsilon)
+        read = read or _read_rows_one_by_one(
+            [(i + 1, lines[i]) for i in body], labels, o_index, times, t_index, epsilon)
+    table, counts = read
     if counters is not None:
         counters.update(zip(("rows", "items", "runs"), counts))
-    return FciStore(epsilon, labels, times, fcis, clustering, text)
+    return FciStore(epsilon, labels, times, table, clustering,
+                    table if table.keys is not None else None)
 
 
-# A run as the writer writes it: its first time label, ".." and its last
-# when it has more than one item, then ":" and its ordinal.
-_RUN_TEXT = re.compile(r"([^:;]+?)(?:\.\.([^:;]+))?:(0|[1-9][0-9]{0,9})")
+# Time labels as the writer writes ints.
+_INT_LABELS = re.compile(r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*")
+# A run as the writer writes it, a whole item of a ;-joined items text: its
+# first time label, ".." and its last when it has more than one item, then
+# ":" and its ordinal.
+_RUN_TEXT = re.compile(
+    r"(?<![^;])([^:;]+?)(?:\.\.([^:;]+))?:(0|[1-9][0-9]{0,9})(?![^;])")
 # Bytes other than tab and newline, which a store row's skeleton keeps.
 _NOT_TAB_OR_NEWLINE = bytes(sorted(set(range(256)) - set(b"\t\n")))
 
 
-def _read_rows(lines: list[str], labels, o_index, t_index, epsilon: int):
-    """(FCIs, ``_StoreRows`` or None, (rows, items, runs)) of store rows
-    ``lines``, or None unless each row has three fields, a support written
-    as its count of member ids, ids known and in universe order, and items
-    as ascending runs of known time labels with ordinals under 2**32 and
-    without leading zeros.  The ``_StoreRows`` is given, as the store's
-    ``text``, when the runs are also maximal and the rows in strictly
-    ascending code order, so that every row is as the writer writes it.
+def _read_rows(lines: list[str], labels, o_index, times, t_index, epsilon: int):
+    """(``_StoreRows``, (rows, items, runs)) of store rows ``lines``, or None
+    unless each row has three fields, a support written as its count of
+    member ids, ids known and in universe order, and items as ascending runs
+    of known time labels with ordinals under 2**32 and without leading
+    zeros.  The table has ``keys`` when the runs are also maximal and the
+    rows in strictly ascending code order, so that every row is as the
+    writer writes it.
 
     All rows are checked at once: one split per field, one index lookup of
     all member ids, and the run texts parsed once each by one regular
-    expression, with the order and count checks in numpy.  Each row's tidset
-    mask is packed from its ids' bytes; its codes are left to be built."""
-    n = len(lines)
+    expression, with the order and count checks in numpy.  The rows'
+    tidsets are packed from their ids into one array of words; their codes
+    are left to be built."""
+    n, w = len(lines), _n_words(labels)
     if not n:
-        return (), _StoreRows(labels, tuple(t_index), [], [0], [], [], [], []), (0, 0, 0)
+        return _StoreRows(labels, times, tuple(t_index), [], np.zeros((0, w), "<u8"),
+                          [0], [], [], [], []), (0, 0, 0)
     skeleton = "\n".join(lines).encode("utf-8", "surrogatepass").translate(
         None, _NOT_TAB_OR_NEWLINE)
     if skeleton != b"\t\t\n" * (n - 1) + b"\t\t":
@@ -666,7 +794,10 @@ def _read_rows(lines: list[str], labels, o_index, t_index, epsilon: int):
     fields = "\t".join(lines).split("\t")
     ids, items = fields[1::3], fields[2::3]
     n_ids = np.fromiter(map(str.count, ids, repeat(",")), np.intp, n) + 1
-    if fields[0::3] != list(map(str, n_ids.tolist())) or n_ids.min() < epsilon:
+    if n_ids.min() < epsilon or n_ids.max() > len(labels):
+        return None  # more ids than objects repeat one or are unknown
+    supports = list(map(str, range(len(labels) + 1)))
+    if fields[0::3] != list(map(supports.__getitem__, n_ids.tolist())):
         return None
     try:
         idx = np.fromiter(map(o_index.__getitem__, ",".join(ids).split(",")),
@@ -678,28 +809,20 @@ def _read_rows(lines: list[str], labels, o_index, t_index, epsilon: int):
     ascending[row_ends[:-1]] = True  # a row's first id follows another row's
     if not ascending.all():
         return None
-    # Each row's mask as little-endian bytes: ids ascend, so the bytes each
-    # row sets ascend too, and the bits of one byte sum to their union.
-    width = (len(labels) + 7) >> 3
-    byte = np.repeat(np.arange(n) * width, n_ids) + (idx >> 3)
-    heads = np.flatnonzero(np.diff(byte, prepend=-1))
-    packed = np.zeros(n * width, np.uint8)
-    packed[byte[heads]] = np.add.reduceat(
-        np.left_shift(1, idx & 7).astype(np.uint8), heads)
-    packed = packed.tobytes()
-    masks = map(int.from_bytes, map(packed.__getitem__, map(
-        slice, range(0, n * width, width), range(width, n * width + 1, width))),
-        repeat("little"))
+    # each row's tidset as w little-endian words: one bit per object packed
+    bits = np.zeros(n * 64 * w, np.uint8)
+    bits[np.repeat(np.arange(n) * (64 * w), n_ids) + idx] = 1
+    packed = np.packbits(bits, bitorder="little")
 
     tokens = ";".join(items).split(";")
     index = dict(zip(dict.fromkeys(tokens), count()))  # run text -> its index
-    matches = list(map(_RUN_TEXT.fullmatch, index))
-    if None in matches:
+    runs = _RUN_TEXT.findall(";".join(index))  # one per run text, or fewer
+    if len(runs) != len(index):
         return None
-    starts, ends, ordinals = zip(*map(re.Match.groups, matches))
+    starts, ends, ordinals = zip(*runs)
     try:
         a = np.fromiter(map(t_index.__getitem__, starts), np.int64, len(index))
-        b = np.fromiter(map({**t_index, None: -1}.__getitem__, ends), np.int64,
+        b = np.fromiter(map({**t_index, "": -1}.__getitem__, ends), np.int64,
                         len(index))
     except KeyError:
         return None
@@ -725,27 +848,27 @@ def _read_rows(lines: list[str], labels, o_index, t_index, epsilon: int):
     if not (nxt == after)[inner].any():  # maximal: no run goes on in the next
         below = ends_row.copy()
         below[:-1] |= nxt < after
-        key = np.empty(2 * len(tok), np.uint64)
+        key = np.empty(2 * len(tok), ">u8")
         key[0::2] = f
         g64 = g.astype(np.uint64)
         key[1::2] = np.where(below, g64, _ABOVE - g64)
-        key = key.tolist()
-        bounds = (2 * row_start).tolist()
+        key = key.tobytes()
+        bounds = (16 * row_start).tolist()
         keys = list(map(key.__getitem__, map(slice, bounds, bounds[1:])))
         if not all(map(lt, keys, keys[1:])):
             keys = None
-    rows = _StoreRows(labels, tuple(t_index), lines, row_start.tolist(), tok.tolist(),
-                      first.tolist(), last.tolist(), keys)
-    fcis = tuple(map(_stored_fci, masks, range(n), repeat(rows)))
-    n_items = int(((g - f) >> _ITEM_BITS).sum()) + len(tok)
-    return fcis, rows if keys is not None else None, (n, n_items, len(tok))
+    rows = _StoreRows(labels, times, tuple(t_index), lines,
+                      packed.view("<u8").reshape(n, w), row_start.tolist(),
+                      tok.tolist(), first.tolist(), last.tolist(), keys)
+    return rows, (n, int(((g - f) >> _ITEM_BITS).sum()) + len(tok), len(tok))
 
 
-def _read_rows_one_by_one(body, o_index, t_index, epsilon: int):
-    """(FCIs, None, (rows, items, runs)) of store rows ``body``, (line
-    number, line) pairs, each checked in turn, the first fault raised as
-    ParseError at its line.  Each distinct run is parsed once; the FCIs
-    build their codes from the runs on first use, as ``_read_rows``'s do."""
+def _read_rows_one_by_one(body, labels, o_index, times, t_index, epsilon: int):
+    """(``_StoreRows`` without ``keys``, (rows, items, runs)) of store rows
+    ``body``, (line number, line) pairs, each checked in turn, the first
+    fault raised as ParseError at its line.  Each distinct run is parsed
+    once; the FCIs build their codes from the runs on first use, as
+    ``_read_rows``'s do."""
     o_bit = {o: 1 << i for o, i in o_index.items()}
     index: dict[str, int] = {}  # run text -> its index in runs
     runs: list[tuple[int, int, int]] = []  # (ordinal, first, last time index)
@@ -791,10 +914,11 @@ def _read_rows_one_by_one(body, o_index, t_index, epsilon: int):
 
     first = [a << _ITEM_BITS | o for o, a, _ in runs]
     last = [b << _ITEM_BITS | o for o, _, b in runs]
-    rows = _StoreRows(None, tuple(t_index), None, row_start, tok, first, last, None)
-    fcis = tuple(map(_stored_fci, masks, count(), repeat(rows)))
+    rows = _StoreRows(labels, times, tuple(t_index), None,
+                      _words(masks, _n_words(labels)), row_start, tok, first, last,
+                      None)
     n_items = sum([runs[t][2] - runs[t][1] + 1 for t in tok])
-    return fcis, None, (len(fcis), n_items, len(tok))
+    return rows, (len(masks), n_items, len(tok))
 
 
 # ---------------------------------------------------------------------------

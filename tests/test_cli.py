@@ -22,6 +22,8 @@ from comove import (
     write_fci_store,
 )
 from comove import cli
+from comove import combine as combine_module
+from comove import store as store_module
 from comove.cli import main
 from oracle import brute_write_fci_store
 
@@ -348,12 +350,14 @@ def test_other_clustering_flags_exit_2_before_any_output(tmp_path, capsys,
 def test_append_builds_fcis_for_the_batch_only(tmp_path, monkeypatch):
     # The stored and the batch itemsets are read, mined, merged and written
     # packed, so an append reads no FCI's ClusterId tuple, whatever the store
-    # holds.
+    # holds; and onto a store as the writer writes it, the stored rows stay
+    # one table from read to write, so no FCI is built for a stored row and
+    # no union FCI at all.
     full = _gen(tmp_path, "full.csv", objects=14, times=45, groups=3,
                 switch_prob=0.05)
     batch = _cut_csv(full, tmp_path / "batch.csv", 40, 45)
-    reads = []
-    items = FCI.items
+    reads, made = [], []
+    items, stored_fci, union = FCI.items, store_module._stored_fci, combine_module._union
     sizes = []
     for span in (10, 35):
         base = _cut_csv(full, tmp_path / f"base{span}.csv", 0, span)
@@ -363,11 +367,17 @@ def test_append_builds_fcis_for_the_batch_only(tmp_path, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(FCI, "items", property(
                 lambda f: reads.append(f) or items.fget(f)))
+            m.setattr(store_module, "_stored_fci",
+                      lambda *a: made.append("stored") or stored_fci(*a))
+            m.setattr(combine_module, "_union",
+                      lambda *a: made.append("union") or union(*a))
             assert main(["append", str(batch), str(tmp_path / f"a{span}"),
                          "--store", str(store)] + APPEND_FLAGS) == 0
-            assert reads == []
+            assert reads == [] and made == []
             assert read_fci_store(store).fcis[0].items and len(reads) == 1
+            assert made == ["stored"] * sizes[-1]
             reads.clear()
+            made.clear()
     small_store, big_store = sizes
     assert big_store > 2 * small_store
 

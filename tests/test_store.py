@@ -38,9 +38,12 @@ from comove import (
     write_patterns_geojson,
     write_trajectories,
 )
+from comove import combine as combine_module
 from comove import store as store_module
+from comove.store import read_fci_table
 from comove.model import PeriodicPattern
 from oracle import (
+    brute_combine_fcis,
     brute_read_fci_store,
     brute_write_fci_store,
     brute_write_patterns_csv,
@@ -718,6 +721,116 @@ def test_fci_store_append_builds_no_stored_row_codes(store, data):
     want = combine_fcis(brute.fcis, incoming, brute.epsilon)
     assert written == _written(brute_write_fci_store, replace(
         brute, time_labels=times, fcis=tuple(want)))
+
+
+@st.composite
+def _append_cases(draw):
+    """(store text, the itemsets of a batch at later times, all the time
+    labels): a random matrix cut in time, each side mined, the earlier side
+    stored.  The text is as the writer writes it, its rows out of code
+    order, each item a field of its own, one row spelled oddly but
+    readably, or no rows at all.  Objects go past 64 (two or more tidset
+    words) as often as not."""
+    n_objects = draw(st.one_of(st.integers(1, 8), st.integers(60, 130)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_times = draw(st.integers(2, 8))
+    cols = []
+    for t in range(n_times):
+        # each object joins one of three clusters or none (-1); a few groups
+        # keep their objects over a time, so runs go on across the cut
+        stay = rng.random(n_objects) < draw(st.sampled_from([0.0, 0.8]))
+        label = np.where(stay, np.arange(n_objects) % 3, rng.integers(-1, 3, n_objects))
+        for ordinal, lab in enumerate(sorted(set(label.tolist()) - {-1})):
+            cols.append(Column(ClusterId(t, ordinal),
+                               Tidset.from_ids(np.flatnonzero(label == lab).tolist())))
+    times = draw(st.sampled_from([tuple(range(n_times)),
+                                  tuple(10 * t - 25 for t in range(n_times)),
+                                  tuple(t + 0.5 for t in range(n_times))]))
+    m = ClusterMatrix.build(tuple(f"o{i}" for i in range(n_objects)), times, cols)
+    cut, eps = draw(st.integers(1, n_times - 1)), draw(st.sampled_from([1, 2, 3]))
+    earlier, later = ([c for c in cols if (c.cid.time >= cut) == side] for side in (0, 1))
+    store = FciStore(eps, m.object_labels, times[:cut], tuple(mine_fci(
+        ClusterMatrix(m.object_labels, times, tuple(earlier), m.kind), eps)))
+    batch = mine_fci(ClusterMatrix(m.object_labels, times, tuple(later), m.kind), eps)
+    buf = io.StringIO()
+    brute_write_fci_store(store, buf)
+    lines = buf.getvalue().split("\n")[:-1]
+    head = [line for line in lines if line.startswith("#")]
+    rows = [line.split("\t") for line in lines if not line.startswith("#")]
+    kind = draw(st.sampled_from(["canonical", "shuffled", "items", "odd", "empty"]))
+    if kind == "shuffled":
+        rows = draw(st.permutations(rows))
+    elif kind == "items":
+        tl = [store_module._fmt_time(t) for t in times]
+        for row, f in zip(rows, sorted(store.fcis, key=lambda f: f.items)):
+            row[2] = ";".join(f"{tl[c.time]}:{c.ordinal}" for c in f.items)
+    elif kind == "odd" and rows:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        spelling = draw(st.sampled_from(["support", "ids", "ordinal"]))
+        if spelling == "support":
+            row[0] = f"0{row[0]}"
+        elif spelling == "ids":
+            row[1] = ",".join(reversed(row[1].split(",")))
+        else:
+            row[2] = row[2].replace(":", ":+", 1)
+    elif kind == "empty":
+        rows = []
+    return "\n".join(head + list(map("\t".join, rows))) + "\n", batch, times
+
+
+@settings(max_examples=300, deadline=None)
+@given(_append_cases())
+def test_fci_store_append_by_rank_matches_the_fci_route_and_the_oracle(case):
+    # An append reads its store as one table, merges the batch into it by
+    # row and writes it by rank: the bytes and merge counters are those of
+    # the store read into FCIs, merged and written, and of the oracles; a
+    # store as the writer writes it builds no FCI of a stored row and no
+    # union on the way
+    text, batch, times = case
+    table = read_fci_table(io.StringIO(text))
+    made, counters = [], {}
+    stored_fci, union = store_module._stored_fci, combine_module._union
+    with mock.patch.object(store_module, "_stored_fci",
+                           lambda *a: made.append(a) or stored_fci(*a)), \
+            mock.patch.object(combine_module, "_union",
+                              lambda *a: made.append(a) or union(*a)):
+        merged = combine_fcis(table.fcis, batch, table.epsilon, counters=counters)
+        got = _written(write_fci_store, replace(table, time_labels=times, fcis=merged))
+    assert made == [] or table.text is None
+    read = read_fci_store(io.StringIO(text))
+    fci_counters: dict = {}
+    fcis = combine_fcis(read.fcis, batch, read.epsilon, counters=fci_counters)
+    brute = brute_read_fci_store(io.StringIO(text))
+    want, brute_counters = brute_combine_fcis(brute.fcis, batch, brute.epsilon)
+    assert got == _written(write_fci_store, replace(
+        read, time_labels=times, fcis=tuple(fcis))) == _written(
+        brute_write_fci_store, replace(brute, time_labels=times, fcis=tuple(want)))
+    assert counters == fci_counters == brute_counters
+    assert len(merged) == len(fcis) == len(want)
+
+
+@pytest.mark.parametrize("items, mask", [
+    (((2, 0),), 0b11),          # after the store's times: merged by row
+    (((1, 2),), 0b11),          # at a stored time, in a column of its own
+    (((1, 1), (2, 0)), 0b01),   # in a stored row's column: refused
+    (((2, 0),), 0b100),         # an object past the store's: written from FCIs
+])
+def test_fci_store_table_merges_as_its_fcis_do(items, mask):
+    # the merge takes a store's rows by their words only when the batch lies
+    # after the store's times; otherwise it merges their FCIs, with the same
+    # itemsets and the same refusal
+    text = _HEADER + "2\ta,b\t0..1:0\n1\ta\t1:1\n"
+    batch = [FCI(tuple(ClusterId(*c) for c in items), Tidset(mask))]
+    table = read_fci_table(io.StringIO(text))
+    got, error = _outcome(combine_fcis, table.fcis, batch, 1)
+    want, want_error = _outcome(combine_fcis, read_fci_store(io.StringIO(text)).fcis,
+                                batch, 1)
+    assert error == want_error
+    if error is None:
+        assert list(got) == want
+        store = replace(table, time_labels=(0, 1, 2), fcis=got)
+        assert _outcome(_written, write_fci_store, store) == _outcome(
+            _written, brute_write_fci_store, replace(store, fcis=tuple(want)))
 
 
 def test_fci_store_reader_counts_rows_items_and_runs():

@@ -26,6 +26,13 @@ writer, given that merge, copies the line of every stored row it keeps,
 places each union by its stored row and formats only the items the batch
 adds.  The writer does the same, by each FCI's row, for a read store
 merged as FCIs.  Only this module knows that text.
+
+A store written to a path gets a companion file, the path plus
+``.table``, that holds its table in binary (see ``_TABLE_TAG``) with the
+SHA-256 of its text.  ``read_fci_table`` of a path takes the table from
+it when the digest is that of the text it read and the table passes every
+check of the text reader that it can decide; otherwise, and always in
+``read_fci_store``, the text is parsed.  The text stays the store.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from functools import partial
 from itertools import accumulate, chain, count, filterfalse, repeat
 from operator import attrgetter, is_, lt, methodcaller
 from pathlib import Path
@@ -90,17 +98,18 @@ def _fmt_time(label) -> str:
     return repr(label) if isinstance(label, float) else str(label)
 
 
-def _write_to(dest, write) -> None:
-    """Call ``write`` with a text stream for ``dest``.  A stream is used as
-    is; a path is written through a temporary file in the same directory
-    that then replaces it, so an existing file is never left half-written."""
+def _write_to(dest, write, binary: bool = False) -> None:
+    """Call ``write`` with a text stream for ``dest``, or a binary one where
+    ``binary``.  A stream is used as is; a path is written through a
+    temporary file in the same directory that then replaces it, so an
+    existing file is never left half-written."""
     if not isinstance(dest, (str, Path)):
         write(dest)
         return
     dest = Path(dest)
     tmp = dest.with_name(f".{dest.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "x", newline="") as fh:
+        with open(tmp, "xb") if binary else open(tmp, "x", newline="") as fh:
             write(fh)
         os.replace(tmp, dest)
     except BaseException:
@@ -315,8 +324,8 @@ class _StoredFCI(FCI):
 
     def bounds(self) -> tuple[int, int]:
         rows, rank = self._rows, self._rank
-        return (rows.first[rows.tok[rows.row_start[rank]]],
-                rows.last[rows.tok[rows.row_start[rank + 1] - 1]])
+        return (int(rows.first[rows.tok[rows.row_start[rank]]]),
+                int(rows.last[rows.tok[rows.row_start[rank + 1] - 1]]))
 
 
 def _stored_fci(mask: int, rank: int, rows: _StoreRows) -> _StoredFCI:
@@ -341,22 +350,26 @@ class _StoreRows:
     ``(N, W)`` uint64 array, and ``end`` is the first item code past the
     store's times, above every row's codes.  Row ``rank``'s runs are
     ``tok[row_start[rank]:row_start[rank + 1]]``, indices of distinct run
-    texts whose first and last item codes are ``first`` and ``last``.
-    ``keys`` is None unless the store was read at once, its runs are maximal
-    and its rows in strictly ascending code order, so each row is as the
-    writer writes it; row ``rank`` is then ``lines[rank]``, and
-    ``keys[rank]`` holds for each run its first code, then its last code
-    when the row's next code is smaller than the run's next one would be (at
-    the same time, or the row ends there), else ``_ABOVE`` less its last
-    code, each as 8 big-endian bytes; those keys sort as the rows' codes
-    do."""
+    texts whose first and last item codes are ``first`` and ``last`` (in a
+    table read from its companion, int64 arrays of every row's runs in turn,
+    and ``tok`` a range).  ``keys`` is None unless the store was read at once,
+    its runs are maximal and its rows in strictly ascending code order, so
+    each row is as the writer writes it; row ``rank`` is then
+    ``lines[rank]``, and ``keys[rank]`` holds for each run its first code,
+    then its last code when the row's next code is smaller than the run's
+    next one would be (at the same time, or the row ends there), else
+    ``_ABOVE`` less its last code, each as 8 big-endian bytes; those keys
+    sort as the rows' codes do.  Such a table also has ``runs``:
+    ``row_start`` and the first and last codes of each row's runs, row by
+    row, as int64 arrays, which the writer builds the companion table from;
+    it is None otherwise."""
 
     def __init__(self, labels, times, tl, lines, words, row_start, tok, first, last,
-                 keys):
+                 keys, runs=None):
         self.labels, self.times, self.tl, self.lines = labels, times, tl, lines
         self.words, self.end = words, len(tl) << _ITEM_BITS
         self.row_start, self.tok, self.first, self.last = row_start, tok, first, last
-        self.keys = keys
+        self.keys, self.runs = keys, runs
         self.run_codes: dict[int, tuple[int, ...]] = {}
         self.pool: list[int] | None = None  # the runs' distinct items
         self.spans: list[slice] = []  # each run's codes in pool
@@ -400,7 +413,7 @@ class _StoreRows:
         above = (_ABOVE - int.from_bytes(key[-8:], "big")).to_bytes(8, "big")
         return bisect_left(self.keys, key[:-8] + above + b"\xff", rank + 1) - 1
 
-    def write_fcis(self, fcis, labels, tl: tuple[str, ...]) -> list[str] | None:
+    def write_fcis(self, fcis, labels, tl: tuple[str, ...]):
         """``write_ranks`` of ``fcis``, or None unless each is one of these
         rows, a union (see ``comove.combine``) of one of them and an itemset
         of later times, or an itemset of later times only, and no tidset
@@ -420,11 +433,10 @@ class _StoreRows:
             if f.mask >> len(labels):
                 return None  # refused by the generic writer
             masks.append(f.mask)
-        kept.sort()
-        return self.write_ranks(kept, sides, laters, _words(masks, self.words.shape[1]),
-                                labels, tl)
+        return self.write_ranks(np.sort(np.array(kept, np.intp)), sides, laters,
+                                _words(masks, self.words.shape[1]), labels, tl)
 
-    def write_merge(self, merge: _Merge, labels, tl: tuple[str, ...]) -> list[str] | None:
+    def write_merge(self, merge: _Merge, labels, tl: tuple[str, ...]):
         """``write_ranks`` of ``merge``, ``combine_fcis``' result on these
         rows, or None where an incoming tidset holds an object past
         ``labels``.  A union's tidset is its rows' words ANDed."""
@@ -435,17 +447,17 @@ class _StoreRows:
         sides = o.tolist() + [-1] * len(new)
         laters = [incoming[j].codes for j in n.tolist() + new.tolist()]
         words = np.concatenate([self.words[o] & merge.words[n], merge.words[new]])
-        return self.write_ranks(np.sort(merge.old).tolist(), sides, laters, words,
-                                labels, tl)
+        return self.write_ranks(np.sort(merge.old), sides, laters, words, labels, tl)
 
-    def write_ranks(self, kept: list[int], sides: list[int], laters: list[tuple[int, ...]],
-                    words: np.ndarray, labels, tl: tuple[str, ...]) -> list[str] | None:
+    def write_ranks(self, kept: np.ndarray, sides: list[int], laters: list[tuple[int, ...]],
+                    words: np.ndarray, labels, tl: tuple[str, ...]):
         """The lines, in code order, of rows ``kept`` (ascending ranks) and of
         one itemset per entry of ``sides``, ``laters`` and ``words``: the
         union of row ``sides[i]`` (none where it is -1) and the items
-        ``laters[i]`` of later times, of tidset ``words[i]``.  None unless
-        ``labels`` and ``tl`` start as read and every later item lies in
-        ``tl``'s later times.
+        ``laters[i]`` of later times, of tidset ``words[i]``, and a call that
+        builds their table (see ``_ranked_table``); or None unless ``labels``
+        and ``tl`` start as read and every later item lies in ``tl``'s later
+        times.
 
         A row's line is copied.  A union is written after the last row that
         has its row's codes as a leading part, ahead of the unions of rows
@@ -458,7 +470,7 @@ class _StoreRows:
         cut, end = self.end, len(tl) << _ITEM_BITS
         if any(later[0] < cut or later[-1] >= end for later in laters):
             return None
-        lines = self.lines
+        lines, ranks = self.lines, kept.tolist()
         # (row it follows, -its row: 1 for later items only, its later
         # items, its entry)
         placed = sorted(zip(
@@ -466,32 +478,80 @@ class _StoreRows:
             [-s for s in sides], laters, count()))
         at = [p[3] for p in placed]
         words = words[at]
-        texts = _run_texts([p[2] for p in placed], tl)
+        texts, first, last, start = _run_texts([p[2] for p in placed], tl)
         members = _member_texts(words.astype("<u8", copy=False).view(np.uint8), labels)
         supports = _popcount(words).tolist()
-        out, done = [], 0
-        for (after, minus_side, later, _), items, ids, support in zip(
-                placed, texts, members, supports):
+        # a union's run across the junction: its row's last run goes on at
+        # its first later item
+        placed_sides = np.array([-p[1] for p in placed], np.int64)
+        row_start, run_first, run_last = self.runs
+        union = np.flatnonzero(placed_sides >= 0)
+        row_last = row_start[placed_sides[union] + 1] - 1  # each union's row's last run
+        join = np.zeros(len(placed), bool)
+        join[union] = run_last[row_last] + _TIME_STEP == first[start[union]]
+        joined = np.full(len(placed), -1)  # the time index the joined run starts at
+        joined[union[join[union]]] = run_first[row_last[join[union]]] >> _ITEM_BITS
+        out, done, stops = [], 0, []
+        for (after, minus_side, *_), items, ids, support, t in zip(
+                placed, texts, members, supports, joined.tolist()):
             if minus_side <= 0:
-                items = self._union_items(-minus_side, later[0], items)
-            stop = bisect_right(kept, after, done)
-            out += map(lines.__getitem__, kept[done:stop])
+                items = self._union_items(-minus_side, items, tl[t] if t >= 0 else None)
+            stop = bisect_right(ranks, after, done)
+            out += map(lines.__getitem__, ranks[done:stop])
             out.append(f"{support}\t{ids}\t{items}")
             done = stop
-        out += map(lines.__getitem__, kept[done:])
-        return out
+            stops.append(stop)
+        out += map(lines.__getitem__, ranks[done:])
+        return out, partial(self._ranked_table, kept, stops, placed_sides, join, words,
+                            first, last, start)
 
-    def _union_items(self, side: int, code: int, later: str) -> str:
-        """Row ``side``'s items text followed by the text ``later`` of runs
-        starting at ``code``, joined into one run where the row's last run
-        goes on at ``code``."""
+    def _ranked_table(self, kept, stops, sides, join, words, first, last, start):
+        """The table of ``write_ranks``' lines: rows ``kept``, and before
+        kept row ``stops[i]`` the itemset of tidset ``words[i]`` whose items
+        are row ``sides[i]``'s (none where it is -1) and the later runs
+        ``start[i]:start[i + 1]`` of ``first`` and ``last``, the row's last
+        run and its first later one joined into one where ``join[i]``."""
+        row_start, run_first, run_last = self.runs
+        k, m = len(kept), len(sides)
+        stops = np.asarray(stops, np.intp)
+        placed = stops + np.arange(m)  # each itemset's line
+        lines = np.arange(k)
+        lines += np.searchsorted(stops, lines, "right")  # each kept row's line
+        # each line's stored runs, then its later ones: where they start and
+        # end in the stored runs followed by the later ones
+        a, b = np.zeros((2, k + m, 2), np.int64)
+        a[lines, 0], b[lines, 0] = row_start[kept], row_start[kept + 1]
+        union = sides >= 0
+        a[placed[union], 0] = row_start[sides[union]]
+        b[placed[union], 0] = row_start[sides[union] + 1]
+        a[placed, 1], b[placed, 1] = start[:-1], start[1:]
+        a[:, 1] += len(run_first)
+        b[:, 1] += len(run_first)
+        a, length = a.ravel(), (b - a).ravel()
+        at = np.cumsum(length) - length
+        runs = np.repeat(a - at, length) + np.arange(length.sum())
+        cut = at[2 * placed[join] + 1]  # the first later run of a joined line
+        ends = runs.copy()
+        ends[cut - 1] = runs[cut]
+        keep = np.ones(len(runs), bool)
+        keep[cut] = False
+        lengths = length[0::2] + length[1::2]
+        lengths[placed[join]] -= 1
+        out_words = np.empty((k + m, self.words.shape[1]), "<u8")
+        out_words[lines], out_words[placed] = self.words[kept], words
+        return (out_words, _starts(lengths), np.concatenate([run_first, first])[runs[keep]],
+                np.concatenate([run_last, last])[ends[keep]])
+
+    def _union_items(self, side: int, later: str, start: str | None) -> str:
+        """Row ``side``'s items text followed by the text ``later`` of later
+        runs; where ``start`` is given, the row's last run goes on in the
+        first later one, and the two are written as one run from time label
+        ``start``."""
         items = self.lines[side].rpartition("\t")[2]
-        t = self.tok[self.row_start[side + 1] - 1]
-        if code != self.last[t] + _TIME_STEP:
+        if start is None:
             return f"{items};{later}"
         head, sep, _ = items.rpartition(";")
         run, sep2, rest = later.partition(";")
-        start = self.tl[self.first[t] >> _ITEM_BITS]
         return f"{head}{sep}{start}..{run.partition('..')[2] or run}{sep2}{rest}"
 
 
@@ -500,12 +560,12 @@ def _n_words(labels) -> int:
     return max(1, -(-len(labels) // 64))
 
 
-def _item_pool(first: list[int], last: list[int]) -> tuple[list[int], list[slice]]:
+def _item_pool(first, last) -> tuple[list[int], list[slice]]:
     """The distinct items of runs with first and last item codes ``first``
     and ``last``, as one list of ints made once each, and each run's slice
     of it.  The runs of one ordinal whose times overlap or touch share one
     stretch of the list, so it holds no item that no run holds."""
-    if not first:
+    if not len(first):
         return [], []
     f, g = np.array(first, np.int64), np.array(last, np.int64)
     order = np.lexsort((f >> _ITEM_BITS, f & _ORDINAL_MASK))
@@ -546,39 +606,47 @@ def write_fci_store(store: FciStore, dest):
     itemsets of later times only.  Its itemsets are either FCIs or
     ``combine_fcis``' result on its rows, which gives the rows by rank.  Any
     other store is sorted by codes and formatted whole, member ids from
-    tidset masks and items from their codes."""
+    tidset masks and items from their codes.
+
+    Written to a path, the store is followed by its companion table, the
+    path plus ``.table`` (see ``_TABLE_TAG``), built from the runs and
+    tidset words the lines were written from: the kept rows' from the table
+    read, and each union's as its stored row's runs then the batch's, the
+    run across the junction joined as in the text.  A stream gets none."""
     labels = store.object_labels
     _check_ids(labels, ",\t\n\r", str.rstrip, "stored",
                "contain no ',', tab or newline, and not end in whitespace")
     rows, fcis = store.text, store.fcis
     tl = _time_texts(store.time_labels, rows)
-    lines = None
+    written = None
     if rows is not None:
-        lines = (rows.write_merge(fcis, labels, tl)
-                 if isinstance(fcis, _Merge) and fcis.existing is rows
-                 else rows.write_fcis(fcis, labels, tl))
-    if lines is None:
+        written = (rows.write_merge(fcis, labels, tl)
+                   if isinstance(fcis, _Merge) and fcis.existing is rows
+                   else rows.write_fcis(fcis, labels, tl))
+    if written is None:
         fcis = sorted(fcis, key=_codes)
-        width = (len(labels) + 7) >> 3
-        lines = [f"{f.mask.bit_count()}\t{ids}\t{items}" for f, ids, items in zip(
-            fcis, _member_texts(np.frombuffer(b"".join(
-                [f.mask.to_bytes(width, "little") for f in fcis]), np.uint8).reshape(
-                len(fcis), width), labels),
-            _run_texts([f.codes for f in fcis], tl))]
+        words = _words([f.mask for f in fcis], _n_words(labels))
+        texts, first, last, start = _run_texts([f.codes for f in fcis], tl)
+        lines = [f"{support}\t{ids}\t{items}" for support, ids, items in zip(
+            _popcount(words).tolist(), _member_texts(words.view(np.uint8), labels),
+            texts)]
+        table = lambda: (words, start, first, last)
+    else:
+        lines, table = written
 
-    def write(fh):
-        fh.write(f"# epsilon\t{store.epsilon}\n")
-        if store.clustering is not None:
-            fh.write("# clustering" + "".join(f"\t{k}={store.clustering[k]!r}"
-                     for k in ("eps", "min_pts", "interpolate")) + "\n")
-        fh.write(f"# n_objects\t{len(labels)}\n")
-        if tl:
-            fh.write(f"# time_range\t{tl[0]}\t{tl[-1]}\n")
-        fh.write(f"# objects\t{','.join(labels)}\n")
-        fh.write(f"# times\t{','.join(tl)}\n")
-        if lines:
-            fh.write("\n".join(lines) + "\n")
-    _write_to(dest, write)
+    head = [f"# epsilon\t{store.epsilon}\n"]
+    if store.clustering is not None:
+        head.append("# clustering" + "".join(f"\t{k}={store.clustering[k]!r}"
+                    for k in ("eps", "min_pts", "interpolate")) + "\n")
+    head.append(f"# n_objects\t{len(labels)}\n")
+    if tl:
+        head.append(f"# time_range\t{tl[0]}\t{tl[-1]}\n")
+    head.append(f"# objects\t{','.join(labels)}\n# times\t{','.join(tl)}\n")
+    text = "".join(head) + ("\n".join(lines) + "\n" if lines else "")
+    _write_to(dest, methodcaller("write", text))
+    if isinstance(dest, (str, Path)):
+        data = _table_bytes(_digest(text), *table())
+        _write_to(_table_path(dest), methodcaller("write", data), binary=True)
 
 
 def _time_texts(time_labels: tuple, rows: _StoreRows | None) -> tuple[str, ...]:
@@ -602,11 +670,20 @@ def _member_texts(packed: np.ndarray, labels: tuple[str, ...]) -> list[str]:
     return [",".join(names[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """Where each of parts of ``lengths`` starts, then their total."""
+    out = np.zeros(len(lengths) + 1, np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
 def _run_texts(rows: list[tuple[int, ...]], tl: tuple[str, ...]):
-    """An iterator over the items text of each row of codes: its maximal runs
-    of one ordinal at consecutive store times, in code order, each written
-    ``a..b:o``, or ``t:o`` for a run of one item, joined by ``;``.  An item
-    whose time is not a store time raises ParseError."""
+    """(texts, first, last, start): the items text of each row of codes,
+    its maximal runs of one ordinal at consecutive store times, in code
+    order, each written ``a..b:o``, or ``t:o`` for a run of one item,
+    joined by ``;``; and the runs' first and last codes, row ``i``'s at
+    ``start[i]:start[i + 1]``, as int64 arrays.  An item whose time is not
+    a store time raises ParseError."""
     lengths = np.fromiter(map(len, rows), np.intp, len(rows))
     codes = np.fromiter(chain.from_iterable(rows), np.int64, lengths.sum())
     end = len(tl) << _ITEM_BITS  # the first code past the last store time
@@ -619,13 +696,15 @@ def _run_texts(rows: list[tuple[int, ...]], tl: tuple[str, ...]):
     row_starts = np.cumsum(lengths) - lengths
     breaks[row_starts] = True
     starts = np.flatnonzero(breaks[:-1])
-    first = codes[starts]
-    last_t = (codes[np.flatnonzero(breaks[1:])] >> _ITEM_BITS).tolist()
+    first, last = codes[starts], codes[np.flatnonzero(breaks[1:])]
     runs = [f"{tl[a]}:{o}" if a == b else f"{tl[a]}..{tl[b]}:{o}"
             for o, a, b in zip((first & _ORDINAL_MASK).tolist(),
-                               (first >> _ITEM_BITS).tolist(), last_t)]
-    bounds = np.searchsorted(starts, row_starts).tolist() + [len(runs)]
-    return iter([";".join(runs[i:j]) for i, j in zip(bounds, bounds[1:])])
+                               (first >> _ITEM_BITS).tolist(),
+                               (last >> _ITEM_BITS).tolist())]
+    start = np.append(np.searchsorted(starts, row_starts), len(runs))
+    bounds = start.tolist()
+    return ([";".join(runs[i:j]) for i, j in zip(bounds, bounds[1:])], first, last,
+            start)
 
 
 def _parse_run(token: str, t_index: dict[str, int], line_no: int):
@@ -648,6 +727,89 @@ def _parse_run(token: str, t_index: dict[str, int], line_no: int):
     return ordinal, a, b
 
 
+# The companion table of a store: _TABLE_TAG, the SHA-256 of the store's
+# text, the counts of rows N, tidset words per row W and runs R as three
+# uint64, then the rows' tidset words (N * W uint64), where each row's runs
+# start (N + 1 int64, then R), and each run's first and last item codes
+# (R int64 each), all little-endian.
+_TABLE_TAG = b"comove.table.v1\n"
+_TABLE_COUNTS = len(_TABLE_TAG) + 32  # where the counts start
+_TABLE_HEAD = _TABLE_COUNTS + 24  # where the arrays start
+
+
+def _table_path(path) -> Path:
+    """The companion table of the store at ``path``."""
+    path = Path(path)
+    return path.with_name(path.name + ".table")
+
+
+def _digest(text: str) -> bytes:
+    """The SHA-256 of a store's text, UTF-8 encoded."""
+    import hashlib  # here, not at the top: loading it adds 3 ms to every start
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
+
+
+def _table_bytes(digest: bytes, words: np.ndarray, row_start: np.ndarray,
+                 first: np.ndarray, last: np.ndarray) -> bytes:
+    """The companion table (see ``_TABLE_TAG``) of a store whose text has
+    SHA-256 ``digest``, rows' tidset ``words``, runs starting at
+    ``row_start`` and runs' first and last codes ``first`` and ``last``."""
+    counts = np.array([len(words), words.shape[1], len(first)], "<u8")
+    return b"".join([_TABLE_TAG, digest, counts.tobytes(),
+                     *(np.ascontiguousarray(a, "<u8" if a is words else "<i8").tobytes()
+                       for a in (words, row_start, first, last))])
+
+
+def _companion(path: Path, text: str) -> bytes | None:
+    """The companion table at ``path`` where it has the tag and holds the
+    SHA-256 of ``text``, else None."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    if data[:len(_TABLE_TAG)] != _TABLE_TAG \
+            or data[len(_TABLE_TAG):_TABLE_COUNTS] != _digest(text):
+        return None
+    return data
+
+
+def _read_companion(data: bytes, lines: list[str], labels, times, tl, epsilon: int):
+    """``_read_rows``' result for store rows ``lines`` from the companion
+    table ``data`` of their text, or None unless it holds one row per line
+    and a table that passes the text reader's checks that a table can
+    decide: each row's support at least ``epsilon``, no bit past the last
+    object, every run inside the time labels ``tl`` and of one ordinal
+    (which fits 32 bits), at least one run per row, runs ascending and
+    maximal within a row, and rows in strictly ascending code order.
+    Nothing it reads raises."""
+    if len(data) < _TABLE_HEAD:
+        return None
+    n, w, r = np.frombuffer(data, "<u8", 3, _TABLE_COUNTS).tolist()
+    if n != len(lines) or w != _n_words(labels) \
+            or len(data) != _TABLE_HEAD + 8 * (n * w + n + 1 + 2 * r):
+        return None
+    words = np.frombuffer(data, "<u8", n * w, _TABLE_HEAD).reshape(n, w)
+    row_start, first, last = np.split(
+        np.frombuffer(data, "<i8", offset=_TABLE_HEAD + 8 * n * w), [n + 1, n + 1 + r])
+    # compared, not subtracted: a difference of stored int64s can wrap
+    if row_start[0] != 0 or row_start[-1] != r or (row_start[1:] <= row_start[:-1]).any():
+        return None  # a run index out of range, or a row without runs
+    used = len(labels) - 64 * (w - 1)  # the bits of a row's last word that objects use
+    if n and _popcount(words).min() < epsilon \
+            or used < 64 and (words[:, -1] >> np.uint64(used)).any():
+        return None
+    if (first < 0).any() or (last < first).any() or ((first ^ last) & _ORDINAL_MASK).any() \
+            or (last >= len(tl) << _ITEM_BITS).any():
+        return None
+    keys = _row_keys(first, last, row_start)[1]
+    if keys is None:
+        return None
+    rows = _StoreRows(labels, times, tl, lines, words, row_start, range(r), first, last,
+                      keys, (row_start, first, last))
+    return rows, (n, int(((last - first) >> _ITEM_BITS).sum()) + r, r)
+
+
 def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
     """Parse a store into packed FCIs.  Every row is checked, and the first
     fault raises ParseError naming its line; so do a repeated object id in
@@ -665,8 +827,8 @@ def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
     kept.
 
     ``counters``, when given, is filled with ``rows``, ``items`` and
-    ``runs``."""
-    store = read_fci_table(source, counters=counters)
+    ``runs``.  The store's companion table is never read."""
+    store = _read_table(source, counters, False)
     return replace(store, fcis=tuple(store.fcis))
 
 
@@ -675,17 +837,33 @@ def read_fci_table(source, *, counters: dict | None = None) -> FciStore:
     as one table (``_StoreRows``) in place of the tuple of FCIs: a sequence
     that builds each row's FCI when it is read, and that ``combine_fcis``
     merges by its tidset words without building any.  An append reads its
-    store so."""
+    store so.
+
+    A store read from a path takes its table from the companion table
+    beside it when that holds the SHA-256 of the text read and passes the
+    checks of ``_read_companion``; the digest stands in for the checks it
+    cannot decide, that the table is the one of these rows.  Any other
+    companion, or none, is passed over, and the rows are parsed."""
+    return _read_table(source, counters, True)
+
+
+def _read_table(source, counters: dict | None, companion: bool) -> FciStore:
+    """``read_fci_table``, through the companion table only where
+    ``companion``."""
     if isinstance(source, (str, Path)):
         with open(source) as fh:
-            return read_fci_table(fh, counters=counters)
-    text = source.read()
+            text = fh.read()
+        packed = companion and _companion(_table_path(source), text)
+    else:
+        text, packed = source.read(), None
     lines = text.split("\n")
     n_head = 0  # the leading comment lines
     while n_head < len(lines) and lines[n_head].startswith("#"):
         n_head += 1
-    rows = None  # the lines after the header, where no comment follows it
-    if text.find("\n#", sum(map(len, lines[:n_head])) + n_head) < 0:
+    # the lines after the header, where no comment follows it, as in every
+    # text the writer writes and so in one whose companion holds its digest
+    rows = None
+    if packed or text.find("\n#", sum(map(len, lines[:n_head])) + n_head) < 0:
         head, rows = lines[:n_head], lines[n_head:-1] if lines[-1] == "" else lines[n_head:]
     else:
         head = filter(methodcaller("startswith", "#"), lines)
@@ -741,9 +919,11 @@ def read_fci_table(source, *, counters: dict | None = None) -> FciStore:
     if not all(map(lt, times, times[1:])):
         raise ParseError("store times must be strictly increasing")
 
-    t_index = dict(zip(tl, count()))
-    read = rows is not None and _read_rows(rows, labels, o_index, times, t_index,
-                                           epsilon)
+    read = packed and _read_companion(packed, rows, labels, times, tl, epsilon)
+    if not read:
+        t_index = dict(zip(tl, count()))
+        read = rows is not None and _read_rows(rows, labels, o_index, times, t_index,
+                                               epsilon)
     if not read:  # rows not all as the writer writes them, or blank lines
         body = [i for i, line in enumerate(lines)  # rows, by index in lines
                 if line and line[0] != "#" and not line.isspace()]
@@ -785,8 +965,9 @@ def _read_rows(lines: list[str], labels, o_index, times, t_index, epsilon: int):
     are left to be built."""
     n, w = len(lines), _n_words(labels)
     if not n:
+        none = np.zeros(0, np.int64)
         return _StoreRows(labels, times, tuple(t_index), [], np.zeros((0, w), "<u8"),
-                          [0], [], [], [], []), (0, 0, 0)
+                          [0], [], [], [], [], (_starts(none), none, none)), (0, 0, 0)
     skeleton = "\n".join(lines).encode("utf-8", "surrogatepass").translate(
         None, _NOT_TAB_OR_NEWLINE)
     if skeleton != b"\t\t\n" * (n - 1) + b"\t\t":
@@ -837,30 +1018,41 @@ def _read_rows(lines: list[str], labels, o_index, times, t_index, epsilon: int):
     np.cumsum(np.fromiter(map(str.count, items, repeat(";")), np.intp, n) + 1,
               out=row_start[1:])
     f, g = first[tok], last[tok]
-    # a row's runs ascend: the next starts past the last code
-    ends_row = np.zeros(len(tok), bool)
+    ascending, keys = _row_keys(f, g, row_start)
+    if not ascending:
+        return None
+    rows = _StoreRows(labels, times, tuple(t_index), lines,
+                      packed.view("<u8").reshape(n, w), row_start.tolist(),
+                      tok.tolist(), first.tolist(), last.tolist(), keys,
+                      None if keys is None else (row_start, f, g))
+    return rows, (n, int(((g - f) >> _ITEM_BITS).sum()) + len(tok), len(tok))
+
+
+def _row_keys(f: np.ndarray, g: np.ndarray, row_start: np.ndarray):
+    """(ascending, keys) of rows whose runs have first and last codes ``f``
+    and ``g``, row ``i``'s at ``row_start[i]:row_start[i + 1]``, each row
+    holding one or more: whether every row's runs ascend, each starting past
+    the last code of the one before, and the rows' keys (see
+    ``_StoreRows``) where they do, no run goes on in the next one and the
+    rows are in strictly ascending code order, else None."""
+    ends_row = np.zeros(len(f), bool)
     ends_row[row_start[1:] - 1] = True
     nxt, after = f[1:], g[:-1] + _TIME_STEP
     inner = ~ends_row[:-1]
     if (nxt <= g[:-1])[inner].any():
-        return None
-    keys = None
-    if not (nxt == after)[inner].any():  # maximal: no run goes on in the next
-        below = ends_row.copy()
-        below[:-1] |= nxt < after
-        key = np.empty(2 * len(tok), ">u8")
-        key[0::2] = f
-        g64 = g.astype(np.uint64)
-        key[1::2] = np.where(below, g64, _ABOVE - g64)
-        key = key.tobytes()
-        bounds = (16 * row_start).tolist()
-        keys = list(map(key.__getitem__, map(slice, bounds, bounds[1:])))
-        if not all(map(lt, keys, keys[1:])):
-            keys = None
-    rows = _StoreRows(labels, times, tuple(t_index), lines,
-                      packed.view("<u8").reshape(n, w), row_start.tolist(),
-                      tok.tolist(), first.tolist(), last.tolist(), keys)
-    return rows, (n, int(((g - f) >> _ITEM_BITS).sum()) + len(tok), len(tok))
+        return False, None
+    if (nxt == after)[inner].any():  # not maximal
+        return True, None
+    below = ends_row.copy()
+    below[:-1] |= nxt < after
+    key = np.empty(2 * len(f), ">u8")
+    key[0::2] = f
+    g64 = g.astype(np.uint64)
+    key[1::2] = np.where(below, g64, _ABOVE - g64)
+    key = key.tobytes()
+    bounds = (16 * row_start).tolist()
+    keys = list(map(key.__getitem__, map(slice, bounds, bounds[1:])))
+    return True, keys if all(map(lt, keys, keys[1:])) else None
 
 
 def _read_rows_one_by_one(body, labels, o_index, times, t_index, epsilon: int):

@@ -1,9 +1,12 @@
 import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr
 from dataclasses import replace
 from itertools import chain
 from operator import lt
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,11 +26,13 @@ from comove import (
     MovingCluster,
     ParseError,
     PeriodicPattern,
+    SyntheticSpec,
     Tidset,
     TrajectoryDB,
     UniverseError,
     combine_fcis,
     extract_patterns,
+    gen_synthetic,
     mine_fci,
     parse_trajectories,
     read_cluster_columns,
@@ -40,6 +45,7 @@ from comove import (
 )
 from comove import combine as combine_module
 from comove import store as store_module
+from comove.cli import main
 from comove.store import read_fci_table
 from comove.model import PeriodicPattern
 from oracle import (
@@ -1047,13 +1053,249 @@ def test_fci_store_failed_write_keeps_existing_file(tmp_path):
     path = tmp_path / "fcis.tsv"
     good = FciStore(1, ("a",), (0,), (FCI((ClusterId(0, 0),), Tidset.from_ids([0])),))
     write_fci_store(good, path)
-    before = path.read_bytes()
+    table = tmp_path / "fcis.tsv.table"  # the companion table beside the store
+    before = path.read_bytes(), table.read_bytes()
     # item time index 5 is outside the single time label
     bad = FciStore(1, ("a",), (0,), (FCI((ClusterId(5, 0),), Tidset.from_ids([0])),))
     with pytest.raises(ParseError):
         write_fci_store(bad, path)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["fcis.tsv"]
+    assert (path.read_bytes(), table.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fcis.tsv", "fcis.tsv.table"]
+
+
+# ---------------------------------------------------------------------------
+# The companion table beside a store written to a path
+# ---------------------------------------------------------------------------
+
+_CHAIN_FLAGS = ["--eps", "2.0", "--minpts", "2"]
+
+
+def _read_through_companion(path: Path):
+    """``read_fci_table(path)``, which must not parse the rows, and its
+    counters."""
+    counters: dict = {}
+    with mock.patch.object(store_module, "_read_rows",
+                           side_effect=AssertionError("rows parsed")), \
+            mock.patch.object(store_module, "_read_rows_one_by_one",
+                              side_effect=AssertionError("rows parsed")):
+        return read_fci_table(path, counters=counters), counters
+
+
+def _assert_same_table(got, got_counters: dict, text: str):
+    """``got``, a store read by ``read_fci_table``, holds the table and
+    counters that parsing ``text`` gives."""
+    counters: dict = {}
+    want = read_fci_table(io.StringIO(text), counters=counters)
+    a, b = got.text, want.text
+    assert a is not None and b is not None
+    assert a.lines == b.lines and a.keys == b.keys
+    assert a.words.shape == b.words.shape and (a.words == b.words).all()
+    assert [a.codes(i) for i in range(len(a))] == [b.codes(i) for i in range(len(b))]
+    assert got_counters == counters
+    assert replace(got, fcis=tuple(got.fcis)) == replace(want, fcis=tuple(want.fcis))
+
+
+def _companion_chain(work: Path, db: TrajectoryDB, cuts: list[int]) -> int:
+    """Mine the times of ``db`` before ``cuts[0]`` into a store with the
+    CLI, then append the times up to each later cut and to the end, one
+    batch at a time.  Every store of the chain reads through its companion
+    as its text reads, and every append writes the same store and
+    companion whether the companion of its input is present, deleted or
+    stale.  Returns the number of unions whose junction runs joined."""
+    bounds = [0, *cuts, db.n_times]
+    csvs = []
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        csvs.append(work / f"t{k}.csv")
+        write_trajectories(TrajectoryDB(db.object_labels, db.time_labels[a:b],
+                                        db.xy[:, a:b]), csvs[-1])
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert main(["mine", str(csvs[0]), str(work / "s0"), "--epsilon", "2"]
+                    + _CHAIN_FLAGS) == 0
+    store, joins = work / "s0" / "fcis.tsv", []
+    union_items = store_module._StoreRows._union_items
+    for k, batch in enumerate(csvs[1:], 1):
+        _assert_same_table(*_read_through_companion(store), store.read_text())
+        table = Path(f"{store}.table").read_bytes()
+        outs = {}
+        for case in ("present", "deleted", "stale"):
+            source = store
+            if case != "present":
+                source = work / f"{case}{k}" / "fcis.tsv"
+                source.parent.mkdir()
+                source.write_bytes(store.read_bytes())
+            if case == "stale":  # it holds the digest of another text
+                Path(f"{source}.table").write_bytes(
+                    table[:20] + bytes([table[20] ^ 1]) + table[21:])
+            out = work / f"{case}{k}.out"
+            with redirect_stderr(err), mock.patch.object(
+                    store_module._StoreRows, "_union_items",
+                    lambda rows, side, later, start: joins.append(start is not None)
+                    or union_items(rows, side, later, start)):
+                assert main(["append", str(batch), str(out), "--store", str(source)]
+                            + _CHAIN_FLAGS) == 0
+            outs[case] = ((out / "fcis.tsv").read_bytes(),
+                          (out / "fcis.tsv.table").read_bytes())
+        assert outs["present"] == outs["deleted"] == outs["stale"]
+        store = work / f"present{k}.out" / "fcis.tsv"
+    _assert_same_table(*_read_through_companion(store), store.read_text())
+    return sum(joins)
+
+
+def test_fci_store_companion_chain_joins_junction_runs(tmp_path):
+    # groups that keep their clusters across a batch boundary: unions whose
+    # stored row's last run goes on in the batch's first one
+    db = gen_synthetic(SyntheticSpec(n_objects=14, n_times=45, n_groups=3,
+                                     switch_prob=0.05, spread=0.1, seed=1))
+    assert _companion_chain(tmp_path, db, [20, 25, 30, 35, 40]) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 80), st.integers(6, 24), st.integers(1, 4),
+       st.sampled_from([0.0, 0.1]), st.integers(0, 2 ** 16), st.data())
+def test_fci_store_companion_is_the_text_table(n_objects, n_times, groups, switch,
+                                                seed, data):
+    # stores written by mine and by chains of append, over one or two
+    # tidset words, with or without groups that switch
+    db = gen_synthetic(SyntheticSpec(n_objects=n_objects, n_times=n_times,
+                                     n_groups=groups, switch_prob=switch,
+                                     spread=0.1, seed=seed))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n_times - 1), min_size=1,
+                                    max_size=3)))
+    with tempfile.TemporaryDirectory() as work:
+        _companion_chain(Path(work), db, cuts)
+
+
+def _companion_parts(path: Path):
+    """(digest, words, row starts, first codes, last codes) of the
+    companion table beside the store at ``path``."""
+    data = Path(f"{path}.table").read_bytes()
+    n, w, r = np.frombuffer(data, "<u8", 3, store_module._TABLE_COUNTS).tolist()
+    arrays = np.frombuffer(data, "<i8", offset=store_module._TABLE_HEAD).copy()
+    words = arrays[:n * w].view("<u8").reshape(n, w)
+    row_start, first, last = np.split(arrays[n * w:], [n + 1, n + 1 + r])
+    return (data[len(store_module._TABLE_TAG):store_module._TABLE_COUNTS], words,
+            row_start, first, last)
+
+
+def _damaged(case: str, data: bytes, digest, words, row_start, first, last) -> bytes:
+    """The companion table ``data`` of the store below, damaged as ``case``
+    says; past the tag it keeps the text's digest."""
+    if case == "truncated":
+        return data[:-8]
+    if case == "tag":
+        return b"comove.table.v0\n" + data[16:]
+    if case == "rows":  # a row fewer than the text
+        words, row_start = words[:-1], row_start[:-1]
+        first, last = first[:row_start[-1]], last[:row_start[-1]]
+    elif case == "run-index":
+        row_start[1] = len(first) + 1
+    elif case == "wrapping-starts":  # each start past the one before, as int64 wraps
+        row_start[1], row_start[2] = 2 ** 63 - 1, -2
+    elif case == "epsilon":
+        words[2] = 0
+    elif case == "object-bit":
+        words[0, -1] |= np.uint64(1 << 63)
+    elif case == "past-last-time":  # 2..4:1, and 4 is past times 0-3
+        last[3] = 4 << 32 | 1
+    elif case == "two-ordinals":
+        last[0] |= 1
+    elif case == "overlapping":  # 0..3:1 after 0..1:0
+        first[3] = 1
+    elif case == "not-maximal":  # 2..3:0 after 0..1:0
+        first[3], last[3] = 2 << 32, 3 << 32
+    elif case == "row-order":
+        words[[0, 1]], first[[0, 1]], last[[0, 1]] = words[[1, 0]], first[[1, 0]], \
+            last[[1, 0]]
+    return store_module._table_bytes(digest, words, row_start, first, last)
+
+
+@pytest.mark.parametrize("case", [
+    "intact", "truncated", "tag", "rows", "run-index", "wrapping-starts", "epsilon",
+    "object-bit", "past-last-time", "two-ordinals", "overlapping", "not-maximal",
+    "row-order", "edited-text"])
+def test_fci_store_reads_its_text_past_a_damaged_companion(tmp_path, case):
+    # a companion that holds the text's digest but not a table the text
+    # reader would accept, or one written for the text before an edit, is
+    # passed over without raising, and the rows are parsed; an intact one is
+    # read instead of them
+    path = tmp_path / "fcis.tsv"
+    write_fci_store(FciStore(2, ("a", "b", "c"), (0, 1, 2, 3), tuple(
+        FCI(tuple(ClusterId(*c) for c in items), Tidset.from_ids(ids)) for items, ids in [
+            (((0, 0), (1, 0)), [0, 1, 2]),
+            (((0, 0), (1, 0), (2, 0), (3, 0)), [0, 1]),
+            (((0, 0), (1, 0), (2, 1), (3, 1)), [1, 2])])), path)
+    text = path.read_text()
+    assert text.endswith("3\ta,b,c\t0..1:0\n2\ta,b\t0..3:0\n2\tb,c\t0..1:0;2..3:1\n")
+    table = Path(f"{path}.table")
+    table.write_bytes(_damaged(case, table.read_bytes(), *_companion_parts(path)))
+    if case == "edited-text":  # a companion for the text before the edit
+        text = text.replace("2..3:1", "2..3:2")
+        path.write_text(text)
+    parsed = []
+    read_rows = store_module._read_rows
+    with mock.patch.object(store_module, "_read_rows",
+                           lambda *a: parsed.append(1) or read_rows(*a)):
+        counters: dict = {}
+        got = read_fci_table(path, counters=counters)
+    assert parsed == ([] if case == "intact" else [1])
+    _assert_same_table(got, counters, text)
+
+
+def test_append_names_the_faulty_row_of_a_store_edited_after_it_was_written(
+        tmp_path, capsys):
+    # the companion no longer holds the text's digest, so the rows are
+    # parsed and the fault is named at its line, as the text reader names it
+    db = gen_synthetic(SyntheticSpec(n_objects=14, n_times=25, n_groups=3,
+                                     switch_prob=0.05, spread=0.1, seed=1))
+    write_trajectories(TrajectoryDB(db.object_labels, db.time_labels[:20],
+                                    db.xy[:, :20]), tmp_path / "base.csv")
+    write_trajectories(TrajectoryDB(db.object_labels, db.time_labels[20:],
+                                    db.xy[:, 20:]), tmp_path / "batch.csv")
+    assert main(["mine", str(tmp_path / "base.csv"), str(tmp_path / "m"),
+                 "--epsilon", "2"] + _CHAIN_FLAGS) == 0
+    store = tmp_path / "m" / "fcis.tsv"
+    lines = store.read_text().splitlines(keepends=True)
+    ids = ",".join(read_fci_store(store).object_labels[:2])
+    lines.insert(9, f"3\t{ids}\t0:0\n")
+    store.write_text("".join(lines))
+    with pytest.raises(ParseError) as fault:
+        read_fci_store(store)
+    assert fault.value.line == 10
+    capsys.readouterr()
+    assert main(["append", str(tmp_path / "batch.csv"), str(tmp_path / "a"),
+                 "--store", str(store)] + _CHAIN_FLAGS) == 2
+    assert capsys.readouterr().err.startswith(
+        f"comove: error: {store}: line 10: support 3 does not match 2 member ids\n")
+    assert str(fault.value) == "line 10: support 3 does not match 2 member ids"
+    assert not (tmp_path / "a").exists()
+
+
+def test_only_append_reads_a_companion(tmp_path, monkeypatch):
+    # read_fci_store and convert patterns parse the text, and a store
+    # written to a stream gets no companion
+    traj = tmp_path / "traj.csv"
+    write_trajectories(gen_synthetic(SyntheticSpec(
+        n_objects=10, n_times=12, n_groups=2, spread=0.1, seed=1)), traj)
+    assert main(["mine", str(traj), str(tmp_path / "m"), "--epsilon", "2"]
+                + _CHAIN_FLAGS) == 0
+    store = tmp_path / "m" / "fcis.tsv"
+    assert Path(f"{store}.table").exists()
+    opened, real_open = [], open
+    monkeypatch.setattr("builtins.open", lambda file, *a, **k: opened.append(
+        str(file)) or real_open(file, *a, **k))
+    read = read_fci_store(store)
+    assert main(["convert", "patterns", str(store), str(traj), str(tmp_path / "p")]
+                + _CHAIN_FLAGS) == 0
+    with monkeypatch.context() as m:
+        m.setattr(store_module, "_digest", None)  # raises if called
+        m.setattr(store_module, "_table_bytes", None)
+        write_fci_store(read, io.StringIO())
+    assert str(store) in opened
+    assert not [f for f in opened if f.endswith(".table")]
+    assert [p.name for p in (tmp_path / "p").iterdir()] == ["patterns.csv"]
+    read_fci_table(store)  # the append's read
+    assert opened[-1] == f"{store}.table"
 
 
 def test_failed_pattern_and_column_writes_keep_existing_file(tmp_path):

@@ -52,8 +52,8 @@ carry their tidsets as words and hold items of the store's times only.
 If every incoming item lies after those, the sides share no column without
 any further check, and the result is a ``_Merge``: the indices above, from
 which the store writer copies each kept row's line and places each union
-by its stored row.  Reading the ``_Merge`` builds the FCIs, in the order
-``combine_fcis`` returns them for FCI lists.
+by its stored row.  Reading the ``_Merge`` builds the FCIs, every stored
+row's at once, in the order ``combine_fcis`` returns them for FCI lists.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ class _Union(FCI):
     """A combined itemset: its tidset mask and the two itemsets it joins,
     ``head`` before ``tail`` in code order when ``apart``, else interleaved
     with it.  Its codes are built from theirs on first read, which then lets
-    both go.  (A property, as in the store's ``_StoredFCI``.)"""
+    both go.  (A property, not ``__getattr__``, which would slow every other
+    attribute read, ``mask`` in the merge loop among them.)"""
 
     __slots__ = ("head", "tail", "apart", "_codes")
 
@@ -262,7 +263,8 @@ class _Merge:
         return len(self.old) + len(self.new) + len(self.pairs[0])
 
     def __iter__(self):
-        existing, incoming, order = self.existing, self.incoming, self.order
+        # a store's rows build all their FCIs at once
+        existing, incoming, order = list(self.existing), self.incoming, self.order
         yield from map(existing.__getitem__, self.old.tolist())
         yield from map(incoming.__getitem__, self.new.tolist())
         for o, n in zip(*map(np.ndarray.tolist, self.pairs)):
@@ -286,7 +288,8 @@ def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
     in: (support, codes) for sides given in code order.
 
     ``existing`` may also be a store's rows as ``comove.store``'s
-    ``read_fci_table`` reads them.  When every incoming item lies after the
+    ``read_fci_table`` reads them: one table, which builds every row's FCI
+    at once when it is iterated.  When every incoming item lies after the
     store's times and every incoming tidset fits its words, the result is a
     ``_Merge``: the same itemsets in the same order, as rows, built when it
     is iterated.

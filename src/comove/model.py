@@ -290,9 +290,7 @@ class FCI:
     ``codes`` are the items as ascending :func:`item_code` ints, which fit an
     int64 (an item they cannot hold raises ParseError); ``items`` and
     ``tidset`` are built from them on first read and cached.
-    :func:`packed_fci` makes an FCI from packed fields without checks.  An
-    FCI read from a store (see ``comove.store``) builds its ``codes`` on
-    first read too, and answers :meth:`bounds` without them.
+    :func:`packed_fci` makes an FCI from packed fields without checks.
     """
 
     __slots__ = ("mask", "codes", "_items", "_tidset")

@@ -15,17 +15,17 @@ all: empty ids, ids with whitespace its reader strips, and ids holding a
 separator of the format.  The pattern writers refuse ids holding ``;``.
 
 The itemset store is read into one table (``_StoreRows``): the rows'
-lines, their runs, and their tidsets as one ``(rows, W)`` array of uint64
-words.  A row writes its items as runs, ``a..b:o`` for ordinal ``o`` at
-every store time from label ``a`` through ``b`` and ``t:o`` for one item,
-so each row stands alone.  The reader checks a store's rows all at once
-where it can and leaves their item codes to be built on first use.
-``read_fci_store`` builds an FCI per row from the table; an append leaves
-the rows in it: ``combine_fcis`` merges a batch into it by row, and the
-writer, given that merge, copies the line of every stored row it keeps,
-places each union by its stored row and formats only the items the batch
-adds.  The writer does the same, by each FCI's row, for a read store
-merged as FCIs.  Only this module knows that text.
+lines, their tidsets as one ``(rows, W)`` array of uint64 words, and their
+runs as int64 arrays.  A row writes its items as runs, ``a..b:o`` for
+ordinal ``o`` at every store time from label ``a`` through ``b`` and
+``t:o`` for one item, so each row stands alone.  The reader checks a
+store's rows all at once where it can.  ``read_fci_store`` builds every
+row's FCI from the table at once (``_row_fcis``); an append leaves the rows
+in it: ``combine_fcis`` merges a batch into it by row, and the writer,
+given that merge, copies the line of every stored row it keeps, places
+each union by its stored row and formats only the items the batch adds.
+Any other store is written from its FCIs.  Only this module knows that
+text.
 
 A store written to a path gets a companion file, the path plus
 ``.table``, that holds its table in binary (see ``_TABLE_TAG``) with the
@@ -44,7 +44,7 @@ import math
 import os
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
 from itertools import accumulate, chain, count, filterfalse, repeat
@@ -53,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .combine import _Merge, _Union
+from .combine import _Merge
 from .ingest import TrajectoryDB, _parse_timestamp
 from .model import (
     _ITEM_BITS,
@@ -72,6 +72,7 @@ from .model import (
     canonical_sort,
     code_item,
     item_code,
+    packed_fci,
 )
 from .patterns import _popcount, _words
 
@@ -89,7 +90,6 @@ __all__ = [
 
 
 _codes = attrgetter("codes")
-_new = object.__new__
 # Trajectory cells formatted and written per call: bounds the text held.
 _WRITE_CELLS = 1024
 
@@ -291,48 +291,15 @@ class FciStore:
     ``clustering`` is ``{"eps": float, "min_pts": int, "interpolate": bool}``
     as mined, or None where not known (pre-clustered input, older stores).
 
-    ``text`` is set by the readers only (:func:`read_fci_store` and
-    ``read_fci_table``), for a store whose rows are in code order and all
-    written as the writer writes them: the rows as read, with the object
-    labels and time labels they were read with.  The writer copies a stored
-    row's line from it, so keep it (``dataclasses.replace``) when a read
-    store is merged and written back.  Equality and repr ignore it.
-    ``read_fci_table`` leaves ``fcis`` as the rows' table, and an append
-    then sets it to ``combine_fcis``' merge of that table."""
+    ``read_fci_table`` leaves ``fcis`` as the rows' table (``_StoreRows``),
+    and an append then sets it to ``combine_fcis``' merge of that table,
+    which the writer writes by row."""
 
     epsilon: int
     object_labels: tuple[str, ...]
     time_labels: tuple
     fcis: tuple[FCI, ...]
     clustering: dict | None = None
-    text: _StoreRows | None = field(default=None, compare=False, repr=False)
-
-
-class _StoredFCI(FCI):
-    """An FCI read from a store, whose item codes are built from the store's
-    runs on first read.  (A property, not ``__getattr__``, which would slow
-    every other attribute read, ``mask`` in the merge loop among them.)"""
-
-    __slots__ = ("_rank", "_rows", "_codes")
-
-    @property
-    def codes(self) -> tuple[int, ...]:
-        codes = self._codes
-        if codes is None:
-            codes = self._codes = self._rows.codes(self._rank)
-        return codes
-
-    def bounds(self) -> tuple[int, int]:
-        rows, rank = self._rows, self._rank
-        return (int(rows.first[rows.tok[rows.row_start[rank]]]),
-                int(rows.last[rows.tok[rows.row_start[rank + 1] - 1]]))
-
-
-def _stored_fci(mask: int, rank: int, rows: _StoreRows) -> _StoredFCI:
-    f = _new(_StoredFCI)
-    f.mask, f._rank, f._rows = mask, rank, rows
-    f._codes = f._items = f._tidset = None
-    return f
 
 
 # The key of a run that a row leaves for a larger code is _ABOVE less its
@@ -341,68 +308,34 @@ _ABOVE = (1 << 64) - 1
 
 
 class _StoreRows:
-    """The rows of a read store (see ``_read_rows`` and
-    ``_read_rows_one_by_one``), as one table: a sequence of their FCIs, each
-    built when it is read, that ``combine_fcis`` merges without building
-    any.
+    """The rows of a read store (see ``_read_rows``, ``_read_companion`` and
+    ``_read_rows_one_by_one``), as one table that ``combine_fcis`` merges
+    by its tidset words.  Iterating it builds every row's FCI at once (see
+    ``_row_fcis``).
 
     ``words`` holds the rows' tidsets, row ``rank``'s as row ``rank`` of an
     ``(N, W)`` uint64 array, and ``end`` is the first item code past the
-    store's times, above every row's codes.  Row ``rank``'s runs are
-    ``tok[row_start[rank]:row_start[rank + 1]]``, indices of distinct run
-    texts whose first and last item codes are ``first`` and ``last`` (in a
-    table read from its companion, int64 arrays of every row's runs in turn,
-    and ``tok`` a range).  ``keys`` is None unless the store was read at once,
-    its runs are maximal and its rows in strictly ascending code order, so
-    each row is as the writer writes it; row ``rank`` is then
-    ``lines[rank]``, and ``keys[rank]`` holds for each run its first code,
-    then its last code when the row's next code is smaller than the run's
-    next one would be (at the same time, or the row ends there), else
-    ``_ABOVE`` less its last code, each as 8 big-endian bytes; those keys
-    sort as the rows' codes do.  Such a table also has ``runs``:
-    ``row_start`` and the first and last codes of each row's runs, row by
-    row, as int64 arrays, which the writer builds the companion table from;
-    it is None otherwise."""
+    store's times, above every row's codes.  ``first`` and ``last`` are the
+    first and last item codes of every row's runs in turn, row ``rank``'s
+    at ``row_start[rank]:row_start[rank + 1]``, as int64 arrays.  ``keys``
+    is None unless the store was read at once, its runs are maximal and its
+    rows in strictly ascending code order, so each row is as the writer
+    writes it; row ``rank`` is then ``lines[rank]``, and ``keys[rank]``
+    holds for each run its first code, then its last code when the row's
+    next code is smaller than the run's next one would be (at the same
+    time, or the row ends there), else ``_ABOVE`` less its last code, each
+    as 8 big-endian bytes; those keys sort as the rows' codes do."""
 
-    def __init__(self, labels, times, tl, lines, words, row_start, tok, first, last,
-                 keys, runs=None):
+    def __init__(self, labels, times, tl, lines, words, row_start, first, last, keys):
         self.labels, self.times, self.tl, self.lines = labels, times, tl, lines
         self.words, self.end = words, len(tl) << _ITEM_BITS
-        self.row_start, self.tok, self.first, self.last = row_start, tok, first, last
-        self.keys, self.runs = keys, runs
-        self.run_codes: dict[int, tuple[int, ...]] = {}
-        self.pool: list[int] | None = None  # the runs' distinct items
-        self.spans: list[slice] = []  # each run's codes in pool
+        self.row_start, self.first, self.last, self.keys = row_start, first, last, keys
 
     def __len__(self) -> int:
         return len(self.words)
 
-    def __getitem__(self, rank: int) -> _StoredFCI:
-        return _stored_fci(int.from_bytes(self.words[rank].tobytes(), "little"),
-                           rank, self)
-
     def __iter__(self):
-        data, step = self.words.tobytes(), 8 * self.words.shape[1]
-        masks = map(int.from_bytes, map(data.__getitem__, map(
-            slice, range(0, len(data), step), range(step, len(data) + step, step))),
-            repeat("little"))
-        return map(_stored_fci, masks, count(), repeat(self))
-
-    def codes(self, rank: int) -> tuple[int, ...]:
-        """Row ``rank``'s item codes.  A run's codes are made once, as a
-        slice of the pool of the store's distinct items (see
-        ``_item_pool``), which is made on the first row's; so each item is
-        one int object, whichever rows hold it."""
-        if self.pool is None:
-            self.pool, self.spans = _item_pool(self.first, self.last)
-        parts = []
-        for t in self.tok[self.row_start[rank]:self.row_start[rank + 1]]:
-            run = self.run_codes.get(t)
-            if run is None:
-                run = self.run_codes[t] = tuple(self.pool[self.spans[t]])
-            parts.append(run)
-        # () + t is t, so one run shares its tuple
-        return parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
+        return iter(_row_fcis(self))
 
     def block_end(self, rank: int) -> int:
         """The last row that has row ``rank``'s codes as a leading part."""
@@ -413,63 +346,32 @@ class _StoreRows:
         above = (_ABOVE - int.from_bytes(key[-8:], "big")).to_bytes(8, "big")
         return bisect_left(self.keys, key[:-8] + above + b"\xff", rank + 1) - 1
 
-    def write_fcis(self, fcis, labels, tl: tuple[str, ...]):
-        """``write_ranks`` of ``fcis``, or None unless each is one of these
-        rows, a union (see ``comove.combine``) of one of them and an itemset
-        of later times, or an itemset of later times only, and no tidset
-        holds an object past ``labels``."""
-        kept, sides, laters, masks = [], [], [], []
-        for f in fcis:
-            if f.__class__ is _StoredFCI and f._rows is self:
-                kept.append(f._rank)
-                continue
-            if f.__class__ is _Union and f.apart and f.head.__class__ is _StoredFCI \
-                    and f.head._rows is self:
-                sides.append(f.head._rank)
-                laters.append(f.tail.codes)
-            else:
-                sides.append(-1)
-                laters.append(f.codes)
-            if f.mask >> len(labels):
-                return None  # refused by the generic writer
-            masks.append(f.mask)
-        return self.write_ranks(np.sort(np.array(kept, np.intp)), sides, laters,
-                                _words(masks, self.words.shape[1]), labels, tl)
-
     def write_merge(self, merge: _Merge, labels, tl: tuple[str, ...]):
-        """``write_ranks`` of ``merge``, ``combine_fcis``' result on these
-        rows, or None where an incoming tidset holds an object past
-        ``labels``.  A union's tidset is its rows' words ANDed."""
+        """The lines, in code order, of ``merge``, ``combine_fcis``' result
+        on these rows, and a call that builds their table (see
+        ``_ranked_table``); or None unless the rows have ``keys``, ``labels``
+        and ``tl`` start as read, every incoming item lies in ``tl``'s later
+        times and no incoming tidset holds an object past ``labels``.
+
+        A kept row's line is copied.  A union, whose tidset is its rows'
+        words ANDed, is written after the last row that has its stored row's
+        codes as a leading part, ahead of the unions of rows before its row,
+        its items text the row's joined to the incoming items' formatted
+        runs, and the run that crosses the junction joined into one.  No
+        row's codes are built.  Incoming itemsets alone come last."""
+        if self.keys is None or labels != self.labels or tl[:len(self.tl)] != self.tl:
+            return None
         incoming = merge.incoming
         if any(f.mask >> len(labels) for f in incoming):
             return None  # refused by the generic writer
         (o, n), new = merge.pairs, merge.new
-        sides = o.tolist() + [-1] * len(new)
+        sides = o.tolist() + [-1] * len(new)  # each itemset's stored row, or -1
         laters = [incoming[j].codes for j in n.tolist() + new.tolist()]
-        words = np.concatenate([self.words[o] & merge.words[n], merge.words[new]])
-        return self.write_ranks(np.sort(merge.old), sides, laters, words, labels, tl)
-
-    def write_ranks(self, kept: np.ndarray, sides: list[int], laters: list[tuple[int, ...]],
-                    words: np.ndarray, labels, tl: tuple[str, ...]):
-        """The lines, in code order, of rows ``kept`` (ascending ranks) and of
-        one itemset per entry of ``sides``, ``laters`` and ``words``: the
-        union of row ``sides[i]`` (none where it is -1) and the items
-        ``laters[i]`` of later times, of tidset ``words[i]``, and a call that
-        builds their table (see ``_ranked_table``); or None unless ``labels``
-        and ``tl`` start as read and every later item lies in ``tl``'s later
-        times.
-
-        A row's line is copied.  A union is written after the last row that
-        has its row's codes as a leading part, ahead of the unions of rows
-        before its row, its items text the row's joined to the later items'
-        formatted runs, and the run that crosses the junction joined into
-        one.  No row's codes are built.  Itemsets of later times only come
-        last."""
-        if labels != self.labels or tl[:len(self.tl)] != self.tl:
-            return None
         cut, end = self.end, len(tl) << _ITEM_BITS
         if any(later[0] < cut or later[-1] >= end for later in laters):
             return None
+        words = np.concatenate([self.words[o] & merge.words[n], merge.words[new]])
+        kept = np.sort(merge.old)
         lines, ranks = self.lines, kept.tolist()
         # (row it follows, -its row: 1 for later items only, its later
         # items, its entry)
@@ -484,13 +386,12 @@ class _StoreRows:
         # a union's run across the junction: its row's last run goes on at
         # its first later item
         placed_sides = np.array([-p[1] for p in placed], np.int64)
-        row_start, run_first, run_last = self.runs
         union = np.flatnonzero(placed_sides >= 0)
-        row_last = row_start[placed_sides[union] + 1] - 1  # each union's row's last run
+        row_last = self.row_start[placed_sides[union] + 1] - 1  # each union's row's last run
         join = np.zeros(len(placed), bool)
-        join[union] = run_last[row_last] + _TIME_STEP == first[start[union]]
+        join[union] = self.last[row_last] + _TIME_STEP == first[start[union]]
         joined = np.full(len(placed), -1)  # the time index the joined run starts at
-        joined[union[join[union]]] = run_first[row_last[join[union]]] >> _ITEM_BITS
+        joined[union[join[union]]] = self.first[row_last[join[union]]] >> _ITEM_BITS
         out, done, stops = [], 0, []
         for (after, minus_side, *_), items, ids, support, t in zip(
                 placed, texts, members, supports, joined.tolist()):
@@ -506,12 +407,12 @@ class _StoreRows:
                             first, last, start)
 
     def _ranked_table(self, kept, stops, sides, join, words, first, last, start):
-        """The table of ``write_ranks``' lines: rows ``kept``, and before
+        """The table of ``write_merge``'s lines: rows ``kept``, and before
         kept row ``stops[i]`` the itemset of tidset ``words[i]`` whose items
         are row ``sides[i]``'s (none where it is -1) and the later runs
         ``start[i]:start[i + 1]`` of ``first`` and ``last``, the row's last
         run and its first later one joined into one where ``join[i]``."""
-        row_start, run_first, run_last = self.runs
+        row_start, run_first, run_last = self.row_start, self.first, self.last
         k, m = len(kept), len(sides)
         stops = np.asarray(stops, np.intp)
         placed = stops + np.arange(m)  # each itemset's line
@@ -560,31 +461,35 @@ def _n_words(labels) -> int:
     return max(1, -(-len(labels) // 64))
 
 
-def _item_pool(first, last) -> tuple[list[int], list[slice]]:
-    """The distinct items of runs with first and last item codes ``first``
-    and ``last``, as one list of ints made once each, and each run's slice
-    of it.  The runs of one ordinal whose times overlap or touch share one
-    stretch of the list, so it holds no item that no run holds."""
-    if not len(first):
-        return [], []
-    f, g = np.array(first, np.int64), np.array(last, np.int64)
-    order = np.lexsort((f >> _ITEM_BITS, f & _ORDINAL_MASK))
-    # ordinal-major keys of each run's first and last times, in that order
-    a = ((f & _ORDINAL_MASK).astype(np.uint64) << _ITEM_BITS
-         | (f >> _ITEM_BITS).astype(np.uint64))[order]
-    b = np.maximum.accumulate(a + ((g - f) >> _ITEM_BITS).astype(np.uint64)[order])
-    new = np.ones(len(a), bool)  # a run past the stretch before: a new stretch
-    new[1:] = a[1:] > b[:-1] + 1
-    heads = np.flatnonzero(new)
-    lengths = (b[np.append(heads[1:] - 1, len(a) - 1)] - a[heads] + 1).astype(np.int64)
-    base = np.cumsum(lengths) - lengths  # each stretch's start in the pool
-    stretch = np.cumsum(new) - 1
-    pool = (np.repeat(f[order][heads] - base * _TIME_STEP, lengths)
-            + np.arange(lengths.sum(), dtype=np.int64) * _TIME_STEP).tolist()
-    at = np.empty(len(a), np.int64)
-    at[order] = base[stretch] + (a - a[heads][stretch]).astype(np.int64)
-    end = at + ((g - f) >> _ITEM_BITS) + 1
-    return pool, list(map(slice, at.tolist(), end.tolist()))
+def _row_fcis(rows: _StoreRows) -> tuple[FCI, ...]:
+    """Every row's FCI, built at once from the table.  The codes of each
+    distinct run are made once, from one ``np.repeat`` over those runs, with
+    each distinct item one int that every run holding it shares; a row's
+    codes are its runs' joined, and a row of one run shares that run's
+    tuple.  Each row's mask is made from its words."""
+    order = np.lexsort((rows.last, rows.first))
+    f, g = rows.first[order], rows.last[order]
+    new = np.ones(len(f), bool)  # the first of each distinct run, in that order
+    new[1:] = (f[1:] != f[:-1]) | (g[1:] != g[:-1])
+    tok = np.empty(len(f), np.intp)  # each run's distinct run
+    tok[order] = np.cumsum(new) - 1
+    f, g = f[new], g[new]
+    length = ((g - f) >> _ITEM_BITS) + 1
+    at = _starts(length)
+    items = (np.repeat(f - at[:-1] * _TIME_STEP, length)
+             + np.arange(at[-1], dtype=np.int64) * _TIME_STEP).tolist()
+    pool: dict[int, int] = {}
+    items = list(map(pool.setdefault, items, items))
+    at = at.tolist()
+    runs = list(map(tuple, map(items.__getitem__, map(slice, at, at[1:]))))
+    tok, bounds = tok.tolist(), rows.row_start.tolist()
+    data, step = rows.words.tobytes(), 8 * rows.words.shape[1]
+    fcis = []
+    for a, b, c in zip(bounds, bounds[1:], range(0, len(data), step)):
+        codes = runs[tok[a]] if b - a == 1 else tuple(
+            chain.from_iterable(map(runs.__getitem__, tok[a:b])))
+        fcis.append(packed_fci(int.from_bytes(data[c:c + step], "little"), codes))
+    return tuple(fcis)
 
 
 def write_fci_store(store: FciStore, dest):
@@ -597,16 +502,16 @@ def write_fci_store(store: FciStore, dest):
     format uses as separators, and must not end in whitespace, which the
     reader strips from the end of the objects line.
 
-    A store read with ``text`` and written back under the object labels it
-    was read with, and time labels that start with the ones read, as after
-    an append, copies the line of every stored row it keeps and writes only
-    the rest (see ``_StoreRows.write_ranks``): the merge's unions of a
+    ``combine_fcis``' merge of a store's rows as the writer writes them
+    (see ``read_fci_table``), written under the object labels they were
+    read with and time labels that start with the ones read, as after an
+    append, copies the line of every stored row it keeps and writes only
+    the rest (see ``_StoreRows.write_merge``): the merge's unions of a
     stored row and an itemset of later times, whose items text is the row's
     followed by the runs formatted from that itemset's codes, and the
-    itemsets of later times only.  Its itemsets are either FCIs or
-    ``combine_fcis``' result on its rows, which gives the rows by rank.  Any
-    other store is sorted by codes and formatted whole, member ids from
-    tidset masks and items from their codes.
+    itemsets of later times only.  Any other store is sorted by codes and
+    formatted whole, member ids from tidset masks and items from their
+    codes.
 
     Written to a path, the store is followed by its companion table, the
     path plus ``.table`` (see ``_TABLE_TAG``), built from the runs and
@@ -616,13 +521,10 @@ def write_fci_store(store: FciStore, dest):
     labels = store.object_labels
     _check_ids(labels, ",\t\n\r", str.rstrip, "stored",
                "contain no ',', tab or newline, and not end in whitespace")
-    rows, fcis = store.text, store.fcis
+    fcis = store.fcis
+    rows = fcis.existing if isinstance(fcis, _Merge) else None
     tl = _time_texts(store.time_labels, rows)
-    written = None
-    if rows is not None:
-        written = (rows.write_merge(fcis, labels, tl)
-                   if isinstance(fcis, _Merge) and fcis.existing is rows
-                   else rows.write_fcis(fcis, labels, tl))
+    written = rows.write_merge(fcis, labels, tl) if rows is not None else None
     if written is None:
         fcis = sorted(fcis, key=_codes)
         words = _words([f.mask for f in fcis], _n_words(labels))
@@ -775,7 +677,7 @@ def _companion(path: Path, text: str) -> bytes | None:
 
 
 def _read_companion(data: bytes, lines: list[str], labels, times, tl, epsilon: int):
-    """``_read_rows``' result for store rows ``lines`` from the companion
+    """The table (``_StoreRows``) of store rows ``lines`` from the companion
     table ``data`` of their text, or None unless it holds one row per line
     and a table that passes the text reader's checks that a table can
     decide: each row's support at least ``epsilon``, no bit past the last
@@ -805,50 +707,49 @@ def _read_companion(data: bytes, lines: list[str], labels, times, tl, epsilon: i
     keys = _row_keys(first, last, row_start)[1]
     if keys is None:
         return None
-    rows = _StoreRows(labels, times, tl, lines, words, row_start, range(r), first, last,
-                      keys, (row_start, first, last))
-    return rows, (n, int(((last - first) >> _ITEM_BITS).sum()) + r, r)
+    return _StoreRows(labels, times, tl, lines, words, row_start, first, last, keys)
 
 
-def read_fci_store(source, *, counters: dict | None = None) -> FciStore:
+def read_fci_store(source) -> FciStore:
     """Parse a store into packed FCIs.  Every row is checked, and the first
     fault raises ParseError naming its line; so do a repeated object id in
     the header and a row whose support is below epsilon.
 
     A store whose rows list their ids in universe order and write their
     support and ordinals as the writer writes them is read in one pass over
-    all rows at once (see ``_read_rows``), and its FCIs build their item
-    codes on first use.  When its runs are maximal too and its rows in
-    strictly ascending code order, so each row is as the writer writes it,
-    its ``text`` keeps the rows, and writing it back copies the line of each
-    row it keeps.  Any other store, and one with a faulty row, is read row
-    by row (``_read_rows_one_by_one``), its FCIs building their codes on
-    first use too; a store has no ``text`` unless it is read at once and
-    kept.
-
-    ``counters``, when given, is filled with ``rows``, ``items`` and
-    ``runs``.  The store's companion table is never read."""
-    store = _read_table(source, counters, False)
-    return replace(store, fcis=tuple(store.fcis))
+    all rows at once (see ``_read_rows``); any other store, and one with a
+    faulty row, is read row by row (``_read_rows_one_by_one``).  Either way
+    the rows are read into one table, and every row's FCI is then built
+    from it at once (``_row_fcis``).  The store's companion table is never
+    read."""
+    store = _read_table(source, False)
+    return replace(store, fcis=_row_fcis(store.fcis))
 
 
 def read_fci_table(source, *, counters: dict | None = None) -> FciStore:
     """``read_fci_store``'s store, checked the same way, with its rows left
-    as one table (``_StoreRows``) in place of the tuple of FCIs: a sequence
-    that builds each row's FCI when it is read, and that ``combine_fcis``
-    merges by its tidset words without building any.  An append reads its
-    store so.
+    as one table (``_StoreRows``) in place of the tuple of FCIs, which
+    ``combine_fcis`` merges by its tidset words without building any FCI.
+    An append reads its store so.  ``counters``, when given, is filled with
+    ``rows``, ``items`` and ``runs``.
 
     A store read from a path takes its table from the companion table
     beside it when that holds the SHA-256 of the text read and passes the
     checks of ``_read_companion``; the digest stands in for the checks it
     cannot decide, that the table is the one of these rows.  Any other
     companion, or none, is passed over, and the rows are parsed."""
-    return _read_table(source, counters, True)
+    store = _read_table(source, True)
+    if counters is not None:
+        rows = store.fcis
+        runs = len(rows.first)
+        counters.update(rows=len(rows),
+                        items=int(((rows.last - rows.first) >> _ITEM_BITS).sum()) + runs,
+                        runs=runs)
+    return store
 
 
-def _read_table(source, counters: dict | None, companion: bool) -> FciStore:
-    """``read_fci_table``, through the companion table only where
+def _read_table(source, companion: bool) -> FciStore:
+    """``read_fci_table``'s store, through the companion table only where
     ``companion``."""
     if isinstance(source, (str, Path)):
         with open(source) as fh:
@@ -919,23 +820,21 @@ def _read_table(source, counters: dict | None, companion: bool) -> FciStore:
     if not all(map(lt, times, times[1:])):
         raise ParseError("store times must be strictly increasing")
 
-    read = packed and _read_companion(packed, rows, labels, times, tl, epsilon)
-    if not read:
+    read = _read_companion(packed, rows, labels, times, tl, epsilon) if packed else None
+    if read is None:
         t_index = dict(zip(tl, count()))
-        read = rows is not None and _read_rows(rows, labels, o_index, times, t_index,
-                                               epsilon)
-    if not read:  # rows not all as the writer writes them, or blank lines
+        if rows is not None:
+            read = _read_rows(rows, labels, o_index, times, t_index, epsilon)
+    if read is None:  # rows not all as the writer writes them, or blank lines
         body = [i for i, line in enumerate(lines)  # rows, by index in lines
                 if line and line[0] != "#" and not line.isspace()]
-        read = (rows is None or len(body) != len(rows)) and _read_rows(
-            [lines[i] for i in body], labels, o_index, times, t_index, epsilon)
-        read = read or _read_rows_one_by_one(
-            [(i + 1, lines[i]) for i in body], labels, o_index, times, t_index, epsilon)
-    table, counts = read
-    if counters is not None:
-        counters.update(zip(("rows", "items", "runs"), counts))
-    return FciStore(epsilon, labels, times, table, clustering,
-                    table if table.keys is not None else None)
+        if rows is None or len(body) != len(rows):
+            read = _read_rows([lines[i] for i in body], labels, o_index, times, t_index,
+                              epsilon)
+        if read is None:
+            read = _read_rows_one_by_one([(i + 1, lines[i]) for i in body], labels,
+                                         o_index, times, t_index, epsilon)
+    return FciStore(epsilon, labels, times, read, clustering)
 
 
 # Time labels as the writer writes ints.
@@ -950,8 +849,7 @@ _NOT_TAB_OR_NEWLINE = bytes(sorted(set(range(256)) - set(b"\t\n")))
 
 
 def _read_rows(lines: list[str], labels, o_index, times, t_index, epsilon: int):
-    """(``_StoreRows``, (rows, items, runs)) of store rows ``lines``, or None
-    unless each row has three fields, a support written as its count of
+    """The table (``_StoreRows``) of store rows ``lines``, or None unless each row has three fields, a support written as its count of
     member ids, ids known and in universe order, and items as ascending runs
     of known time labels with ordinals under 2**32 and without leading
     zeros.  The table has ``keys`` when the runs are also maximal and the
@@ -961,13 +859,12 @@ def _read_rows(lines: list[str], labels, o_index, times, t_index, epsilon: int):
     All rows are checked at once: one split per field, one index lookup of
     all member ids, and the run texts parsed once each by one regular
     expression, with the order and count checks in numpy.  The rows'
-    tidsets are packed from their ids into one array of words; their codes
-    are left to be built."""
+    tidsets are packed from their ids into one array of words."""
     n, w = len(lines), _n_words(labels)
     if not n:
         none = np.zeros(0, np.int64)
         return _StoreRows(labels, times, tuple(t_index), [], np.zeros((0, w), "<u8"),
-                          [0], [], [], [], [], (_starts(none), none, none)), (0, 0, 0)
+                          _starts(none), none, none, [])
     skeleton = "\n".join(lines).encode("utf-8", "surrogatepass").translate(
         None, _NOT_TAB_OR_NEWLINE)
     if skeleton != b"\t\t\n" * (n - 1) + b"\t\t":
@@ -1021,11 +918,8 @@ def _read_rows(lines: list[str], labels, o_index, times, t_index, epsilon: int):
     ascending, keys = _row_keys(f, g, row_start)
     if not ascending:
         return None
-    rows = _StoreRows(labels, times, tuple(t_index), lines,
-                      packed.view("<u8").reshape(n, w), row_start.tolist(),
-                      tok.tolist(), first.tolist(), last.tolist(), keys,
-                      None if keys is None else (row_start, f, g))
-    return rows, (n, int(((g - f) >> _ITEM_BITS).sum()) + len(tok), len(tok))
+    return _StoreRows(labels, times, tuple(t_index), lines,
+                      packed.view("<u8").reshape(n, w), row_start, f, g, keys)
 
 
 def _row_keys(f: np.ndarray, g: np.ndarray, row_start: np.ndarray):
@@ -1056,11 +950,9 @@ def _row_keys(f: np.ndarray, g: np.ndarray, row_start: np.ndarray):
 
 
 def _read_rows_one_by_one(body, labels, o_index, times, t_index, epsilon: int):
-    """(``_StoreRows`` without ``keys``, (rows, items, runs)) of store rows
-    ``body``, (line number, line) pairs, each checked in turn, the first
-    fault raised as ParseError at its line.  Each distinct run is parsed
-    once; the FCIs build their codes from the runs on first use, as
-    ``_read_rows``'s do."""
+    """The table (``_StoreRows``, without ``keys``) of store rows ``body``,
+    (line number, line) pairs, each checked in turn, the first fault raised
+    as ParseError at its line.  Each distinct run is parsed once."""
     o_bit = {o: 1 << i for o, i in o_index.items()}
     index: dict[str, int] = {}  # run text -> its index in runs
     runs: list[tuple[int, int, int]] = []  # (ordinal, first, last time index)
@@ -1104,13 +996,11 @@ def _read_rows_one_by_one(body, labels, o_index, times, t_index, epsilon: int):
         tok += row
         row_start.append(len(tok))
 
-    first = [a << _ITEM_BITS | o for o, a, _ in runs]
-    last = [b << _ITEM_BITS | o for o, _, b in runs]
-    rows = _StoreRows(labels, times, tuple(t_index), None,
-                      _words(masks, _n_words(labels)), row_start, tok, first, last,
-                      None)
-    n_items = sum([runs[t][2] - runs[t][1] + 1 for t in tok])
-    return rows, (len(masks), n_items, len(tok))
+    tok = np.array(tok, np.intp)
+    first = np.array([a << _ITEM_BITS | o for o, a, _ in runs], np.int64)[tok]
+    last = np.array([b << _ITEM_BITS | o for o, _, b in runs], np.int64)[tok]
+    return _StoreRows(labels, times, tuple(t_index), None, _words(masks, _n_words(labels)),
+                      np.array(row_start, np.intp), first, last, None)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from comove import cli
 from comove import combine as combine_module
 from comove import store as store_module
 from comove.cli import main
+from comove.store import read_fci_table
 from oracle import brute_write_fci_store
 
 
@@ -318,7 +319,7 @@ def test_append_to_a_store_of_one_field_per_item_equals_full_remine(tmp_path):
     # MINE_FLAGS from times 0-29 of the trajectories generated below.
     old = Path(__file__).parent / "data" / "itemwise_fcis.tsv"
     store = read_fci_store(old)
-    assert store.text is None and store.clustering is None
+    assert read_fci_table(old).fcis.keys is None and store.clustering is None
     rewritten = tmp_path / "runs.tsv"
     write_fci_store(store, rewritten)
     assert len(rewritten.read_bytes()) < len(old.read_bytes())
@@ -378,7 +379,7 @@ def test_append_builds_fcis_for_the_batch_only(tmp_path, monkeypatch):
                 switch_prob=0.05)
     batch = _cut_csv(full, tmp_path / "batch.csv", 40, 45)
     reads, made = [], []
-    items, stored_fci, union = FCI.items, store_module._stored_fci, combine_module._union
+    items, row_fcis, union = FCI.items, store_module._row_fcis, combine_module._union
     sizes = []
     for span in (10, 35):
         base = _cut_csv(full, tmp_path / f"base{span}.csv", 0, span)
@@ -388,15 +389,15 @@ def test_append_builds_fcis_for_the_batch_only(tmp_path, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(FCI, "items", property(
                 lambda f: reads.append(f) or items.fget(f)))
-            m.setattr(store_module, "_stored_fci",
-                      lambda *a: made.append("stored") or stored_fci(*a))
+            m.setattr(store_module, "_row_fcis",
+                      lambda *a: made.append("rows") or row_fcis(*a))
             m.setattr(combine_module, "_union",
                       lambda *a: made.append("union") or union(*a))
             assert main(["append", str(batch), str(tmp_path / f"a{span}"),
                          "--store", str(store)] + APPEND_FLAGS) == 0
             assert reads == [] and made == []
             assert read_fci_store(store).fcis[0].items and len(reads) == 1
-            assert made == ["stored"] * sizes[-1]
+            assert made == ["rows"]
             reads.clear()
             made.clear()
     small_store, big_store = sizes

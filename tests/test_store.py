@@ -407,9 +407,10 @@ def _assert_read_as_the_oracle_reads(text: str):
     if got is not None:
         written, write_error = _outcome(_written, write_fci_store, got)
         assert (written, write_error) == _outcome(_written, brute_write_fci_store, want)
-        # the store keeps its rows' text when the rows are in strictly
-        # ascending code order and every row lists its ids in universe order
-        # and writes its items as maximal runs with canonical ordinals
+        # the store's table has keys, and an append copies its rows' text,
+        # when the rows are in strictly ascending code order and every row
+        # lists its ids in universe order and writes its items as maximal
+        # runs with canonical ordinals
         index = {label: i for i, label in enumerate(got.object_labels)}
         t_index = {store_module._fmt_time(t): i for i, t in enumerate(got.time_labels)}
 
@@ -427,7 +428,8 @@ def _assert_read_as_the_oracle_reads(text: str):
         rows = [line.split("\t") for line in text.split("\n")
                 if line.strip() and line[0] != "#"]
         codes = [f.codes for f in want.fcis]
-        assert (got.text is not None) == (all(map(lt, codes, codes[1:])) and all(
+        keys = read_fci_table(io.StringIO(text)).fcis.keys
+        assert (keys is not None) == (all(map(lt, codes, codes[1:])) and all(
             spelled(ids, items) for _, ids, items in rows))
 
 
@@ -578,7 +580,7 @@ def test_fci_store_runs_match_the_oracle(text):
 
 
 @pytest.mark.parametrize("items, error", [
-    ("0..1:0;2:0", None),                       # not maximal: read, text dropped
+    ("0..1:0;2:0", None),                       # not maximal: read, no keys
     ("0..2:0;1:1", "FCI items must be strictly ascending"),
     ("0..0:0", "run '0..0:0' does not end after it starts"),
     ("2..1:0", "run '2..1:0' does not end after it starts"),
@@ -592,7 +594,7 @@ def test_fci_store_reads_runs(items, error):
             store = read(io.StringIO(text))
             assert store.fcis == (FCI(tuple(ClusterId(t, 0) for t in range(3)),
                                       Tidset(1)),)
-            assert store.text is None
+            assert read_fci_table(io.StringIO(text)).fcis.keys is None
             assert _written(write_fci_store, store).endswith("1\ta\t0..2:0\n")
             continue
         with pytest.raises(ParseError) as refused:
@@ -622,57 +624,67 @@ def test_fci_store_clustering_line(line, clustering):
         assert "# clustering\teps=" in written
 
 
-def test_fci_store_rows_share_their_item_codes():
+def _assert_shared(fcis):
+    """Each distinct item of ``fcis`` is one int object, whichever rows and
+    runs hold it."""
+    items: dict = {}
+    for f in fcis:
+        for code in f.codes:
+            assert items.setdefault(code, code) is code
+    return items
+
+
+def test_fci_store_rows_share_their_item_codes(tmp_path):
     # each distinct item is one int object, whichever runs hold it, in a
-    # store read at once (out of code order, so it keeps no text) and in
-    # one read row by row (one row lists its ids out of universe order)
+    # store read at once (out of code order, so its table has no keys), in
+    # one read row by row (one row lists its ids out of universe order),
+    # and in the table of the store as written, read through its companion,
+    # which holds every row's runs rather than each distinct run's text
     for first in ("2\ta,b\t1..2:0\n", "2\tb,a\t1..2:0\n"):
-        store = read_fci_store(io.StringIO(
-            "# epsilon\t1\n# objects\ta,b\n# times\t0,1,2,3\n" + first
-            + "1\ta\t0..3:0\n1\tb\t2:0;3:1\n1\tb\t3:1\n"))
-        assert store.text is None
-        items: dict = {}
-        for f in store.fcis:
-            for code in f.codes:
-                assert items.setdefault(code, code) is code
-        assert len(items) == 5
+        text = ("# epsilon\t1\n# objects\ta,b\n# times\t0,1,2,3\n" + first
+                + "1\ta\t0..3:0\n1\tb\t2:0;3:1\n1\tb\t3:1\n")
+        store = read_fci_store(io.StringIO(text))
+        assert read_fci_table(io.StringIO(text)).fcis.keys is None
+        assert len(_assert_shared(store.fcis)) == 5
+    path = tmp_path / "fcis.tsv"
+    write_fci_store(store, path)
+    table = _read_through_companion(path)[0]
+    assert len(_assert_shared(table.fcis)) == 5
+    assert tuple(table.fcis) == tuple(sorted(store.fcis, key=lambda f: f.codes))
 
 
 @pytest.mark.parametrize("ids", ["a", "b,a"], ids=["at-once", "row-by-row"])
-def test_fci_store_item_pool_holds_only_the_stored_items(ids):
+def test_fci_store_rows_make_each_stored_item_once(ids):
     # 1 997 ordinals, each at one of 2 000 times, and ordinal 0 again over
     # the last three: building every row's codes makes the 2 000 stored
-    # items, not an item for every time of every ordinal
+    # items once each, whichever reader read the rows
     n = 2000
     rows = [f"{ids.count(',') + 1}\t{ids}\t0:0\n"]
     rows += [f"1\ta\t{t}:{t}\n" for t in range(1, n - 3)]
     text = (f"# epsilon\t1\n# objects\ta,b\n# times\t{','.join(map(str, range(n)))}\n"
             + "".join(rows) + f"1\ta\t{n - 3}..{n - 1}:0\n")
     store = read_fci_store(io.StringIO(text))
-    assert (store.text is None) == (ids != "a")
-    pool = store.fcis[0]._rows
-    assert all(f._rows is pool for f in store.fcis)
-    assert store == brute_read_fci_store(io.StringIO(text))  # builds every row's codes
-    assert len(pool.pool) == n
-    assert store.fcis[-1].codes[-1] is pool.pool[3]  # ordinal 0 at time 1 999
+    assert (read_fci_table(io.StringIO(text)).fcis.keys is None) == (ids != "a")
+    assert store == brute_read_fci_store(io.StringIO(text))
+    assert len({id(code) for f in store.fcis for code in f.codes}) == n
 
 
-def test_fci_store_rows_build_their_codes_on_first_use():
-    # a store in code order builds no item codes when read; a row builds its
-    # codes when they are first read, each run's once, shared by the rows
-    # holding that run, and its first and last codes are known without them
+def test_fci_store_rows_build_their_codes_at_once():
+    # read_fci_store builds every row's codes in one call from the table:
+    # each run's once, shared by the rows holding that run
     text = ("# epsilon\t1\n# objects\ta,b\n# times\t0,1,2,3\n"
             "1\ta\t0..3:0\n2\ta,b\t1..2:0\n1\tb\t1..2:0;3:1\n1\tb\t3:1\n")
-    store = read_fci_store(io.StringIO(text))
-    assert store.text is not None
+    built, row_fcis = [], store_module._row_fcis
+    with mock.patch.object(store_module, "_row_fcis",
+                           lambda rows: built.append(rows) or row_fcis(rows)):
+        store = read_fci_store(io.StringIO(text))
+    assert len(built) == 1 and built[0].keys is not None
     assert [f.bounds() for f in store.fcis] == [
         (0, 3 << 32), (1 << 32, 2 << 32), (1 << 32, 3 << 32 | 1),
         (3 << 32 | 1, 3 << 32 | 1)]
-    assert store.text.pool is None and store.text.run_codes == {}
     second, third, fourth = store.fcis[1:]
     assert third.codes == (1 << 32, 2 << 32, 3 << 32 | 1)
     assert second.codes[0] is third.codes[0] and fourth.codes[0] is third.codes[2]
-    assert sorted(store.text.run_codes) == [1, 2]  # the runs of the rows read
     assert store == brute_read_fci_store(io.StringIO(text))
 
 
@@ -684,7 +696,7 @@ def test_fci_store_read_modify_write_matches_the_oracle_writer(store, data):
     buf = io.StringIO()
     brute_write_fci_store(store, buf)
     read = read_fci_store(io.StringIO(buf.getvalue()))
-    assert read.text is not None
+    assert read_fci_table(io.StringIO(buf.getvalue())).fcis.keys is not None
     n, extra = len(read.time_labels), data.draw(st.integers(1, 3))
     cids = st.builds(ClusterId, st.integers(n, n + extra - 1), st.integers(0, 2))
     incoming = {tuple(sorted(items)): Tidset.from_ids(ids) for items, ids in data.draw(
@@ -700,15 +712,15 @@ def test_fci_store_read_modify_write_matches_the_oracle_writer(store, data):
 @settings(max_examples=200, deadline=None)
 @given(_stores(min_size=1), st.data())
 def test_fci_store_append_builds_no_stored_row_codes(store, data):
-    # an append's merge and write build no stored row's codes: a union keeps
-    # its stored side, whose line the writer copies; and it writes what the
-    # oracle writes of the store read line by line and merged with the same
-    # batch
+    # an append's merge and write build no stored row's codes: the store's
+    # rows stay one table, each union keeps its stored row, whose line the
+    # writer copies; and it writes what the oracle writes of the store read
+    # line by line and merged with the same batch
     buf = io.StringIO()
     brute_write_fci_store(store, buf)
-    read = read_fci_store(io.StringIO(buf.getvalue()))
+    read = read_fci_table(io.StringIO(buf.getvalue()))
     brute = brute_read_fci_store(io.StringIO(buf.getvalue()))
-    assert read.text is not None
+    assert read.fcis.keys is not None
     n, extra = len(read.time_labels), data.draw(st.integers(1, 3))
     cids = st.builds(ClusterId, st.integers(n, n + extra - 1), st.integers(0, 2))
     incoming = [FCI(i, Tidset.from_ids(t)) for i, t in {
@@ -717,12 +729,11 @@ def test_fci_store_append_builds_no_stored_row_codes(store, data):
             st.sets(st.integers(0, len(read.object_labels) - 1), min_size=1)),
             max_size=4))}.items()]
     times = read.time_labels + tuple(read.time_labels[-1] + k for k in range(1, extra + 1))
-    built, codes = [], store_module._StoreRows.codes
-    with mock.patch.object(store_module._StoreRows, "codes",
-                           lambda rows, rank: built.append(rank) or codes(rows, rank)):
+    built, row_fcis = [], store_module._row_fcis
+    with mock.patch.object(store_module, "_row_fcis",
+                           lambda rows: built.append(rows) or row_fcis(rows)):
         merged = combine_fcis(read.fcis, incoming, read.epsilon)
-        written = _written(write_fci_store, replace(
-            read, time_labels=times, fcis=tuple(merged)))
+        written = _written(write_fci_store, replace(read, time_labels=times, fcis=merged))
     assert built == []
     want = combine_fcis(brute.fcis, incoming, brute.epsilon)
     assert written == _written(brute_write_fci_store, replace(
@@ -795,14 +806,14 @@ def test_fci_store_append_by_rank_matches_the_fci_route_and_the_oracle(case):
     text, batch, times = case
     table = read_fci_table(io.StringIO(text))
     made, counters = [], {}
-    stored_fci, union = store_module._stored_fci, combine_module._union
-    with mock.patch.object(store_module, "_stored_fci",
-                           lambda *a: made.append(a) or stored_fci(*a)), \
+    row_fcis, union = store_module._row_fcis, combine_module._union
+    with mock.patch.object(store_module, "_row_fcis",
+                           lambda *a: made.append(a) or row_fcis(*a)), \
             mock.patch.object(combine_module, "_union",
                               lambda *a: made.append(a) or union(*a)):
         merged = combine_fcis(table.fcis, batch, table.epsilon, counters=counters)
         got = _written(write_fci_store, replace(table, time_labels=times, fcis=merged))
-    assert made == [] or table.text is None
+    assert made == [] or table.fcis.keys is None
     read = read_fci_store(io.StringIO(text))
     fci_counters: dict = {}
     fcis = combine_fcis(read.fcis, batch, read.epsilon, counters=fci_counters)
@@ -845,9 +856,9 @@ def test_fci_store_reader_counts_rows_items_and_runs():
     text = ("# epsilon\t1\n# objects\ta,b\n# times\t0,1,2\n"
             "2\ta,b\t0..2:0\n1\ta\t0..1:0;2:1\n1\tb\t0:0;2:0\n1\ta\t0:1\n")
     counters: dict = {}
-    store = read_fci_store(io.StringIO(text), counters=counters)
+    store = read_fci_table(io.StringIO(text), counters=counters)
     assert counters == {"rows": 4, "items": 9, "runs": 6}
-    assert store == brute_read_fci_store(io.StringIO(text))
+    assert replace(store, fcis=tuple(store.fcis)) == brute_read_fci_store(io.StringIO(text))
 
 
 def _written(write, store) -> str:
@@ -858,8 +869,8 @@ def _written(write, store) -> str:
 
 def test_fci_store_rows_carry_only_the_text_the_writer_writes():
     # one row spelled otherwise than the writer writes it, or out of code
-    # order, drops the text of the whole store, which is then written from
-    # its codes
+    # order, leaves the whole store's table without keys, so it is written
+    # from its codes
     rows = "2\ta,b\t0:0;1:2\n1\ta\t0:0;1:3\n"
     header = _HEADER.replace("# objects", "# n_objects\t2\n# time_range\t0\t1\n"
                              "# objects")
@@ -871,11 +882,11 @@ def test_fci_store_rows_carry_only_the_text_the_writer_writes():
         ("02\ta,b\t0:1\n", "2\ta,b\t0:1\n"),   # a support not in canonical form
     ]:
         store = read_fci_store(io.StringIO(_HEADER + rows + odd))
-        assert (store.text is None) == bool(odd)
-        if store.text is not None:
-            assert (store.text.labels, store.text.tl) == (("a", "b"), ("0", "1"))
-            assert store.text.lines == rows.splitlines()
-        assert store == replace(store, text=None)
+        table = read_fci_table(io.StringIO(_HEADER + rows + odd)).fcis
+        assert (table.keys is None) == bool(odd)
+        if table.keys is not None:
+            assert (table.labels, table.tl) == (("a", "b"), ("0", "1"))
+            assert table.lines == rows.splitlines()
         assert _written(write_fci_store, store) == _written(
             brute_write_fci_store, store) == header + rows + fixed
 
@@ -907,16 +918,18 @@ def test_fci_store_formats_the_items_its_text_does_not_cover(monkeypatch):
     "2\ta,b\t0:0\n1\tb\t0..1:0\n2\ta,b\t0:0;1:1\n",
 ])
 def test_fci_store_rows_sharing_a_tidset_are_written_as_the_oracle_writes(rows):
-    # the store keeps its text only when its rows are in code order
+    # the store's table has keys only when its rows are in code order
     store = read_fci_store(io.StringIO(_HEADER + rows))
     codes = [f.codes for f in store.fcis]
-    assert (store.text is not None) == all(map(lt, codes, codes[1:]))
+    assert (read_fci_table(io.StringIO(_HEADER + rows)).fcis.keys is not None) == all(
+        map(lt, codes, codes[1:]))
     assert _written(write_fci_store, store) == _written(brute_write_fci_store, store)
 
 
 def test_fci_store_written_back_formats_nothing(monkeypatch):
-    # a canonical store read and written back copies every row's text: no
-    # item is formatted unless the text is dropped, and the writer formats
+    # a canonical store read as a table, merged with an empty batch and
+    # written back copies every row's text: no item is formatted; written
+    # from its FCIs it formats every item, and either way the writer formats
     # member ids from tidset masks, expanding no tidset
     m = gen_random_matrix(np.random.default_rng(41))
     buf = io.StringIO()
@@ -928,10 +941,12 @@ def test_fci_store_written_back_formats_nothing(monkeypatch):
         chain.from_iterable(rows)) or run_texts(rows, tl))
     monkeypatch.setattr(FCI, "tidset", property(
         lambda f: expanded.append(f) or tidset.fget(f)))
+    table = read_fci_table(io.StringIO(buf.getvalue()))
+    merged = combine_fcis(table.fcis, [], table.epsilon)
+    assert _written(write_fci_store, replace(table, fcis=merged)) == buf.getvalue()
+    assert formatted == [] and expanded == [] and len(merged)
     read = read_fci_store(io.StringIO(buf.getvalue()))
     assert _written(write_fci_store, read) == buf.getvalue()
-    assert formatted == [] and expanded == [] and read.fcis
-    assert _written(write_fci_store, replace(read, text=None)) == buf.getvalue()
     assert formatted and expanded == []
 
 
@@ -952,8 +967,17 @@ def test_fci_store_text_is_not_copied_under_other_labels(objects, times):
     if len(times) < 3:  # keep only items the shorter time table can name
         fcis = tuple(f for f in fcis if f.times[-1] < len(times))
     store = replace(read, object_labels=objects, time_labels=times, fcis=fcis)
-    assert store.text is not None
     assert _written(write_fci_store, store) == _written(brute_write_fci_store, store)
+    # the store's rows merged by row with a batch at time 3, as an append
+    # merges them, and written under these labels, with time labels added
+    # to cover that time
+    table = read_fci_table(io.StringIO(text))
+    merged = combine_fcis(table.fcis, [FCI((ClusterId(3, 9),), Tidset(0b11))], 1)
+    assert table.fcis.keys is not None and isinstance(merged, combine_module._Merge)
+    wide = times + tuple(range(100, 104 - len(times)))
+    store = replace(table, object_labels=objects, time_labels=wide, fcis=merged)
+    assert _written(write_fci_store, store) == _written(
+        brute_write_fci_store, replace(store, fcis=tuple(merged)))
 
 
 def test_fci_store_ordinals_must_fit_the_item_code():
@@ -962,7 +986,7 @@ def test_fci_store_ordinals_must_fit_the_item_code():
     top = 2**32 - 1
     got = read_fci_store(io.StringIO(_HEADER + f"1\ta\t0:{top}\n"))
     assert got.fcis[0].items == (ClusterId(0, top),)
-    assert _written(write_fci_store, replace(got, text=None)).endswith(
+    assert _written(write_fci_store, got).endswith(
         f"1\ta\t0:{top}\n")
     with pytest.raises(ParseError, match=r"ordinal must be < 2\*\*32") as info:
         read_fci_store(io.StringIO(_HEADER + f"1\ta\t0:0\n1\ta\t0:{top + 1}\n"))
@@ -1086,11 +1110,12 @@ def _assert_same_table(got, got_counters: dict, text: str):
     counters that parsing ``text`` gives."""
     counters: dict = {}
     want = read_fci_table(io.StringIO(text), counters=counters)
-    a, b = got.text, want.text
-    assert a is not None and b is not None
+    a, b = got.fcis, want.fcis
+    assert a.keys is not None and b.keys is not None
     assert a.lines == b.lines and a.keys == b.keys
     assert a.words.shape == b.words.shape and (a.words == b.words).all()
-    assert [a.codes(i) for i in range(len(a))] == [b.codes(i) for i in range(len(b))]
+    for x, y in [(a.row_start, b.row_start), (a.first, b.first), (a.last, b.last)]:
+        assert x.tolist() == y.tolist()
     assert got_counters == counters
     assert replace(got, fcis=tuple(got.fcis)) == replace(want, fcis=tuple(want.fcis))
 

@@ -35,6 +35,7 @@ from .model import (
     Column,
     ConflictError,
     Convoy,
+    FciTable,
     GroupPattern,
     MatrixKindError,
     MiningParams,
@@ -48,7 +49,7 @@ from .model import (
     UniverseError,
     canonical_sort,
 )
-from .patterns import extract_patterns
+from .patterns import PatternTable, extract_patterns
 from .store import (
     FciStore,
     check_pattern_object_ids,

@@ -19,7 +19,6 @@ import functools
 import json
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
 from .clustering import DbscanParams, build_cluster_matrix
@@ -179,10 +178,6 @@ def _summary(**fields):
     print(json.dumps(fields), file=sys.stderr)
 
 
-def _kind_counts(patterns) -> dict:
-    return dict(sorted(Counter(p.kind for p in patterns).items()))
-
-
 def _read(read, path, **kwargs):
     """``read(path, **kwargs)``, with ``path`` named in the message of a data
     error, so a command that reads two files says which one is bad."""
@@ -283,15 +278,18 @@ def _cmd_mine(args, parser: _Parser) -> int:
             db = periodic_decompose(db, args.period).sub_db
         kind = "periodic" if args.period is not None else "per-timestamp"
         matrix = _cluster(db, args, kind)
+    # the itemsets and patterns stay tables: each writer formats its rows
+    # from their arrays, so no FCI is built, and Pattern objects only for
+    # GeoJSON
     fcis = _mine_with_mode(matrix, args.epsilon, args.mode, args.block_size)
     patterns = extract_patterns(fcis, matrix, params)
     store = FciStore(args.epsilon, matrix.object_labels, matrix.time_labels,
-                     tuple(fcis), None if args.pre_clustered else _clustering(args))
+                     fcis, None if args.pre_clustered else _clustering(args))
     _write_outputs(args.out_dir, store, patterns, matrix, db, args.emit)
     _summary(command="mine", mode=args.mode, input=args.input,
              n_objects=matrix.n_objects, n_times=matrix.n_times,
              n_columns=matrix.n_columns, n_fcis=len(fcis),
-             n_patterns=len(patterns), patterns=_kind_counts(patterns),
+             n_patterns=len(patterns), patterns=patterns.kinds(),
              threads=args.threads,
              elapsed_s=round(time.perf_counter() - t0, 3))
     return 0
@@ -356,7 +354,7 @@ def _cmd_convert_patterns(args) -> int:
     _write_outputs(args.out_dir, None, patterns, matrix, db, args.emit)
     _summary(command="convert", conversion="patterns", store=args.store,
              input=args.input, n_patterns=len(patterns),
-             patterns=_kind_counts(patterns))
+             patterns=patterns.kinds())
     return 0
 
 

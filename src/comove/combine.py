@@ -40,11 +40,15 @@ once an ``n`` contains it; the loop is not run, its counts are derived:
 
 The merge itself (``_merge``) takes each side's tidsets as one ``(rows,
 W)`` word array and returns indices: the surviving rows of each side, and
-the pairs (existing row, incoming row) whose unions are new.
-``combine_fcis`` packs two FCI lists into words and builds its FCIs from
-those indices.  A combined FCI is lazy: it keeps the itemsets it joins
-and builds its codes from theirs on first read, so the merge builds no
-item codes.
+the pairs (existing row, incoming row) whose unions are new.  On itemset
+tables (``FciTable``), ``_merge_tables`` turns those indices into the
+merged table: the surviving rows, then each union's tidset words ANDed and
+its runs both rows' runs, in code order, joined where one goes on in the
+other.  Sides apart in time are concatenated, the earlier first, and joined
+at the junction; interleaved sides have each union's runs sorted by first
+code.  The block merges call it with the order of their sides, which they
+know; ``combine_fcis`` checks first that its sides share no column, packs
+FCI lists into tables and returns the merged table's FCIs.
 
 An append merges the rows of a store (``comove.store``) without building
 an FCI for any of them.  The existing side is then the store's rows, which
@@ -58,13 +62,25 @@ row's at once, in the order ``combine_fcis`` returns them for FCI lists.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import attrgetter
-
 import numpy as np
 
-from .model import FCI, CoMoveError, check_epsilon, code_item, item_code, packed_fci
-from .patterns import _bits, _popcount, _words
+from .model import (
+    FCI,
+    CoMoveError,
+    FciTable,
+    _bits,
+    _fit_words,
+    _joined_runs,
+    _popcount,
+    _run_items,
+    _spans,
+    _starts,
+    _words,
+    check_epsilon,
+    code_item,
+    item_code,
+    packed_fci,
+)
 
 __all__ = ["combine_fcis", "shift_times"]
 
@@ -72,71 +88,30 @@ __all__ = ["combine_fcis", "shift_times"]
 # popcounts and pair indices under 1 MiB in all.
 _TILE_WORDS = 1 << 16
 
-_codes = attrgetter("codes")
 
-
-class _Union(FCI):
-    """A combined itemset: its tidset mask and the two itemsets it joins,
-    ``head`` before ``tail`` in code order when ``apart``, else interleaved
-    with it.  Its codes are built from theirs on first read, which then lets
-    both go.  (A property, not ``__getattr__``, which would slow every other
-    attribute read, ``mask`` in the merge loop among them.)"""
-
-    __slots__ = ("head", "tail", "apart", "_codes")
-
-    @property
-    def codes(self) -> tuple[int, ...]:
-        codes = self._codes
-        if codes is None:
-            codes = self.head.codes + self.tail.codes
-            self._codes = codes = codes if self.apart else tuple(sorted(codes))
-            self.head = self.tail = None
-        return codes
-
-    def bounds(self) -> tuple[int, int]:
-        if self._codes is not None:
-            return self._codes[0], self._codes[-1]
-        (a, b), (c, d) = self.head.bounds(), self.tail.bounds()
-        return (a, d) if self.apart else (min(a, c), max(b, d))
-
-
-def _union(mask: int, head: FCI, tail: FCI, apart: bool) -> _Union:
-    f = object.__new__(_Union)
-    f.mask, f.head, f.tail, f.apart = mask, head, tail, apart
-    f._codes = f._items = f._tidset = None
-    return f
-
-
-def shift_times(fcis: list[FCI], offset: int) -> list[FCI]:
+def shift_times(fcis, offset: int):
     """Move every item's time index by offset (re-basing itemsets mined on a
-    local time axis onto a combined one)."""
+    local time axis onto a combined one): a table's runs, or a list's FCIs."""
     shift = item_code(offset, 0)  # adds offset to the time of every code
-    return [packed_fci(f.mask, tuple([c + shift for c in f.codes]))
-            for f in fcis]
+    if isinstance(fcis, FciTable):
+        return FciTable(fcis.words, fcis.row_start, fcis.first + shift, fcis.last + shift)
+    return [packed_fci(f.mask, tuple([c + shift for c in f.codes])) for f in fcis]
 
 
-def _distinct_codes(fcis: list[FCI]) -> np.ndarray:
-    return np.unique(np.fromiter(chain.from_iterable(map(_codes, fcis)), np.int64))
-
-
-def _check_disjoint_columns(existing: list[FCI], incoming: list[FCI]) -> int:
+def _check_disjoint_columns(existing: FciTable, incoming: FciTable) -> int:
     """Raise unless the sides share no column.  Return 1 when every existing
     code precedes every incoming one, -1 when every incoming code precedes
     every existing one, 0 when the code ranges interleave."""
-    if not existing or not incoming:
+    if not len(existing) or not len(incoming):
         return 0
-
-    def span(fcis):
-        firsts, lasts = zip(*[f.bounds() for f in fcis])
-        return min(firsts), max(lasts)
-
     # Sides whose code ranges do not overlap, as in every append and block
     # merge, share no column; only interleaved sides need their codes.
-    (lo_a, hi_a), (lo_b, hi_b) = span(existing), span(incoming)
+    lo_a, hi_a = existing.first.min(), existing.last.max()
+    lo_b, hi_b = incoming.first.min(), incoming.last.max()
     if hi_a < lo_b or hi_b < lo_a:
         return 1 if hi_a < lo_b else -1
-    shared = np.intersect1d(_distinct_codes(existing), _distinct_codes(incoming),
-                            assume_unique=True)
+    shared = np.intersect1d(_run_items(existing.first, existing.last),
+                            _run_items(incoming.first, incoming.last))
     if len(shared):
         raise CoMoveError(
             f"both sides use column {code_item(int(shared[0]))}; combined "
@@ -247,45 +222,82 @@ def _merge(a: np.ndarray, b: np.ndarray, epsilon: int, counters: dict | None):
     return walk_a[dead == nb], walk_b[stop == na], (walk_a[o], walk_b[n])
 
 
+def _merge_tables(a: FciTable, b: FciTable, epsilon: int, order: int,
+                  counters: dict | None = None) -> FciTable:
+    """The merge of tables ``a`` and ``b``, sides that share no column:
+    ``order`` is 1 where every code of ``a`` precedes every code of ``b``,
+    -1 where it follows them, 0 where they may interleave.  The rows are
+    the surviving rows of ``a``, then of ``b``, each in walk order, then the
+    unions in order of first pair.
+
+    Every row is gathered as two spans of the sides' runs: a survivor's own
+    and none, a union's rows' in the order of their sides.  A union's runs
+    never overlap in time, so where the sides interleave they are sorted by
+    first code; then each run that goes on in the next is joined with it."""
+    old, new, (o, n) = _merge(a.words, b.words, epsilon, counters)
+    none = np.zeros(len(old) + len(new), np.int64)
+    sa, la = a.row_start[:-1], a.row_start[1:] - a.row_start[:-1]
+    sb, lb = b.row_start[:-1] + len(a.first), b.row_start[1:] - b.row_start[:-1]
+    heads, tails = (sa[o], la[o]), (sb[n], lb[n])
+    if order < 0:
+        heads, tails = tails, heads
+    spans = np.empty((len(none) + len(o), 2, 2), np.int64)  # row, span, start/length
+    spans[:, 0, 0] = np.concatenate([sa[old], sb[new], heads[0]])
+    spans[:, 0, 1] = np.concatenate([la[old], lb[new], heads[1]])
+    spans[:, 1, 0] = np.concatenate([none, tails[0]])
+    spans[:, 1, 1] = np.concatenate([none, tails[1]])
+    runs = _spans(spans[:, :, 0].ravel(), spans[:, :, 1].ravel())
+    first = np.concatenate([a.first, b.first])[runs]
+    last = np.concatenate([a.last, b.last])[runs]
+    lengths = spans[:, 0, 1] + spans[:, 1, 1]
+    row_start = _starts(lengths)
+    words = np.concatenate([a.words[old], b.words[new], a.words[o] & b.words[n]])
+    if len(o):
+        if order == 0:  # by first code, row by row
+            by = np.lexsort((first, np.repeat(np.arange(len(lengths)), lengths)))
+            first, last = first[by], last[by]
+        row_start, first, last = _joined_runs(first, last, row_start)
+    return FciTable(words, row_start, first, last)
+
+
 class _Merge:
-    """``_merge``'s result on ``existing`` and ``incoming``: ``old`` and
-    ``new`` their surviving rows, ``pairs`` the rows of each union.
-    ``order`` is ``_check_disjoint_columns``' answer, ``words`` the incoming
-    tidsets.  Iterating it builds the FCIs ``combine_fcis`` returns."""
+    """``_merge``'s result on a store's rows ``existing`` and the FCIs
+    ``incoming`` of later times: ``old`` and ``new`` their surviving rows,
+    ``pairs`` the rows of each union, ``words`` the incoming tidsets.
+    Iterating it builds the FCIs ``combine_fcis`` returns."""
 
-    __slots__ = ("existing", "incoming", "old", "new", "pairs", "order", "words")
+    __slots__ = ("existing", "incoming", "old", "new", "pairs", "words")
 
-    def __init__(self, existing, incoming, old, new, pairs, order, words):
+    def __init__(self, existing, incoming, old, new, pairs, words):
         self.existing, self.incoming, self.old, self.new = existing, incoming, old, new
-        self.pairs, self.order, self.words = pairs, order, words
+        self.pairs, self.words = pairs, words
 
     def __len__(self) -> int:
         return len(self.old) + len(self.new) + len(self.pairs[0])
 
     def __iter__(self):
         # a store's rows build all their FCIs at once
-        existing, incoming, order = list(self.existing), self.incoming, self.order
+        existing, incoming = list(self.existing), self.incoming
         yield from map(existing.__getitem__, self.old.tolist())
         yield from map(incoming.__getitem__, self.new.tolist())
         for o, n in zip(*map(np.ndarray.tolist, self.pairs)):
             o, n = existing[o], incoming[n]
-            yield (_union(o.mask & n.mask, n, o, True) if order < 0 else
-                   _union(o.mask & n.mask, o, n, order > 0))
+            yield packed_fci(o.mask & n.mask, o.codes + n.codes)
 
 
-def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
+def combine_fcis(existing, incoming, epsilon: int, *,
                  counters: dict | None = None) -> list[FCI]:
     """Closed itemsets of the combined matrix from the two sides' own.
 
-    ``existing`` and ``incoming`` must be mined from matrices that share no
-    column; their columns may interleave in time.  The result equals mining
-    the combined matrix directly, as a set: the list holds the surviving
-    existing itemsets, then the surviving incoming ones, each side in order
-    of support, then the combined itemsets in order of their first pair
-    (see the module docstring).  Sort it by ``codes`` where order matters.
-    ``counters``, when given, receives pairs, new, absorbed_existing,
-    absorbed_incoming and stops, which follow the order the sides are walked
-    in: (support, codes) for sides given in code order.
+    ``existing`` and ``incoming`` (FCI lists or tables) must be mined from
+    matrices that share no column; their columns may interleave in time.
+    The result equals mining the combined matrix directly, as a set: the
+    list holds the surviving existing itemsets, then the surviving incoming
+    ones, each side in order of support, then the combined itemsets in order
+    of their first pair (see the module docstring).  Sort it by ``codes``
+    where order matters.  ``counters``, when given, receives pairs, new,
+    absorbed_existing, absorbed_incoming and stops, which follow the order
+    the sides are walked in: (support, codes) for sides given in code order.
 
     ``existing`` may also be a store's rows as ``comove.store``'s
     ``read_fci_table`` reads them: one table, which builds every row's FCI
@@ -295,18 +307,18 @@ def combine_fcis(existing: list[FCI], incoming: list[FCI], epsilon: int, *,
     is iterated.
     """
     check_epsilon(epsilon)
-    incoming = list(incoming)
-    rows = getattr(existing, "words", None)  # a store's rows (see above)
-    if rows is not None and all(f.codes[0] >= existing.end
-                                and f.mask.bit_length() <= 64 * rows.shape[1]
-                                for f in incoming):
-        words = _words([f.mask for f in incoming], rows.shape[1])
-        return _Merge(existing, incoming, *_merge(rows, words, epsilon, counters), 1,
-                      words)
-    existing = list(existing)
-    order = _check_disjoint_columns(existing, incoming)
-    masks = [f.mask for f in existing] + [f.mask for f in incoming]
-    words = _words(masks, max(1, -(-max(map(int.bit_length, masks), default=0) // 64)))
-    na = len(existing)
-    return list(_Merge(existing, incoming, *_merge(words[:na], words[na:], epsilon,
-                                                   counters), order, None))
+    end = getattr(existing, "end", None)  # a store's rows (see above)
+    if end is not None:
+        rows = existing.words
+        incoming = list(incoming)
+        if all(f.codes[0] >= end and f.mask.bit_length() <= 64 * rows.shape[1]
+               for f in incoming):
+            words = _words([f.mask for f in incoming], rows.shape[1])
+            return _Merge(existing, incoming, *_merge(rows, words, epsilon, counters),
+                          words)
+    a, b = (s if isinstance(s, FciTable) else FciTable.of(s) for s in (existing, incoming))
+    w = max(a.words.shape[1], b.words.shape[1])
+    a = FciTable(_fit_words(a.words, w), a.row_start, a.first, a.last)
+    b = FciTable(_fit_words(b.words, w), b.row_start, b.first, b.last)
+    order = _check_disjoint_columns(a, b)
+    return list(_merge_tables(a, b, epsilon, order, counters))

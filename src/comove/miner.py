@@ -9,8 +9,11 @@ duplicate table.  A node's closure columns contain every deeper tidset, so
 they leave the list of columns its subtree scans: a nested chain of n columns
 costs O(n^2) column tests, and one miner serves every block shape.
 
-:func:`mine_columns` emits the itemsets as packed FCIs (a tidset mask and
-item codes), which :func:`mine_fci` returns and the block merges combine.
+:func:`mine_columns` emits the itemsets as one table (``FciTable``): their
+tidsets as words and their items as runs, which :func:`mine_fci` puts in
+code order.  An itemset's columns are those of its distinct masks, so its
+runs are theirs, found once per mask, in code order and joined; no item is
+spelled out, and no FCI is built until one is read.
 
 The "at most one column per time unit" rule never needs explicit handling:
 every matrix kind keeps same-unit columns disjoint, so two same-unit columns
@@ -20,28 +23,44 @@ threshold >= 1.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from itertools import chain
 from typing import Sequence
 
-from .model import FCI, ClusterMatrix, Column, check_epsilon, item_code, packed_fci
+import numpy as np
+
+from .model import (
+    ClusterMatrix,
+    Column,
+    FciTable,
+    _code_runs,
+    _joined_runs,
+    _n_words,
+    _spans,
+    _starts,
+    _words,
+    check_epsilon,
+    item_code,
+)
 
 __all__ = ["mine_fci"]
 
 
-def mine_fci(matrix: ClusterMatrix, epsilon: int) -> list[FCI]:
-    """All frequent closed itemsets of the matrix, in canonical item order.
+def mine_fci(matrix: ClusterMatrix, epsilon: int) -> FciTable:
+    """All frequent closed itemsets of the matrix, in canonical item order,
+    as a table that builds their FCIs when they are read.
 
     Every returned itemset uses at most one column per time unit, has support
     >= epsilon, and admits no strict valid superset with the same tidset.
     """
-    return mine_columns(matrix.columns, matrix.n_objects, epsilon)
+    return mine_columns(matrix.columns, matrix.n_objects, epsilon).in_code_order()
 
 
 def mine_columns(columns: Sequence[Column], n_objects: int,
-                 epsilon: int) -> list[FCI]:
-    """``mine_fci`` on the matrix that ``columns`` of a valid matrix over
-    ``n_objects`` objects form, without building and re-checking it: a
-    prefix-preserving closure extension walk."""
+                 epsilon: int) -> FciTable:
+    """``mine_fci``'s itemsets, rows in the walk's order, of the matrix
+    that ``columns`` of a valid matrix over ``n_objects`` objects form,
+    without building and re-checking it: a prefix-preserving closure
+    extension walk."""
     check_epsilon(epsilon)
     codes = [item_code(*c.cid) for c in columns]
     full = (1 << n_objects) - 1
@@ -103,7 +122,21 @@ def mine_columns(columns: Sequence[Column], n_objects: int,
             stack.extend((j2, items, new_tid, new_live)
                          for j2 in reversed(first.values()))
 
-    fcis = [packed_fci(tid, tuple(sorted([codes[j] for k in items for j in groups[k]])))
-            for items, tid in results]
-    fcis.sort(key=attrgetter("codes"))
-    return fcis
+    # Each distinct mask's columns as runs.  An itemset's runs are its
+    # masks' runs, which never share a time (same-time columns share no
+    # object), so sorted by first code and joined where one goes on in the
+    # next, they are the itemset's maximal runs.
+    group_codes = [sorted([codes[j] for j in g]) for g in groups]
+    group_runs, run_first, run_last = _code_runs(
+        np.fromiter(chain.from_iterable(group_codes), np.int64, len(codes)),
+        np.fromiter(map(len, group_codes), np.intp, len(groups)))
+    n_groups = np.fromiter((len(items) for items, _ in results), np.intp, len(results))
+    flat = np.fromiter(chain.from_iterable(items for items, _ in results), np.intp,
+                       n_groups.sum())
+    lengths = group_runs[flat + 1] - group_runs[flat]
+    runs = _spans(group_runs[flat], lengths)
+    row_start = _starts(lengths)[_starts(n_groups)]
+    by = np.lexsort((run_first[runs], np.repeat(np.arange(len(results)),
+                                                row_start[1:] - row_start[:-1])))
+    return FciTable(_words([tid for _, tid in results], _n_words(n_objects)),
+                    *_joined_runs(run_first[runs[by]], run_last[runs[by]], row_start))

@@ -8,16 +8,23 @@ the types defined here:
 * a :class:`ClusterMatrix` is the 0-1 object/cluster membership matrix with
   columns grouped by time unit,
 * an :class:`FCI` is a frequent closed itemset over matrix columns, held
-  packed into ints; it is the one itemset type the miner emits, the merge
-  combines, the decoder reads and the itemset store reads and writes,
+  packed into ints,
+* an :class:`FciTable` holds many itemsets as one table of tidset words
+  and item runs; the miners emit it, the block merges join it, the decoder
+  reads it and the itemset store reads and writes it, and it builds its
+  FCIs when they are read,
 * pattern dataclasses carry the decoded co-movement patterns.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence as _Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "CoMoveError",
@@ -33,6 +40,7 @@ __all__ = [
     "MATRIX_KINDS",
     "ClusterMatrix",
     "FCI",
+    "FciTable",
     "MiningParams",
     "ClosedSwarm",
     "Convoy",
@@ -356,6 +364,255 @@ def packed_fci(mask: int, codes: tuple[int, ...]) -> FCI:
     f.codes = codes
     f._items = f._tidset = None
     return f
+
+
+# ---------------------------------------------------------------------------
+# Itemset tables
+# ---------------------------------------------------------------------------
+
+def _words(masks: Sequence[int], n_words: int) -> np.ndarray:
+    """Bitmasks as rows of ``n_words`` little-endian uint64 words."""
+    n_bytes = 8 * n_words
+    buf = b"".join([m.to_bytes(n_bytes, "little") for m in masks])
+    return np.frombuffer(buf, dtype="<u8").reshape(len(masks), n_words)
+
+
+def _n_words(n_objects: int) -> int:
+    """The uint64 words of a tidset over ``n_objects`` objects, at least one."""
+    return max(1, -(-n_objects // 64))
+
+
+_bitwise_count = getattr(np, "bitwise_count", None)  # numpy >= 2.0
+_M1, _M2, _M4, _H01 = map(np.uint64, (0x5555555555555555, 0x3333333333333333,
+                                      0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
+
+
+def _bits(words: np.ndarray) -> np.ndarray:
+    """The set bits of each word of a uint64 array, as uint8.  Without
+    ``np.bitwise_count``, each word's bits are summed in place (SWAR)."""
+    if _bitwise_count is not None:
+        return _bitwise_count(words)
+    x = words - ((words >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    return ((((x + (x >> np.uint64(4))) & _M4) * _H01) >> np.uint64(56)).astype(np.uint8)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of a ``(rows, W)`` uint64 array, as int64."""
+    bits = _bits(words)
+    # a column at a time: a reduction along a short last axis is slow
+    total = bits[:, 0].astype(np.int64)
+    for k in range(1, bits.shape[1]):
+        total += bits[:, k]
+    return total
+
+
+def _fit_words(words: np.ndarray, n_words: int) -> np.ndarray:
+    """Rows of uint64 words cut, or padded with zero words, to ``n_words``."""
+    if words.shape[1] >= n_words:
+        return words[:, :n_words]
+    out = np.zeros((len(words), n_words), words.dtype)
+    out[:, :words.shape[1]] = words
+    return out
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """Where each of parts of ``lengths`` starts, then their total."""
+    out = np.zeros(len(lengths) + 1, np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i]`` up to ``starts[i] + lengths[i]`` of every
+    part ``i`` in turn."""
+    at = _starts(lengths)
+    return np.repeat(starts - at[:-1], lengths) + np.arange(at[-1])
+
+
+def _code_runs(codes: np.ndarray, lengths: np.ndarray):
+    """(row_start, first, last) of rows of ascending item codes, row ``i``
+    the next ``lengths[i]`` (at least one) of ``codes``: each row's maximal
+    runs of one ordinal at consecutive times, by first and last code."""
+    breaks = np.ones(len(codes) + 1, bool)  # where a run starts, then the end
+    breaks[1:-1] = np.diff(codes) != _TIME_STEP
+    row_starts = _starts(lengths)
+    breaks[row_starts[:-1]] = True
+    starts = np.flatnonzero(breaks[:-1])
+    return (np.searchsorted(starts, row_starts), codes[starts],
+            codes[np.flatnonzero(breaks[1:])])
+
+
+def _joined_runs(first: np.ndarray, last: np.ndarray, row_start: np.ndarray):
+    """(row_start, first, last) of rows of ascending runs with each run that
+    goes on in the next one of its row joined with it, so every run is
+    maximal."""
+    head = np.ones(len(first), bool)
+    head[1:] = first[1:] != last[:-1] + _TIME_STEP
+    head[row_start[:-1]] = True
+    ends = np.ones(len(first), bool)
+    ends[:-1] = head[1:]
+    return _starts(head)[row_start], first[head], last[ends]
+
+
+def _run_items(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """The item codes of the runs with first and last codes ``first`` and
+    ``last``, every run's in turn, as one int64 array."""
+    length = ((last - first) >> _ITEM_BITS) + 1
+    at = _starts(length)
+    return (np.repeat(first - at[:-1] * _TIME_STEP, length)
+            + np.arange(at[-1], dtype=np.int64) * _TIME_STEP)
+
+
+# The key of a run that a row leaves for a larger code is _ABOVE less its
+# last code, which is above the last code of every run (see _row_keys).
+_ABOVE = (1 << 64) - 1
+
+
+def _row_keys(f: np.ndarray, g: np.ndarray, row_start: np.ndarray):
+    """(ascending, keys) of rows whose runs have first and last codes ``f``
+    and ``g`` (none negative), row ``i``'s at ``row_start[i]:row_start[i +
+    1]``, each row holding one or more: whether every row's runs ascend,
+    each starting past the last code of the one before, and, where they do
+    and no run goes on in the next one, each row's key, else None.  A row's
+    key holds for each run its first code, then its last code when the
+    row's next code is smaller than the run's next one would be (at the same
+    time, or the row ends there), else ``_ABOVE`` less its last code, each
+    as 8 big-endian bytes; the keys sort as the rows' codes do."""
+    ends_row = np.zeros(len(f), bool)
+    ends_row[row_start[1:] - 1] = True
+    nxt, after = f[1:], g[:-1] + _TIME_STEP
+    inner = ~ends_row[:-1]
+    if (nxt <= g[:-1])[inner].any():
+        return False, None
+    if (nxt == after)[inner].any():  # not maximal
+        return True, None
+    below = ends_row.copy()
+    below[:-1] |= nxt < after
+    key = np.empty(2 * len(f), ">u8")
+    key[0::2] = f
+    g64 = g.astype(np.uint64)
+    key[1::2] = np.where(below, g64, _ABOVE - g64)
+    key = key.tobytes()
+    bounds = (16 * row_start).tolist()
+    return True, list(map(key.__getitem__, map(slice, bounds, bounds[1:])))
+
+
+class FciTable(_Sequence):
+    """Itemsets as one table, and a sequence of their FCIs.
+
+    ``words`` holds row ``i``'s tidset as row ``i`` of an ``(N, W)`` uint64
+    array.  ``first`` and ``last`` are the first and last item codes of every
+    row's runs in turn, row ``i``'s at ``row_start[i]:row_start[i + 1]``, as
+    int64 arrays; a run is the items of one ordinal at consecutive times,
+    each row holds one or more, and they ascend within it.  Tables that the
+    miners and merges build hold maximal runs, their rows in code order.
+
+    Reading an itemset builds every row's FCI at once (``_row_fcis``), once;
+    a table compares equal to a list or tuple of the same FCIs, and ``+``
+    joins it to one into a list."""
+
+    def __init__(self, words: np.ndarray, row_start: np.ndarray, first: np.ndarray,
+                 last: np.ndarray):
+        self.words, self.row_start, self.first, self.last = words, row_start, first, last
+        self._fcis = None
+
+    @classmethod
+    def of(cls, fcis: Iterable[FCI], n_words: int | None = None) -> "FciTable":
+        """The table of ``fcis`` in their order, tidsets as ``n_words`` words
+        (OverflowError where a tidset needs more), by default as many as the
+        widest needs."""
+        fcis = list(fcis)
+        if n_words is None:
+            n_words = max([1] + [-(-f.mask.bit_length() // 64) for f in fcis])
+        code_lists = [f.codes for f in fcis]
+        lengths = np.fromiter(map(len, code_lists), np.intp, len(fcis))
+        codes = np.fromiter(chain.from_iterable(code_lists), np.int64, lengths.sum())
+        return cls(_words([f.mask for f in fcis], n_words), *_code_runs(codes, lengths))
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def fcis(self) -> tuple[FCI, ...]:
+        if self._fcis is None:
+            self._fcis = _row_fcis(self)
+        return self._fcis
+
+    def __iter__(self) -> Iterator[FCI]:
+        return iter(self.fcis())
+
+    def __getitem__(self, i):
+        return self.fcis()[i]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (FciTable, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def __add__(self, other) -> list[FCI]:
+        return list(self) + list(other)
+
+    def __radd__(self, other) -> list[FCI]:
+        return list(other) + list(self)
+
+    def __repr__(self) -> str:
+        return f"FciTable({list(self)!r})"
+
+    def take(self, rows: np.ndarray) -> "FciTable":
+        """The table of rows ``rows``, in that order."""
+        rows = np.asarray(rows, np.intp)
+        row_start = self.row_start
+        lengths = row_start[rows + 1] - row_start[rows]
+        runs = _spans(row_start[rows], lengths)
+        return FciTable(self.words[rows], _starts(lengths), self.first[runs],
+                        self.last[runs])
+
+    def in_code_order(self) -> "FciTable":
+        """This table with maximal runs and its rows in code order, as
+        ``sorted(fcis, key=codes)`` orders FCIs."""
+        table = self
+        ascending, keys = _row_keys(self.first, self.last, self.row_start)
+        if ascending and keys is None:  # runs that go on in the next one: joined
+            table = FciTable(self.words, *_joined_runs(self.first, self.last,
+                                                       self.row_start))
+            keys = _row_keys(table.first, table.last, table.row_start)[1]
+        if keys is None:  # runs out of order: by the codes themselves
+            keys = [f.codes for f in table]
+        if all(map(operator.lt, keys, keys[1:])):
+            return table
+        return table.take(np.array(sorted(range(len(keys)), key=keys.__getitem__),
+                                   np.intp))
+
+
+def _row_fcis(table: FciTable) -> tuple[FCI, ...]:
+    """Every row's FCI, built at once from the table.  The codes of each
+    distinct run are made once, from one ``np.repeat`` over those runs, with
+    each distinct item one int that every run holding it shares; a row's
+    codes are its runs' joined, and a row of one run shares that run's
+    tuple.  Each row's mask is made from its words."""
+    order = np.lexsort((table.last, table.first))
+    f, g = table.first[order], table.last[order]
+    new = np.ones(len(f), bool)  # the first of each distinct run, in that order
+    new[1:] = (f[1:] != f[:-1]) | (g[1:] != g[:-1])
+    tok = np.empty(len(f), np.intp)  # each run's distinct run
+    tok[order] = np.cumsum(new) - 1
+    f, g = f[new], g[new]
+    items = _run_items(f, g).tolist()
+    length = ((g - f) >> _ITEM_BITS) + 1
+    pool: dict[int, int] = {}
+    items = list(map(pool.setdefault, items, items))
+    at = _starts(length).tolist()
+    runs = list(map(tuple, map(items.__getitem__, map(slice, at, at[1:]))))
+    tok, bounds = tok.tolist(), table.row_start.tolist()
+    data, step = table.words.tobytes(), 8 * table.words.shape[1]
+    fcis = []
+    for a, b, c in zip(bounds, bounds[1:], range(0, len(data), step)):
+        codes = runs[tok[a]] if b - a == 1 else tuple(
+            chain.from_iterable(map(runs.__getitem__, tok[a:b])))
+        fcis.append(packed_fci(int.from_bytes(data[c:c + step], "little"), codes))
+    return tuple(fcis)
 
 
 def check_epsilon(epsilon: int):

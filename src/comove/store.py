@@ -14,18 +14,19 @@ anything, object ids their reader would read back as other ids or not at
 all: empty ids, ids with whitespace its reader strips, and ids holding a
 separator of the format.  The pattern writers refuse ids holding ``;``.
 
-The itemset store is read into one table (``_StoreRows``): the rows'
-lines, their tidsets as one ``(rows, W)`` array of uint64 words, and their
-runs as int64 arrays.  A row writes its items as runs, ``a..b:o`` for
-ordinal ``o`` at every store time from label ``a`` through ``b`` and
-``t:o`` for one item, so each row stands alone.  The reader checks a
-store's rows all at once where it can.  ``read_fci_store`` builds every
-row's FCI from the table at once (``_row_fcis``); an append leaves the rows
-in it: ``combine_fcis`` merges a batch into it by row, and the writer,
-given that merge, copies the line of every stored row it keeps, places
-each union by its stored row and formats only the items the batch adds.
-Any other store is written from its FCIs.  Only this module knows that
-text.
+The itemset store is read into one table (``_StoreRows``, an
+``FciTable`` that also keeps the rows' lines): their tidsets as one
+``(rows, W)`` array of uint64 words, and their runs as int64 arrays.  A row
+writes its items as runs, ``a..b:o`` for ordinal ``o`` at every store time
+from label ``a`` through ``b`` and ``t:o`` for one item, so each row stands
+alone.  The reader checks a store's rows all at once where it can.
+``read_fci_store`` builds every row's FCI from the table at once; an append
+leaves the rows in it: ``combine_fcis`` merges a batch into it by row, and
+the writer, given that merge, copies the line of every stored row it keeps,
+places each union by its stored row and formats only the items the batch
+adds.  Any other store is written from its table, the one a miner returns
+or the one its FCIs pack into: each run is formatted from its first and
+last codes, and no item is spelled out.  Only this module knows that text.
 
 A store written to a path gets a companion file, the path plus
 ``.table``, that holds its table in binary (see ``_TABLE_TAG``) with the
@@ -56,6 +57,7 @@ import numpy as np
 from .combine import _Merge
 from .ingest import TrajectoryDB, _parse_timestamp
 from .model import (
+    _ABOVE,
     _ITEM_BITS,
     _ORDINAL_MASK,
     _TIME_STEP,
@@ -63,18 +65,20 @@ from .model import (
     ClusterId,
     ClusterMatrix,
     Column,
-    Convoy,
-    GroupPattern,
-    MovingCluster,
+    FciTable,
     ParseError,
     Tidset,
     UniverseError,
-    canonical_sort,
+    _code_runs,
+    _n_words,
+    _popcount,
+    _row_keys,
+    _starts,
+    _words,
     code_item,
     item_code,
-    packed_fci,
 )
-from .patterns import _popcount, _words
+from .patterns import _KINDS, _LISTED, PatternTable
 
 __all__ = [
     "write_trajectories",
@@ -291,9 +295,10 @@ class FciStore:
     ``clustering`` is ``{"eps": float, "min_pts": int, "interpolate": bool}``
     as mined, or None where not known (pre-clustered input, older stores).
 
-    ``read_fci_table`` leaves ``fcis`` as the rows' table (``_StoreRows``),
-    and an append then sets it to ``combine_fcis``' merge of that table,
-    which the writer writes by row."""
+    ``fcis`` may also be a table (``FciTable``), as the miners return it.
+    ``read_fci_table`` leaves it as the rows' table (``_StoreRows``), and an
+    append then sets it to ``combine_fcis``' merge of that table, which the
+    writer writes by row."""
 
     epsilon: int
     object_labels: tuple[str, ...]
@@ -302,40 +307,21 @@ class FciStore:
     clustering: dict | None = None
 
 
-# The key of a run that a row leaves for a larger code is _ABOVE less its
-# last code, which is above the last code of every run (see _StoreRows).
-_ABOVE = (1 << 64) - 1
-
-
-class _StoreRows:
+class _StoreRows(FciTable):
     """The rows of a read store (see ``_read_rows``, ``_read_companion`` and
-    ``_read_rows_one_by_one``), as one table that ``combine_fcis`` merges
-    by its tidset words.  Iterating it builds every row's FCI at once (see
-    ``_row_fcis``).
+    ``_read_rows_one_by_one``), as one table (``FciTable``) that
+    ``combine_fcis`` merges by its tidset words.
 
-    ``words`` holds the rows' tidsets, row ``rank``'s as row ``rank`` of an
-    ``(N, W)`` uint64 array, and ``end`` is the first item code past the
-    store's times, above every row's codes.  ``first`` and ``last`` are the
-    first and last item codes of every row's runs in turn, row ``rank``'s
-    at ``row_start[rank]:row_start[rank + 1]``, as int64 arrays.  ``keys``
-    is None unless the store was read at once, its runs are maximal and its
-    rows in strictly ascending code order, so each row is as the writer
-    writes it; row ``rank`` is then ``lines[rank]``, and ``keys[rank]``
-    holds for each run its first code, then its last code when the row's
-    next code is smaller than the run's next one would be (at the same
-    time, or the row ends there), else ``_ABOVE`` less its last code, each
-    as 8 big-endian bytes; those keys sort as the rows' codes do."""
+    ``end`` is the first item code past the store's times, above every
+    row's codes.  ``keys`` is None unless the store was read at once, its
+    runs are maximal and its rows in strictly ascending code order, so each
+    row is as the writer writes it; row ``rank`` is then ``lines[rank]``,
+    and ``keys[rank]`` is its key (see ``_row_keys``)."""
 
     def __init__(self, labels, times, tl, lines, words, row_start, first, last, keys):
+        super().__init__(words, row_start, first, last)
         self.labels, self.times, self.tl, self.lines = labels, times, tl, lines
-        self.words, self.end = words, len(tl) << _ITEM_BITS
-        self.row_start, self.first, self.last, self.keys = row_start, first, last, keys
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __iter__(self):
-        return iter(_row_fcis(self))
+        self.end, self.keys = len(tl) << _ITEM_BITS, keys
 
     def block_end(self, rank: int) -> int:
         """The last row that has row ``rank``'s codes as a leading part."""
@@ -380,7 +366,11 @@ class _StoreRows:
             [-s for s in sides], laters, count()))
         at = [p[3] for p in placed]
         words = words[at]
-        texts, first, last, start = _run_texts([p[2] for p in placed], tl)
+        later = [p[2] for p in placed]
+        lengths = np.fromiter(map(len, later), np.intp, len(later))
+        start, first, last = _code_runs(
+            np.fromiter(chain.from_iterable(later), np.int64, lengths.sum()), lengths)
+        texts = _run_texts(first, last, start, tl)
         members = _member_texts(words.astype("<u8", copy=False).view(np.uint8), labels)
         supports = _popcount(words).tolist()
         # a union's run across the junction: its row's last run goes on at
@@ -456,42 +446,6 @@ class _StoreRows:
         return f"{head}{sep}{start}..{run.partition('..')[2] or run}{sep2}{rest}"
 
 
-def _n_words(labels) -> int:
-    """The uint64 words of a tidset over ``labels``, at least one."""
-    return max(1, -(-len(labels) // 64))
-
-
-def _row_fcis(rows: _StoreRows) -> tuple[FCI, ...]:
-    """Every row's FCI, built at once from the table.  The codes of each
-    distinct run are made once, from one ``np.repeat`` over those runs, with
-    each distinct item one int that every run holding it shares; a row's
-    codes are its runs' joined, and a row of one run shares that run's
-    tuple.  Each row's mask is made from its words."""
-    order = np.lexsort((rows.last, rows.first))
-    f, g = rows.first[order], rows.last[order]
-    new = np.ones(len(f), bool)  # the first of each distinct run, in that order
-    new[1:] = (f[1:] != f[:-1]) | (g[1:] != g[:-1])
-    tok = np.empty(len(f), np.intp)  # each run's distinct run
-    tok[order] = np.cumsum(new) - 1
-    f, g = f[new], g[new]
-    length = ((g - f) >> _ITEM_BITS) + 1
-    at = _starts(length)
-    items = (np.repeat(f - at[:-1] * _TIME_STEP, length)
-             + np.arange(at[-1], dtype=np.int64) * _TIME_STEP).tolist()
-    pool: dict[int, int] = {}
-    items = list(map(pool.setdefault, items, items))
-    at = at.tolist()
-    runs = list(map(tuple, map(items.__getitem__, map(slice, at, at[1:]))))
-    tok, bounds = tok.tolist(), rows.row_start.tolist()
-    data, step = rows.words.tobytes(), 8 * rows.words.shape[1]
-    fcis = []
-    for a, b, c in zip(bounds, bounds[1:], range(0, len(data), step)):
-        codes = runs[tok[a]] if b - a == 1 else tuple(
-            chain.from_iterable(map(runs.__getitem__, tok[a:b])))
-        fcis.append(packed_fci(int.from_bytes(data[c:c + step], "little"), codes))
-    return tuple(fcis)
-
-
 def write_fci_store(store: FciStore, dest):
     """Header lines carry epsilon, the clustering when known, the universe
     size, the covered time range and the full label tables; one row per
@@ -509,9 +463,10 @@ def write_fci_store(store: FciStore, dest):
     the rest (see ``_StoreRows.write_merge``): the merge's unions of a
     stored row and an itemset of later times, whose items text is the row's
     followed by the runs formatted from that itemset's codes, and the
-    itemsets of later times only.  Any other store is sorted by codes and
-    formatted whole, member ids from tidset masks and items from their
-    codes.
+    itemsets of later times only.  Any other store is formatted whole from
+    its table in code order (``FciTable.in_code_order``; FCIs are sorted by
+    codes and packed into one), member ids from tidset words and items from
+    their runs' first and last codes.
 
     Written to a path, the store is followed by its companion table, the
     path plus ``.table`` (see ``_TABLE_TAG``), built from the runs and
@@ -526,13 +481,14 @@ def write_fci_store(store: FciStore, dest):
     tl = _time_texts(store.time_labels, rows)
     written = rows.write_merge(fcis, labels, tl) if rows is not None else None
     if written is None:
-        fcis = sorted(fcis, key=_codes)
-        words = _words([f.mask for f in fcis], _n_words(labels))
-        texts, first, last, start = _run_texts([f.codes for f in fcis], tl)
+        fcis = fcis.in_code_order() if isinstance(fcis, FciTable) else FciTable.of(
+            sorted(fcis, key=_codes), _n_words(len(labels)))
+        words = fcis.words.astype("<u8", copy=False)
+        texts = _run_texts(fcis.first, fcis.last, fcis.row_start, tl)
         lines = [f"{support}\t{ids}\t{items}" for support, ids, items in zip(
             _popcount(words).tolist(), _member_texts(words.view(np.uint8), labels),
             texts)]
-        table = lambda: (words, start, first, last)
+        table = lambda: (words, fcis.row_start, fcis.first, fcis.last)
     else:
         lines, table = written
 
@@ -572,41 +528,27 @@ def _member_texts(packed: np.ndarray, labels: tuple[str, ...]) -> list[str]:
     return [",".join(names[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def _starts(lengths: np.ndarray) -> np.ndarray:
-    """Where each of parts of ``lengths`` starts, then their total."""
-    out = np.zeros(len(lengths) + 1, np.int64)
-    np.cumsum(lengths, out=out[1:])
-    return out
-
-
-def _run_texts(rows: list[tuple[int, ...]], tl: tuple[str, ...]):
-    """(texts, first, last, start): the items text of each row of codes,
-    its maximal runs of one ordinal at consecutive store times, in code
-    order, each written ``a..b:o``, or ``t:o`` for a run of one item,
-    joined by ``;``; and the runs' first and last codes, row ``i``'s at
-    ``start[i]:start[i + 1]``, as int64 arrays.  An item whose time is not
-    a store time raises ParseError."""
-    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-    codes = np.fromiter(chain.from_iterable(rows), np.int64, lengths.sum())
+def _run_texts(first: np.ndarray, last: np.ndarray, row_start: np.ndarray,
+               tl: tuple[str, ...]) -> list[str]:
+    """The items text of each row of runs, row ``i``'s the runs
+    ``row_start[i]:row_start[i + 1]`` of first and last codes ``first`` and
+    ``last``: each run written ``a..b:o``, or ``t:o`` for a run of one
+    item, joined by ``;``.  An item whose time is not a store time raises
+    ParseError, the first such in run order named."""
     end = len(tl) << _ITEM_BITS  # the first code past the last store time
-    if len(codes) and (codes.min() < 0 or codes.max() >= end):
-        bad = code_item(int(codes[((codes < 0) | (codes >= end)).argmax()]))
-        raise ParseError(f"item {bad} cannot be stored: its time index is "
-                         f"outside the store's {len(tl)} time labels")
-    breaks = np.ones(len(codes) + 1, bool)  # where a run starts, then the end
-    breaks[1:-1] = np.diff(codes) != _TIME_STEP
-    row_starts = np.cumsum(lengths) - lengths
-    breaks[row_starts] = True
-    starts = np.flatnonzero(breaks[:-1])
-    first, last = codes[starts], codes[np.flatnonzero(breaks[1:])]
+    bad = (first < 0) | (last >= end)
+    if bad.any():
+        k = int(bad.argmax())
+        code = int(first[k]) if first[k] < 0 else max(int(first[k]), end | int(
+            first[k] & _ORDINAL_MASK))
+        raise ParseError(f"item {code_item(code)} cannot be stored: its time index "
+                         f"is outside the store's {len(tl)} time labels")
     runs = [f"{tl[a]}:{o}" if a == b else f"{tl[a]}..{tl[b]}:{o}"
             for o, a, b in zip((first & _ORDINAL_MASK).tolist(),
                                (first >> _ITEM_BITS).tolist(),
                                (last >> _ITEM_BITS).tolist())]
-    start = np.append(np.searchsorted(starts, row_starts), len(runs))
-    bounds = start.tolist()
-    return ([";".join(runs[i:j]) for i, j in zip(bounds, bounds[1:])], first, last,
-            start)
+    bounds = row_start.tolist()
+    return [";".join(runs[i:j]) for i, j in zip(bounds, bounds[1:])]
 
 
 def _parse_run(token: str, t_index: dict[str, int], line_no: int):
@@ -688,7 +630,7 @@ def _read_companion(data: bytes, lines: list[str], labels, times, tl, epsilon: i
     if len(data) < _TABLE_HEAD:
         return None
     n, w, r = np.frombuffer(data, "<u8", 3, _TABLE_COUNTS).tolist()
-    if n != len(lines) or w != _n_words(labels) \
+    if n != len(lines) or w != _n_words(len(labels)) \
             or len(data) != _TABLE_HEAD + 8 * (n * w + n + 1 + 2 * r):
         return None
     words = np.frombuffer(data, "<u8", n * w, _TABLE_HEAD).reshape(n, w)
@@ -704,7 +646,7 @@ def _read_companion(data: bytes, lines: list[str], labels, times, tl, epsilon: i
     if (first < 0).any() or (last < first).any() or ((first ^ last) & _ORDINAL_MASK).any() \
             or (last >= len(tl) << _ITEM_BITS).any():
         return None
-    keys = _row_keys(first, last, row_start)[1]
+    keys = _ordered_keys(first, last, row_start)[1]
     if keys is None:
         return None
     return _StoreRows(labels, times, tl, lines, words, row_start, first, last, keys)
@@ -720,10 +662,10 @@ def read_fci_store(source) -> FciStore:
     all rows at once (see ``_read_rows``); any other store, and one with a
     faulty row, is read row by row (``_read_rows_one_by_one``).  Either way
     the rows are read into one table, and every row's FCI is then built
-    from it at once (``_row_fcis``).  The store's companion table is never
-    read."""
+    from it at once (``FciTable.fcis``).  The store's companion table is
+    never read."""
     store = _read_table(source, False)
-    return replace(store, fcis=_row_fcis(store.fcis))
+    return replace(store, fcis=store.fcis.fcis())
 
 
 def read_fci_table(source, *, counters: dict | None = None) -> FciStore:
@@ -860,7 +802,7 @@ def _read_rows(lines: list[str], labels, o_index, times, t_index, epsilon: int):
     all member ids, and the run texts parsed once each by one regular
     expression, with the order and count checks in numpy.  The rows'
     tidsets are packed from their ids into one array of words."""
-    n, w = len(lines), _n_words(labels)
+    n, w = len(lines), _n_words(len(labels))
     if not n:
         none = np.zeros(0, np.int64)
         return _StoreRows(labels, times, tuple(t_index), [], np.zeros((0, w), "<u8"),
@@ -915,38 +857,18 @@ def _read_rows(lines: list[str], labels, o_index, times, t_index, epsilon: int):
     np.cumsum(np.fromiter(map(str.count, items, repeat(";")), np.intp, n) + 1,
               out=row_start[1:])
     f, g = first[tok], last[tok]
-    ascending, keys = _row_keys(f, g, row_start)
+    ascending, keys = _ordered_keys(f, g, row_start)
     if not ascending:
         return None
     return _StoreRows(labels, times, tuple(t_index), lines,
                       packed.view("<u8").reshape(n, w), row_start, f, g, keys)
 
 
-def _row_keys(f: np.ndarray, g: np.ndarray, row_start: np.ndarray):
-    """(ascending, keys) of rows whose runs have first and last codes ``f``
-    and ``g``, row ``i``'s at ``row_start[i]:row_start[i + 1]``, each row
-    holding one or more: whether every row's runs ascend, each starting past
-    the last code of the one before, and the rows' keys (see
-    ``_StoreRows``) where they do, no run goes on in the next one and the
-    rows are in strictly ascending code order, else None."""
-    ends_row = np.zeros(len(f), bool)
-    ends_row[row_start[1:] - 1] = True
-    nxt, after = f[1:], g[:-1] + _TIME_STEP
-    inner = ~ends_row[:-1]
-    if (nxt <= g[:-1])[inner].any():
-        return False, None
-    if (nxt == after)[inner].any():  # not maximal
-        return True, None
-    below = ends_row.copy()
-    below[:-1] |= nxt < after
-    key = np.empty(2 * len(f), ">u8")
-    key[0::2] = f
-    g64 = g.astype(np.uint64)
-    key[1::2] = np.where(below, g64, _ABOVE - g64)
-    key = key.tobytes()
-    bounds = (16 * row_start).tolist()
-    keys = list(map(key.__getitem__, map(slice, bounds, bounds[1:])))
-    return True, keys if all(map(lt, keys, keys[1:])) else None
+def _ordered_keys(f: np.ndarray, g: np.ndarray, row_start: np.ndarray):
+    """``_row_keys`` of the rows, the keys None also unless the rows are in
+    strictly ascending code order."""
+    ascending, keys = _row_keys(f, g, row_start)
+    return ascending, keys if keys is not None and all(map(lt, keys, keys[1:])) else None
 
 
 def _read_rows_one_by_one(body, labels, o_index, times, t_index, epsilon: int):
@@ -999,7 +921,7 @@ def _read_rows_one_by_one(body, labels, o_index, times, t_index, epsilon: int):
     tok = np.array(tok, np.intp)
     first = np.array([a << _ITEM_BITS | o for o, a, _ in runs], np.int64)[tok]
     last = np.array([b << _ITEM_BITS | o for o, _, b in runs], np.int64)[tok]
-    return _StoreRows(labels, times, tuple(t_index), None, _words(masks, _n_words(labels)),
+    return _StoreRows(labels, times, tuple(t_index), None, _words(masks, _n_words(len(labels))),
                       np.array(row_start, np.intp), first, last, None)
 
 
@@ -1017,47 +939,32 @@ def check_pattern_object_ids(object_labels):
                 "ids must not contain ';'")
 
 
-def _pattern_rows(patterns, matrix: ClusterMatrix):
-    """(pattern, kind, objects, times, weight) in canonical order.  Times are
-    labels, formatted once per call; consecutive stretches are written as
-    first..last, except in a listed-times field, where each run of
-    consecutive times is one slice of all the labels joined by ``;``.  Each
-    distinct tidset's member ids are joined once."""
+def _pattern_rows(table: PatternTable, matrix: ClusterMatrix):
+    """(kind, objects, times, weight) of each pattern of ``table`` in turn.
+    Times are labels, formatted once per call; a segment of consecutive
+    times is written as first..last, except in a listed-times field, where
+    it is one slice of all the labels joined by ``;``.  Each distinct
+    tidset's member ids are joined once."""
     labels = [_fmt_time(t) for t in matrix.time_labels]
     joined = ";".join(labels)
     at = [0, *accumulate(len(label) + 1 for label in labels)]  # each label in joined
     object_labels = matrix.object_labels
-    n_times = matrix.n_times
-    members: dict[int, str] = {}  # tidset mask -> ;-joined member ids
+    members = [";".join([object_labels[i] for i in ids]) for ids in table.ids]
+    listed = np.repeat(np.isin(table.kind, _LISTED), np.diff(table.seg_start)).tolist()
+    segs = [joined[at[a]:at[b + 1] - 1] if whole else labels[a] if a == b
+            else f"{labels[a]}..{labels[b]}"
+            for a, b, whole in zip(table.seg_a.tolist(), table.seg_b.tolist(), listed)]
+    bounds = table.seg_start.tolist()
+    for k, d, w, a, b in zip(table.kind.tolist(), table.tid.tolist(),
+                             table.weight.tolist(), bounds, bounds[1:]):
+        yield _KINDS[k], members[d], ";".join(segs[a:b]), w
 
-    def span(a: int, b: int) -> str:
-        return labels[a] if a == b else f"{labels[a]}..{labels[b]}"
 
-    def listed(times: tuple[int, ...]) -> str:
-        # strictly ascending times: t - index is constant along a run of
-        # consecutive ones and grows from run to run, so a bisection finds
-        # each run's end
-        runs, i, n = [], 0, len(times)
-        while i < n:
-            d = times[i] - i
-            j = bisect_left(range(i, n), True, key=lambda k: times[k] - k != d) + i
-            runs.append(joined[at[times[i]]:at[times[j - 1] + 1] - 1])
-            i = j
-        return ";".join(runs)
-
-    for p in canonical_sort(patterns):
-        objects = members.get(p.objects.mask)
-        if objects is None:
-            objects = members[p.objects.mask] = ";".join(
-                [object_labels[i] for i in p.objects.ids])
-        if isinstance(p, GroupPattern):
-            times, weight = ";".join([span(a, b) for a, b in p.segments]), p.weight
-        elif isinstance(p, (Convoy, MovingCluster)):
-            start, end = p.start, p.end
-            times, weight = span(start, end), (end - start + 1) / n_times
-        else:
-            times, weight = listed(p.times), len(p.times) / n_times
-        yield p, p.kind, objects, times, weight
+def _pattern_table(patterns, matrix: ClusterMatrix) -> PatternTable:
+    """``patterns`` as a table in canonical order: itself if it is one."""
+    if isinstance(patterns, PatternTable):
+        return patterns
+    return PatternTable.of(patterns, matrix)
 
 
 def write_patterns_csv(patterns, matrix: ClusterMatrix, dest):
@@ -1065,7 +972,9 @@ def write_patterns_csv(patterns, matrix: ClusterMatrix, dest):
     consecutive stretches are written as first..last.  Object ids holding
     ``;`` are refused (see ``check_pattern_object_ids``).
 
-    Each line is formatted and written directly.  csv quotes a field for
+    ``patterns`` is ``extract_patterns``' table, whose rows are formatted
+    straight from its arrays, or any patterns, which are put in a table
+    first.  Each line is formatted and written directly.  csv quotes a field for
     the characters it holds, and kinds and weights hold none it quotes, so
     the objects and times fields go through ``csv`` only when some object
     id or time label of the matrix needs quoting."""
@@ -1073,10 +982,11 @@ def write_patterns_csv(patterns, matrix: ClusterMatrix, dest):
     quote = any(_csv_field(s) != s for s in chain(
         matrix.object_labels, map(_fmt_time, matrix.time_labels)))
     field = _csv_field if quote else str
+    table = _pattern_table(patterns, matrix)
 
     def write(fh):
         fh.write("kind,objects,times,weight\n")
-        for _, kind, objects, times, weight in _pattern_rows(patterns, matrix):
+        for kind, objects, times, weight in _pattern_rows(table, matrix):
             fh.write(f"{kind},{field(objects)},{field(times)},{weight!r}\n")
     _write_to(dest, write)
 
@@ -1094,11 +1004,12 @@ def write_patterns_geojson(patterns, matrix: ClusterMatrix, db: TrajectoryDB, de
             "trajectory database does not match the matrix (objects/times differ)")
     check_pattern_object_ids(matrix.object_labels)
     present = db.present
+    table = _pattern_table(patterns, matrix)
 
     def write(fh):
         fh.write('{\n  "type": "FeatureCollection",\n  "features": [')
         n = 0
-        for p, kind, objects, times, weight in _pattern_rows(patterns, matrix):
+        for p, (kind, objects, times, weight) in zip(table, _pattern_rows(table, matrix)):
             lines = []
             for obj in p.objects.ids:
                 seen = [t for t in p.times if present[obj, t]]

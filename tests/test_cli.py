@@ -23,6 +23,7 @@ from comove import (
 )
 from comove import cli
 from comove import combine as combine_module
+from comove import model as model_module
 from comove import store as store_module
 from comove.cli import main
 from comove.store import read_fci_table
@@ -374,12 +375,13 @@ def test_append_builds_fcis_for_the_batch_only(tmp_path, monkeypatch):
     # packed, so an append reads no FCI's ClusterId tuple, whatever the store
     # holds; and onto a store as the writer writes it, the stored rows stay
     # one table from read to write, so no FCI is built for a stored row and
-    # no union FCI at all.
+    # no union FCI at all (the merge's unions of stored rows are built only
+    # in reading it, by packed_fci).
     full = _gen(tmp_path, "full.csv", objects=14, times=45, groups=3,
                 switch_prob=0.05)
     batch = _cut_csv(full, tmp_path / "batch.csv", 40, 45)
     reads, made = [], []
-    items, row_fcis, union = FCI.items, store_module._row_fcis, combine_module._union
+    items, row_fcis, union = FCI.items, model_module._row_fcis, combine_module.packed_fci
     sizes = []
     for span in (10, 35):
         base = _cut_csv(full, tmp_path / f"base{span}.csv", 0, span)
@@ -389,9 +391,9 @@ def test_append_builds_fcis_for_the_batch_only(tmp_path, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(FCI, "items", property(
                 lambda f: reads.append(f) or items.fget(f)))
-            m.setattr(store_module, "_row_fcis",
-                      lambda *a: made.append("rows") or row_fcis(*a))
-            m.setattr(combine_module, "_union",
+            m.setattr(model_module, "_row_fcis", lambda rows: made.extend(
+                ["rows"] * isinstance(rows, store_module._StoreRows)) or row_fcis(rows))
+            m.setattr(combine_module, "packed_fci",
                       lambda *a: made.append("union") or union(*a))
             assert main(["append", str(batch), str(tmp_path / f"a{span}"),
                          "--store", str(store)] + APPEND_FLAGS) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import comove.patterns
+import comove.model
 from comove import (
     FCI,
     ClusterId,
@@ -299,7 +299,7 @@ def test_merge_keeps_equal_support_itemsets_apart():
 def test_merge_without_bitwise_count(monkeypatch):
     # numpy before 2.0 has no bitwise_count: the merge counts bits itself
     rng = np.random.default_rng(73)
-    monkeypatch.setattr(comove.patterns, "_bitwise_count", None)
+    monkeypatch.setattr(comove.model, "_bitwise_count", None)
     for _ in range(30):
         m = gen_random_matrix(rng, max_objects=150)
         left, right = _halves(m, int(rng.integers(0, m.n_times + 1)))

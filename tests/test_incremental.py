@@ -159,6 +159,29 @@ def test_partition_empty_matrix():
     assert nested_block_partition(()) == [()]
 
 
+def test_parameter_free_merges_interleaved_nested_blocks():
+    # Two nested chains whose columns alternate in time: the partition lists
+    # them by tidset size, the larger chain first, and its first time is
+    # the later one; parameter-free mining merges them in time order, and
+    # the sides of a merge interleave, their shared objects making unions
+    # whose runs come from both.  A leftover column makes the sparse block.
+    m = make_matrix({(1, 0): [0, 1, 2, 3, 4, 5], (3, 0): [0, 1, 2, 3, 4],
+                     (5, 0): [0, 1, 2, 3], (0, 0): [0, 1, 6], (2, 0): [0, 1],
+                     (4, 0): [0], (6, 0): [9]})
+    blocks = nested_block_partition(nested_reorder(m))
+    assert [[c.cid.time for c in b] for b in blocks] == [[1, 3, 5], [0, 2, 4], [6]]
+    for eps in (1, 2, 3):
+        assert mine_parameter_free(m, eps) == mine_fci(m, eps)
+    # object 0 is in both chains: its itemset's runs join into one
+    assert FCI(tuple(_cid(t, 0) for t in range(6)), _tid(0)) in mine_parameter_free(m, 1)
+    # and on the matrix nested_reorder's own test sorts
+    m = make_matrix({(0, 0): [0, 1], (1, 0): [0, 1, 2, 3], (2, 0): [0, 1, 2],
+                     (3, 0): [2, 3]})
+    blocks = nested_block_partition(nested_reorder(m))
+    assert [[c.cid.time for c in b] for b in blocks] == [[1, 2, 0], [3]]
+    assert mine_parameter_free(m, 1) == mine_fci(m, 1)
+
+
 # ---------------------------------------------------------------------------
 # Parameter-free mining
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import io
+import random
 import re
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -23,12 +26,14 @@ from comove import (
     canonical_sort,
     extract_patterns,
     mine_fci,
+    write_patterns_csv,
 )
 from oracle import (
     brute_closed_swarms,
     brute_convoys,
     brute_extract_patterns,
     brute_group_patterns,
+    brute_write_patterns_csv,
     gen_random_matrix,
 )
 from conftest import (
@@ -303,7 +308,7 @@ def _decodable(draw):
     m = ClusterMatrix.build(tuple(f"o{i}" for i in range(n)), tuple(range(n_times)),
                             columns, kind=draw(st.sampled_from(MATRIX_KINDS)))
     epsilon = draw(st.integers(1, 3))
-    fcis = mine_fci(m, epsilon)
+    fcis = list(mine_fci(m, epsilon))  # a table: hand-made itemsets join a list
     if columns:
         for picks in draw(st.lists(st.sets(st.integers(0, len(columns) - 1),
                                            min_size=1, max_size=5), max_size=3)):
@@ -326,3 +331,67 @@ def test_extract_patterns_matches_itemwise_oracle(case, chunk_fcis):
     with mock.patch.object(comove.patterns, "_CHUNK_FCIS", chunk_fcis):
         assert (extract_patterns(fcis, m, params)
                 == brute_extract_patterns(fcis, m, params))
+
+
+# ---------------------------------------------------------------------------
+# patterns.csv from the decoder's table against the oracle's patterns
+# ---------------------------------------------------------------------------
+
+def _csv(write, patterns, m) -> str:
+    buf = io.StringIO()
+    write(patterns, m, buf)
+    return buf.getvalue()
+
+
+def _check_csv_bytes(fcis, m, params, seed):
+    """patterns.csv written from the decoder's table, as ``comove mine``
+    writes it, has the bytes of the oracle's patterns written in a shuffled
+    order, by the writer and by the row-by-row oracle writer; and the
+    table's kind counts are the oracle's."""
+    table = extract_patterns(fcis, m, params)
+    want = brute_extract_patterns(list(fcis), m, params)
+    random.Random(seed).shuffle(want)
+    got = _csv(write_patterns_csv, table, m)
+    assert got == _csv(write_patterns_csv, want, m) == _csv(brute_write_patterns_csv,
+                                                            want, m)
+    assert table.kinds() == dict(sorted(Counter(p.kind for p in want).items()))
+    return table
+
+
+def _float_times(m: ClusterMatrix) -> ClusterMatrix:
+    return ClusterMatrix(m.object_labels, tuple(t / 10 + 0.25 for t in m.time_labels),
+                         m.columns, m.kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_decodable(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_patterns_csv_from_the_table_has_the_oracle_bytes(case, floats, seed):
+    m, fcis, params = case
+    _check_csv_bytes(fcis, _float_times(m) if floats else m, params, seed)
+
+
+@pytest.mark.parametrize("floats", [False, True])
+def test_patterns_csv_bytes_on_shared_tidsets_and_cores(floats):
+    # {0, 1} travel together at times 0-2 and 5-7 and apart at times 3-4:
+    # one itemset of two convoys and a group pattern; {3, 4, 5} ride a
+    # six-object cluster at time 2, which theta cuts out of their chain,
+    # so two moving clusters of one core; and a periodic matrix of the same
+    # columns gives periodic patterns only
+    cells = {(t, 0): [0, 1] for t in (0, 1, 2, 5, 6, 7)}
+    cells.update({(t, o): ids for t in (3, 4) for o, ids in ((0, [0, 2]), (2, [1]))})
+    cells.update({(0, 1): [3, 4, 5], (1, 1): [3, 4, 5], (2, 1): [3, 4, 5, 6, 7, 8],
+                  (3, 1): [3, 4, 5], (4, 1): [3, 4, 5]})
+    for kind in ("per-timestamp", "periodic"):
+        m = make_matrix(cells, kind=kind)
+        m = _float_times(m) if floats else m
+        for eps, params in ((2, MiningParams(min_t=2, theta=0.6)),
+                            (1, MiningParams(min_t=1, theta=0.4, min_c=2))):
+            table = _check_csv_bytes(mine_fci(m, eps), m, params, eps)
+            if kind == "periodic":
+                assert set(table.kinds()) == {"periodic_pattern"}
+                continue
+            convoys = [p for p in table if p.kind == "convoy" and p.objects == _tid(0, 1)]
+            movers = [p for p in table if p.kind == "moving_cluster"
+                      and p.objects == _tid(3, 4, 5)]
+            assert len(convoys) == 2 and (eps == 1 or len(movers) == 2)
+

@@ -4,7 +4,6 @@ import math
 import tempfile
 from contextlib import redirect_stderr
 from dataclasses import replace
-from itertools import chain
 from operator import lt
 from pathlib import Path
 from unittest import mock
@@ -44,6 +43,7 @@ from comove import (
     write_trajectories,
 )
 from comove import combine as combine_module
+from comove import model as model_module
 from comove import store as store_module
 from comove.cli import main
 from comove.store import read_fci_table
@@ -674,8 +674,8 @@ def test_fci_store_rows_build_their_codes_at_once():
     # each run's once, shared by the rows holding that run
     text = ("# epsilon\t1\n# objects\ta,b\n# times\t0,1,2,3\n"
             "1\ta\t0..3:0\n2\ta,b\t1..2:0\n1\tb\t1..2:0;3:1\n1\tb\t3:1\n")
-    built, row_fcis = [], store_module._row_fcis
-    with mock.patch.object(store_module, "_row_fcis",
+    built, row_fcis = [], model_module._row_fcis
+    with mock.patch.object(model_module, "_row_fcis",
                            lambda rows: built.append(rows) or row_fcis(rows)):
         store = read_fci_store(io.StringIO(text))
     assert len(built) == 1 and built[0].keys is not None
@@ -729,9 +729,9 @@ def test_fci_store_append_builds_no_stored_row_codes(store, data):
             st.sets(st.integers(0, len(read.object_labels) - 1), min_size=1)),
             max_size=4))}.items()]
     times = read.time_labels + tuple(read.time_labels[-1] + k for k in range(1, extra + 1))
-    built, row_fcis = [], store_module._row_fcis
-    with mock.patch.object(store_module, "_row_fcis",
-                           lambda rows: built.append(rows) or row_fcis(rows)):
+    built, row_fcis = [], model_module._row_fcis
+    with mock.patch.object(model_module, "_row_fcis", lambda rows: built.extend(
+            [rows] * isinstance(rows, store_module._StoreRows)) or row_fcis(rows)):
         merged = combine_fcis(read.fcis, incoming, read.epsilon)
         written = _written(write_fci_store, replace(read, time_labels=times, fcis=merged))
     assert built == []
@@ -806,10 +806,10 @@ def test_fci_store_append_by_rank_matches_the_fci_route_and_the_oracle(case):
     text, batch, times = case
     table = read_fci_table(io.StringIO(text))
     made, counters = [], {}
-    row_fcis, union = store_module._row_fcis, combine_module._union
-    with mock.patch.object(store_module, "_row_fcis",
-                           lambda *a: made.append(a) or row_fcis(*a)), \
-            mock.patch.object(combine_module, "_union",
+    row_fcis, union = model_module._row_fcis, combine_module.packed_fci
+    with mock.patch.object(model_module, "_row_fcis", lambda rows: made.extend(
+            [rows] * isinstance(rows, store_module._StoreRows)) or row_fcis(rows)), \
+            mock.patch.object(combine_module, "packed_fci",
                               lambda *a: made.append(a) or union(*a)):
         merged = combine_fcis(table.fcis, batch, table.epsilon, counters=counters)
         got = _written(write_fci_store, replace(table, time_labels=times, fcis=merged))
@@ -894,7 +894,7 @@ def test_fci_store_rows_carry_only_the_text_the_writer_writes():
 def test_fci_store_formats_the_items_its_text_does_not_cover(monkeypatch):
     # a union that absorbed a stored itemset has its tidset but more items,
     # which can extend the stored itemset's last run, so only its ids are
-    # copied and its items are formatted from their codes; so are those of
+    # copied and its items are formatted from their runs; so are those of
     # an itemset with another stored itemset's tidset
     read = read_fci_store(io.StringIO(_HEADER + "2\ta,b\t0..1:0\n1\ta\t1:1\n"))
     fcis = (FCI((ClusterId(0, 0), ClusterId(1, 0), ClusterId(2, 0)), Tidset(0b11)),
@@ -902,11 +902,11 @@ def test_fci_store_formats_the_items_its_text_does_not_cover(monkeypatch):
     store = replace(read, time_labels=(0, 1, 2), fcis=fcis)
     formatted = []
     run_texts = store_module._run_texts
-    monkeypatch.setattr(store_module, "_run_texts", lambda rows, tl: formatted.extend(
-        chain.from_iterable(rows)) or run_texts(rows, tl))
+    monkeypatch.setattr(store_module, "_run_texts", lambda first, last, *rest: (
+        formatted.extend(zip(first.tolist(), last.tolist())) or run_texts(first, last, *rest)))
     assert _written(write_fci_store, store).endswith(
         "2\ta,b\t0..2:0\n1\ta\t0:5;2:1\n")
-    assert formatted == [0, 1 << 32, 2 << 32, 5, 2 << 32 | 1]
+    assert formatted == [(0, 2 << 32), (5, 5), (2 << 32 | 1, 2 << 32 | 1)]
     assert _written(write_fci_store, store) == _written(brute_write_fci_store, store)
 
 
@@ -937,8 +937,8 @@ def test_fci_store_written_back_formats_nothing(monkeypatch):
                              tuple(mine_fci(m, 1))), buf)
     formatted, expanded = [], []
     run_texts, tidset = store_module._run_texts, FCI.tidset
-    monkeypatch.setattr(store_module, "_run_texts", lambda rows, tl: formatted.extend(
-        chain.from_iterable(rows)) or run_texts(rows, tl))
+    monkeypatch.setattr(store_module, "_run_texts", lambda first, *rest: formatted.extend(
+        first.tolist()) or run_texts(first, *rest))
     monkeypatch.setattr(FCI, "tidset", property(
         lambda f: expanded.append(f) or tidset.fget(f)))
     table = read_fci_table(io.StringIO(buf.getvalue()))
